@@ -12,7 +12,11 @@ Conventions, applied everywhere and asserted by tests:
 
 The oscillatory y-integral is a direct trapezoid sum on the kernel's own
 spacing; callers must keep max|p| * dy / hbar below pi/4 so the phase is
-well sampled (checked on entry).
+well sampled (checked on entry). When every output q is a kernel node, the
+samples K(q-y, q+y) are read off the kernel's anti-diagonals: one weighted
+gather of all rows, times one phase table shared by every row, in a single
+matmul. A cubic spline of the kernel serves only output grids whose q values
+fall between kernel nodes.
 """
 
 from __future__ import annotations
@@ -173,6 +177,11 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
     f(q, p) = 2 * integral over y of K(q-y, q+y) exp(2i p y / hbar), with
     y spanning the largest symmetric window the kernel support allows at
     each q. Hermitian kernels give real symbols up to quadrature noise.
+
+    If every output q lies within 1e-9 cells of a kernel node, the integrand
+    is gathered straight from the kernel's anti-diagonals and all rows share
+    one phase table, so the whole transform is one matmul. Otherwise the
+    kernel is interpolated by a cubic spline, row by row.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -185,6 +194,37 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
     h = kernel.spacing
     _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
 
+    offsets = (q_out - k_lo) / h
+    nodes = np.rint(offsets)
+    if np.all(np.abs(offsets - nodes) <= 1e-9):
+        values = _wigner_on_nodes(kernel, nodes.astype(int), p_out, hbar)
+    else:
+        values = _wigner_by_spline(kernel, q_out, p_out, hbar)
+    return PhaseFunction(out_grid, values)
+
+
+def _wigner_on_nodes(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
+    """Symbol rows at kernel node indices ``nodes``: gather, weight, one matmul."""
+    n = kernel.axis[2]
+    h = kernel.spacing
+    reach = np.minimum(nodes, n - 1 - nodes)
+    m = int(reach.max())
+    j = np.arange(-m, m + 1)
+    # K[i - j, i + j] sits at flat index i*(n+1) - j*(n-1); entries past a
+    # row's reach are clipped reads that the zero weight below discards
+    gathered = np.take(kernel.values, nodes[:, None] * (n + 1) - j * (n - 1), mode="clip")
+    # trapezoid weights: 1 inside the reach, 1/2 at its ends, 0 past it
+    gathered[np.abs(j) > reach[:, None]] = 0.0
+    gathered[np.abs(j) == reach[:, None]] *= 0.5
+    gathered[reach == 0] = 0.0
+    phases = np.exp(2j * np.outer(j * h, p_out) / hbar)
+    return 2.0 * h * (gathered @ phases)
+
+
+def _wigner_by_spline(kernel: OperatorKernel, q_out: np.ndarray, p_out: np.ndarray, hbar: float):
+    """Symbol rows at arbitrary q: spline the kernel, then one quadrature per row."""
+    k_lo, k_hi, _ = kernel.axis
+    h = kernel.spacing
     qk = kernel.q
     spline_re = RectBivariateSpline(qk, qk, kernel.values.real)
     spline_im = RectBivariateSpline(qk, qk, kernel.values.imag)
@@ -201,7 +241,7 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
         weights[0] = weights[-1] = 0.5
         phases = np.exp(2j * np.outer(p_out, y) / hbar)
         out[i] = 2.0 * h * (phases @ (weights * kv))
-    return PhaseFunction(out_grid, out)
+    return out
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:

@@ -127,6 +127,30 @@ def test_criterion_6_weak_limit(lorentzian_report):
         )
 
 
+def test_weak_limit_tail_probe_inside_recurrence_window(lorentzian_report):
+    # the evolved residual recurs with period 2 pi hbar / d_omega; a tail
+    # probe past half of it would pass by aliasing, not by decay
+    for entry in lorentzian_report["results"]:
+        t, t_max = entry["tail_probe_time"], entry["half_recurrence_time"]
+        assert t < t_max
+        assert entry["relative_residual_at_40_tdec"] <= 1e-6
+        tail = lorentzian_report["assertions"][f"hbar_{entry['hbar']:g}_weak_limit_tail"]
+        assert tail["passed"] and tail["t"] == t and tail["t_max"] == t_max
+
+
+def test_weak_limit_tail_fails_past_half_recurrence():
+    # gamma = 12 d_omega puts the probe at 40 t_dec between T_rec/2 and T_rec:
+    # its residual is tiny only by aliasing, and the assertion must say so
+    report = run_named_scenario(
+        "decoherence-lorentzian", {"kernel": {"family": "lorentzian", "gamma": 0.06}}, seed=0
+    ).report
+    for entry in report["results"]:
+        assert entry["tail_probe_time"] > entry["half_recurrence_time"]
+        assert entry["relative_residual_at_40_tdec"] <= 1e-6
+        assert not report["assertions"][f"hbar_{entry['hbar']:g}_weak_limit_tail"]["passed"]
+    assert not report["passed"]
+
+
 def test_criterion_7_final_positivity(positivity_report):
     announce(
         "criterion 7: 20 randomized admissible states keep nonnegative final densities",

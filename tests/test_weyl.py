@@ -21,6 +21,7 @@ from phasedec.weyl import (
     wigner_of_kernel,
     wigner_of_pure_state,
 )
+from phasedec.weyl import _wigner_by_spline
 
 AXIS = (-6.0, 6.0, 193)
 
@@ -114,6 +115,60 @@ class TestWignerOfKernel:
         fast = Grid.rectangle(AXIS, (-60.0, 60.0, 193))
         with pytest.raises(ValueError, match="pi/4"):
             wigner_of_kernel(k, 1.0, fast)
+
+
+def _spline_oracle(kernel, grid, hbar=1.0):
+    return _wigner_by_spline(kernel, grid.coordinate(0), grid.coordinate(1), hbar)
+
+
+def _random_hermitian_kernel(axis, seed):
+    n = axis[2]
+    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    return OperatorKernel(axis, (a + a.conj().T) / 2.0)
+
+
+class TestGatherPath:
+    """On kernel nodes the anti-diagonal gather must reproduce the spline path."""
+
+    @staticmethod
+    def _assert_matches_oracle(kernel, grid):
+        fast = wigner_of_kernel(kernel, 1.0, grid).values
+        oracle = _spline_oracle(kernel, grid)
+        scale = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(fast - oracle))) <= 1e-13 * scale
+        return fast
+
+    def test_oscillator_grid(self, excited, grid):
+        k = OperatorKernel.from_wavefunction(excited)
+        fast = self._assert_matches_oracle(k, grid)
+        # the endpoint rows have no y-window at all
+        assert np.all(fast[0] == 0.0) and np.all(fast[-1] == 0.0)
+
+    def test_pairing_shape_random_hermitian(self):
+        axis = (-24.0, 24.0, 385)
+        k = _random_hermitian_kernel(axis, seed=3)
+        fast = self._assert_matches_oracle(k, Grid.rectangle(axis, (-0.5, 4.5, 161)))
+        assert np.all(fast[0] == 0.0) and np.all(fast[-1] == 0.0)
+
+    def test_output_sub_range_of_nodes(self):
+        # output q on kernel nodes 10..150 of 193: offsets and reaches differ per row
+        axis = (-6.0, 6.0, 193)
+        h = (axis[1] - axis[0]) / (axis[2] - 1)
+        sub = (axis[0] + 10 * h, axis[0] + 150 * h, 141)
+        k = _random_hermitian_kernel(axis, seed=4)
+        self._assert_matches_oracle(k, Grid.rectangle(sub, (-4.0, 4.0, 97)))
+
+    def test_off_node_grid_takes_spline_path(self, ground):
+        # q shifted by a third of a cell, kept inside the kernel range
+        h = (AXIS[1] - AXIS[0]) / (AXIS[2] - 1)
+        shifted = (AXIS[0] + h / 3.0, AXIS[1] - 2.0 * h / 3.0, AXIS[2] - 1)
+        g = Grid.rectangle(shifted, AXIS)
+        k = OperatorKernel.from_wavefunction(ground)
+        symbol = wigner_of_kernel(k, 1.0, g)
+        assert np.array_equal(symbol.values, _spline_oracle(k, g))
+        qm, pm = g.mesh()
+        exact = 2.0 * np.exp(-(qm**2) - pm**2)
+        assert float(np.max(np.abs(symbol.values - exact))) < 1e-5
 
 
 class TestWignerOfPureState:
