@@ -6,7 +6,7 @@ no timestamps), one RFC-4180 CSV per curve, and run_meta.json for the
 wall-clock metadata that must not perturb report bytes.
 
 Exit codes: 0 all assertions pass, 1 config parse error, 2 validation
-error, 3 assertion failure, 4 I/O error.
+error, 3 assertion failure, 4 I/O error, 5 not enough memory for the run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 EXIT_IO = 4
+EXIT_RESOURCES = 5
 
 
 class ConfigError(ValueError):
@@ -180,6 +181,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

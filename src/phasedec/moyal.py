@@ -2,24 +2,27 @@
 
 The product is sum_m (1/m!) (i*hbar/2)^m B_m(f, g), where B_m applies the
 m-th power of the bidifferential operator built from the symplectic form.
+B_m(g, f) = (-1)^m B_m(f, g) holds term by term, on the grid too, so the
+bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd part of one series.
 The sign convention is fixed so that the bracket of the canonical pair is
 +1, i.e. {q, p}_mb = {q, p}_pb; a dedicated test pins this constant.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .phase_space import (
     PhaseFunction,
     SymplecticForm,
+    _derivative_values,
     _require_same_grid,
     interior_max_abs,
-    partial_derivative,
     poisson_bracket,
 )
 
@@ -47,59 +50,65 @@ class StarOrder:
 
     @classmethod
     def coerce(cls, order) -> "StarOrder":
-        if isinstance(order, StarOrder):
-            return order
-        return cls(int(order))
+        return order if isinstance(order, StarOrder) else cls(int(order))
 
 
 DEFAULT_ORDER = StarOrder(2)
 
 
 class _DerivativeCache:
-    """Mixed partial derivatives of one phase function, memoized by multi-order."""
+    """Mixed partial derivatives of one sample array, each dropped after its last planned use."""
 
-    def __init__(self, f: PhaseFunction):
-        self.f = f
-        self._store: dict[tuple[int, ...], np.ndarray] = {
-            (0,) * len(f.grid.axes): np.asarray(f.values)
-        }
+    def __init__(self, f: PhaseFunction, requests: list[tuple[int, ...]]):
+        self.grid = f.grid
+        self._store: dict[tuple[int, ...], np.ndarray] = {(0,) * len(f.grid.axes): f.values}
+        self._steps: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
+        self._uses: Counter = Counter()
+        for alpha in requests:
+            self._plan(alpha)
+
+    def _plan(self, alpha: tuple[int, ...]):
+        # one use of alpha; the first also uses its base, whose last derivative
+        # comes off the first non-zero slot (orders above 4 compose <=4 steps)
+        self._uses[alpha] += 1
+        if self._uses[alpha] == 1 and any(alpha):
+            axis = next(i for i, a in enumerate(alpha) if a > 0)
+            step = min(alpha[axis], 4)
+            lower = alpha[:axis] + (alpha[axis] - step,) + alpha[axis + 1 :]
+            self._steps[alpha] = axis, step, lower
+            self._plan(lower)
 
     def get(self, alpha: tuple[int, ...]) -> np.ndarray:
-        if alpha in self._store:
-            return self._store[alpha]
-        # peel one derivative off the first non-zero slot; orders above 4
-        # per axis are reached by composing <=4-order applications
-        axis = next(i for i, a in enumerate(alpha) if a > 0)
-        step = min(alpha[axis], 4)
-        lower = list(alpha)
-        lower[axis] -= step
-        base = self.get(tuple(lower))
-        out = partial_derivative(self.f.with_values(base), axis, step).values
-        self._store[alpha] = out
-        return out
+        if alpha not in self._store:
+            axis, step, lower = self._steps[alpha]
+            self._store[alpha] = _derivative_values(self.get(lower), self.grid, axis, step)
+        self._uses[alpha] -= 1
+        return self._store[alpha] if self._uses[alpha] else self._store.pop(alpha)
 
 
-def _bidifferential_term(
-    fd: _DerivativeCache, gd: _DerivativeCache, pairs, m: int
-) -> np.ndarray:
-    """B_m(f, g): multinomial expansion of the m-th bidifferential power."""
-    n_axes = len(fd.f.grid.axes)
-    total = np.zeros(fd.f.grid.shape, dtype=complex)
-    for combo in combinations_with_replacement(range(len(pairs)), m):
-        counts = np.bincount(combo, minlength=len(pairs))
-        coeff = factorial(m)
-        sign = 1.0
-        alpha_f = [0] * n_axes
-        alpha_g = [0] * n_axes
-        for idx, mult in enumerate(counts):
-            if mult == 0:
-                continue
-            a, b, w = pairs[idx]
-            coeff //= factorial(int(mult))
-            sign *= w**mult
-            alpha_f[a] += mult
-            alpha_g[b] += mult
-        total += coeff * sign * fd.get(tuple(alpha_f)) * gd.get(tuple(alpha_g))
+def _bidifferential_terms(n_dof: int, m: int) -> list[tuple[float, tuple, tuple]]:
+    """B_m(f, g) as (weight, alpha_f, alpha_g): the sum of weight * D^alpha_f f * D^alpha_g g."""
+    terms = []
+    for combo in combinations_with_replacement(SymplecticForm(n_dof).pairs(), m):
+        alpha_f = tuple(sum(a == axis for a, _, _ in combo) for axis in range(2 * n_dof))
+        alpha_g = tuple(sum(b == axis for _, b, _ in combo) for axis in range(2 * n_dof))
+        # each pair has its own f-axis, so alpha_f holds the multinomial counts
+        weight = factorial(m) // prod(map(factorial, alpha_f)) * prod(w for _, _, w in combo)
+        terms.append((weight, alpha_f, alpha_g))
+    return terms
+
+
+def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order, odd_only: bool):
+    """sum_m (i*hbar/2)^m / m! B_m(f, g) up to the truncation order, or only its odd-m terms."""
+    _require_same_grid(f, g)
+    orders = range(1, StarOrder.coerce(order).max_order + 1, 2 if odd_only else 1)
+    terms = {m: _bidifferential_terms(f.grid.n_dof, m) for m in orders}
+    fd = _DerivativeCache(f, [t[1] for m in orders for t in terms[m]])
+    gd = _DerivativeCache(g, [t[2] for m in orders for t in terms[m]])
+    total = np.zeros(f.grid.shape, dtype=complex) if odd_only else f.values * g.values
+    for m in orders:
+        b_m = sum(w * fd.get(alpha_f) * gd.get(alpha_g) for w, alpha_f, alpha_g in terms[m])
+        total += (1j * hbar / 2.0) ** m / factorial(m) * b_m
     return total
 
 
@@ -110,18 +119,9 @@ def star_product(
     order: StarOrder | int = DEFAULT_ORDER,
 ) -> PhaseFunction:
     """Truncated star product of two phase functions on a common grid."""
-    _require_same_grid(f, g)
     if hbar < 0:
         raise ValueError("hbar must be >= 0")
-    k = StarOrder.coerce(order).max_order
-    fd = _DerivativeCache(f)
-    gd = _DerivativeCache(g)
-    pairs = SymplecticForm(f.grid.n_dof).pairs()
-    total = np.array(f.values * g.values, dtype=complex)
-    for m in range(1, k + 1):
-        prefactor = (1j * hbar / 2.0) ** m / factorial(m)
-        total += prefactor * _bidifferential_term(fd, gd, pairs, m)
-    return f.with_values(total, label="")
+    return f.with_values(_series(f, g, hbar, order, odd_only=False), label="")
 
 
 def moyal_bracket(
@@ -135,9 +135,7 @@ def moyal_bracket(
         raise ValueError("hbar = 0 has no Moyal bracket; use poisson_bracket instead")
     if hbar < 0:
         raise ValueError("hbar must be > 0")
-    fg = star_product(f, g, hbar, order)
-    gf = star_product(g, f, hbar, order)
-    return f.with_values((fg.values - gf.values) / (1j * hbar), label="")
+    return f.with_values(_series(f, g, hbar, order, odd_only=True) * (2.0 / (1j * hbar)), label="")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 __all__ = [
-    "PhasePoint",
     "Grid",
     "SymplecticForm",
     "PhaseFunction",
@@ -26,29 +26,6 @@ __all__ = [
 
 #: minimum points per axis; below this the 4th-order stencils degenerate
 MIN_AXIS_COUNT = 8
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A single point phi = (q_1..q_N, p_1..p_N)."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 2 or len(self.coords) % 2 != 0:
-            raise ValueError("phase point needs 2N coordinates with N >= 1")
-
-    @property
-    def n_dof(self) -> int:
-        return len(self.coords) // 2
-
-    @property
-    def q(self) -> tuple[float, ...]:
-        return self.coords[: self.n_dof]
-
-    @property
-    def p(self) -> tuple[float, ...]:
-        return self.coords[self.n_dof :]
 
 
 @dataclass(frozen=True)
@@ -125,20 +102,13 @@ class SymplecticForm:
 
     @property
     def matrix(self) -> np.ndarray:
-        n = self.n_dof
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, n:] = np.eye(n)
-        m[n:, :n] = -np.eye(n)
-        return m
+        eye, zero = np.eye(self.n_dof), np.zeros((self.n_dof, self.n_dof))
+        return np.block([[zero, eye], [-eye, zero]])
 
     def pairs(self) -> list[tuple[int, int, float]]:
         """Nonzero entries as (a, b, omega_ab); the bracket's axis pairs."""
         n = self.n_dof
-        out = []
-        for i in range(n):
-            out.append((i, n + i, 1.0))
-            out.append((n + i, i, -1.0))
-        return out
+        return [pair for i in range(n) for pair in ((i, n + i, 1.0), (n + i, i, -1.0))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +144,23 @@ class PhaseFunction:
     def with_values(self, values: np.ndarray, label: str | None = None) -> "PhaseFunction":
         return PhaseFunction(self.grid, values, self.label if label is None else label)
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """Samples of a PhaseFunction on the same grid, or a scalar/array as given."""
         if isinstance(other, PhaseFunction):
             _require_same_grid(self, other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + other)
+            return other.values
+        return other
+
+    def __add__(self, other):
+        return self.with_values(self.values + self._operand(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, PhaseFunction):
-            _require_same_grid(self, other)
-            return self.with_values(self.values - other.values)
-        return self.with_values(self.values - other)
+        return self.with_values(self.values - self._operand(other))
 
     def __mul__(self, other):
-        if isinstance(other, PhaseFunction):
-            _require_same_grid(self, other)
-            return self.with_values(self.values * other.values)
-        return self.with_values(self.values * other)
+        return self.with_values(self.values * self._operand(other))
 
     __rmul__ = __mul__
 
@@ -260,14 +228,28 @@ def _difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
         raise ValueError(f"axis count {count} too small for order-{order} stencils")
     d = np.zeros((count, count))
     for i in range(count):
-        if i >= half and i < count - half:
-            lo = i - half
-            size = central
+        if half <= i < count - half:
+            lo, size = i - half, central
         else:
-            lo = min(max(i - sided // 2, 0), count - sided)
-            size = sided
+            lo, size = min(max(i - sided // 2, 0), count - sided), sided
         d[i, lo : lo + size] = _fornberg_weights(x[i], x[lo : lo + size], order)
     return d
+
+
+def _derivative_values(values: np.ndarray, grid: Grid, axis: int, order: int) -> np.ndarray:
+    """``partial_derivative`` on raw samples: one real matmul on their float view.
+
+    That view interleaves real and imaginary parts, so on the last axis the
+    stencil acts from the right as ``kron(d.T, I_2)``.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    n = grid.shape[axis]
+    d = _difference_matrix(n, grid.spacing(axis), order)
+    if axis == len(grid.axes) - 1:
+        out = values.view(float).reshape(-1, 2 * n) @ np.kron(d.T, np.eye(2))
+    else:
+        out = d @ values.reshape(prod(grid.shape[:axis]), n, -1).view(float)
+    return out.view(complex).reshape(grid.shape)
 
 
 def partial_derivative(f: PhaseFunction, axis: int, order: int = 1) -> PhaseFunction:
@@ -280,20 +262,16 @@ def partial_derivative(f: PhaseFunction, axis: int, order: int = 1) -> PhaseFunc
         raise ValueError(f"derivative order must be in 1..4, got {order}")
     if not 0 <= axis < len(f.grid.axes):
         raise ValueError(f"axis {axis} out of range for a {len(f.grid.axes)}-axis grid")
-    d = _difference_matrix(f.grid.shape[axis], f.grid.spacing(axis), order)
-    moved = np.moveaxis(f.values, axis, 0)
-    flat = moved.reshape(f.grid.shape[axis], -1)
-    out = np.moveaxis((d @ flat).reshape(moved.shape), 0, axis)
-    return f.with_values(out, label=f.label)
+    return f.with_values(_derivative_values(f.values, f.grid, axis, order), label=f.label)
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
     _require_same_grid(f, g)
-    form = SymplecticForm(f.grid.n_dof)
     total = np.zeros(f.grid.shape, dtype=complex)
-    for a, b, w in form.pairs():
-        total = total + w * partial_derivative(f, a).values * partial_derivative(g, b).values
+    for a, b, w in SymplecticForm(f.grid.n_dof).pairs():
+        df = _derivative_values(f.values, f.grid, a, 1)
+        total += w * df * _derivative_values(g.values, g.grid, b, 1)
     return f.with_values(total, label="")
 
 

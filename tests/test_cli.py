@@ -12,6 +12,7 @@ from phasedec.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_RESOURCES,
     EXIT_VALIDATION,
     main,
 )
@@ -68,6 +69,18 @@ def test_unknown_option_is_validation_error(tmp_path):
 def test_bad_parameter_value_is_validation_error(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"scenario": "moyal-convergence", "hbar": -1.0})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+
+def test_oversized_grid_is_resource_error(tmp_path, capsys):
+    # the 10^7 x 10^7 mesh needs 800 TB, far past any machine's memory, so
+    # the allocation is refused at once instead of filling memory
+    cfg = write_config(
+        tmp_path / "cfg.json", {"scenario": "moyal-convergence", "grid": {"count": 10**7}}
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCES
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory write bits")

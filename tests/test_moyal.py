@@ -151,6 +151,21 @@ class TestMoyalBracket:
         assert interior_max_abs(mb - pb) < 1e-8
 
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_odd_series_matches_star_commutator(self, order):
+        # the bracket skips the even terms of the series; the commutator of two
+        # full star products is the oracle, and any leaked even term breaks it
+        g = Grid(((-2.0, 2.0, 12), (-1.5, 1.5, 13), (-1.8, 2.2, 12), (-2.0, 1.0, 14)))
+        f = sample(g, lambda a, b, c, d: np.exp(-0.3 * (a**2 + d**2) + 0.7j * a * c + 0.4j * b))
+        h = sample(g, lambda a, b, c, d: np.cos(a + d) + 1j * np.sin(0.5 * c * b) + np.exp(0.2 * b * c))
+        hbar = 0.6
+        fh = star_product(f, h, hbar, order).values
+        hf = star_product(h, f, hbar, order).values
+        oracle = (fh - hf) / (1j * hbar)
+        out = moyal_bracket(f, h, hbar, order).values
+        assert float(np.max(np.abs(out - oracle))) <= 1e-12 * float(np.max(np.abs(oracle)))
+
+
 class TestTwoDegreesOfFreedom:
     def test_canonical_structure_in_r4(self):
         g = Grid.square(-1.5, 1.5, 21, n_dof=2)

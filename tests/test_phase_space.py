@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from phasedec.phase_space import (
     Grid,
     PhaseFunction,
-    PhasePoint,
     SymplecticForm,
+    _difference_matrix,
     integrate,
     interior_max_abs,
     interior_slices,
@@ -28,16 +28,6 @@ def sample(grid, fn):
 
 
 class TestTypes:
-    def test_phase_point_halves(self):
-        pt = PhasePoint((1.0, 2.0, 3.0, 4.0))
-        assert pt.n_dof == 2
-        assert pt.q == (1.0, 2.0)
-        assert pt.p == (3.0, 4.0)
-
-    def test_phase_point_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            PhasePoint((1.0, 2.0, 3.0))
-
     def test_grid_rejects_small_axis(self):
         with pytest.raises(ValueError):
             Grid.square(0.0, 1.0, 4)
@@ -150,6 +140,20 @@ class TestPartialDerivative:
         target3 = sample(grid, lambda q, p: 24.0 * q)
         assert interior_max_abs(d3 - target3) < 1e-6
         assert interior_max_abs(d4 - 24.0) < 1e-6
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_every_axis_matches_tensordot(self, order):
+        # distinct counts and spacings per axis, so a mixed-up reshape or the
+        # last-axis branch cannot pass by symmetry
+        g = Grid(((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)))
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        f = PhaseFunction(g, v)
+        for axis in range(4):
+            d = _difference_matrix(g.shape[axis], g.spacing(axis), order)
+            expected = np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis)
+            out = partial_derivative(f, axis, order).values
+            assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_order_out_of_range(self, grid):
         f = sample(grid, lambda q, p: q)
