@@ -7,13 +7,18 @@ wall-clock metadata that must not perturb report bytes.
 
 Exit codes: 0 all assertions pass, 1 config parse error, 2 validation
 error, 3 assertion failure, 4 I/O error, 5 not enough memory for the run.
+
+``run -v`` prints the package's INFO log lines (what the run is doing,
+such as state renormalization) on stderr; without it only warnings show.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import logging
 import math
 import sys
 import time
@@ -139,10 +144,32 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--out", type=Path, default=None, help="Output directory override")
     run_cmd.add_argument("--hbar", type=float, default=None, help="Override hbar with one value")
     run_cmd.add_argument("--seed", type=int, default=None, help="Override the RNG seed")
+    run_cmd.add_argument(
+        "-v", "--verbose", action="store_true", help="Log what the run does (INFO) on stderr"
+    )
 
     sub.add_parser("list-scenarios", help="List the runnable scenario names")
     sub.add_parser("print-defaults", help="Dump every scenario's default options as JSON")
     return parser
+
+
+@contextlib.contextmanager
+def _package_logging(verbose: bool):
+    """Show the phasedec logger on stderr: INFO and up with ``verbose``, else WARNING."""
+    logger = logging.getLogger("phasedec")
+    saved_level = logger.level
+    handler = None
+    if verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+    logger.setLevel(logging.INFO if verbose else logging.WARNING)
+    try:
+        yield
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+        logger.setLevel(saved_level)
 
 
 def main(argv=None) -> int:
@@ -174,7 +201,8 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     try:
-        return run_scenario(config)
+        with _package_logging(args.verbose):
+            return run_scenario(config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,12 +11,13 @@ rate is gamma / hbar, the inverse-pole-distance law.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Observable, _swap_blocks
+from .spectral import Observable, SpectralGrid, _omega_blocks, _swap_blocks
 from .states import State, pair, pair_singular_symbols, to_classical_density
 
 __all__ = [
@@ -30,8 +31,12 @@ __all__ = [
     "verify_final_positivity",
 ]
 
+logger = logging.getLogger(__name__)
+
 RESIDUAL_FLOOR = 1e-14
 MODEL_R2_THRESHOLD = 0.9
+# kernel entries per band of rows in _coherence_spectrum (1 MB of complex)
+_SPECTRUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +71,18 @@ class DecayReport:
     ``rate`` is the exponential rate for the exponential model and the
     power-law exponent magnitude otherwise; ``t_dec`` is 1/rate for
     exponential decay and infinite for every other model.
+    ``r2_exponential`` and ``r2_power_law`` are the R^2 of the log-linear
+    and log-log fits, whichever model is selected; ``r2_power_law`` is
+    -inf when fewer than 10 fitted times are positive. The all-floor
+    sentinel is fit exactly by both models, so both are 1 there.
     """
 
     model: str
     rate: float
     fit_quality: float
     t_dec: float
+    r2_exponential: float
+    r2_power_law: float
 
 
 @dataclass(frozen=True)
@@ -87,21 +98,33 @@ def _check_pair_args(rho: State, obs: Observable, hbar: float):
         raise ValueError("hbar must be positive")
 
 
+def _warn_past_half_recurrence(grid: SpectralGrid, times: np.ndarray, hbar: float):
+    t_max = float(np.max(np.abs(times)))
+    half_recurrence = grid.recurrence_time(hbar) / 2.0
+    if t_max >= half_recurrence:
+        logger.warning(
+            "time %.6g reaches half the recurrence time %.6g of the omega grid; "
+            "residuals there are aliased, not decayed",
+            t_max,
+            half_recurrence,
+        )
+
+
 def evolve_pairing(rho: State, obs: Observable, t: float, hbar: float) -> complex:
-    """Pairing at time t: static singular term + phase-weighted regular term."""
+    """Pairing at time t: static singular term + phase-weighted regular term.
+
+    Logs a warning when |t| reaches half of ``grid.recurrence_time(hbar)``.
+    """
     _check_pair_args(rho, obs, hbar)
+    _warn_past_half_recurrence(rho.grid, np.asarray(t, dtype=float), hbar)
     grid = rho.grid
     cell = grid.cell
     half = len(grid.shape)
     singular_term = np.sum(rho.diagonal * obs.singular) * cell
 
-    n_omega = grid.omega_count
-    mp = int(np.prod(grid.shape[1:])) if grid.momentum_axes else 1
     omega = grid.omega
     phase = np.exp(1j * (omega[:, None] - omega[None, :]) * t / hbar)
-    integrand = (rho.regular * _swap_blocks(obs.regular, half)).reshape(
-        n_omega, mp, n_omega, mp
-    )
+    integrand = _omega_blocks(rho.regular * _swap_blocks(obs.regular, half), grid)
     regular_term = np.sum(integrand * phase[:, None, :, None]) * cell**2
     return complex(singular_term + regular_term)
 
@@ -116,26 +139,52 @@ def limit_pairing(rho: State, obs: Observable) -> float:
 def _coherence_spectrum(rho: State, obs: Observable):
     """Regular-term weights grouped by the frequency difference omega - omega'.
 
-    Returns (nu, weights) with nu = d * d_omega for d in -(n-1)..(n-1);
-    the evolved regular term is sum_d weights[d] * exp(i nu[d] t / hbar).
-    Valid because the omega axis is uniform.
+    Returns weights[d + n-1] for d in -(n-1)..(n-1); the evolved regular
+    term is sum_d weights[d + n-1] * exp(i d d_omega t / hbar). Valid
+    because the omega axis is uniform.
     """
     grid = rho.grid
-    half = len(grid.shape)
     n_omega = grid.omega_count
-    mp = int(np.prod(grid.shape[1:])) if grid.momentum_axes else 1
-    integrand = (rho.regular * _swap_blocks(obs.regular, half)).reshape(
-        n_omega, mp, n_omega, mp
-    )
-    cross = integrand.sum(axis=(1, 3)) * grid.cell**2
-    i = np.arange(n_omega)
-    offsets = (i[:, None] - i[None, :]).ravel() + (n_omega - 1)
-    weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n_omega - 1)
-    weights = weights + 1j * np.bincount(
-        offsets, weights=cross.imag.ravel(), minlength=2 * n_omega - 1
-    )
-    nu = np.arange(-(n_omega - 1), n_omega) * grid.d_omega
-    return nu, weights
+    rho_blocks = _omega_blocks(rho.regular, grid)
+    obs_swapped = _omega_blocks(obs.regular, grid).transpose(2, 3, 0, 1)
+    # a band of rows at a time keeps the products in cache: no n^2 temporary
+    rows = max(1, _SPECTRUM_CHUNK // (n_omega * rho_blocks.shape[1] ** 2))
+    weights = np.zeros(2 * n_omega - 1, dtype=complex)
+    for start in range(0, n_omega, rows):
+        stop = start + rows
+        cross = (rho_blocks[start:stop] * obs_swapped[start:stop]).sum(axis=(1, 3))
+        cross *= grid.cell**2
+        # row i holds offsets i - j = i .. i - (n-1), i.e. slots i + n-1 down to i
+        for i, row in enumerate(cross, start):
+            weights[i : i + n_omega] += row[::-1]
+    return weights
+
+
+def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
+    """sum_d weights[d] exp(i d step t) for d in -(m-1)/2..(m-1)/2, m = len(weights).
+
+    Writes d = c + j with block centres c = b*B and in-block offsets
+    |j| <= (B-1)/2, B odd and about sqrt(m), so exp(i d step t) =
+    exp(i c step t) * exp(i j step t). That takes about 2 sqrt(m)
+    exponentials per time and one (T x B) @ (B x blocks) matmul, instead
+    of a dense T x m phase table. Both factors are centred on d = 0: the
+    heavy small-|d| terms then use small arguments, where exp is exact to
+    round-off.
+    """
+    reach = (len(weights) - 1) // 2
+    radius = int(round(math.sqrt(len(weights)) / 2.0))
+    size = 2 * radius + 1
+    n_blocks = 2 * int(math.ceil((reach - radius) / size)) + 1
+    padded_reach = (n_blocks * size - 1) // 2
+    padded = np.zeros(2 * padded_reach + 1, dtype=complex)
+    padded[padded_reach - reach : padded_reach + reach + 1] = weights
+    # column b holds offsets centres[b] - radius .. centres[b] + radius
+    blocks = padded.reshape(n_blocks, size).T
+    offsets = np.arange(-radius, radius + 1)
+    centres = (np.arange(n_blocks) - n_blocks // 2) * size
+    inner = np.exp(1j * np.outer(times, offsets * step))
+    outer = np.exp(1j * np.outer(times, centres * step))
+    return np.einsum("tb,tb->t", inner @ blocks, outer)
 
 
 def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Trajectory:
@@ -143,15 +192,17 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
 
     Algebraically identical to evolve_pairing(t) - limit_pairing, but the
     off-diagonal sum is grouped by frequency difference first so a whole
-    trajectory costs one pass over the kernels.
+    trajectory costs one pass over the kernels, and the phases of the
+    uniform frequency grid are factored so no T x (2n-1) table is built.
+    Logs a warning when a time reaches half of ``grid.recurrence_time(hbar)``.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("time grid must be non-empty")
     _check_pair_args(rho, obs, hbar)
-    nu, weights = _coherence_spectrum(rho, obs)
-    phases = np.exp(1j * np.outer(times, nu) / hbar)
-    values = phases @ weights
+    _warn_past_half_recurrence(rho.grid, times, hbar)
+    weights = _coherence_spectrum(rho, obs)
+    values = _phase_sums(weights, times, rho.grid.d_omega / hbar)
     return Trajectory(times, values, limit_pairing(rho, obs))
 
 
@@ -182,7 +233,7 @@ def fit_decay(
         raise ValueError("need at least 10 samples past the transient window")
 
     if np.all(mags < floor):
-        return DecayReport(model="exponential", rate=0.0, fit_quality=1.0, t_dec=0.0)
+        return DecayReport("exponential", 0.0, 1.0, 0.0, r2_exponential=1.0, r2_power_law=1.0)
     mags = np.maximum(mags, floor)
     log_mags = np.log(mags)
 
@@ -198,17 +249,16 @@ def fit_decay(
         pow_coeffs = (0.0, 0.0)
         r2_pow = -np.inf
 
+    r2 = {"r2_exponential": r2_exp, "r2_power_law": r2_pow}
     if max(r2_exp, r2_pow) < min_r2:
-        return DecayReport(model="none", rate=0.0, fit_quality=max(r2_exp, 0.0), t_dec=math.inf)
+        return DecayReport("none", 0.0, max(r2_exp, 0.0), math.inf, **r2)
     if r2_exp >= r2_pow:
         rate = -float(exp_coeffs[0])
         if rate <= 0:
-            return DecayReport(model="none", rate=0.0, fit_quality=r2_exp, t_dec=math.inf)
-        return DecayReport(model="exponential", rate=rate, fit_quality=r2_exp, t_dec=1.0 / rate)
+            return DecayReport("none", 0.0, r2_exp, math.inf, **r2)
+        return DecayReport("exponential", rate, r2_exp, 1.0 / rate, **r2)
     exponent = -float(pow_coeffs[0])
-    return DecayReport(
-        model="power_law", rate=max(exponent, 0.0), fit_quality=r2_pow, t_dec=math.inf
-    )
+    return DecayReport("power_law", max(exponent, 0.0), r2_pow, math.inf, **r2)
 
 
 def verify_final_positivity(rho: State, tol: float = 1e-12) -> PositivityReport:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .decoherence import (
-    evolve_pairing,
+    Trajectory,
     fit_decay,
     limit_pairing,
     residual_trajectory,
@@ -489,16 +489,21 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     for hbar in hbars:
         t_dec_expected = hbar / gamma
         times = _time_grid(opts["times"], t_scale=t_dec_expected)
-        traj = residual_trajectory(rho, obs, times, hbar)
-        fit = fit_decay(traj)
-        rate_expected = gamma / hbar
-        tag = f"hbar_{hbar:g}"
-        late = abs(evolve_pairing(rho, obs, 10.0 * t_dec_expected, hbar) - limit)
         # the residual on a uniform omega grid recurs with period
         # 2 pi hbar / d_omega, so the tail probe must sit before half of it
         t_tail = 40.0 * t_dec_expected
-        half_recurrence = np.pi * hbar / sgrid.d_omega
-        very_late = abs(evolve_pairing(rho, obs, t_tail, hbar) - limit)
+        half_recurrence = sgrid.recurrence_time(hbar) / 2.0
+        # one trajectory covers the curve and both probes; the union keeps
+        # its time grid increasing whatever the configured curve range
+        wanted = np.concatenate([times, [10.0 * t_dec_expected, t_tail]])
+        grid_times = np.union1d(times, wanted)
+        values = residual_trajectory(rho, obs, grid_times, hbar).values
+        values = values[np.searchsorted(grid_times, wanted)]
+        traj = Trajectory(times, values[: len(times)], limit)
+        late, very_late = np.abs(values[len(times) :])
+        fit = fit_decay(traj)
+        rate_expected = gamma / hbar
+        tag = f"hbar_{hbar:g}"
         per_hbar.append(
             {
                 "hbar": hbar,
@@ -578,14 +583,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     fit = fit_decay(traj)
 
     # the exponential fit must lose outright for a pole-free kernel
-    skip = int(np.ceil(0.1 * len(times)))
-    mags = np.maximum(np.abs(traj.values[skip:]), 1e-14)
-    t_fit = traj.times[skip:]
-    coeffs = np.polyfit(t_fit, np.log(mags), 1)
-    resid = np.log(mags) - np.polyval(coeffs, t_fit)
-    ss_tot = float(np.sum((np.log(mags) - np.log(mags).mean()) ** 2))
-    r2_exp = 1.0 - float(np.sum(resid**2)) / ss_tot
-
+    r2_exp = fit.r2_exponential
     assertions = [
         _assertion(
             "non_exponential_model",

@@ -92,6 +92,14 @@ class SpectralGrid:
             out *= (hi - lo) / (n - 1)
         return out
 
+    def recurrence_time(self, hbar: float) -> float:
+        """Period 2 pi hbar / d_omega of every evolved pairing on this uniform grid.
+
+        Phases exp(i d d_omega t / hbar) at integer offsets d all return to
+        1 after one period, so a residual past half of it is aliased.
+        """
+        return 2.0 * np.pi * hbar / self.d_omega
+
     def coordinates(self) -> list[np.ndarray]:
         coords = [self.omega]
         coords.extend(np.linspace(lo, hi, n) for lo, hi, n in self.momentum_axes)
@@ -109,6 +117,33 @@ def _conjugate_transpose(regular: np.ndarray, half: int) -> np.ndarray:
 def _swap_blocks(regular: np.ndarray, half: int) -> np.ndarray:
     order = tuple(range(half, 2 * half)) + tuple(range(half))
     return np.transpose(regular, order)
+
+
+def _omega_blocks(regular: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """View a regular kernel as (omega, momenta, omega', momenta') with flat momenta."""
+    mp = grid.n_points // grid.omega_count
+    return regular.reshape(grid.omega_count, mp, grid.omega_count, mp)
+
+
+def _sample_regular(grid: SpectralGrid, regular_fn) -> np.ndarray:
+    """Regular kernel samples from None, an array or a callable; may be a read-only view.
+
+    A callable receives open meshes (omega, omega', p_1, p_1', ...): each
+    label varies along its own axis of the squared grid, so omega is a
+    column and omega' a row. Profiles are then evaluated once per label
+    value, and only the terms that mix labels grow to the full kernel
+    size. The result is broadcast to the squared grid shape; the State and
+    Observable constructors take the owned complex copy.
+    """
+    if regular_fn is None:
+        return np.zeros(grid.shape * 2, dtype=complex)
+    if not callable(regular_fn):
+        return np.asarray(regular_fn)
+    coords = grid.coordinates()
+    meshes = np.meshgrid(*coords, *coords, indexing="ij", sparse=True)
+    half = len(coords)
+    args = [mesh for pair in zip(meshes[:half], meshes[half:]) for mesh in pair]
+    return np.broadcast_to(regular_fn(*args), grid.shape * 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +184,10 @@ class Observable:
 def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Observable:
     """Sample an observable from callables (or arrays) on the spectral grid.
 
-    ``singular_fn`` receives the label meshes (omega, p_1, ...);
-    ``regular_fn`` receives (omega, omega', p_1, ..., p_1', ...).
+    ``singular_fn`` receives the full label meshes (omega, p_1, ...).
+    ``regular_fn`` receives open, broadcastable meshes (omega, omega', p_1,
+    p_1', ...), with omega a column and omega' a row; it must combine them
+    by broadcasting, and its result is broadcast to the squared grid.
     """
     if singular_fn is None:
         singular = np.zeros(grid.shape, dtype=complex)
@@ -158,21 +195,7 @@ def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Ob
         singular = np.broadcast_to(singular_fn(*grid.meshes()), grid.shape)
     else:
         singular = np.asarray(singular_fn, dtype=complex)
-
-    if regular_fn is None:
-        regular = np.zeros(grid.shape * 2, dtype=complex)
-    elif callable(regular_fn):
-        coords = grid.coordinates()
-        meshes = np.meshgrid(*coords, *coords, indexing="ij")
-        half = len(coords)
-        row, col = meshes[:half], meshes[half:]
-        args = [row[0], col[0]]
-        for k in range(1, half):
-            args.extend([row[k], col[k]])
-        regular = np.broadcast_to(regular_fn(*args), grid.shape * 2)
-    else:
-        regular = np.asarray(regular_fn, dtype=complex)
-    return Observable(grid, np.array(singular, dtype=complex), np.array(regular, dtype=complex))
+    return Observable(grid, singular, _sample_regular(grid, regular_fn))
 
 
 def adjoint(obs: Observable) -> Observable:
@@ -183,9 +206,7 @@ def adjoint(obs: Observable) -> Observable:
 
 def energy_offdiagonal_weight(obs: Observable) -> float:
     """max |(omega - omega') * O_regular|, the discrete commutator size with H."""
-    n_omega = obs.grid.omega_count
-    mp = int(np.prod(obs.grid.shape[1:])) if obs.grid.momentum_axes else 1
-    reg = obs.regular.reshape(n_omega, mp, n_omega, mp)
+    reg = _omega_blocks(obs.regular, obs.grid)
     omega = obs.grid.omega
     diff = omega[:, None, None, None] - omega[None, None, :, None]
     return float(np.max(np.abs(diff * reg)))

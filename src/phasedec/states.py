@@ -29,6 +29,7 @@ from .spectral import (
     SpectralGrid,
     _compose_on_phase_space,
     _conjugate_transpose,
+    _sample_regular,
     _swap_blocks,
 )
 
@@ -112,23 +113,14 @@ def _sample_diagonal(grid: SpectralGrid, diagonal_fn) -> np.ndarray:
     return np.asarray(diagonal_fn, dtype=float).copy()
 
 
-def _sample_regular(grid: SpectralGrid, regular_fn) -> np.ndarray:
-    if regular_fn is None:
-        return np.zeros(grid.shape * 2, dtype=complex)
-    if callable(regular_fn):
-        coords = grid.coordinates()
-        meshes = np.meshgrid(*coords, *coords, indexing="ij")
-        half = len(coords)
-        row, col = meshes[:half], meshes[half:]
-        args = [row[0], col[0]]
-        for k in range(1, half):
-            args.extend([row[k], col[k]])
-        return np.array(np.broadcast_to(regular_fn(*args), grid.shape * 2), dtype=complex)
-    return np.asarray(regular_fn, dtype=complex).copy()
-
-
 def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
     """Build an admissible state, renormalizing the diagonal to unit mass.
+
+    ``diagonal_fn`` receives the full label meshes (omega, p_1, ...).
+    ``regular_fn`` receives open, broadcastable meshes (omega, omega', p_1,
+    p_1', ...), with omega a column and omega' a row; it must combine them
+    by broadcasting, and its result is broadcast to the squared grid.
+    Either may instead be an array of samples.
 
     Rejects negative diagonal samples and non-hermitian regular kernels;
     the renormalization factor is logged rather than treated as an error,

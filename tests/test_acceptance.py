@@ -5,9 +5,15 @@ code path as the CLI) and prints one pass/fail line. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they go.
 """
 
+import logging
+
 import pytest
 
-from phasedec.scenarios import run_named_scenario
+from phasedec import kernels
+from phasedec.decoherence import evolve_pairing, limit_pairing
+from phasedec.scenarios import _coherence_from_options, run_named_scenario, scenario_defaults
+from phasedec.spectral import SpectralGrid, make_observable
+from phasedec.states import make_state
 
 
 def announce(label: str, ok: bool, detail: str = ""):
@@ -138,17 +144,48 @@ def test_weak_limit_tail_probe_inside_recurrence_window(lorentzian_report):
         assert tail["passed"] and tail["t"] == t and tail["t_max"] == t_max
 
 
-def test_weak_limit_tail_fails_past_half_recurrence():
+def test_weak_limit_tail_fails_past_half_recurrence(caplog):
     # gamma = 12 d_omega puts the probe at 40 t_dec between T_rec/2 and T_rec:
     # its residual is tiny only by aliasing, and the assertion must say so
-    report = run_named_scenario(
-        "decoherence-lorentzian", {"kernel": {"family": "lorentzian", "gamma": 0.06}}, seed=0
-    ).report
+    with caplog.at_level(logging.WARNING, logger="phasedec"):
+        report = run_named_scenario(
+            "decoherence-lorentzian", {"kernel": {"family": "lorentzian", "gamma": 0.06}}, seed=0
+        ).report
     for entry in report["results"]:
         assert entry["tail_probe_time"] > entry["half_recurrence_time"]
         assert entry["relative_residual_at_40_tdec"] <= 1e-6
         assert not report["assertions"][f"hbar_{entry['hbar']:g}_weak_limit_tail"]["passed"]
     assert not report["passed"]
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == len(report["results"])
+    assert all("recurrence" in r.getMessage() for r in warned)
+
+
+@pytest.mark.parametrize("name", ["decoherence-lorentzian", "decoherence-polefree"])
+def test_default_decoherence_runs_stay_inside_half_recurrence(name, caplog):
+    with caplog.at_level(logging.WARNING, logger="phasedec"):
+        assert run_named_scenario(name, {}, seed=0).report["passed"]
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_probe_at_10_tdec_matches_direct_evolution(lorentzian_report):
+    # the probes come from the residual trajectory; the direct sum is the oracle
+    opts = scenario_defaults("decoherence-lorentzian")
+    sgrid = SpectralGrid(**opts["spectral_grid"])
+    diagonal, regular, _ = _coherence_from_options(opts["kernel"])
+    profile = opts["observable_profile"]
+    rho = make_state(sgrid, diagonal, regular)
+    obs = make_observable(
+        sgrid,
+        lambda w: 1.0 + 0.0 * w,
+        kernels.separable_kernel(kernels.gaussian_profile(profile["center"], profile["width"])),
+    )
+    limit = limit_pairing(rho, obs)
+    gamma = opts["kernel"]["gamma"]
+    for entry in lorentzian_report["results"]:
+        direct = abs(evolve_pairing(rho, obs, 10.0 * entry["hbar"] / gamma, entry["hbar"]) - limit)
+        probe = entry["relative_residual_at_10_tdec"] * abs(limit)
+        assert abs(probe - direct) <= 1e-9 * direct
 
 
 def test_criterion_7_final_positivity(positivity_report):

@@ -232,3 +232,20 @@ def test_hbar_override(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["hbar"] == 0.5
     assert report["target_minimum"] == pytest.approx(-2.0 / 3.141592653589793, rel=1e-12)
+
+
+def test_verbose_flag_logs_progress_to_stderr(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree", "spectral_grid": {"omega_count": 201},
+         "times": {"stop": 50.0}},
+    )
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["run", "--config", cfg, "--out", str(quiet)]) == EXIT_OK
+    quiet_err = capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(loud), "-v"]) == EXIT_OK
+    loud_out, loud_err = capsys.readouterr()
+    assert "renormalizing state diagonal" not in quiet_err
+    assert "INFO phasedec.states: renormalizing state diagonal" in loud_err
+    assert "renormalizing" not in loud_out
+    assert (quiet / "report.json").read_bytes() == (loud / "report.json").read_bytes()

@@ -6,12 +6,16 @@ against exp(i nu t / hbar) decays as exp(-gamma t / hbar), so the fitted
 rate must be gamma / hbar and the decoherence time hbar / gamma.
 """
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phasedec import kernels
 from phasedec.decoherence import (
     Trajectory,
+    _coherence_spectrum,
     evolve_pairing,
     fit_decay,
     limit_pairing,
@@ -19,11 +23,83 @@ from phasedec.decoherence import (
     verify_final_positivity,
 )
 from phasedec.phase_space import Grid
-from phasedec.spectral import SpectralGrid, make_observable
+from phasedec.spectral import SpectralGrid, _swap_blocks, make_observable
 from phasedec.states import make_state, pair, random_admissible_state
 from phasedec.weyl import oscillator_state, wigner_of_pure_state
 
 GAMMA = 0.1
+
+
+def lorentzian_states(sgrid, gamma=GAMMA):
+    profile = kernels.gaussian_profile(2.0, 0.35)
+    rho = make_state(sgrid, lambda w: profile(w) ** 2, kernels.lorentzian_kernel(gamma, profile))
+    obs = make_observable(
+        sgrid,
+        lambda w: 1.0 + 0.0 * w,
+        kernels.separable_kernel(kernels.gaussian_profile(2.0, 0.5)),
+    )
+    return rho, obs
+
+
+def polefree_states():
+    sgrid = SpectralGrid(10.0, 1001)
+    edge = kernels.spectral_edge_profile(decay=1.2, cutoff=7.5)
+    rho = make_state(sgrid, lambda w: edge(w) ** 2, kernels.separable_kernel(edge))
+    obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, kernels.separable_kernel(edge))
+    return rho, obs
+
+
+def two_label_states():
+    sgrid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
+    rho = make_state(
+        sgrid,
+        lambda w, p: np.exp(-((w - 1.5) ** 2) / 0.3) * np.exp(-(p**2) / 0.4),
+        lambda w, wp, p, pp: (
+            np.exp(-((w - 1.5) ** 2) - (wp - 1.5) ** 2) * np.exp(-(p**2) - pp**2)
+        ),
+    )
+    obs = make_observable(
+        sgrid,
+        lambda w, p: 1.0 + 0 * w,
+        lambda w, wp, p, pp: np.exp(-((w - wp) ** 2)) * np.exp(-((p - pp) ** 2)),
+    )
+    return rho, obs
+
+
+def bincount_spectrum(rho, obs):
+    # the coherence spectrum as an n^2 offset table and two bincounts
+    grid = rho.grid
+    n = grid.omega_count
+    mp = grid.n_points // n
+    integrand = (rho.regular * _swap_blocks(obs.regular, len(grid.shape))).reshape(n, mp, n, mp)
+    cross = integrand.sum(axis=(1, 3)) * grid.cell**2
+    i = np.arange(n)
+    offsets = (i[:, None] - i[None, :]).ravel() + (n - 1)
+    weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n - 1)
+    return weights + 1j * np.bincount(offsets, weights=cross.imag.ravel(), minlength=2 * n - 1)
+
+
+def long_double_phase_sum(weights, times, d_omega, hbar):
+    """sum_d weights[d] exp(i d d_omega t / hbar) with long-double arguments and sums.
+
+    Each argument is reduced modulo 2 pi in long double before the cosine
+    and sine, so large d t keep their full accuracy.
+    """
+    reach = (len(weights) - 1) // 2
+    d = np.arange(-reach, reach + 1).astype(np.longdouble)
+    step = np.longdouble(d_omega) / np.longdouble(hbar)
+    two_pi = 4 * np.arccos(np.longdouble(0.0))
+    re, im = weights.real.astype(np.longdouble), weights.imag.astype(np.longdouble)
+    out = np.empty(len(times), dtype=complex)
+    for start in range(0, len(times), 500):
+        arg = np.multiply.outer(np.asarray(times[start : start + 500], np.longdouble), d * step)
+        arg -= two_pi * np.rint(arg / two_pi)
+        cos = np.cos(arg.astype(float)).astype(np.longdouble)
+        sin = np.sin(arg.astype(float)).astype(np.longdouble)
+        out[start : start + 500] = (cos @ re - sin @ im).astype(float) + 1j * (
+            sin @ re + cos @ im
+        ).astype(float)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +221,95 @@ class TestResidualTrajectory:
         assert float(np.max(np.abs(traj.values))) <= at_zero * (1.0 + 1e-10)
 
 
+class TestFactoredPhaseSum:
+    """residual_trajectory against a long-double direct sum of the same weights."""
+
+    @pytest.mark.parametrize(
+        "build, times, hbar",
+        [
+            # 6000 times up to 8 t_dec, t = 0 included
+            (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.linspace(0.0, 80.0, 6000), 1.0),
+            (polefree_states, np.geomspace(1.0, 200.0, 100), 1.0),
+            # 2n - 1 = 33, 81 = 9^2 and 99 offsets: odd, square and even counts
+            (lambda: lorentzian_states(SpectralGrid(4.0, 17), 0.5), np.linspace(0.0, 6.0, 37), 1.0),
+            (lambda: lorentzian_states(SpectralGrid(4.0, 41), 0.5), np.linspace(0.0, 15.0, 37), 1.0),
+            (lambda: lorentzian_states(SpectralGrid(4.0, 50), 0.5), np.linspace(0.0, 19.0, 37), 0.5),
+            (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([3.7]), 0.5),
+            (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([0.0]), 1.0),
+            (two_label_states, np.array([0.5, 3.0, 12.0]), 1.0),
+        ],
+        ids=["lorentzian-801", "polefree-1001", "n17", "n41", "n50", "single", "t0", "two-label"],
+    )
+    def test_matches_long_double_direct_sum(self, build, times, hbar):
+        rho, obs = build()
+        weights = _coherence_spectrum(rho, obs)
+        values = residual_trajectory(rho, obs, times, hbar).values
+        expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
+        assert float(np.max(np.abs(values - expected))) <= 1e-12 * float(np.sum(np.abs(weights)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: lorentzian_states(SpectralGrid(4.0, 801)), polefree_states, two_label_states],
+        ids=["lorentzian-801", "polefree-1001", "two-label"],
+    )
+    def test_spectrum_matches_bincount_oracle(self, build):
+        rho, obs = build()
+        expected = bincount_spectrum(rho, obs)
+        error = float(np.max(np.abs(_coherence_spectrum(rho, obs) - expected)))
+        assert error <= 1e-14 * float(np.max(np.abs(expected)))
+
+    def test_zero_frequency_weight_never_rotates(self, sgrid):
+        # a regular kernel on omega = omega' is stationary: its phase is exactly
+        # 1 at every t, which only centred factors reproduce without round-off
+        density = kernels.gaussian_profile(2.0, 0.35)(sgrid.omega) ** 2
+        rho = make_state(sgrid, density, np.diag(density))
+        obs = make_observable(sgrid, None, np.diag(1.0 + 0.0 * sgrid.omega))
+        times = np.linspace(0.0, 0.99 * sgrid.recurrence_time(1.0) / 2.0, 500)
+        values = residual_trajectory(rho, obs, times, 1.0).values
+        assert values[0] != 0.0
+        assert np.all(values == values[0])
+
+    def test_no_dense_phase_table(self, lorentzian_pair):
+        # a T x (2n - 1) complex table at 6000 times and 801 nodes is 154 MB
+        rho, obs = lorentzian_pair
+        times = np.linspace(8.0, 80.0, 6000)
+        dense_table_bytes = times.size * (2 * rho.grid.omega_count - 1) * 16
+        tracemalloc.start()
+        try:
+            residual_trajectory(rho, obs, times, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_table_bytes / 4
+
+
+class TestRecurrenceGuard:
+    @pytest.mark.parametrize("hbar", [0.25, 0.5, 1.0, 3.0])
+    def test_half_recurrence_is_pi_hbar_over_d_omega(self, hbar):
+        for sgrid in (SpectralGrid(4.0, 801), SpectralGrid(10.0, 1001), SpectralGrid(3.0, 21)):
+            assert sgrid.recurrence_time(hbar) == 2.0 * np.pi * hbar / sgrid.d_omega
+            assert sgrid.recurrence_time(hbar) / 2.0 == np.pi * hbar / sgrid.d_omega
+
+    def test_residual_recurs_after_one_period(self, lorentzian_pair):
+        rho, obs = lorentzian_pair
+        period = rho.grid.recurrence_time(1.0)
+        traj = residual_trajectory(rho, obs, [0.0, period], 1.0)
+        assert abs(traj.values[1] - traj.values[0]) < 1e-9 * abs(traj.values[0])
+
+    def test_warns_from_half_the_recurrence_time(self, lorentzian_pair, caplog):
+        rho, obs = lorentzian_pair
+        half = rho.grid.recurrence_time(1.0) / 2.0
+        with caplog.at_level(logging.WARNING, logger="phasedec"):
+            residual_trajectory(rho, obs, [1.0, 0.99 * half], 1.0)
+            evolve_pairing(rho, obs, 0.99 * half, 1.0)
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="phasedec"):
+            residual_trajectory(rho, obs, [1.0, half], 1.0)
+            evolve_pairing(rho, obs, half, 1.0)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING] * 2
+        assert all(r.name == "phasedec.decoherence" for r in caplog.records)
+
+
 class TestFitDecay:
     def test_synthetic_exponential(self):
         times = np.linspace(0.5, 40.0, 60)
@@ -169,6 +334,22 @@ class TestFitDecay:
         assert rep.model == "exponential"
         assert rep.rate == 0.0
         assert rep.t_dec == 0.0
+        assert rep.r2_exponential == rep.r2_power_law == 1.0
+
+    def test_both_r_squared_values_reported(self):
+        # the exponential R^2 equals a hand log-linear fit bit for bit
+        rho, obs = polefree_states()
+        traj = residual_trajectory(rho, obs, np.geomspace(1.0, 200.0, 100), 1.0)
+        rep = fit_decay(traj)
+        skip = int(np.ceil(0.1 * len(traj.times)))
+        mags = np.maximum(np.abs(traj.values[skip:]), 1e-14)
+        t_fit = traj.times[skip:]
+        coeffs = np.polyfit(t_fit, np.log(mags), 1)
+        resid = np.log(mags) - np.polyval(coeffs, t_fit)
+        ss_tot = float(np.sum((np.log(mags) - np.log(mags).mean()) ** 2))
+        assert rep.r2_exponential == 1.0 - float(np.sum(resid**2)) / ss_tot
+        assert rep.model == "power_law" and rep.r2_power_law == rep.fit_quality
+        assert rep.r2_exponential < rep.r2_power_law
 
     def test_no_decay_flagged_none(self):
         rng = np.random.default_rng(2)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from phasedec import kernels
+from phasedec.scenarios import _KERNEL_FAMILY_DEFAULTS, _coherence_from_options
 from phasedec.spectral import SpectralGrid, make_observable
+from phasedec.states import make_state
 
 
 @pytest.fixture
@@ -79,3 +81,34 @@ def test_families_integrate_with_make_observable():
         kernels.lorentzian_kernel(0.2, kernels.gaussian_profile(2.0, 0.5)),
     )
     assert obs.self_adjoint
+
+
+def _full_mesh_samples(grid, regular_fn):
+    # the sampling before open meshes: every label on the full squared grid
+    coords = grid.coordinates()
+    half = len(coords)
+    meshes = np.meshgrid(*coords, *coords, indexing="ij")
+    args = [mesh for pair in zip(meshes[:half], meshes[half:]) for mesh in pair]
+    return np.array(np.broadcast_to(regular_fn(*args), grid.shape * 2), dtype=complex)
+
+
+@pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
+def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
+    grid = SpectralGrid(10.0, 1201)
+    diagonal, regular, _ = _coherence_from_options({"family": family})
+    expected = _full_mesh_samples(grid, regular)
+    assert np.array_equal(make_state(grid, diagonal, regular).regular, expected)
+    assert np.array_equal(make_observable(grid, None, regular).regular, expected)
+
+
+def test_open_mesh_sampling_on_two_label_grid():
+    grid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
+
+    def regular(w, wp, p, pp):
+        return np.exp(-((w - wp) ** 2) - (p - pp) ** 2) * np.exp(0.3j * (w * pp - wp * p))
+
+    expected = _full_mesh_samples(grid, regular)
+    assert np.array_equal(make_observable(grid, None, regular).regular, expected)
+    assert np.array_equal(
+        make_state(grid, lambda w, p: 1.0 + 0 * w, regular).regular, expected
+    )
