@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phase_space import _frozen
 from .spectral import Observable, SpectralGrid, _omega_blocks, _swap_blocks
 from .states import State, pair, pair_singular_symbols, to_classical_density
 
@@ -35,6 +36,10 @@ logger = logging.getLogger(__name__)
 
 RESIDUAL_FLOOR = 1e-14
 MODEL_R2_THRESHOLD = 0.9
+#: leading share of a trajectory's samples that fit_decay drops as transient
+TRANSIENT_FRACTION = 0.1
+#: most negative value a decohered density may have and still count as nonnegative
+POSITIVITY_TOL = 1e-12
 # kernel entries per band of rows in _coherence_spectrum (1 MB of complex)
 _SPECTRUM_CHUNK = 1 << 16
 
@@ -48,18 +53,12 @@ class Trajectory:
     limit_value: float
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=complex)
+        times = _frozen(self.times, float, np.shape(self.times), "times")
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("times must be a non-empty 1-D array")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if values.shape != times.shape:
-            raise ValueError("values must align with times")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("trajectory values must be finite")
-        for arr in (times, values):
-            arr.setflags(write=False)
+        values = _frozen(self.values, complex, times.shape, "trajectory values")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -214,27 +213,23 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_decay(
-    traj: Trajectory,
-    transient_fraction: float = 0.1,
-    floor: float = RESIDUAL_FLOOR,
-    min_r2: float = MODEL_R2_THRESHOLD,
-) -> DecayReport:
+def fit_decay(traj: Trajectory) -> DecayReport:
     """Classify residual decay by competing log-linear and log-log fits.
 
-    The first ``transient_fraction`` of samples is dropped; magnitudes
-    below ``floor`` are clipped before taking logs. An all-floor
+    The first ``TRANSIENT_FRACTION`` of samples is dropped; magnitudes
+    below ``RESIDUAL_FLOOR`` are clipped before taking logs. An all-floor
     trajectory means the state is already decohered (rate-0 sentinel).
+    A model is selected only if its R^2 reaches ``MODEL_R2_THRESHOLD``.
     """
-    skip = int(math.ceil(transient_fraction * len(traj.times)))
+    skip = int(math.ceil(TRANSIENT_FRACTION * len(traj.times)))
     times = traj.times[skip:]
     mags = np.abs(traj.values[skip:])
     if len(times) < 10:
         raise ValueError("need at least 10 samples past the transient window")
 
-    if np.all(mags < floor):
+    if np.all(mags < RESIDUAL_FLOOR):
         return DecayReport("exponential", 0.0, 1.0, 0.0, r2_exponential=1.0, r2_power_law=1.0)
-    mags = np.maximum(mags, floor)
+    mags = np.maximum(mags, RESIDUAL_FLOOR)
     log_mags = np.log(mags)
 
     exp_coeffs = np.polyfit(times, log_mags, 1)
@@ -250,7 +245,7 @@ def fit_decay(
         r2_pow = -np.inf
 
     r2 = {"r2_exponential": r2_exp, "r2_power_law": r2_pow}
-    if max(r2_exp, r2_pow) < min_r2:
+    if max(r2_exp, r2_pow) < MODEL_R2_THRESHOLD:
         return DecayReport("none", 0.0, max(r2_exp, 0.0), math.inf, **r2)
     if r2_exp >= r2_pow:
         rate = -float(exp_coeffs[0])
@@ -261,8 +256,8 @@ def fit_decay(
     return DecayReport("power_law", max(exponent, 0.0), r2_pow, math.inf, **r2)
 
 
-def verify_final_positivity(rho: State, tol: float = 1e-12) -> PositivityReport:
+def verify_final_positivity(rho: State) -> PositivityReport:
     """Check the decohered density is nonnegative over the (H, P) grid."""
     density = to_classical_density(rho)
     min_value = float(density.values.min())
-    return PositivityReport(min_value=min_value, passed=min_value >= -tol)
+    return PositivityReport(min_value=min_value, passed=min_value >= -POSITIVITY_TOL)

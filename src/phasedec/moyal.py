@@ -27,33 +27,14 @@ from .phase_space import (
 )
 
 __all__ = [
-    "StarOrder",
-    "DEFAULT_ORDER",
     "star_product",
     "moyal_bracket",
     "classical_limit_check",
     "ConvergenceReport",
 ]
 
+#: highest truncation order of the star series: the hbar^6 term
 MAX_ORDER = 6
-
-
-@dataclass(frozen=True)
-class StarOrder:
-    """Truncation of the star series after the hbar^max_order term."""
-
-    max_order: int = 2
-
-    def __post_init__(self):
-        if not 0 <= self.max_order <= MAX_ORDER:
-            raise ValueError(f"truncation order must be in 0..{MAX_ORDER}")
-
-    @classmethod
-    def coerce(cls, order) -> "StarOrder":
-        return order if isinstance(order, StarOrder) else cls(int(order))
-
-
-DEFAULT_ORDER = StarOrder(2)
 
 
 class _DerivativeCache:
@@ -98,10 +79,12 @@ def _bidifferential_terms(n_dof: int, m: int) -> list[tuple[float, tuple, tuple]
     return terms
 
 
-def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order, odd_only: bool):
-    """sum_m (i*hbar/2)^m / m! B_m(f, g) up to the truncation order, or only its odd-m terms."""
+def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order: int, odd_only: bool):
+    """sum_m (i*hbar/2)^m / m! B_m(f, g) for m <= order, or only its odd-m terms."""
     _require_same_grid(f, g)
-    orders = range(1, StarOrder.coerce(order).max_order + 1, 2 if odd_only else 1)
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"truncation order must be in 0..{MAX_ORDER}, got {order}")
+    orders = range(1, order + 1, 2 if odd_only else 1)
     terms = {m: _bidifferential_terms(f.grid.n_dof, m) for m in orders}
     fd = _DerivativeCache(f, [t[1] for m in orders for t in terms[m]])
     gd = _DerivativeCache(g, [t[2] for m in orders for t in terms[m]])
@@ -116,9 +99,9 @@ def star_product(
     f: PhaseFunction,
     g: PhaseFunction,
     hbar: float,
-    order: StarOrder | int = DEFAULT_ORDER,
+    order: int = 2,
 ) -> PhaseFunction:
-    """Truncated star product of two phase functions on a common grid."""
+    """Star product of two phase functions on a common grid, truncated after the hbar^order term."""
     if hbar < 0:
         raise ValueError("hbar must be >= 0")
     return f.with_values(_series(f, g, hbar, order, odd_only=False), label="")
@@ -128,9 +111,12 @@ def moyal_bracket(
     f: PhaseFunction,
     g: PhaseFunction,
     hbar: float,
-    order: StarOrder | int = DEFAULT_ORDER,
+    order: int = 2,
 ) -> PhaseFunction:
-    """(f*g - g*f) / (i*hbar); equals the Poisson bracket for quadratics."""
+    """(f*g - g*f) / (i*hbar) from the series truncated after the hbar^order term.
+
+    Equals the Poisson bracket for quadratics.
+    """
     if hbar == 0:
         raise ValueError("hbar = 0 has no Moyal bracket; use poisson_bracket instead")
     if hbar < 0:
@@ -159,8 +145,7 @@ def classical_limit_check(
     f: PhaseFunction,
     g: PhaseFunction,
     hbar_sequence,
-    order: StarOrder | int = StarOrder(3),
-    interior_fraction: float = 0.8,
+    order: int = 3,
 ) -> ConvergenceReport:
     """Measure how fast the star product and bracket reach their limits.
 
@@ -183,8 +168,8 @@ def classical_limit_check(
 
     prod_err, brak_err = [], []
     for h in hbars:
-        prod_err.append(interior_max_abs(star_product(f, g, h, order) - plain, interior_fraction))
-        brak_err.append(interior_max_abs(moyal_bracket(f, g, h, order) - pb, interior_fraction))
+        prod_err.append(interior_max_abs(star_product(f, g, h, order) - plain))
+        brak_err.append(interior_max_abs(moyal_bracket(f, g, h, order) - pb))
 
     product_exact = all(e < exact_tol for e in prod_err)
     bracket_exact = all(e < exact_tol for e in brak_err)

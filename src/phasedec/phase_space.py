@@ -26,6 +26,30 @@ __all__ = [
 
 #: minimum points per axis; below this the 4th-order stencils degenerate
 MIN_AXIS_COUNT = 8
+#: central share of each axis kept by the interior error norms
+INTERIOR_FRACTION = 0.8
+#: largest max|A - A^H| a hermitian kernel may have, relative to its own scale
+HERMITIAN_TOL = 1e-12
+
+
+def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+    """One owned, read-only ``dtype`` copy of ``values``.
+
+    Every value type stores its arrays through this; a wrong shape or a
+    non-finite entry raises ValueError naming ``what``.
+    """
+    values = np.array(values, dtype=dtype)
+    if values.shape != tuple(shape):
+        raise ValueError(f"{what} shape {values.shape} does not match {tuple(shape)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    values.setflags(write=False)
+    return values
+
+
+def _hermitian_defect(matrix: np.ndarray) -> float:
+    """max |A - A^H| of a square matrix (a spectral kernel in its flat (n, n) view)."""
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -120,22 +144,13 @@ class PhaseFunction:
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("phase function samples must be finite")
-        values = values.copy()
-        values.setflags(write=False)
+        values = _frozen(self.values, complex, self.grid.shape, "phase function samples")
         object.__setattr__(self, "values", values)
 
     @classmethod
     def sample(cls, grid: Grid, fn, label: str = "") -> "PhaseFunction":
         """Sample ``fn(*mesh)`` on the grid; fn gets one array per axis."""
-        values = np.broadcast_to(fn(*grid.mesh()), grid.shape)
-        return cls(grid, np.asarray(values, dtype=complex), label)
+        return cls(grid, np.broadcast_to(fn(*grid.mesh()), grid.shape), label)
 
     @classmethod
     def zeros(cls, grid: Grid, label: str = "") -> "PhaseFunction":
@@ -275,15 +290,15 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     return f.with_values(total, label="")
 
 
-def interior_slices(grid: Grid, fraction: float = 0.8) -> tuple[slice, ...]:
-    """Index slices keeping the central ``fraction`` of each axis."""
+def interior_slices(grid: Grid) -> tuple[slice, ...]:
+    """Index slices keeping the central ``INTERIOR_FRACTION`` of each axis."""
     out = []
     for _, _, n in grid.axes:
-        margin = int(round(n * (1.0 - fraction) / 2.0))
+        margin = int(round(n * (1.0 - INTERIOR_FRACTION) / 2.0))
         out.append(slice(margin, n - margin))
     return tuple(out)
 
 
-def interior_max_abs(f: PhaseFunction, fraction: float = 0.8) -> float:
-    """Max |f| over the central ``fraction`` of every axis."""
-    return float(np.max(np.abs(f.values[interior_slices(f.grid, fraction)])))
+def interior_max_abs(f: PhaseFunction) -> float:
+    """Max |f| over the central ``INTERIOR_FRACTION`` of every axis."""
+    return float(np.max(np.abs(f.values[interior_slices(f.grid)])))

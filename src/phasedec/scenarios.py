@@ -579,6 +579,8 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, regular)
     times = _time_grid(opts["times"])
+    # past half the recurrence time 2 pi hbar / d_omega the residual is aliased
+    half_recurrence = sgrid.recurrence_time(hbar) / 2.0
     traj = residual_trajectory(rho, obs, times, hbar)
     fit = fit_decay(traj)
 
@@ -592,6 +594,12 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
         ),
         _assertion("exponential_fit_poor", r2_exp < 0.9, value=r2_exp, bound=0.9),
         _assertion("infinite_decoherence_time", np.isinf(fit.t_dec), value=fit.t_dec),
+        _assertion(
+            "within_recurrence_window",
+            times[-1] < half_recurrence,
+            t=float(times[-1]),
+            t_max=half_recurrence,
+        ),
     ]
     report = _finish(
         {
@@ -603,6 +611,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
             "r_squared_selected": fit.fit_quality,
             "r_squared_exponential": r2_exp,
             "t_dec": fit.t_dec,
+            "half_recurrence_time": half_recurrence,
         },
         assertions,
     )

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .phase_space import Grid, PhaseFunction, interior_max_abs, poisson_bracket
+from .phase_space import (
+    HERMITIAN_TOL,
+    Grid,
+    PhaseFunction,
+    _frozen,
+    _hermitian_defect,
+    interior_max_abs,
+    poisson_bracket,
+)
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -38,7 +46,8 @@ __all__ = [
 ]
 
 MIN_SPECTRAL_COUNT = 16
-SELF_ADJOINT_TOL = 1e-12
+#: largest max|(omega - omega') O_regular| of a commuting observable, relative to max|O| omega_max
+COMMUTATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,14 +118,14 @@ class SpectralGrid:
         return tuple(np.meshgrid(*self.coordinates(), indexing="ij"))
 
 
-def _conjugate_transpose(regular: np.ndarray, half: int) -> np.ndarray:
-    order = tuple(range(half, 2 * half)) + tuple(range(half))
-    return np.conj(np.transpose(regular, order))
-
-
 def _swap_blocks(regular: np.ndarray, half: int) -> np.ndarray:
     order = tuple(range(half, 2 * half)) + tuple(range(half))
     return np.transpose(regular, order)
+
+
+def _node(index) -> tuple[int, ...]:
+    """A grid node as an index tuple; a bare integer names an omega node."""
+    return (index,) if np.isscalar(index) else tuple(index)
 
 
 def _omega_blocks(regular: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -155,16 +164,8 @@ class Observable:
     regular: np.ndarray
 
     def __post_init__(self):
-        singular = np.array(self.singular, dtype=complex)
-        regular = np.array(self.regular, dtype=complex)
-        if singular.shape != self.grid.shape:
-            raise ValueError(f"singular kernel must have shape {self.grid.shape}")
-        if regular.shape != self.grid.shape * 2:
-            raise ValueError(f"regular kernel must have shape {self.grid.shape * 2}")
-        if not (np.all(np.isfinite(singular)) and np.all(np.isfinite(regular))):
-            raise ValueError("observable kernels must be finite")
-        for arr in (singular, regular):
-            arr.setflags(write=False)
+        singular = _frozen(self.singular, complex, self.grid.shape, "singular kernel")
+        regular = _frozen(self.regular, complex, self.grid.shape * 2, "regular kernel")
         object.__setattr__(self, "singular", singular)
         object.__setattr__(self, "regular", regular)
 
@@ -175,10 +176,10 @@ class Observable:
             float(np.max(np.abs(self.regular))),
             1e-300,
         )
-        half = len(self.grid.shape)
+        n = self.grid.n_points
         real_diag = float(np.max(np.abs(self.singular.imag)))
-        herm = float(np.max(np.abs(self.regular - _conjugate_transpose(self.regular, half))))
-        return real_diag <= SELF_ADJOINT_TOL * scale and herm <= SELF_ADJOINT_TOL * scale
+        herm = _hermitian_defect(self.regular.reshape(n, n))
+        return real_diag <= HERMITIAN_TOL * scale and herm <= HERMITIAN_TOL * scale
 
 
 def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Observable:
@@ -201,7 +202,7 @@ def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Ob
 def adjoint(obs: Observable) -> Observable:
     """Conjugate the singular part, conjugate-transpose the regular part."""
     half = len(obs.grid.shape)
-    return Observable(obs.grid, np.conj(obs.singular), _conjugate_transpose(obs.regular, half))
+    return Observable(obs.grid, np.conj(obs.singular), np.conj(_swap_blocks(obs.regular, half)))
 
 
 def energy_offdiagonal_weight(obs: Observable) -> float:
@@ -212,14 +213,14 @@ def energy_offdiagonal_weight(obs: Observable) -> float:
     return float(np.max(np.abs(diff * reg)))
 
 
-def commutator_with_H_vanishes(obs: Observable, tol: float = 1e-12) -> bool:
+def commutator_with_H_vanishes(obs: Observable) -> bool:
     """True iff the observable commutes with the Hamiltonian on the grid.
 
     Singular kernels always commute; a regular kernel contributes
     (omega - omega') * O(omega, omega', ...) which must vanish.
     """
     scale = max(float(np.max(np.abs(obs.regular))), 1.0)
-    return energy_offdiagonal_weight(obs) <= tol * scale * obs.grid.omega_max
+    return energy_offdiagonal_weight(obs) <= COMMUTATOR_TOL * scale * obs.grid.omega_max
 
 
 @dataclass(frozen=True)
@@ -328,7 +329,7 @@ def level_set_band(
     (H, P) value; the band at ``index`` carries weight 1/cell so the
     momentum-space integration prescription is exact under this measure.
     """
-    idx = (index,) if np.isscalar(index) else tuple(index)
+    idx = _node(index)
     if len(idx) != grid.n_dof:
         raise ValueError(f"index needs {grid.n_dof} components")
     coords = grid.coordinates()
@@ -347,9 +348,8 @@ def level_set_band(
 
 def singular_basis_observable(grid: SpectralGrid, index: tuple[int, ...] | int) -> Observable:
     """Discrete delta-column: indicator / cell at one node, regular part zero."""
-    idx = (index,) if np.isscalar(index) else tuple(index)
     singular = np.zeros(grid.shape, dtype=complex)
-    singular[idx] = 1.0 / grid.cell
+    singular[_node(index)] = 1.0 / grid.cell
     return Observable(grid, singular, np.zeros(grid.shape * 2, dtype=complex))
 
 
@@ -357,10 +357,8 @@ def regular_basis_observable(
     grid: SpectralGrid, row: tuple[int, ...] | int, col: tuple[int, ...] | int
 ) -> Observable:
     """Discrete delta at one (row, col) pair of the regular kernel."""
-    row_idx = (row,) if np.isscalar(row) else tuple(row)
-    col_idx = (col,) if np.isscalar(col) else tuple(col)
     regular = np.zeros(grid.shape * 2, dtype=complex)
-    regular[row_idx + col_idx] = 1.0 / grid.cell**2
+    regular[_node(row) + _node(col)] = 1.0 / grid.cell**2
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
 
 

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import Grid, PhaseFunction, integrate
+from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, _hermitian_defect, integrate
 from .spectral import (
     MomentumMap,
     Observable,
     SpectralGrid,
     _compose_on_phase_space,
-    _conjugate_transpose,
+    _node,
     _sample_regular,
     _swap_blocks,
 )
@@ -51,8 +51,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-HERMITIAN_TOL = 1e-12
 NEGATIVITY_TOL = 1e-12
+#: rank of the regular kernel drawn by random_admissible_state
+RANDOM_STATE_RANK = 3
 
 
 class AdmissibilityError(ValueError):
@@ -68,16 +69,8 @@ class State:
     regular: np.ndarray
 
     def __post_init__(self):
-        diagonal = np.array(self.diagonal, dtype=float)
-        regular = np.array(self.regular, dtype=complex)
-        if diagonal.shape != self.grid.shape:
-            raise ValueError(f"diagonal must have shape {self.grid.shape}")
-        if regular.shape != self.grid.shape * 2:
-            raise ValueError(f"regular kernel must have shape {self.grid.shape * 2}")
-        if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(regular))):
-            raise ValueError("state coefficients must be finite")
-        for arr in (diagonal, regular):
-            arr.setflags(write=False)
+        diagonal = _frozen(self.diagonal, float, self.grid.shape, "diagonal")
+        regular = _frozen(self.regular, complex, self.grid.shape * 2, "regular kernel")
         object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "regular", regular)
 
@@ -94,13 +87,7 @@ class ClassicalDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != self.grid.shape:
-            raise ValueError(f"density must have shape {self.grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.values, float, self.grid.shape, "density"))
 
     @property
     def mass(self) -> float:
@@ -143,9 +130,8 @@ def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
         logger.info("renormalizing state diagonal by factor %.6g", 1.0 / mass)
     diagonal = diagonal / mass
 
-    half = len(grid.shape)
     reg_scale = max(float(np.max(np.abs(regular))), 1e-300)
-    defect = float(np.max(np.abs(regular - _conjugate_transpose(regular, half))))
+    defect = _hermitian_defect(regular.reshape(grid.n_points, grid.n_points))
     if defect > HERMITIAN_TOL * reg_scale:
         raise AdmissibilityError(f"regular kernel is not hermitian (defect {defect:.3g})")
     return State(grid, diagonal, regular)
@@ -165,7 +151,7 @@ def pure_state(grid: SpectralGrid, coeffs) -> State:
     return State(grid, np.abs(coeffs) ** 2, regular)
 
 
-def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator, rank: int = 3) -> State:
+def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator) -> State:
     """Seeded random admissible state: Gaussian-mixture diagonal, low-rank hermitian regular."""
     coords = grid.coordinates()
     diagonal = np.zeros(grid.shape)
@@ -183,7 +169,7 @@ def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator, rank: 
 
     flat_n = grid.n_points
     regular = np.zeros((flat_n, flat_n), dtype=complex)
-    for _ in range(rank):
+    for _ in range(RANDOM_STATE_RANK):
         vec = np.ones(grid.shape, dtype=complex)
         for axis_values, mesh in zip(coords, meshes):
             lo, hi = axis_values[0], axis_values[-1]
@@ -253,9 +239,8 @@ def singular_basis_functional(grid: SpectralGrid, index) -> State:
     Evaluating an observable with it returns the singular kernel value at
     the node; it is itself an admissible (already decohered) state.
     """
-    idx = (index,) if np.isscalar(index) else tuple(index)
     diagonal = np.zeros(grid.shape)
-    diagonal[idx] = 1.0 / grid.cell
+    diagonal[_node(index)] = 1.0 / grid.cell
     return State(grid, diagonal, np.zeros(grid.shape * 2, dtype=complex))
 
 
@@ -266,8 +251,6 @@ def regular_basis_functional(grid: SpectralGrid, row, col) -> State:
     (row, col). Because the pairing transposes the observable indices,
     the coefficient sits at the swapped slot.
     """
-    row_idx = (row,) if np.isscalar(row) else tuple(row)
-    col_idx = (col,) if np.isscalar(col) else tuple(col)
     regular = np.zeros(grid.shape * 2, dtype=complex)
-    regular[col_idx + row_idx] = 1.0 / grid.cell**2
+    regular[_node(col) + _node(row)] = 1.0 / grid.cell**2
     return State(grid, np.zeros(grid.shape), regular)

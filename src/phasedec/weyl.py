@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .phase_space import Grid, PhaseFunction
+from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, _hermitian_defect
 
 __all__ = [
     "OperatorKernel",
@@ -41,8 +41,6 @@ __all__ = [
     "oscillator_state",
     "gaussian_state",
 ]
-
-HERMITIAN_TOL = 1e-12
 
 
 def _axis_coords(axis: tuple[float, float, int]) -> np.ndarray:
@@ -62,13 +60,7 @@ class OperatorKernel:
         if not hi > lo or int(n) < 8:
             raise ValueError("kernel axis needs max > min and count >= 8")
         object.__setattr__(self, "axis", (float(lo), float(hi), int(n)))
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (int(n), int(n)):
-            raise ValueError(f"kernel values must be {int(n)}x{int(n)}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel entries must be finite")
-        values = values.copy()
-        values.setflags(write=False)
+        values = _frozen(self.values, complex, (int(n),) * 2, "kernel values")
         object.__setattr__(self, "values", values)
 
     @property
@@ -83,7 +75,7 @@ class OperatorKernel:
     @property
     def hermitian(self) -> bool:
         scale = max(float(np.max(np.abs(self.values))), 1e-300)
-        return float(np.max(np.abs(self.values - self.values.conj().T))) <= HERMITIAN_TOL * scale
+        return _hermitian_defect(self.values) <= HERMITIAN_TOL * scale
 
     @classmethod
     def sample(cls, axis, fn) -> "OperatorKernel":
@@ -107,13 +99,7 @@ class WaveFunction:
         if not hi > lo or int(n) < 8:
             raise ValueError("wavefunction axis needs max > min and count >= 8")
         object.__setattr__(self, "axis", (float(lo), float(hi), int(n)))
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (int(n),):
-            raise ValueError("wavefunction values must match the axis count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("wavefunction samples must be finite")
-        values = values.copy()
-        values.setflags(write=False)
+        values = _frozen(self.values, complex, (int(n),), "wavefunction samples")
         object.__setattr__(self, "values", values)
 
     @property

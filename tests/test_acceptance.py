@@ -144,6 +144,7 @@ def test_weak_limit_tail_probe_inside_recurrence_window(lorentzian_report):
         assert tail["passed"] and tail["t"] == t and tail["t_max"] == t_max
 
 
+@pytest.mark.past_recurrence
 def test_weak_limit_tail_fails_past_half_recurrence(caplog):
     # gamma = 12 d_omega puts the probe at 40 t_dec between T_rec/2 and T_rec:
     # its residual is tiny only by aliasing, and the assertion must say so

@@ -164,18 +164,35 @@ def test_seed_changes_sampled_states_but_not_verdict(tmp_path):
 
 def test_kernel_family_selection(tmp_path):
     # a polynomial spectrum also has a half-line edge, so the pole-free
-    # scenario classifies it as non-exponential too
+    # scenario classifies it as non-exponential too; 1001 nodes put
+    # T_rec / 2 at 314, past the last time 200
     cfg = write_config(
         tmp_path / "cfg.json",
         {"scenario": "decoherence-polefree",
          "kernel": {"family": "custom-polynomial", "coefficients": [1.0], "decay": 1.2},
-         "spectral_grid": {"omega_count": 501, "omega_max": 10.0}},
+         "spectral_grid": {"omega_count": 1001, "omega_max": 10.0}},
     )
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["kernel"]["family"] == "custom-polynomial"
     assert report["model"] in ("power_law", "none")
+
+
+@pytest.mark.past_recurrence
+def test_polefree_times_past_half_recurrence_fail(tmp_path):
+    # 201 nodes put T_rec / 2 at 62.8 while the default times run to 200
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree", "spectral_grid": {"omega_count": 201}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    report = json.loads((out / "report.json").read_text())
+    window = report["assertions"]["within_recurrence_window"]
+    assert not window["passed"]
+    assert window["t"] == 200.0
+    assert window["t_max"] == report["half_recurrence_time"] == pytest.approx(62.83, abs=0.01)
 
 
 def test_kernel_family_mismatch_is_validation_error(tmp_path):

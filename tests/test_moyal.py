@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasedec.moyal import (
-    StarOrder,
     classical_limit_check,
     moyal_bracket,
     star_product,
@@ -36,18 +35,16 @@ def canonical(grid):
     return q, p, h
 
 
-class TestStarOrder:
-    def test_bounds(self):
-        StarOrder(0)
-        StarOrder(6)
-        with pytest.raises(ValueError):
-            StarOrder(7)
-        with pytest.raises(ValueError):
-            StarOrder(-1)
-
-    def test_coerce(self):
-        assert StarOrder.coerce(3).max_order == 3
-        assert StarOrder.coerce(StarOrder(4)).max_order == 4
+class TestTruncationOrder:
+    @pytest.mark.parametrize("series", [star_product, moyal_bracket])
+    def test_bounds(self, series, canonical):
+        q, p, _ = canonical
+        series(q, p, 0.5, order=0)
+        series(q, p, 0.5, order=6)
+        with pytest.raises(ValueError, match="0..6"):
+            series(q, p, 0.5, order=7)
+        with pytest.raises(ValueError, match="0..6"):
+            series(q, p, 0.5, order=-1)
 
 
 class TestStarProduct:
