@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase_space import _frozen
-from .spectral import Observable, SpectralGrid, _omega_blocks, _swap_blocks
+from .spectral import Observable, SpectralGrid, _coherence_weights
 from .states import State, pair, pair_singular_symbols, to_classical_density
 
 __all__ = [
@@ -40,8 +40,6 @@ MODEL_R2_THRESHOLD = 0.9
 TRANSIENT_FRACTION = 0.1
 #: most negative value a decohered density may have and still count as nonnegative
 POSITIVITY_TOL = 1e-12
-# kernel entries per band of rows in _coherence_spectrum (1 MB of complex)
-_SPECTRUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,19 +110,24 @@ def _warn_past_half_recurrence(grid: SpectralGrid, times: np.ndarray, hbar: floa
 def evolve_pairing(rho: State, obs: Observable, t: float, hbar: float) -> complex:
     """Pairing at time t: static singular term + phase-weighted regular term.
 
-    Logs a warning when |t| reaches half of ``grid.recurrence_time(hbar)``.
+    The direct sum over the dense kernels, O(n^2) in time and memory: the
+    oracle that ``residual_trajectory`` is tested against. Logs a warning
+    when |t| reaches half of ``grid.recurrence_time(hbar)``.
     """
     _check_pair_args(rho, obs, hbar)
     _warn_past_half_recurrence(rho.grid, np.asarray(t, dtype=float), hbar)
     grid = rho.grid
     cell = grid.cell
-    half = len(grid.shape)
     singular_term = np.sum(rho.diagonal * obs.singular) * cell
 
     omega = grid.omega
     phase = np.exp(1j * (omega[:, None] - omega[None, :]) * t / hbar)
-    integrand = _omega_blocks(rho.regular * _swap_blocks(obs.regular, half), grid)
-    regular_term = np.sum(integrand * phase[:, None, :, None]) * cell**2
+    # (omega, momenta, omega', momenta') blocks; obs is read transposed
+    n_omega = grid.omega_count
+    blocks = (n_omega, grid.n_points // n_omega) * 2
+    rho_blocks = rho.regular.dense().reshape(blocks)
+    obs_swapped = obs.regular.dense().reshape(blocks).transpose(2, 3, 0, 1)
+    regular_term = np.sum(rho_blocks * obs_swapped * phase[:, None, :, None]) * cell**2
     return complex(singular_term + regular_term)
 
 
@@ -133,30 +136,6 @@ def limit_pairing(rho: State, obs: Observable) -> float:
     if rho.grid != obs.grid:
         raise ValueError("state and observable live on different spectral grids")
     return complex(pair_singular_symbols(to_classical_density(rho), obs)).real
-
-
-def _coherence_spectrum(rho: State, obs: Observable):
-    """Regular-term weights grouped by the frequency difference omega - omega'.
-
-    Returns weights[d + n-1] for d in -(n-1)..(n-1); the evolved regular
-    term is sum_d weights[d + n-1] * exp(i d d_omega t / hbar). Valid
-    because the omega axis is uniform.
-    """
-    grid = rho.grid
-    n_omega = grid.omega_count
-    rho_blocks = _omega_blocks(rho.regular, grid)
-    obs_swapped = _omega_blocks(obs.regular, grid).transpose(2, 3, 0, 1)
-    # a band of rows at a time keeps the products in cache: no n^2 temporary
-    rows = max(1, _SPECTRUM_CHUNK // (n_omega * rho_blocks.shape[1] ** 2))
-    weights = np.zeros(2 * n_omega - 1, dtype=complex)
-    for start in range(0, n_omega, rows):
-        stop = start + rows
-        cross = (rho_blocks[start:stop] * obs_swapped[start:stop]).sum(axis=(1, 3))
-        cross *= grid.cell**2
-        # row i holds offsets i - j = i .. i - (n-1), i.e. slots i + n-1 down to i
-        for i, row in enumerate(cross, start):
-            weights[i : i + n_omega] += row[::-1]
-    return weights
 
 
 def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
@@ -190,9 +169,9 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     """Oscillatory regular term over a time grid; the singular term cancels exactly.
 
     Algebraically identical to evolve_pairing(t) - limit_pairing, but the
-    off-diagonal sum is grouped by frequency difference first so a whole
-    trajectory costs one pass over the kernels, and the phases of the
-    uniform frequency grid are factored so no T x (2n-1) table is built.
+    off-diagonal sum is grouped by frequency difference first (one FFT
+    cross-correlation of the kernel terms, O(n log n)), and the phases of
+    the uniform frequency grid are factored so no T x (2n-1) table is built.
     Logs a warning when a time reaches half of ``grid.recurrence_time(hbar)``.
     """
     times = np.asarray(times, dtype=float)
@@ -200,7 +179,7 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
         raise ValueError("time grid must be non-empty")
     _check_pair_args(rho, obs, hbar)
     _warn_past_half_recurrence(rho.grid, times, hbar)
-    weights = _coherence_spectrum(rho, obs)
+    weights = _coherence_weights(rho.regular, obs.regular)
     values = _phase_sums(weights, times, rho.grid.d_omega / hbar)
     return Trajectory(times, values, limit_pairing(rho, obs))
 

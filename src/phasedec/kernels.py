@@ -1,10 +1,13 @@
 """Built-in spectral kernel families for states and observables.
 
-Each factory returns a callable suitable for ``make_state`` /
-``make_observable``: profiles take the label mesh, off-diagonal families
-take (omega, omega'). The families differ in the analytic structure of
-their dependence on nu = omega - omega', which is what sets the decay
-class of time-evolved pairings:
+Profiles are plain callables of the label mesh. The regular-kernel
+factories return a :class:`CoherenceKernel`: one term
+profile(w) conj(profile(w')) symbol(w - w'), which ``make_state`` and
+``make_observable`` sample as :class:`~phasedec.spectral.CoherenceTerms`
+(the profile on the n grid nodes, the symbol on the 2n - 1 offsets).
+Opaque (w, w') callables are not accepted. The families differ in the
+analytic structure of their dependence on nu = omega - omega', which is
+what sets the decay class of time-evolved pairings:
 
 * lorentzian: a pole at nu = +/- i*gamma, so residuals decay like
   exp(-gamma * t / hbar);
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "CoherenceKernel",
     "gaussian_profile",
     "polynomial_profile",
     "spectral_edge_profile",
@@ -25,6 +29,20 @@ __all__ = [
     "lorentzian_kernel",
     "gaussian_coherence_kernel",
 ]
+
+
+class CoherenceKernel:
+    """One kernel term profile(x) conj(profile(x')) symbol(x - x'), described, not sampled.
+
+    ``profile`` takes the label meshes (omega, p_1, ...) and ``symbol`` the
+    offset meshes (nu, pi_1, ...); ``symbol`` None means 1. Consumers read
+    the two attributes only, so a copy of the instance ``__dict__`` (as
+    ``functools.wraps`` makes) describes the same kernel.
+    """
+
+    def __init__(self, profile, symbol=None):
+        self.profile = profile
+        self.symbol = symbol
 
 
 def gaussian_profile(center: float, width: float):
@@ -68,17 +86,13 @@ def spectral_edge_profile(decay: float = 1.2, cutoff: float | None = None):
     return profile
 
 
-def separable_kernel(profile):
+def separable_kernel(profile) -> CoherenceKernel:
     """Rank-1 hermitian off-diagonal kernel profile(w) * conj(profile(w'))."""
-
-    def kernel(w, wp):
-        return profile(w) * np.conj(profile(wp))
-
-    return kernel
+    return CoherenceKernel(profile)
 
 
-def lorentzian_kernel(gamma: float, profile):
-    """profile(w) profile(w') * gamma^2 / ((w - w')^2 + gamma^2).
+def lorentzian_kernel(gamma: float, profile) -> CoherenceKernel:
+    """profile(w) conj(profile(w')) * gamma^2 / ((w - w')^2 + gamma^2).
 
     Half-width ``gamma`` in nu = w - w'; the nearest pole of the nu
     dependence sits at distance gamma from the real axis.
@@ -86,20 +100,18 @@ def lorentzian_kernel(gamma: float, profile):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
-    def kernel(w, wp):
-        nu = w - wp
-        return profile(w) * np.conj(profile(wp)) * gamma**2 / (nu**2 + gamma**2)
+    def symbol(nu):
+        return gamma**2 / (nu**2 + gamma**2)
 
-    return kernel
+    return CoherenceKernel(profile, symbol)
 
 
-def gaussian_coherence_kernel(nu_width: float, profile):
-    """profile(w) profile(w') * exp(-(w - w')^2 / (2 nu_width^2))."""
+def gaussian_coherence_kernel(nu_width: float, profile) -> CoherenceKernel:
+    """profile(w) conj(profile(w')) * exp(-(w - w')^2 / (2 nu_width^2))."""
     if nu_width <= 0:
         raise ValueError("nu_width must be positive")
 
-    def kernel(w, wp):
-        nu = w - wp
-        return profile(w) * np.conj(profile(wp)) * np.exp(-(nu**2) / (2.0 * nu_width**2))
+    def symbol(nu):
+        return np.exp(-(nu**2) / (2.0 * nu_width**2))
 
-    return kernel
+    return CoherenceKernel(profile, symbol)

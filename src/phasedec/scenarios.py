@@ -146,10 +146,11 @@ _KERNEL_FAMILY_DEFAULTS = {
 
 
 def _coherence_from_options(kernel_opts: dict):
-    """Diagonal and off-diagonal sampling callables for a named kernel family.
+    """Diagonal callable and regular kernel term for a named kernel family.
 
-    Returns (diagonal_fn, regular_fn, normalized_options). The diagonal is
-    the squared profile, so every family yields an admissible state.
+    Returns (diagonal_fn, regular_kernel, normalized_options), the kernel
+    a ``kernels`` factory result. The diagonal is the squared profile, so
+    every family yields an admissible state.
     """
     if "family" not in kernel_opts:
         raise ValueError("kernel block must name a family")

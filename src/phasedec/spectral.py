@@ -7,8 +7,15 @@ the labels discretize to (1/cell) Kronecker indicators, which keeps the
 basis duality exact at the discrete level.
 
 Array layout: singular kernels have one axis per label (omega first, then
-the N-1 momentum axes); regular kernels carry the row block of axes
-followed by the column block.
+the N-1 momentum axes). A regular kernel is never stored as an array: it
+is a :class:`CoherenceTerms`, a short sum of terms
+a_k(x) conj(b_k(x')) c_k(x - x') with x = (omega, p_1, ...). ``a`` and
+``b`` live on the label grid and ``c`` on the grid of label offsets, so
+building and checking a kernel costs O(k n), and pairing k state terms
+with l observable terms O(k l n log n), instead of O(n^2). Any hermitian
+kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
+callables and dense arrays are not accepted. ``CoherenceTerms.dense()``
+builds the full array, for test oracles only.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 
 from .phase_space import (
@@ -23,7 +31,6 @@ from .phase_space import (
     Grid,
     PhaseFunction,
     _frozen,
-    _hermitian_defect,
     interior_max_abs,
     poisson_bracket,
 )
@@ -31,12 +38,10 @@ from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
     "SpectralGrid",
+    "CoherenceTerms",
     "Observable",
     "MomentumMap",
     "make_observable",
-    "adjoint",
-    "energy_offdiagonal_weight",
-    "commutator_with_H_vanishes",
     "symb_singular",
     "level_set_band",
     "singular_basis_observable",
@@ -46,8 +51,6 @@ __all__ = [
 ]
 
 MIN_SPECTRAL_COUNT = 16
-#: largest max|(omega - omega') O_regular| of a commuting observable, relative to max|O| omega_max
-COMMUTATOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,11 @@ class SpectralGrid:
         return int(np.prod(self.shape))
 
     @property
+    def offset_shape(self) -> tuple[int, ...]:
+        """Label offsets x - x' run over -(n-1)..(n-1) on every axis, index d + n - 1."""
+        return tuple(2 * n - 1 for n in self.shape)
+
+    @property
     def cell(self) -> float:
         """Discrete measure d_omega * prod(d_p) of one grid cell."""
         out = self.d_omega
@@ -117,10 +125,11 @@ class SpectralGrid:
     def meshes(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*self.coordinates(), indexing="ij"))
 
-
-def _swap_blocks(regular: np.ndarray, half: int) -> np.ndarray:
-    order = tuple(range(half, 2 * half)) + tuple(range(half))
-    return np.transpose(regular, order)
+    def offset_meshes(self) -> tuple[np.ndarray, ...]:
+        """Full meshes of the label differences (nu, pi_1, ...), shaped ``offset_shape``."""
+        steps = [self.d_omega] + [(hi - lo) / (n - 1) for lo, hi, n in self.momentum_axes]
+        axes = [np.arange(1 - n, n) * step for n, step in zip(self.shape, steps)]
+        return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
 def _node(index) -> tuple[int, ...]:
@@ -128,67 +137,176 @@ def _node(index) -> tuple[int, ...]:
     return (index,) if np.isscalar(index) else tuple(index)
 
 
-def _omega_blocks(regular: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """View a regular kernel as (omega, momenta, omega', momenta') with flat momenta."""
-    mp = grid.n_points // grid.omega_count
-    return regular.reshape(grid.omega_count, mp, grid.omega_count, mp)
+@dataclass(frozen=True, eq=False)
+class CoherenceTerms:
+    """Regular kernel K(x, x') = sum_k a_k(x) conj(b_k(x')) c_k(x - x') on a spectral grid.
 
-
-def _sample_regular(grid: SpectralGrid, regular_fn) -> np.ndarray:
-    """Regular kernel samples from None, an array or a callable; may be a read-only view.
-
-    A callable receives open meshes (omega, omega', p_1, p_1', ...): each
-    label varies along its own axis of the squared grid, so omega is a
-    column and omega' a row. Profiles are then evaluated once per label
-    value, and only the terms that mix labels grow to the full kernel
-    size. The result is broadcast to the squared grid shape; the State and
-    Observable constructors take the owned complex copy.
+    x runs over the labels (omega, p_1, ...). ``a`` and ``b`` have shape
+    ``(k, *grid.shape)`` and ``c`` has shape ``(k, *grid.offset_shape)``:
+    ``c[k][d + n - 1]`` holds the factor at label offset d on each axis.
+    ``c`` None means c = 1. With k = 0 the kernel is zero.
     """
-    if regular_fn is None:
-        return np.zeros(grid.shape * 2, dtype=complex)
-    if not callable(regular_fn):
-        return np.asarray(regular_fn)
-    coords = grid.coordinates()
-    meshes = np.meshgrid(*coords, *coords, indexing="ij", sparse=True)
-    half = len(coords)
-    args = [mesh for pair in zip(meshes[:half], meshes[half:]) for mesh in pair]
-    return np.broadcast_to(regular_fn(*args), grid.shape * 2)
+
+    grid: SpectralGrid
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray | None = None
+
+    def __post_init__(self):
+        k = len(self.a)
+        shape = (k,) + self.grid.shape
+        c = np.ones((k,) + self.grid.offset_shape) if self.c is None else self.c
+        object.__setattr__(self, "a", _frozen(self.a, complex, shape, "term profiles a"))
+        object.__setattr__(self, "b", _frozen(self.b, complex, shape, "term profiles b"))
+        offsets = (k,) + self.grid.offset_shape
+        object.__setattr__(self, "c", _frozen(c, complex, offsets, "term offset symbols c"))
+
+    def dense(self) -> np.ndarray:
+        """The full ``grid.shape * 2`` kernel array: O(k n^2), for test oracles only."""
+        shape = self.grid.shape
+        ndim = len(shape)
+        rows = np.ix_(*(np.arange(n) for n in shape * 2))
+        offset = tuple(rows[m] - rows[ndim + m] + n - 1 for m, n in enumerate(shape))
+        out = np.zeros(shape * 2, dtype=complex)
+        for a, b, c in zip(self.a, self.b, self.c):
+            rows_a = a.reshape(shape + (1,) * ndim)
+            out += rows_a * b.conj().reshape((1,) * ndim + shape) * c[offset]
+        return out
+
+    def hermitian_defect_bound(self) -> float:
+        """An upper bound on max|K - K^H| of ``dense()``, in O(k n).
+
+        Per term, with real lam = Re<b, a> / <b, b> and e = a - lam b, and
+        c~(d) = conj(c(-d)), the term minus its adjoint is
+        lam b(x) conj(b(x')) (c - c~)(d) + e(x) conj(b(x')) c(d) - b(x) conj(e(x')) c~(d),
+        so it is at most |lam| max|b|^2 max|c - c~| + 2 max|e| max|b| max|c|.
+        The bound is exact for one term a = (lam + i mu) b with c = 1, and
+        zero for a = lam b with c = c~; a hermitian sum of non-hermitian
+        terms is not recognised.
+        """
+        flip = (slice(None, None, -1),) * len(self.grid.shape)
+        bound = 0.0
+        for a, b, c in zip(self.a, self.b, self.c):
+            norm = float(np.vdot(b, b).real)
+            lam = float(np.vdot(b, a).real) / norm if norm > 0.0 else 0.0
+            peak_b = float(np.max(np.abs(b)))
+            skew = float(np.max(np.abs(c - c[flip].conj())))
+            spread = float(np.max(np.abs(a - lam * b)))
+            bound += abs(lam) * peak_b**2 * skew + 2.0 * spread * peak_b * float(np.max(np.abs(c)))
+        return bound
+
+    def max_abs_floor(self) -> float:
+        """A lower bound on max|K|: |K| on the diagonal and at each term's argmax|a|, argmax|b|."""
+        if len(self.a) == 0:
+            return 0.0
+        shape = self.grid.shape
+        centre = (slice(None),) + tuple(n - 1 for n in shape)
+        diagonal = np.einsum("k...,k...,k->...", self.a, self.b.conj(), self.c[centre])
+        floor = float(np.max(np.abs(diagonal)))
+        for a, b in zip(self.a, self.b):
+            x = np.unravel_index(np.argmax(np.abs(a)), shape)
+            xp = np.unravel_index(np.argmax(np.abs(b)), shape)
+            offset = tuple(i - j + n - 1 for i, j, n in zip(x, xp, shape))
+            entry = np.sum(self.a[(slice(None),) + x] * self.b[(slice(None),) + xp].conj()
+                           * self.c[(slice(None),) + offset])
+            floor = max(floor, float(abs(entry)))
+        return floor
+
+
+def _regular_terms(grid: SpectralGrid, kernel) -> CoherenceTerms:
+    """The terms of a regular kernel given as None, CoherenceTerms or a kernels factory result.
+
+    A factory result is read only through its ``profile`` and ``symbol``
+    attributes, so a wrapped copy of it works as well as the original. It
+    becomes one term profile(x) conj(profile(x')) symbol(x - x'), with the
+    profile sampled on the label meshes (omega, p_1, ...) and the symbol
+    on the offset meshes (nu, pi_1, ...); a None symbol means 1.
+    """
+    if kernel is None:
+        empty = np.zeros((0,) + grid.shape)
+        return CoherenceTerms(grid, empty, empty)
+    if isinstance(kernel, CoherenceTerms):
+        if kernel.grid != grid:
+            raise ValueError("regular kernel terms live on a different spectral grid")
+        return kernel
+    profile = getattr(kernel, "profile", None)
+    if not callable(profile):
+        raise TypeError(
+            "a regular kernel is None, CoherenceTerms or a phasedec.kernels factory result; "
+            "opaque callables and arrays are not accepted"
+        )
+    a = np.broadcast_to(profile(*grid.meshes()), grid.shape)[None]
+    symbol = getattr(kernel, "symbol", None)
+    if symbol is not None:
+        symbol = np.broadcast_to(symbol(*grid.offset_meshes()), grid.offset_shape)[None]
+    return CoherenceTerms(grid, a, a, symbol)
+
+
+def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
+    """Regular pairing weights w_d grouped by the frequency offset d = omega - omega'.
+
+    Returns w[d + n-1] for d in -(n-1)..(n-1), with
+    w_d = cell^2 sum over (x, x') with omega offset d of rho(x, x') obs(x', x),
+    so the regular pairing is sum_d w_d and its evolution
+    sum_d w_d exp(i d d_omega t / hbar). For a state term (a, b, c) and an
+    observable term (A, B, C), rho(x, x') obs(x', x) = u(x) v(x') c(D) C(-D)
+    with u = a conj(B), v = conj(b) A and D = x - x'; the sum over x of
+    u(x) v(x - D) is one n-D cross-correlation, done by FFT over every
+    label axis, and the momentum offsets are summed out at the end.
+    Costs O(k l n log n) for k and l terms.
+    """
+    grid = rho.grid
+    shape, offsets = grid.shape, grid.offset_shape
+    k, l = len(rho.a), len(obs.a)
+    if k == 0 or l == 0:
+        return np.zeros(offsets[0], dtype=complex)
+    axes = tuple(range(1, len(shape) + 1))
+    flip = (slice(None),) + (slice(None, None, -1),) * len(shape)
+    u = (rho.a[:, None] * obs.b[None].conj()).reshape((k * l,) + shape)
+    v = (rho.b[:, None].conj() * obs.a[None]).reshape((k * l,) + shape)
+    # sum_x u(x) v(x - D) is the full convolution of u with v reversed, at D + n - 1
+    size = [fft.next_fast_len(m) for m in offsets]
+    spectrum = fft.fftn(u, size, axes=axes) * fft.fftn(v[flip], size, axes=axes)
+    window = (slice(None),) + tuple(slice(0, m) for m in offsets)
+    corr = fft.ifftn(spectrum, axes=axes)[window].reshape((k, l) + offsets)
+    # obs.c reversed on every axis holds C(-D) at the slot of D
+    weights = (rho.c[:, None] * obs.c[flip][None] * corr).sum(axis=(0, 1))
+    return weights.reshape(offsets[0], -1).sum(axis=1) * grid.cell**2
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Singular kernel O(omega, p) plus regular kernel O(omega, omega', p, p')."""
+    """Singular kernel O(omega, p) plus regular kernel terms O(omega, omega', p, p')."""
 
     grid: SpectralGrid
     singular: np.ndarray
-    regular: np.ndarray
+    regular: CoherenceTerms | None = None
 
     def __post_init__(self):
         singular = _frozen(self.singular, complex, self.grid.shape, "singular kernel")
-        regular = _frozen(self.regular, complex, self.grid.shape * 2, "regular kernel")
         object.__setattr__(self, "singular", singular)
-        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "regular", _regular_terms(self.grid, self.regular))
 
     @property
     def self_adjoint(self) -> bool:
-        scale = max(
-            float(np.max(np.abs(self.singular))),
-            float(np.max(np.abs(self.regular))),
-            1e-300,
-        )
-        n = self.grid.n_points
+        """Real singular part and hermitian regular part, within ``HERMITIAN_TOL``.
+
+        The regular check uses an upper bound on max|O - O^H| against a lower
+        bound on max|O|, so it never accepts what the dense check rejects.
+        """
+        scale = max(float(np.max(np.abs(self.singular))), self.regular.max_abs_floor(), 1e-300)
         real_diag = float(np.max(np.abs(self.singular.imag)))
-        herm = _hermitian_defect(self.regular.reshape(n, n))
+        herm = self.regular.hermitian_defect_bound()
         return real_diag <= HERMITIAN_TOL * scale and herm <= HERMITIAN_TOL * scale
 
 
 def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Observable:
-    """Sample an observable from callables (or arrays) on the spectral grid.
+    """Sample an observable on the spectral grid.
 
-    ``singular_fn`` receives the full label meshes (omega, p_1, ...).
-    ``regular_fn`` receives open, broadcastable meshes (omega, omega', p_1,
-    p_1', ...), with omega a column and omega' a row; it must combine them
-    by broadcasting, and its result is broadcast to the squared grid.
+    ``singular_fn`` is a callable on the full label meshes (omega, p_1,
+    ...) or an array of samples. ``regular_fn`` is None, a
+    :class:`CoherenceTerms`, or a :mod:`phasedec.kernels` factory result
+    (read through its ``profile`` and ``symbol`` attributes).
     """
     if singular_fn is None:
         singular = np.zeros(grid.shape, dtype=complex)
@@ -196,31 +314,7 @@ def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Ob
         singular = np.broadcast_to(singular_fn(*grid.meshes()), grid.shape)
     else:
         singular = np.asarray(singular_fn, dtype=complex)
-    return Observable(grid, singular, _sample_regular(grid, regular_fn))
-
-
-def adjoint(obs: Observable) -> Observable:
-    """Conjugate the singular part, conjugate-transpose the regular part."""
-    half = len(obs.grid.shape)
-    return Observable(obs.grid, np.conj(obs.singular), np.conj(_swap_blocks(obs.regular, half)))
-
-
-def energy_offdiagonal_weight(obs: Observable) -> float:
-    """max |(omega - omega') * O_regular|, the discrete commutator size with H."""
-    reg = _omega_blocks(obs.regular, obs.grid)
-    omega = obs.grid.omega
-    diff = omega[:, None, None, None] - omega[None, None, :, None]
-    return float(np.max(np.abs(diff * reg)))
-
-
-def commutator_with_H_vanishes(obs: Observable) -> bool:
-    """True iff the observable commutes with the Hamiltonian on the grid.
-
-    Singular kernels always commute; a regular kernel contributes
-    (omega - omega') * O(omega, omega', ...) which must vanish.
-    """
-    scale = max(float(np.max(np.abs(obs.regular))), 1.0)
-    return energy_offdiagonal_weight(obs) <= COMMUTATOR_TOL * scale * obs.grid.omega_max
+    return Observable(grid, singular, regular_fn)
 
 
 @dataclass(frozen=True)
@@ -350,15 +444,23 @@ def singular_basis_observable(grid: SpectralGrid, index: tuple[int, ...] | int) 
     """Discrete delta-column: indicator / cell at one node, regular part zero."""
     singular = np.zeros(grid.shape, dtype=complex)
     singular[_node(index)] = 1.0 / grid.cell
-    return Observable(grid, singular, np.zeros(grid.shape * 2, dtype=complex))
+    return Observable(grid, singular)
+
+
+def _delta_term(grid: SpectralGrid, row, col, value: float) -> CoherenceTerms:
+    """One term that is ``value`` at (row, col) of the regular kernel and zero elsewhere."""
+    a = np.zeros((1,) + grid.shape)
+    b = np.zeros((1,) + grid.shape)
+    a[(0,) + _node(row)] = value
+    b[(0,) + _node(col)] = 1.0
+    return CoherenceTerms(grid, a, b)
 
 
 def regular_basis_observable(
     grid: SpectralGrid, row: tuple[int, ...] | int, col: tuple[int, ...] | int
 ) -> Observable:
     """Discrete delta at one (row, col) pair of the regular kernel."""
-    regular = np.zeros(grid.shape * 2, dtype=complex)
-    regular[_node(row) + _node(col)] = 1.0 / grid.cell**2
+    regular = _delta_term(grid, row, col, 1.0 / grid.cell**2)
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
 
 
@@ -388,20 +490,22 @@ def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: 
     return WaveFunction((float(axis[0]), float(axis[1]), int(axis[2])), values)
 
 
-def synthesize_kernel(grid: SpectralGrid, regular: np.ndarray, axis, hbar: float) -> OperatorKernel:
-    """Position-space kernel of a regular spectral kernel in the translation realization.
+def synthesize_kernel(
+    grid: SpectralGrid, regular: CoherenceTerms, axis, hbar: float
+) -> OperatorKernel:
+    """Position-space kernel of regular spectral kernel terms in the translation realization.
 
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
-    exp(i (w q - w' q') / hbar) dw dw'.
+    exp(i (w q - w' q') / hbar) dw dw'. Builds the dense (n, n) spectral
+    kernel; the plane-wave products cost O(n^2 n_q) with or without it.
     """
     if grid.momentum_axes:
         raise ValueError("plane-wave synthesis is provided for N = 1 spectral grids")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    regular = np.asarray(regular, dtype=complex)
-    if regular.shape != grid.shape * 2:
-        raise ValueError("regular kernel must live on the squared spectral grid")
+    if regular.grid != grid:
+        raise ValueError("regular kernel terms must live on the given spectral grid")
     q = np.linspace(float(axis[0]), float(axis[1]), int(axis[2]))
     e = _plane_wave_matrix(grid, q, hbar)
-    values = e @ regular @ e.conj().T
+    values = e @ regular.dense() @ e.conj().T
     return OperatorKernel((float(axis[0]), float(axis[1]), int(axis[2])), values)

@@ -2,10 +2,11 @@
 
 A state is a pair of coefficient kernels on a spectral grid: a real
 diagonal rho(omega, p) carrying probabilities (nonnegative, unit discrete
-mass) and a hermitian regular kernel rho(omega, omega', p, p').
-Admissibility is enforced by :func:`make_state`; the dataclass itself is
-a plain value holder so basis functionals and test fixtures can be built
-directly.
+mass) and a hermitian regular kernel rho(omega, omega', p, p'), held as
+:class:`~phasedec.spectral.CoherenceTerms` (a short sum of terms
+a(x) conj(b(x')) c(x - x'), never a dense array). Admissibility is
+enforced by :func:`make_state`; the dataclass itself is a plain value
+holder so basis functionals and test fixtures can be built directly.
 
 Two pairing prescriptions coexist on purpose. Regular pairings integrate
 over all of phase space (or equivalently sum both spectral kernels);
@@ -22,15 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, _hermitian_defect, integrate
+from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, integrate
 from .spectral import (
+    CoherenceTerms,
     MomentumMap,
     Observable,
     SpectralGrid,
+    _coherence_weights,
     _compose_on_phase_space,
+    _delta_term,
     _node,
-    _sample_regular,
-    _swap_blocks,
+    _regular_terms,
 )
 
 __all__ = [
@@ -62,17 +65,16 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Coefficient kernels of a functional: diagonal + regular parts."""
+    """Coefficient kernels of a functional: diagonal + regular terms (None: no term)."""
 
     grid: SpectralGrid
     diagonal: np.ndarray
-    regular: np.ndarray
+    regular: CoherenceTerms | None = None
 
     def __post_init__(self):
         diagonal = _frozen(self.diagonal, float, self.grid.shape, "diagonal")
-        regular = _frozen(self.regular, complex, self.grid.shape * 2, "regular kernel")
         object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "regular", regular)
+        object.__setattr__(self, "regular", _regular_terms(self.grid, self.regular))
 
     @property
     def diagonal_mass(self) -> float:
@@ -103,18 +105,21 @@ def _sample_diagonal(grid: SpectralGrid, diagonal_fn) -> np.ndarray:
 def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
     """Build an admissible state, renormalizing the diagonal to unit mass.
 
-    ``diagonal_fn`` receives the full label meshes (omega, p_1, ...).
-    ``regular_fn`` receives open, broadcastable meshes (omega, omega', p_1,
-    p_1', ...), with omega a column and omega' a row; it must combine them
-    by broadcasting, and its result is broadcast to the squared grid.
-    Either may instead be an array of samples.
+    ``diagonal_fn`` receives the full label meshes (omega, p_1, ...), or is
+    an array of samples. ``regular_fn`` is None, a :class:`CoherenceTerms`,
+    or a :mod:`phasedec.kernels` factory result (read through its
+    ``profile`` and ``symbol`` attributes); callables of (w, w') and dense
+    arrays are not accepted.
 
-    Rejects negative diagonal samples and non-hermitian regular kernels;
-    the renormalization factor is logged rather than treated as an error,
-    since unit mass is a property of states, not of the sampled profile.
+    Rejects negative diagonal samples and regular kernels that the
+    hermitian rule cannot certify: an upper bound on max|K - K^H| must stay
+    within ``HERMITIAN_TOL`` of a lower bound on max|K|, so whatever passes
+    also passes the dense check. The renormalization factor is logged
+    rather than treated as an error, since unit mass is a property of
+    states, not of the sampled profile.
     """
     diagonal = _sample_diagonal(grid, diagonal_fn)
-    regular = _sample_regular(grid, regular_fn)
+    regular = _regular_terms(grid, regular_fn)
     if not np.all(np.isfinite(diagonal)):
         raise AdmissibilityError("diagonal samples must be finite")
     scale = max(float(np.max(np.abs(diagonal))), 1e-300)
@@ -130,9 +135,8 @@ def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
         logger.info("renormalizing state diagonal by factor %.6g", 1.0 / mass)
     diagonal = diagonal / mass
 
-    reg_scale = max(float(np.max(np.abs(regular))), 1e-300)
-    defect = _hermitian_defect(regular.reshape(grid.n_points, grid.n_points))
-    if defect > HERMITIAN_TOL * reg_scale:
+    defect = regular.hermitian_defect_bound()
+    if defect > HERMITIAN_TOL * max(regular.max_abs_floor(), 1e-300):
         raise AdmissibilityError(f"regular kernel is not hermitian (defect {defect:.3g})")
     return State(grid, diagonal, regular)
 
@@ -146,13 +150,15 @@ def pure_state(grid: SpectralGrid, coeffs) -> State:
     if norm == 0:
         raise AdmissibilityError("zero coefficients")
     coeffs = coeffs / norm
-    flat = coeffs.reshape(-1)
-    regular = np.outer(flat, flat.conj()).reshape(grid.shape * 2)
-    return State(grid, np.abs(coeffs) ** 2, regular)
+    return State(grid, np.abs(coeffs) ** 2, CoherenceTerms(grid, coeffs[None], coeffs[None]))
 
 
 def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator) -> State:
-    """Seeded random admissible state: Gaussian-mixture diagonal, low-rank hermitian regular."""
+    """Seeded random admissible state: Gaussian-mixture diagonal, low-rank hermitian regular.
+
+    The regular kernel is sum_k lam_k v_k v_k^H with ``RANDOM_STATE_RANK``
+    terms (a = lam v, b = v, c = 1).
+    """
     coords = grid.coordinates()
     diagonal = np.zeros(grid.shape)
     meshes = grid.meshes()
@@ -167,9 +173,9 @@ def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator) -> Sta
             bump = bump * np.exp(-((mesh - center) ** 2) / (2.0 * width**2))
         diagonal += weight * bump
 
-    flat_n = grid.n_points
-    regular = np.zeros((flat_n, flat_n), dtype=complex)
-    for _ in range(RANDOM_STATE_RANK):
+    vectors = np.empty((RANDOM_STATE_RANK,) + grid.shape, dtype=complex)
+    weights = np.empty((RANDOM_STATE_RANK,) + (1,) * len(grid.shape))
+    for k in range(RANDOM_STATE_RANK):
         vec = np.ones(grid.shape, dtype=complex)
         for axis_values, mesh in zip(coords, meshes):
             lo, hi = axis_values[0], axis_values[-1]
@@ -177,9 +183,9 @@ def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator) -> Sta
             width = rng.uniform(0.08, 0.2) * (hi - lo)
             phase = rng.uniform(0.0, 4.0) / (hi - lo)
             vec = vec * np.exp(-((mesh - center) ** 2) / (2.0 * width**2) + 1j * phase * mesh)
-        flat = vec.reshape(-1)
-        regular += rng.uniform(0.1, 0.5) * np.outer(flat, flat.conj())
-    return make_state(grid, diagonal, regular.reshape(grid.shape * 2))
+        vectors[k] = vec
+        weights[k] = rng.uniform(0.1, 0.5)
+    return make_state(grid, diagonal, CoherenceTerms(grid, weights * vectors, vectors))
 
 
 def _require_same_spectral_grid(a, b):
@@ -188,12 +194,14 @@ def _require_same_spectral_grid(a, b):
 
 
 def pair(rho: State, obs: Observable) -> complex:
-    """Functional applied to an observable: singular term + transposed regular term."""
+    """Functional applied to an observable: singular term + transposed regular term.
+
+    The regular term, the sum of rho(x, x') obs(x', x) cell^2, is the sum of
+    the coherence weights, so it costs O(k l n log n) for k and l terms.
+    """
     _require_same_spectral_grid(rho, obs)
-    cell = rho.grid.cell
-    half = len(rho.grid.shape)
-    singular_term = np.sum(rho.diagonal * obs.singular) * cell
-    regular_term = np.sum(rho.regular * _swap_blocks(obs.regular, half)) * cell**2
+    singular_term = np.sum(rho.diagonal * obs.singular) * rho.grid.cell
+    regular_term = np.sum(_coherence_weights(rho.regular, obs.regular))
     return complex(singular_term + regular_term)
 
 
@@ -241,7 +249,7 @@ def singular_basis_functional(grid: SpectralGrid, index) -> State:
     """
     diagonal = np.zeros(grid.shape)
     diagonal[_node(index)] = 1.0 / grid.cell
-    return State(grid, diagonal, np.zeros(grid.shape * 2, dtype=complex))
+    return State(grid, diagonal)
 
 
 def regular_basis_functional(grid: SpectralGrid, row, col) -> State:
@@ -251,6 +259,4 @@ def regular_basis_functional(grid: SpectralGrid, row, col) -> State:
     (row, col). Because the pairing transposes the observable indices,
     the coefficient sits at the swapped slot.
     """
-    regular = np.zeros(grid.shape * 2, dtype=complex)
-    regular[_node(col) + _node(row)] = 1.0 / grid.cell**2
-    return State(grid, np.zeros(grid.shape), regular)
+    return State(grid, np.zeros(grid.shape), _delta_term(grid, col, row, 1.0 / grid.cell**2))

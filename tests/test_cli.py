@@ -4,9 +4,13 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phasedec
 from phasedec.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -22,6 +26,16 @@ from phasedec.scenarios import SCENARIO_NAMES
 def write_config(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal adds about half a second to every run's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
+    code = "import sys, phasedec; print(sorted(m for m in sys.modules if 'scipy.signal' in m))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_list_scenarios(capsys):

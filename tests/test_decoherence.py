@@ -15,16 +15,29 @@ import pytest
 from phasedec import kernels
 from phasedec.decoherence import (
     Trajectory,
-    _coherence_spectrum,
     evolve_pairing,
     fit_decay,
     limit_pairing,
     residual_trajectory,
     verify_final_positivity,
 )
-from phasedec.phase_space import Grid
-from phasedec.spectral import SpectralGrid, _swap_blocks, make_observable
-from phasedec.states import make_state, pair, random_admissible_state
+from phasedec.phase_space import Grid, _hermitian_defect
+from phasedec.spectral import (
+    CoherenceTerms,
+    Observable,
+    SpectralGrid,
+    _coherence_weights,
+    make_observable,
+    regular_basis_observable,
+)
+from phasedec.states import (
+    State,
+    make_state,
+    pair,
+    pure_state,
+    random_admissible_state,
+    regular_basis_functional,
+)
 from phasedec.weyl import oscillator_state, wigner_of_pure_state
 
 GAMMA = 0.1
@@ -50,29 +63,84 @@ def polefree_states():
 
 
 def two_label_states():
+    # 21 x 17 labels; the observable is one term with c = exp(-nu^2 - pi^2)
     sgrid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
     rho = make_state(
         sgrid,
         lambda w, p: np.exp(-((w - 1.5) ** 2) / 0.3) * np.exp(-(p**2) / 0.4),
-        lambda w, wp, p, pp: (
-            np.exp(-((w - 1.5) ** 2) - (wp - 1.5) ** 2) * np.exp(-(p**2) - pp**2)
-        ),
+        kernels.CoherenceKernel(lambda w, p: np.exp(-((w - 1.5) ** 2)) * np.exp(-(p**2))),
     )
     obs = make_observable(
         sgrid,
         lambda w, p: 1.0 + 0 * w,
-        lambda w, wp, p, pp: np.exp(-((w - wp) ** 2)) * np.exp(-((p - pp) ** 2)),
+        kernels.CoherenceKernel(
+            lambda w, p: 1.0 + 0 * w, lambda nu, pi: np.exp(-(nu**2)) * np.exp(-(pi**2))
+        ),
     )
     return rho, obs
+
+
+def random_states():
+    # RANDOM_STATE_RANK = 3 terms against a Gaussian-coherence observable
+    sgrid = SpectralGrid(4.0, 401)
+    rho = random_admissible_state(sgrid, np.random.default_rng(17))
+    herm = kernels.gaussian_coherence_kernel(0.4, kernels.gaussian_profile(2.0, 0.6))
+    return rho, make_observable(sgrid, lambda w: w, herm)
+
+
+def basis_states():
+    # indicator basis functional against the basis observable at the same node pair
+    sgrid = SpectralGrid(4.0, 161)
+    return regular_basis_functional(sgrid, 40, 70), regular_basis_observable(sgrid, 40, 70)
+
+
+def random_terms(rng, sgrid, k):
+    shape = (k,) + sgrid.shape
+    offsets = (k,) + sgrid.offset_shape
+    a, b = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
+    return CoherenceTerms(sgrid, a, b, rng.normal(size=offsets) + 1j * rng.normal(size=offsets))
+
+
+def random_term_states():
+    # non-hermitian terms with asymmetric offset symbols, 2 x 3 terms on two labels
+    sgrid = SpectralGrid(2.0, 17, momentum_axes=((-1.0, 1.0, 16),))
+    rng = np.random.default_rng(29)
+    rho = State(sgrid, rng.uniform(size=sgrid.shape), random_terms(rng, sgrid, 2))
+    return rho, Observable(sgrid, rng.normal(size=sgrid.shape), random_terms(rng, sgrid, 3))
+
+
+ORACLE_PAIRS = [
+    pytest.param(lambda: lorentzian_states(SpectralGrid(4.0, 801)), id="lorentzian-801"),
+    pytest.param(polefree_states, id="polefree-1001"),
+    pytest.param(two_label_states, id="two-label"),
+    pytest.param(random_states, id="random-rank-3"),
+    pytest.param(basis_states, id="basis-indicators"),
+    pytest.param(random_term_states, id="random-terms"),
+]
+
+
+def swapped_blocks(rho, obs):
+    # rho(x, x') and obs(x', x) as dense (omega, momenta, omega', momenta') blocks
+    grid = rho.grid
+    n = grid.omega_count
+    blocks = (n, grid.n_points // n) * 2
+    obs_swapped = obs.regular.dense().reshape(blocks).transpose(2, 3, 0, 1)
+    return rho.regular.dense().reshape(blocks), obs_swapped
+
+
+def dense_direct_pairing(rho, obs):
+    """The static pairing as a direct sum over the dense kernels."""
+    rho_blocks, obs_swapped = swapped_blocks(rho, obs)
+    singular = np.sum(rho.diagonal * obs.singular) * rho.grid.cell
+    return complex(singular + np.sum(rho_blocks * obs_swapped) * rho.grid.cell**2)
 
 
 def bincount_spectrum(rho, obs):
     # the coherence spectrum as an n^2 offset table and two bincounts
     grid = rho.grid
     n = grid.omega_count
-    mp = grid.n_points // n
-    integrand = (rho.regular * _swap_blocks(obs.regular, len(grid.shape))).reshape(n, mp, n, mp)
-    cross = integrand.sum(axis=(1, 3)) * grid.cell**2
+    rho_blocks, obs_swapped = swapped_blocks(rho, obs)
+    cross = (rho_blocks * obs_swapped).sum(axis=(1, 3)) * grid.cell**2
     i = np.arange(n)
     offsets = (i[:, None] - i[None, :]).ravel() + (n - 1)
     weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n - 1)
@@ -128,8 +196,9 @@ def stationary_pair(sgrid):
 
 class TestEvolvePairing:
     def test_t_zero_matches_static_pairing_bit_exactly(self, lorentzian_pair):
+        # pair() sums FFT weights; the static oracle is the dense direct sum
         rho, obs = lorentzian_pair
-        assert evolve_pairing(rho, obs, 0.0, 1.0) == pair(rho, obs)
+        assert evolve_pairing(rho, obs, 0.0, 1.0) == dense_direct_pairing(rho, obs)
 
     def test_stationary_state_is_time_independent(self, stationary_pair):
         rho, obs = stationary_pair
@@ -243,28 +312,29 @@ class TestFactoredPhaseSum:
     )
     def test_matches_long_double_direct_sum(self, build, times, hbar):
         rho, obs = build()
-        weights = _coherence_spectrum(rho, obs)
+        weights = _coherence_weights(rho.regular, obs.regular)
         values = residual_trajectory(rho, obs, times, hbar).values
         expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
         assert float(np.max(np.abs(values - expected))) <= 1e-12 * float(np.sum(np.abs(weights)))
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: lorentzian_states(SpectralGrid(4.0, 801)), polefree_states, two_label_states],
-        ids=["lorentzian-801", "polefree-1001", "two-label"],
-    )
+    @pytest.mark.parametrize("build", ORACLE_PAIRS)
     def test_spectrum_matches_bincount_oracle(self, build):
+        # FFT weights of the terms against the offset table of the dense kernels
         rho, obs = build()
         expected = bincount_spectrum(rho, obs)
-        error = float(np.max(np.abs(_coherence_spectrum(rho, obs) - expected)))
-        assert error <= 1e-14 * float(np.max(np.abs(expected)))
+        error = float(np.max(np.abs(_coherence_weights(rho.regular, obs.regular) - expected)))
+        assert error <= 1e-12 * float(np.sum(np.abs(expected)))
 
     def test_zero_frequency_weight_never_rotates(self, sgrid):
         # a regular kernel on omega = omega' is stationary: its phase is exactly
         # 1 at every t, which only centred factors reproduce without round-off
-        density = kernels.gaussian_profile(2.0, 0.35)(sgrid.omega) ** 2
-        rho = make_state(sgrid, density, np.diag(density))
-        obs = make_observable(sgrid, None, np.diag(1.0 + 0.0 * sgrid.omega))
+        profile = kernels.gaussian_profile(2.0, 0.35)(sgrid.omega)
+        diagonal_only = np.zeros((1, 2 * sgrid.omega_count - 1))
+        diagonal_only[0, sgrid.omega_count - 1] = 1.0
+        regular = CoherenceTerms(sgrid, profile[None], profile[None], diagonal_only)
+        rho = make_state(sgrid, profile**2, regular)
+        ones = np.ones((1,) + sgrid.shape)
+        obs = make_observable(sgrid, None, CoherenceTerms(sgrid, ones, ones, diagonal_only))
         times = np.linspace(0.0, 0.99 * sgrid.recurrence_time(1.0) / 2.0, 500)
         values = residual_trajectory(rho, obs, times, 1.0).values
         assert values[0] != 0.0
@@ -282,6 +352,58 @@ class TestFactoredPhaseSum:
         finally:
             tracemalloc.stop()
         assert peak < dense_table_bytes / 4
+
+
+class TestStructuredKernels:
+    """The term form against dense oracles: pairing, hermitian rule, memory."""
+
+    @pytest.mark.parametrize("build", ORACLE_PAIRS)
+    def test_pair_matches_dense_direct_sum(self, build):
+        rho, obs = build()
+        expected = dense_direct_pairing(rho, obs)
+        assert abs(pair(rho, obs) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("build", ORACLE_PAIRS)
+    def test_hermitian_bound_covers_dense_defect(self, build):
+        for terms in (part.regular for part in build()):
+            dense = terms.dense().reshape(terms.grid.n_points, -1)
+            assert terms.hermitian_defect_bound() >= _hermitian_defect(dense)
+            assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermitian_bound_covers_non_hermitian_terms(self, seed):
+        # random complex terms and offset symbols on a two-label grid
+        sgrid = SpectralGrid(2.0, 16, momentum_axes=((-1.0, 1.0, 16),))
+        terms = random_terms(np.random.default_rng(seed), sgrid, 2)
+        if seed == 3:
+            # nearly hermitian: a = (1 + 1e-9 i) b with c(-d) = conj(c(d))
+            c = terms.c + terms.c[:, ::-1, ::-1].conj()
+            terms = CoherenceTerms(sgrid, (1.0 + 1e-9j) * terms.b, terms.b, c)
+        dense = terms.dense().reshape(sgrid.n_points, -1)
+        defect = _hermitian_defect(dense)
+        assert terms.hermitian_defect_bound() >= defect > 0.0
+        assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
+
+    def test_pure_state_is_one_term(self):
+        sgrid = SpectralGrid(4.0, 161)
+        rho = pure_state(sgrid, kernels.gaussian_profile(2.0, 0.3)(sgrid.omega))
+        dense = rho.regular.dense()
+        assert len(rho.regular.a) == 1
+        assert np.array_equal(np.diag(dense).real, rho.diagonal)
+        assert rho.regular.hermitian_defect_bound() == 0.0 == _hermitian_defect(dense)
+
+    def test_memory_stays_linear_in_the_grid(self):
+        # at 4001 nodes one dense complex kernel would be 256 MB
+        sgrid = SpectralGrid(4.0, 4001)
+        times = np.geomspace(8.0, 80.0, 80)
+        tracemalloc.start()
+        try:
+            rho, obs = lorentzian_states(sgrid)
+            residual_trajectory(rho, obs, times, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestRecurrenceGuard:
@@ -408,20 +530,8 @@ class TestMomentumAxisPath:
     def test_two_label_evolution_matches_direct_sum(self):
         # one momentum axis: the frequency-grouped trajectory must agree
         # with direct evolution after contracting the momentum labels
-        sgrid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
-        rho = make_state(
-            sgrid,
-            lambda w, p: np.exp(-((w - 1.5) ** 2) / 0.3) * np.exp(-(p**2) / 0.4),
-            lambda w, wp, p, pp: (
-                np.exp(-((w - 1.5) ** 2) - (wp - 1.5) ** 2) * np.exp(-(p**2) - pp**2)
-            ),
-        )
-        obs = make_observable(
-            sgrid,
-            lambda w, p: 1.0 + 0 * w,
-            lambda w, wp, p, pp: np.exp(-((w - wp) ** 2)) * np.exp(-((p - pp) ** 2)),
-        )
-        assert evolve_pairing(rho, obs, 0.0, 1.0) == pair(rho, obs)
+        rho, obs = two_label_states()
+        assert evolve_pairing(rho, obs, 0.0, 1.0) == dense_direct_pairing(rho, obs)
         times = np.array([0.5, 3.0, 12.0])
         traj = residual_trajectory(rho, obs, times, 1.0)
         limit = limit_pairing(rho, obs)

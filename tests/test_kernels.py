@@ -8,11 +8,11 @@ from phasedec.scenarios import _KERNEL_FAMILY_DEFAULTS, _coherence_from_options
 from phasedec.spectral import SpectralGrid, make_observable
 from phasedec.states import make_state
 
+GRID = SpectralGrid(4.0, 41)
 
-@pytest.fixture
-def mesh():
-    w = np.linspace(0.0, 4.0, 41)
-    return w[:, None], w[None, :]
+
+def dense(kernel):
+    return make_observable(GRID, None, kernel).regular.dense()
 
 
 def test_gaussian_profile_peaks_at_center():
@@ -42,17 +42,13 @@ def test_profile_width_validation():
         lambda p: kernels.gaussian_coherence_kernel(0.4, p),
     ],
 )
-def test_families_are_hermitian(mesh, factory):
-    w, wp = mesh
-    kernel = factory(kernels.gaussian_profile(2.0, 0.5))
-    values = kernel(w, wp)
+def test_families_are_hermitian(factory):
+    values = dense(factory(kernels.gaussian_profile(2.0, 0.5)))
     assert np.allclose(values, values.conj().T)
 
 
-def test_lorentzian_peaks_on_diagonal(mesh):
-    w, wp = mesh
-    kernel = kernels.lorentzian_kernel(0.1, lambda x: np.ones_like(x))
-    values = kernel(w, wp).real
+def test_lorentzian_peaks_on_diagonal():
+    values = dense(kernels.lorentzian_kernel(0.1, lambda x: np.ones_like(x))).real
     assert np.allclose(np.diag(values), 1.0)
     assert values[0, -1] < 0.01
 
@@ -83,32 +79,55 @@ def test_families_integrate_with_make_observable():
     assert obs.self_adjoint
 
 
-def _full_mesh_samples(grid, regular_fn):
-    # the sampling before open meshes: every label on the full squared grid
+def _closed_form(family, w, wp):
+    # each family written out on the full (omega, omega') mesh, at its defaults
+    opts = _KERNEL_FAMILY_DEFAULTS[family]
+    if family in ("lorentzian", "gaussian"):
+        profile = lambda x: np.exp(-((x - opts["center"]) ** 2) / (2.0 * opts["width"] ** 2))
+    elif family == "polefree":
+        profile = lambda x: np.sqrt(x) * np.exp(-x / opts["decay"] - (x / opts["cutoff"]) ** 6)
+    else:
+        profile = lambda x: np.polyval(opts["coefficients"], x) * np.exp(-x / opts["decay"])
+    nu = w - wp
+    if family == "lorentzian":
+        coherence = opts["gamma"] ** 2 / (nu**2 + opts["gamma"] ** 2)
+    elif family == "gaussian":
+        coherence = np.exp(-(nu**2) / (2.0 * opts["nu_width"] ** 2))
+    else:
+        coherence = 1.0
+    return profile(w) * np.conj(profile(wp)) * coherence
+
+
+def _full_mesh(grid):
     coords = grid.coordinates()
-    half = len(coords)
-    meshes = np.meshgrid(*coords, *coords, indexing="ij")
-    args = [mesh for pair in zip(meshes[:half], meshes[half:]) for mesh in pair]
-    return np.array(np.broadcast_to(regular_fn(*args), grid.shape * 2), dtype=complex)
+    return np.meshgrid(*coords, *coords, indexing="ij")
 
 
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
-def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
+def test_dense_matches_closed_form_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)
     diagonal, regular, _ = _coherence_from_options({"family": family})
-    expected = _full_mesh_samples(grid, regular)
-    assert np.array_equal(make_state(grid, diagonal, regular).regular, expected)
-    assert np.array_equal(make_observable(grid, None, regular).regular, expected)
+    expected = _closed_form(family, *_full_mesh(grid))
+    scale = float(np.max(np.abs(expected)))
+    state, observable = make_state(grid, diagonal, regular), make_observable(grid, None, regular)
+    for terms in (state.regular, observable.regular):
+        assert len(terms.a) == 1
+        assert float(np.max(np.abs(terms.dense() - expected))) <= 1e-14 * scale
 
 
-def test_open_mesh_sampling_on_two_label_grid():
+def test_dense_matches_closed_form_on_two_label_grid():
+    # one term whose offset symbol depends on both the omega and the momentum offset
     grid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
 
-    def regular(w, wp, p, pp):
-        return np.exp(-((w - wp) ** 2) - (p - pp) ** 2) * np.exp(0.3j * (w * pp - wp * p))
+    def profile(w, p):
+        return np.exp(-((w - 1.5) ** 2) - p**2 + 0.3j * (w + p))
 
-    expected = _full_mesh_samples(grid, regular)
-    assert np.array_equal(make_observable(grid, None, regular).regular, expected)
-    assert np.array_equal(
-        make_state(grid, lambda w, p: 1.0 + 0 * w, regular).regular, expected
-    )
+    kernel = kernels.CoherenceKernel(profile, lambda nu, pi: np.exp(-(nu**2) - pi**2))
+    w, p, wp, pp = _full_mesh(grid)
+    expected = profile(w, p) * np.conj(profile(wp, pp)) * np.exp(-((w - wp) ** 2) - (p - pp) ** 2)
+    scale = float(np.max(np.abs(expected)))
+    observable = make_observable(grid, None, kernel).regular
+    state = make_state(grid, lambda w, p: 1.0 + 0 * w, kernel).regular
+    for terms in (observable, state):
+        assert terms.c.shape == (1, 41, 33)
+        assert float(np.max(np.abs(terms.dense() - expected))) <= 1e-14 * scale

@@ -1,16 +1,15 @@
-"""Spectral representation tests: kernels, adjoints, symbols, duality."""
+"""Spectral representation tests: kernels, symbols, duality."""
 
 import numpy as np
 import pytest
 
+from phasedec import kernels
 from phasedec.phase_space import Grid, integrate
 from phasedec.spectral import (
+    CoherenceTerms,
     MomentumMap,
     Observable,
     SpectralGrid,
-    adjoint,
-    commutator_with_H_vanishes,
-    energy_offdiagonal_weight,
     level_set_band,
     make_observable,
     singular_basis_observable,
@@ -56,65 +55,38 @@ class TestMakeObservable:
     def test_identity_is_self_adjoint(self, sgrid):
         obs = make_observable(sgrid, lambda w: 1.0 + 0 * w)
         assert obs.self_adjoint
-        assert commutator_with_H_vanishes(obs)
+        assert len(obs.regular.a) == 0
 
     def test_hamiltonian_kernel(self, sgrid):
         obs = make_observable(sgrid, lambda w: w)
         assert np.allclose(obs.singular.real, sgrid.omega)
-        assert commutator_with_H_vanishes(obs)
 
     def test_real_symmetric_regular_is_self_adjoint(self, sgrid):
         obs = make_observable(
-            sgrid, None, lambda w, wp: np.exp(-((w - 1.0) ** 2)) * np.exp(-((wp - 1.0) ** 2))
+            sgrid, None, kernels.separable_kernel(lambda w: np.exp(-((w - 1.0) ** 2)))
         )
         assert obs.self_adjoint
+
+    def test_non_hermitian_terms_are_not_self_adjoint(self, sgrid):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 1, sgrid.omega_count))
+        skewed = CoherenceTerms(sgrid, a, b)
+        assert not Observable(sgrid, np.zeros(sgrid.shape), skewed).self_adjoint
+        # a = b, but c(-d) != conj(c(d))
+        asymmetric = CoherenceTerms(sgrid, a, a, np.exp(-np.linspace(-3.0, 1.0, 161))[None])
+        assert not Observable(sgrid, np.zeros(sgrid.shape), asymmetric).self_adjoint
+
+    @pytest.mark.parametrize(
+        "kernel", [lambda w, wp: np.exp(-((w - wp) ** 2)), np.eye(81)], ids=["callable", "array"]
+    )
+    def test_opaque_regular_kernels_rejected(self, sgrid, kernel):
+        with pytest.raises(TypeError, match="not accepted"):
+            make_observable(sgrid, None, kernel)
 
     def test_nonfinite_rejected(self, sgrid):
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError):
                 make_observable(sgrid, lambda w: 1.0 / w)  # infinite at omega = 0
-
-
-class TestAdjoint:
-    def test_self_adjoint_fixed_point(self, sgrid):
-        obs = make_observable(sgrid, lambda w: w, lambda w, wp: np.exp(-(w - wp) ** 2))
-        adj = adjoint(obs)
-        assert np.array_equal(adj.singular, obs.singular)
-        assert np.array_equal(adj.regular, obs.regular)
-
-    def test_pure_imaginary_regular_flips_sign(self, sgrid):
-        sym = lambda w, wp: np.exp(-(w**2) - wp**2)
-        obs = make_observable(sgrid, None, lambda w, wp: 1j * sym(w, wp))
-        adj = adjoint(obs)
-        assert np.allclose(adj.regular, -obs.regular)
-
-    def test_involution_bit_exact(self, sgrid):
-        rng = np.random.default_rng(3)
-        singular = rng.normal(size=sgrid.shape) + 1j * rng.normal(size=sgrid.shape)
-        regular = rng.normal(size=sgrid.shape * 2) + 1j * rng.normal(size=sgrid.shape * 2)
-        obs = Observable(sgrid, singular, regular)
-        back = adjoint(adjoint(obs))
-        assert np.array_equal(back.singular, obs.singular)
-        assert np.array_equal(back.regular, obs.regular)
-
-
-class TestCommutator:
-    def test_pure_singular_commutes(self, sgrid):
-        obs = make_observable(sgrid, lambda w: np.exp(-w))
-        assert commutator_with_H_vanishes(obs)
-
-    def test_offdiagonal_regular_does_not(self, sgrid):
-        obs = make_observable(sgrid, None, lambda w, wp: np.exp(-((w - wp - 1.0) ** 2)))
-        assert not commutator_with_H_vanishes(obs)
-        assert energy_offdiagonal_weight(obs) > 0.1
-
-    def test_diagonal_concentrated_regular_is_degenerate_pass(self, sgrid):
-        # kernel supported exactly on omega = omega': the weighted max vanishes
-        n = sgrid.omega_count
-        regular = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(regular, 1.0)
-        obs = Observable(sgrid, np.zeros(n, dtype=complex), regular)
-        assert commutator_with_H_vanishes(obs)
 
 
 class TestSymbSingular:
@@ -180,13 +152,21 @@ class TestSymbSingular:
 
 class TestSelfAdjointnessAlgebra:
     def test_preserved_by_addition_and_real_scaling(self, sgrid):
-        herm = lambda w, wp: np.exp(-((w - wp) ** 2)) * np.exp(-0.1 * (w + wp))
+        herm = kernels.gaussian_coherence_kernel(1.0 / np.sqrt(2.0), lambda w: np.exp(-0.1 * w))
         o1 = make_observable(sgrid, lambda w: w, herm)
         o2 = make_observable(sgrid, lambda w: np.exp(-w), herm)
-        combined = Observable(
-            sgrid, 2.0 * o1.singular + 0.5 * o2.singular, 2.0 * o1.regular + 0.5 * o2.regular
+        # a sum of terms is the terms side by side; a real factor scales one profile
+        r1, r2 = o1.regular, o2.regular
+        regular = CoherenceTerms(
+            sgrid,
+            np.concatenate([2.0 * r1.a, 0.5 * r2.a]),
+            np.concatenate([r1.b, r2.b]),
+            np.concatenate([r1.c, r2.c]),
         )
+        combined = Observable(sgrid, 2.0 * o1.singular + 0.5 * o2.singular, regular)
         assert combined.self_adjoint
+        expected = 2.0 * r1.dense() + 0.5 * r2.dense()
+        assert np.allclose(regular.dense(), expected, rtol=0, atol=1e-15)
 
 
 class TestMomentumMap:
@@ -250,7 +230,7 @@ class TestPlaneWaveSynthesis:
     def test_kernel_synthesis_consistent_with_rank_one(self):
         sgrid = SpectralGrid(4.0, 121)
         profile = np.exp(-((sgrid.omega - 2.0) ** 2)).astype(complex)
-        regular = np.outer(profile, profile.conj())
+        regular = CoherenceTerms(sgrid, profile[None], profile[None])
         axis = (-10.0, 10.0, 161)
         kernel = synthesize_kernel(sgrid, regular, axis, hbar=1.0)
         psi = synthesize_wavefunction(sgrid, profile, axis, hbar=1.0)

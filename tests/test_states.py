@@ -6,6 +6,7 @@ import pytest
 from phasedec import kernels
 from phasedec.phase_space import Grid, integrate, interior_max_abs, poisson_bracket
 from phasedec.spectral import (
+    CoherenceTerms,
     MomentumMap,
     SpectralGrid,
     make_observable,
@@ -43,7 +44,7 @@ class TestMakeState:
     def test_stationary_gaussian(self, sgrid, identity_obs):
         rho = make_state(sgrid, kernels.gaussian_profile(1.0, 0.2))
         assert abs(rho.diagonal_mass - 1.0) < 1e-12
-        assert np.all(rho.regular == 0)
+        assert len(rho.regular.a) == 0
         assert abs(pair(rho, identity_obs).real - 1.0) < 1e-8
 
     def test_rank_one_regular_accepted(self, sgrid):
@@ -56,8 +57,18 @@ class TestMakeState:
             make_state(sgrid, lambda w: np.where(np.abs(w - 2.0) < 0.5, -0.1, 1.0))
 
     def test_non_hermitian_regular_rejected(self, sgrid):
+        # w + 2 w' as the two terms w (x) 1 and 2 (x) w'
+        w, ones = sgrid.omega, np.ones(sgrid.shape)
+        regular = CoherenceTerms(sgrid, np.stack([w, 2.0 * ones]), np.stack([ones, w]))
         with pytest.raises(AdmissibilityError):
-            make_state(sgrid, lambda w: 1.0 + 0 * w, lambda w, wp: w + 2.0 * wp)
+            make_state(sgrid, lambda w: 1.0 + 0 * w, regular)
+
+    @pytest.mark.parametrize(
+        "kernel", [lambda w, wp: np.exp(-((w - wp) ** 2)), np.eye(161)], ids=["callable", "array"]
+    )
+    def test_opaque_regular_kernels_rejected(self, sgrid, kernel):
+        with pytest.raises(TypeError, match="not accepted"):
+            make_state(sgrid, lambda w: 1.0 + 0 * w, kernel)
 
     def test_zero_mass_rejected(self, sgrid):
         with pytest.raises(AdmissibilityError):
@@ -90,11 +101,13 @@ class TestPair:
     def test_antisymmetric_imaginary_regular_pairs_real(self, sgrid):
         n = sgrid.omega_count
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(n, n))
-        antisym = a - a.T
-        rho = State(sgrid, np.zeros(n), 1j * antisym)  # hermitian: (iA)^T* = iA
-        sym = rng.normal(size=(n, n))
-        obs = make_observable(sgrid, None, sym + sym.T)
+        x, y = rng.normal(size=(2, n))
+        # i (x y^T - y x^T): hermitian, since (iA)^T* = iA for real antisymmetric A
+        antisym = CoherenceTerms(sgrid, np.stack([1j * x, -1j * y]), np.stack([y, x]))
+        rho = State(sgrid, np.zeros(n), antisym)
+        # x x^T + y y^T + (x y^T + y x^T): real symmetric
+        sym = CoherenceTerms(sgrid, np.stack([x, y, x, y]), np.stack([x, y, y, x]))
+        obs = make_observable(sgrid, None, sym)
         value = pair(rho, obs)
         assert abs(value.imag) < 1e-10
         assert abs(value.real) < 1e-10  # antisymmetric x symmetric traces to zero
@@ -219,7 +232,7 @@ class TestToClassicalDensity:
         assert dens.mass == pytest.approx(1.0)
 
     def test_unnormalized_input_scaled(self, sgrid):
-        raw = State(sgrid, np.ones(sgrid.shape) * 3.0, np.zeros(sgrid.shape * 2, dtype=complex))
+        raw = State(sgrid, np.ones(sgrid.shape) * 3.0)
         dens = to_classical_density(raw)
         assert dens.mass == pytest.approx(1.0)
 
@@ -233,7 +246,7 @@ class TestToClassicalDensity:
         assert mean_a == pytest.approx(mean_b, abs=1e-10)
 
     def test_zero_diagonal_rejected(self, sgrid):
-        raw = State(sgrid, np.zeros(sgrid.shape), np.zeros(sgrid.shape * 2, dtype=complex))
+        raw = State(sgrid, np.zeros(sgrid.shape))
         with pytest.raises(ValueError):
             to_classical_density(raw)
 
