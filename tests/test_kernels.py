@@ -103,6 +103,43 @@ def _full_mesh(grid):
     return np.meshgrid(*coords, *coords, indexing="ij")
 
 
+def _full_mesh_samples(grid, kernel):
+    # the sampling before open meshes: profile and symbol on the full squared grid,
+    # with each label offset taken as (i - i') times its step, as the offset grid has it
+    coords = grid.coordinates()
+    half = len(coords)
+    meshes = np.meshgrid(*coords, *coords, indexing="ij")
+    index = np.meshgrid(*(np.arange(len(x)) for x in coords * 2), indexing="ij")
+    steps = [grid.d_omega] + [(hi - lo) / (n - 1) for lo, hi, n in grid.momentum_axes]
+    offsets = [(index[m] - index[half + m]) * step for m, step in enumerate(steps)]
+    out = kernel.profile(*meshes[:half]) * np.conj(kernel.profile(*meshes[half:]))
+    if kernel.symbol is not None:
+        out = out * kernel.symbol(*offsets)
+    return np.array(np.broadcast_to(out, grid.shape * 2), dtype=complex)
+
+
+@pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
+def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
+    grid = SpectralGrid(10.0, 1201)
+    diagonal, regular, _ = _coherence_from_options({"family": family})
+    expected = _full_mesh_samples(grid, regular)
+    assert np.array_equal(make_state(grid, diagonal, regular).regular.dense(), expected)
+    assert np.array_equal(make_observable(grid, None, regular).regular.dense(), expected)
+
+
+def test_open_mesh_sampling_on_two_label_grid():
+    grid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
+    kernel = kernels.CoherenceKernel(
+        lambda w, p: np.exp(-((w - 1.5) ** 2) - p**2 + 0.3j * (w + p)),
+        lambda nu, pi: np.exp(-(nu**2) - pi**2),
+    )
+    expected = _full_mesh_samples(grid, kernel)
+    assert np.array_equal(make_observable(grid, None, kernel).regular.dense(), expected)
+    assert np.array_equal(
+        make_state(grid, lambda w, p: 1.0 + 0 * w, kernel).regular.dense(), expected
+    )
+
+
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
 def test_dense_matches_closed_form_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)

@@ -60,6 +60,21 @@ class TestTypes:
         assert interior_max_abs(poisson_bracket(q0, p1)) < 1e-10
         assert interior_max_abs(poisson_bracket(q1, p1) - 1.0) < 1e-10
 
+    def test_phase_function_shape_mismatch(self, grid):
+        with pytest.raises(ValueError):
+            PhaseFunction(grid, np.zeros((3, 3)))
+
+    def test_phase_function_rejects_nan(self, grid):
+        values = np.zeros(grid.shape, dtype=complex)
+        values[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            PhaseFunction(grid, values)
+
+    def test_values_are_read_only(self, grid):
+        f = sample(grid, lambda q, p: q)
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+
 
 class TestIntegrate:
     def test_zero(self, grid):
