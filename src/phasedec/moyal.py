@@ -1,16 +1,24 @@
 """Star product and Moyal bracket as truncated bidifferential series.
 
-The product is sum_m (1/m!) (i*hbar/2)^m B_m(f, g), where B_m applies the
-m-th power of the bidifferential operator built from the symplectic form.
-B_m(g, f) = (-1)^m B_m(f, g) holds term by term, on the grid too, so the
-bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd part of one series.
+The product is sum_m c_m(hbar) B_m(f, g) with c_m = (i*hbar/2)^m / m!, where
+B_m applies the m-th power of the bidifferential operator built from the
+symplectic form. No B_m depends on hbar: ``_bidifferentials`` builds them,
+and ``_combine`` weights them with in-place multiply-adds, so
+``classical_limit_check`` builds B_1..B_order once for its whole hbar sweep.
+
+The terms of all B_m are evaluated depth-first, in preorder of f's
+derivative chains, so each derivative of f is taken once. Each operand holds
+only the canonical derivative chain of the current term, in buffers recycled
+within the call. Both operands take a derivative along the same canonical
+chain, so B_m(g, f) = (-1)^m B_m(f, g) holds term by term, on the grid too,
+and the bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd part of
+one series.
 The sign convention is fixed so that the bracket of the canonical pair is
 +1, i.e. {q, p}_mb = {q, p}_pb; a dedicated test pins this constant.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial, prod
@@ -18,12 +26,12 @@ from math import factorial, prod
 import numpy as np
 
 from .phase_space import (
+    Grid,
     PhaseFunction,
-    SymplecticForm,
     _derivative_values,
+    _pairs,
     _require_same_grid,
-    interior_max_abs,
-    poisson_bracket,
+    interior_slices,
 )
 
 __all__ = [
@@ -37,40 +45,65 @@ __all__ = [
 MAX_ORDER = 6
 
 
+def _check_operands(f: PhaseFunction, g: PhaseFunction, order: int):
+    _require_same_grid(f, g)
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"truncation order must be in 0..{MAX_ORDER}, got {order}")
+
+
+def _chain(alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The canonical (axis, step) derivatives that lead from the samples to D^alpha.
+
+    The last step comes off the first non-zero slot of alpha in the order
+    q_1, p_1, ..., q_N, p_N, at most 4 orders at a time (the stencils'
+    limit). Both operands of a product derive along this one rule, so a
+    derivative comes out the same on either side. Taking a degree's q and p
+    together lets g's chains, which pair f's chains through the symplectic
+    form, share their first links across a subtree of f's.
+    """
+    n_dof = len(alpha) // 2
+    slots = [axis for i in range(n_dof) for axis in (i, n_dof + i)]
+    alpha, links = list(alpha), []
+    while any(alpha):
+        axis = next(i for i in slots if alpha[i] > 0)
+        step = min(alpha[axis], 4)
+        alpha[axis] -= step
+        links.append((axis, step))
+    return tuple(reversed(links))
+
+
 class _DerivativeCache:
-    """Mixed partial derivatives of one sample array, each dropped after its last planned use."""
+    """Derivatives of one sample array along the canonical chain of the latest request.
 
-    def __init__(self, f: PhaseFunction, requests: list[tuple[int, ...]]):
-        self.grid = f.grid
-        self._store: dict[tuple[int, ...], np.ndarray] = {(0,) * len(f.grid.axes): f.values}
-        self._steps: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
-        self._uses: Counter = Counter()
-        for alpha in requests:
-            self._plan(alpha)
+    A request keeps the links it shares with the previous chain and computes
+    the rest into the buffers of the links it drops, so one chain of arrays
+    is live at a time.
+    """
 
-    def _plan(self, alpha: tuple[int, ...]):
-        # one use of alpha; the first also uses its base, whose last derivative
-        # comes off the first non-zero slot (orders above 4 compose <=4 steps)
-        self._uses[alpha] += 1
-        if self._uses[alpha] == 1 and any(alpha):
-            axis = next(i for i, a in enumerate(alpha) if a > 0)
-            step = min(alpha[axis], 4)
-            lower = alpha[:axis] + (alpha[axis] - step,) + alpha[axis + 1 :]
-            self._steps[alpha] = axis, step, lower
-            self._plan(lower)
+    def __init__(self, values: np.ndarray, grid: Grid):
+        self.grid = grid
+        self._links: tuple[tuple[int, int], ...] = ()
+        self._arrays = [values]  # the samples, then one derivative per link
+        self._free: list[np.ndarray] = []
 
-    def get(self, alpha: tuple[int, ...]) -> np.ndarray:
-        if alpha not in self._store:
-            axis, step, lower = self._steps[alpha]
-            self._store[alpha] = _derivative_values(self.get(lower), self.grid, axis, step)
-        self._uses[alpha] -= 1
-        return self._store[alpha] if self._uses[alpha] else self._store.pop(alpha)
+    def get(self, links: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """The derivative at the end of the chain ``links``, valid until the next request."""
+        keep = 0
+        while keep < min(len(links), len(self._links)) and links[keep] == self._links[keep]:
+            keep += 1
+        self._free += self._arrays[keep + 1 :]
+        del self._arrays[keep + 1 :]
+        for axis, step in links[keep:]:
+            out = self._free.pop() if self._free else np.empty(self.grid.shape, dtype=complex)
+            self._arrays.append(_derivative_values(self._arrays[-1], self.grid, axis, step, out=out))
+        self._links = links
+        return self._arrays[-1]
 
 
 def _bidifferential_terms(n_dof: int, m: int) -> list[tuple[float, tuple, tuple]]:
     """B_m(f, g) as (weight, alpha_f, alpha_g): the sum of weight * D^alpha_f f * D^alpha_g g."""
     terms = []
-    for combo in combinations_with_replacement(SymplecticForm(n_dof).pairs(), m):
+    for combo in combinations_with_replacement(_pairs(n_dof), m):
         alpha_f = tuple(sum(a == axis for a, _, _ in combo) for axis in range(2 * n_dof))
         alpha_g = tuple(sum(b == axis for _, b, _ in combo) for axis in range(2 * n_dof))
         # each pair has its own f-axis, so alpha_f holds the multinomial counts
@@ -79,20 +112,52 @@ def _bidifferential_terms(n_dof: int, m: int) -> list[tuple[float, tuple, tuple]
     return terms
 
 
-def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order: int, odd_only: bool):
-    """sum_m (i*hbar/2)^m / m! B_m(f, g) for m <= order, or only its odd-m terms."""
-    _require_same_grid(f, g)
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"truncation order must be in 0..{MAX_ORDER}, got {order}")
-    orders = range(1, order + 1, 2 if odd_only else 1)
-    terms = {m: _bidifferential_terms(f.grid.n_dof, m) for m in orders}
-    fd = _DerivativeCache(f, [t[1] for m in orders for t in terms[m]])
-    gd = _DerivativeCache(g, [t[2] for m in orders for t in terms[m]])
-    total = np.zeros(f.grid.shape, dtype=complex) if odd_only else f.values * g.values
-    for m in orders:
-        b_m = sum(w * fd.get(alpha_f) * gd.get(alpha_g) for w, alpha_f, alpha_g in terms[m])
-        total += (1j * hbar / 2.0) ** m / factorial(m) * b_m
+def _bidifferentials(f: PhaseFunction, g: PhaseFunction, orders) -> dict[int, np.ndarray]:
+    """B_m(f, g) for each m in ``orders``; none of them depends on hbar.
+
+    The terms of all orders run in preorder of f's derivative chains and add
+    into their B_m through one scratch product.
+    """
+    grid = f.grid
+    terms = sorted(
+        (_chain(alpha_f), weight, _chain(alpha_g), m)
+        for m in orders
+        for weight, alpha_f, alpha_g in _bidifferential_terms(grid.n_dof, m)
+    )
+    sums = {m: np.zeros(grid.shape, dtype=complex) for m in orders}
+    fd, gd = _DerivativeCache(f.values, grid), _DerivativeCache(g.values, grid)
+    product = np.empty(grid.shape, dtype=complex)
+    for chain_f, weight, chain_g, m in terms:
+        np.multiply(weight, fd.get(chain_f), out=product)
+        product *= gd.get(chain_g)
+        sums[m] += product
+    return sums
+
+
+def _combine(
+    total: np.ndarray, b: dict[int, np.ndarray], hbar: float, order: int, odd_only: bool
+) -> np.ndarray:
+    """Add c_m(hbar) B_m into ``total`` for m <= order, in place, and return it.
+
+    With ``odd_only`` only the odd m enter and the sum is then scaled by
+    2/(i*hbar): from ``total`` = 0 that is the Moyal bracket. ``b`` is only
+    read, so one set of B_m serves a whole hbar sweep.
+    """
+    term = np.empty_like(total)
+    for m in range(1, order + 1, 2 if odd_only else 1):
+        np.multiply((1j * hbar / 2.0) ** m / factorial(m), b[m], out=term)
+        total += term
+    if odd_only:
+        total *= 2.0 / (1j * hbar)
     return total
+
+
+def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order: int, odd_only: bool) -> np.ndarray:
+    """Samples of f*g truncated after the hbar^order term, or of the bracket with ``odd_only``."""
+    _check_operands(f, g, order)
+    b = _bidifferentials(f, g, range(1, order + 1, 2 if odd_only else 1))
+    total = np.zeros(f.grid.shape, dtype=complex) if odd_only else f.values * g.values
+    return _combine(total, b, hbar, order, odd_only)
 
 
 def star_product(
@@ -121,7 +186,7 @@ def moyal_bracket(
         raise ValueError("hbar = 0 has no Moyal bracket; use poisson_bracket instead")
     if hbar < 0:
         raise ValueError("hbar must be > 0")
-    return f.with_values(_series(f, g, hbar, order, odd_only=True) * (2.0 / (1j * hbar)), label="")
+    return f.with_values(_series(f, g, hbar, order, odd_only=True), label="")
 
 
 @dataclass(frozen=True)
@@ -159,17 +224,23 @@ def classical_limit_check(
         raise ValueError("need at least 3 hbar values")
     if any(h <= 0 for h in hbars) or any(a <= b for a, b in zip(hbars, hbars[1:])):
         raise ValueError("hbar sequence must be positive and strictly decreasing")
-    _require_same_grid(f, g)
+    _check_operands(f, g, order)
 
-    plain = f * g
-    pb = poisson_bracket(f, g)
-    scale = max(interior_max_abs(plain), interior_max_abs(pb), 1.0)
+    # B_1 is the Poisson bracket, so it is built at order 0 too
+    b = _bidifferentials(f, g, range(1, max(order, 1) + 1))
+    plain, pb = f.values * g.values, b[1]
+    inner = interior_slices(f.grid)
+    scale = max(float(np.max(np.abs(plain[inner]))), float(np.max(np.abs(pb[inner]))), 1.0)
     exact_tol = 1e-12 * scale
 
     prod_err, brak_err = [], []
     for h in hbars:
-        prod_err.append(interior_max_abs(star_product(f, g, h, order) - plain))
-        brak_err.append(interior_max_abs(moyal_bracket(f, g, h, order) - pb))
+        product = _combine(plain.copy(), b, h, order, odd_only=False)
+        bracket = _combine(np.zeros_like(plain), b, h, order, odd_only=True)
+        product -= plain
+        bracket -= pb
+        prod_err.append(float(np.max(np.abs(product[inner]))))
+        brak_err.append(float(np.max(np.abs(bracket[inner]))))
 
     product_exact = all(e < exact_tol for e in prod_err)
     bracket_exact = all(e < exact_tol for e in brak_err)

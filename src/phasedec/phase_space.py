@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "SymplecticForm",
     "PhaseFunction",
     "integrate",
     "partial_derivative",
@@ -114,25 +113,12 @@ class Grid:
         )
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The constant block form [[0, I_N], [-I_N, 0]] pairing q_i with p_i."""
+def _pairs(n_dof: int) -> list[tuple[int, int, float]]:
+    """Nonzero entries (a, b, omega_ab) of the symplectic form [[0, I_N], [-I_N, 0]].
 
-    n_dof: int
-
-    def __post_init__(self):
-        if self.n_dof < 1:
-            raise ValueError("n_dof must be >= 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        eye, zero = np.eye(self.n_dof), np.zeros((self.n_dof, self.n_dof))
-        return np.block([[zero, eye], [-eye, zero]])
-
-    def pairs(self) -> list[tuple[int, int, float]]:
-        """Nonzero entries as (a, b, omega_ab); the bracket's axis pairs."""
-        n = self.n_dof
-        return [pair for i in range(n) for pair in ((i, n + i, 1.0), (n + i, i, -1.0))]
+    They pair q_i with p_i at +1 and p_i with q_i at -1: the bracket's axis pairs.
+    """
+    return [pair for i in range(n_dof) for pair in ((i, n_dof + i, 1.0), (n_dof + i, i, -1.0))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,20 +237,33 @@ def _difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
     return d
 
 
-def _derivative_values(values: np.ndarray, grid: Grid, axis: int, order: int) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _interleaved_difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
+    """``kron(d.T, I_2)``: the last-axis stencil acting from the right on interleaved complex samples."""
+    return np.kron(_difference_matrix(count, spacing, order).T, np.eye(2))
+
+
+def _derivative_values(
+    values: np.ndarray, grid: Grid, axis: int, order: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``partial_derivative`` on raw samples: one real matmul on their float view.
 
     That view interleaves real and imaginary parts, so on the last axis the
-    stencil acts from the right as ``kron(d.T, I_2)``.
+    stencil acts from the right as ``kron(d.T, I_2)``. The result goes into
+    ``out``, a C-contiguous complex array of the grid's shape, when given.
     """
     values = np.ascontiguousarray(values, dtype=complex)
+    if out is None:
+        out = np.empty(grid.shape, dtype=complex)
     n = grid.shape[axis]
-    d = _difference_matrix(n, grid.spacing(axis), order)
     if axis == len(grid.axes) - 1:
-        out = values.view(float).reshape(-1, 2 * n) @ np.kron(d.T, np.eye(2))
+        d = _interleaved_difference_matrix(n, grid.spacing(axis), order)
+        np.matmul(values.view(float).reshape(-1, 2 * n), d, out=out.view(float).reshape(-1, 2 * n))
     else:
-        out = d @ values.reshape(prod(grid.shape[:axis]), n, -1).view(float)
-    return out.view(complex).reshape(grid.shape)
+        d = _difference_matrix(n, grid.spacing(axis), order)
+        rows = prod(grid.shape[:axis])
+        np.matmul(d, values.reshape(rows, n, -1).view(float), out=out.reshape(rows, n, -1).view(float))
+    return out
 
 
 def partial_derivative(f: PhaseFunction, axis: int, order: int = 1) -> PhaseFunction:
@@ -284,7 +283,7 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
     """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
     _require_same_grid(f, g)
     total = np.zeros(f.grid.shape, dtype=complex)
-    for a, b, w in SymplecticForm(f.grid.n_dof).pairs():
+    for a, b, w in _pairs(f.grid.n_dof):
         df = _derivative_values(f.values, f.grid, a, 1)
         total += w * df * _derivative_values(g.values, g.grid, b, 1)
     return f.with_values(total, label="")

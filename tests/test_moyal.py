@@ -1,5 +1,7 @@
 """Star-product and Moyal-bracket tests: truncation algebra and limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,8 +37,21 @@ def canonical(grid):
     return q, p, h
 
 
+def limit_check_at(f, g, hbar, order):
+    """classical_limit_check in the call shape of the two series."""
+    return classical_limit_check(f, g, [hbar, hbar / 2, hbar / 4], order)
+
+
+def per_hbar_errors(f, g, hbars, order):
+    """Oracle: the per-hbar loop of full series that classical_limit_check replaces."""
+    plain, pb = f * g, poisson_bracket(f, g)
+    product = [interior_max_abs(star_product(f, g, h, order) - plain) for h in hbars]
+    bracket = [interior_max_abs(moyal_bracket(f, g, h, order) - pb) for h in hbars]
+    return product, bracket
+
+
 class TestTruncationOrder:
-    @pytest.mark.parametrize("series", [star_product, moyal_bracket])
+    @pytest.mark.parametrize("series", [star_product, moyal_bracket, limit_check_at])
     def test_bounds(self, series, canonical):
         q, p, _ = canonical
         series(q, p, 0.5, order=0)
@@ -188,8 +203,32 @@ class TestTwoDegreesOfFreedom:
         assert float(np.max(np.abs(deviation - (-(hbar**2) / 2.0)))) < 1e-8
         assert interior_max_abs(moyal_bracket(h, q1, hbar) + p1) < 1e-8
 
+    def test_order_four_peak_memory(self):
+        # one derivative chain per operand keeps 13 grid-sized arrays live;
+        # keeping every planned derivative until its last use needs 43
+        g = Grid.square(-1.5, 1.5, 21, n_dof=2)
+        f = sample(g, lambda a, b, c, d: np.exp(-0.3 * (a**2 + d**2) + 0.7j * a * c + 0.4j * b))
+        h = sample(g, lambda a, b, c, d: np.cos(a + d) + 1j * np.sin(0.5 * c * b))
+        star_product(f, h, 0.5, order=4)  # fill the stencil caches first
+        tracemalloc.start()
+        try:
+            star_product(f, h, 0.5, order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * f.values.nbytes
+
 
 class TestClassicalLimitCheck:
+    @pytest.mark.parametrize("order", range(7))
+    def test_errors_equal_per_hbar_series(self, grid, order):
+        # one set of hbar-free B_m for the sweep, bit for bit the full series per hbar
+        f = sample(grid, lambda q, p: q**3)
+        g = sample(grid, lambda q, p: p**3)
+        hbars = [0.4, 0.2, 0.1]
+        rep = classical_limit_check(f, g, hbars, order)
+        assert (list(rep.product_errors), list(rep.bracket_errors)) == per_hbar_errors(f, g, hbars, order)
+
     def test_cubic_slopes(self, grid):
         f = sample(grid, lambda q, p: q**3)
         g = sample(grid, lambda q, p: p**3)

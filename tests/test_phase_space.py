@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from phasedec.phase_space import (
     Grid,
     PhaseFunction,
-    SymplecticForm,
+    _derivative_values,
     _difference_matrix,
     integrate,
     interior_max_abs,
@@ -42,12 +42,6 @@ class TestTypes:
         assert g.spacing(1) == pytest.approx(0.1)
         assert g.shape == (11, 21)
         assert g.n_points == 231
-
-    def test_symplectic_form_blocks(self):
-        form = SymplecticForm(2)
-        m = form.matrix
-        assert np.allclose(m, -m.T)
-        assert np.allclose(m @ m, -np.eye(4))
 
     def test_symplectic_pairs_give_kronecker(self):
         # {q_i, p_j} computed from the form equals delta_ij
@@ -154,6 +148,15 @@ class TestPartialDerivative:
             expected = np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis)
             out = partial_derivative(f, axis, order).values
             assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
+    def test_out_buffer_holds_the_same_values(self, axis):
+        g = Grid(((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)))
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        out = np.full(g.shape, np.nan, dtype=complex)
+        assert _derivative_values(v, g, axis, 2, out=out) is out
+        assert np.array_equal(out, _derivative_values(v, g, axis, 2))
 
     def test_order_out_of_range(self, grid):
         f = sample(grid, lambda q, p: q)
