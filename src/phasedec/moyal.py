@@ -15,6 +15,10 @@ and the bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd part of
 one series.
 The sign convention is fixed so that the bracket of the canonical pair is
 +1, i.e. {q, p}_mb = {q, p}_pb; a dedicated test pins this constant.
+
+An operand whose samples have an imaginary part of exactly zero is
+differentiated and multiplied in real arithmetic, and B_m is real when both
+operands are; the star product and bracket are still complex PhaseFunctions.
 """
 
 from __future__ import annotations
@@ -75,13 +79,17 @@ def _chain(alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 class _DerivativeCache:
     """Derivatives of one sample array along the canonical chain of the latest request.
 
-    A request keeps the links it shares with the previous chain and computes
-    the rest into the buffers of the links it drops, so one chain of arrays
-    is live at a time.
+    Samples whose imaginary part is exactly zero are held as one contiguous
+    real copy, so their derivatives are taken in real arithmetic. A request
+    keeps the links it shares with the previous chain and computes the rest
+    into the buffers of the links it drops, so one chain of arrays is live
+    at a time.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
-        self.grid = grid
+        if not values.imag.any():
+            values = np.ascontiguousarray(values.real)
+        self.grid, self.dtype = grid, values.dtype
         self._links: tuple[tuple[int, int], ...] = ()
         self._arrays = [values]  # the samples, then one derivative per link
         self._free: list[np.ndarray] = []
@@ -94,7 +102,7 @@ class _DerivativeCache:
         self._free += self._arrays[keep + 1 :]
         del self._arrays[keep + 1 :]
         for axis, step in links[keep:]:
-            out = self._free.pop() if self._free else np.empty(self.grid.shape, dtype=complex)
+            out = self._free.pop() if self._free else np.empty(self.grid.shape, self.dtype)
             self._arrays.append(_derivative_values(self._arrays[-1], self.grid, axis, step, out=out))
         self._links = links
         return self._arrays[-1]
@@ -116,7 +124,8 @@ def _bidifferentials(f: PhaseFunction, g: PhaseFunction, orders) -> dict[int, np
     """B_m(f, g) for each m in ``orders``; none of them depends on hbar.
 
     The terms of all orders run in preorder of f's derivative chains and add
-    into their B_m through one scratch product.
+    into their B_m through one scratch product. The B_m are real when f and
+    g are.
     """
     grid = f.grid
     terms = sorted(
@@ -124,9 +133,10 @@ def _bidifferentials(f: PhaseFunction, g: PhaseFunction, orders) -> dict[int, np
         for m in orders
         for weight, alpha_f, alpha_g in _bidifferential_terms(grid.n_dof, m)
     )
-    sums = {m: np.zeros(grid.shape, dtype=complex) for m in orders}
     fd, gd = _DerivativeCache(f.values, grid), _DerivativeCache(g.values, grid)
-    product = np.empty(grid.shape, dtype=complex)
+    dtype = np.result_type(fd.dtype, gd.dtype)
+    sums = {m: np.zeros(grid.shape, dtype=dtype) for m in orders}
+    product = np.empty(grid.shape, dtype=dtype)
     for chain_f, weight, chain_g, m in terms:
         np.multiply(weight, fd.get(chain_f), out=product)
         product *= gd.get(chain_g)

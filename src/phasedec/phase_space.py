@@ -177,8 +177,6 @@ def _require_same_grid(f: PhaseFunction, g: PhaseFunction):
 def integrate(f: PhaseFunction) -> complex:
     """Trapezoidal quadrature of ``f`` over all 2N axes."""
     values = f.values
-    if not np.all(np.isfinite(values)):
-        raise ValueError("cannot integrate non-finite samples")
     for axis in reversed(range(len(f.grid.axes))):
         values = np.trapezoid(values, dx=f.grid.spacing(axis), axis=axis)
     return complex(values)
@@ -238,9 +236,13 @@ def _difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _interleaved_difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
-    """``kron(d.T, I_2)``: the last-axis stencil acting from the right on interleaved complex samples."""
-    return np.kron(_difference_matrix(count, spacing, order).T, np.eye(2))
+def _interleaved_difference_matrix(count: int, spacing: float, order: int, parts: int) -> np.ndarray:
+    """``kron(d.T, I_parts)``: the last-axis stencil acting from the right on samples of ``parts`` floats.
+
+    That is ``d.T`` for real samples and interleaves real and imaginary
+    parts for complex ones.
+    """
+    return np.kron(_difference_matrix(count, spacing, order).T, np.eye(parts))
 
 
 def _derivative_values(
@@ -248,17 +250,20 @@ def _derivative_values(
 ) -> np.ndarray:
     """``partial_derivative`` on raw samples: one real matmul on their float view.
 
-    That view interleaves real and imaginary parts, so on the last axis the
-    stencil acts from the right as ``kron(d.T, I_2)``. The result goes into
-    ``out``, a C-contiguous complex array of the grid's shape, when given.
+    Real samples are differentiated in real arithmetic into a real result.
+    On the last axis the stencil acts from the right: as ``d.T`` on real
+    samples, and as ``kron(d.T, I_2)`` on complex ones, whose float view
+    interleaves real and imaginary parts. The result goes into ``out``, a
+    C-contiguous array of the grid's shape and the samples' dtype, when given.
     """
-    values = np.ascontiguousarray(values, dtype=complex)
+    values = np.ascontiguousarray(values, dtype=np.result_type(values, float))
     if out is None:
-        out = np.empty(grid.shape, dtype=complex)
+        out = np.empty(grid.shape, dtype=values.dtype)
+    parts = values.dtype.itemsize // 8
     n = grid.shape[axis]
     if axis == len(grid.axes) - 1:
-        d = _interleaved_difference_matrix(n, grid.spacing(axis), order)
-        np.matmul(values.view(float).reshape(-1, 2 * n), d, out=out.view(float).reshape(-1, 2 * n))
+        d = _interleaved_difference_matrix(n, grid.spacing(axis), order, parts)
+        np.matmul(values.view(float).reshape(-1, parts * n), d, out=out.view(float).reshape(-1, parts * n))
     else:
         d = _difference_matrix(n, grid.spacing(axis), order)
         rows = prod(grid.shape[:axis])

@@ -1,4 +1,4 @@
-"""Wigner transforms of operator kernels, their inverse, and marginals.
+"""Wigner transforms of operator kernels, their inverse, and the position marginal.
 
 Conventions, applied everywhere and asserted by tests:
 
@@ -35,7 +35,6 @@ __all__ = [
     "wigner_of_kernel",
     "wigner_of_pure_state",
     "q_marginal",
-    "p_marginal",
     "weyl_quantize",
     "trace_pair",
     "oscillator_state",
@@ -245,12 +244,6 @@ def q_marginal(w: PhaseFunction) -> np.ndarray:
     """integral of W over p, one value per q node of the grid."""
     _check_grid_2d(w.grid)
     return np.trapezoid(w.values.real, dx=w.grid.spacing(1), axis=1)
-
-
-def p_marginal(w: PhaseFunction) -> np.ndarray:
-    """integral of W over q, one value per p node of the grid."""
-    _check_grid_2d(w.grid)
-    return np.trapezoid(w.values.real, dx=w.grid.spacing(0), axis=0)
 
 
 def weyl_quantize(f: PhaseFunction, hbar: float) -> OperatorKernel:

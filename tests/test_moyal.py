@@ -16,6 +16,7 @@ from phasedec.phase_space import (
     Grid,
     PhaseFunction,
     interior_max_abs,
+    interior_slices,
     poisson_bracket,
 )
 
@@ -217,6 +218,91 @@ class TestTwoDegreesOfFreedom:
         finally:
             tracemalloc.stop()
         assert peak < 30 * f.values.nbytes
+
+
+REAL_GRIDS = {
+    "161^2": Grid.square(-2.0, 2.0, 161),
+    "21^4": Grid.square(-1.5, 1.5, 21, n_dof=2),
+}
+#: real operand pairs per degree-of-freedom count: a polynomial and a non-polynomial one
+REAL_PAIRS = {
+    (1, "polynomial"): (lambda q, p: q**3 + 0.5 * q * p**2, lambda q, p: p**3 - 2.0 * q**2 * p),
+    (1, "smooth"): (lambda q, p: np.exp(-0.3 * (q**2 + p**2)) * np.cos(q), lambda q, p: np.sin(q * p) + np.cos(p)),
+    (2, "polynomial"): (lambda a, b, c, d: a**3 + b * d + c**2 * a, lambda a, b, c, d: d**3 - a * b * c),
+    (2, "smooth"): (
+        lambda a, b, c, d: np.exp(-0.3 * (a**2 + d**2)) * np.cos(b + c),
+        lambda a, b, c, d: np.sin(a * c) + np.cos(b * d),
+    ),
+}
+
+
+def real_pair(grid_name, kind):
+    grid = REAL_GRIDS[grid_name]
+    f, g = REAL_PAIRS[grid.n_dof, kind]
+    return sample(grid, f), sample(grid, g)
+
+
+def assert_close(out, oracle, rtol, where=...):
+    out, oracle = out[where], oracle[where]
+    assert float(np.max(np.abs(out - oracle))) <= rtol * float(np.max(np.abs(oracle)))
+
+
+class TestRealOperands:
+    # A purely imaginary operand keeps the complex path, so 1j * f is the oracle
+    # for real f. The series are compared on the interior: the BLAS kernels may
+    # sum a grid's last column in another order for real and complex samples, and
+    # the one-sided high-order stencils there magnify that rounding.
+
+    @pytest.mark.parametrize("order", range(7))
+    @pytest.mark.parametrize("kind", ["polynomial", "smooth"])
+    @pytest.mark.parametrize("grid_name", REAL_GRIDS)
+    def test_series_match_complex_path(self, grid_name, kind, order):
+        f, g = real_pair(grid_name, kind)
+        for series in (star_product, moyal_bracket):
+            oracle = series(1j * f, g, 0.5, order).values / 1j
+            assert_close(series(f, g, 0.5, order).values, oracle, 1e-13, interior_slices(f.grid))
+
+    @pytest.mark.parametrize("order", range(7))
+    @pytest.mark.parametrize("kind", ["polynomial", "smooth"])
+    def test_limit_check_errors_match_complex_path(self, kind, order):
+        f, g = real_pair("161^2", kind)
+        hbars = [0.4, 0.2, 0.1]
+        rep = classical_limit_check(f, g, hbars, order)
+        oracle = classical_limit_check(1j * f, g, hbars, order)
+        assert_close(np.array(rep.product_errors), np.array(oracle.product_errors), 1e-12)
+        assert_close(np.array(rep.bracket_errors), np.array(oracle.bracket_errors), 1e-12)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_mixed_pair_matches_complex_path(self, order):
+        f, g = real_pair("21^4", "smooth")
+        h = g * np.exp(0.4j * f.values)
+        inner = interior_slices(f.grid)
+        for series in (star_product, moyal_bracket):
+            assert_close(series(f, h, 0.5, order).values, series(1j * f, h, 0.5, order).values / 1j, 1e-13, inner)
+            assert_close(series(h, f, 0.5, order).values, series(h, 1j * f, 0.5, order).values / 1j, 1e-13, inner)
+
+    def test_tiny_imaginary_part_is_kept(self):
+        # only an exactly zero imaginary part makes an operand real; the bracket of
+        # f + i eps s with real g has imaginary part eps {s, g}, however small eps is
+        # (here below 1e-30 max|f|; a power of two scales without rounding)
+        f, g = real_pair("161^2", "smooth")
+        s = sample(f.grid, lambda q, p: np.cos(q + p))
+        eps = 2.0**-101
+        assert eps * np.max(np.abs(s.values)) < 1e-30 * np.max(np.abs(f.values))
+        out = moyal_bracket(f + 1j * eps * s, g, 0.5, order=3).values.imag
+        assert_close(out, eps * moyal_bracket(s, g, 0.5, order=3).values.real, 1e-12, interior_slices(f.grid))
+
+    def test_order_four_peak_memory(self):
+        # real derivative chains, B_m and scratch take half the bytes of complex ones
+        f, g = real_pair("21^4", "smooth")
+        star_product(f, g, 0.5, order=4)  # fill the stencil caches first
+        tracemalloc.start()
+        try:
+            star_product(f, g, 0.5, order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * f.values.nbytes
 
 
 class TestClassicalLimitCheck:

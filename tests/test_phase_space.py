@@ -27,6 +27,19 @@ def sample(grid, fn):
     return PhaseFunction.sample(grid, fn)
 
 
+def complex_and_real(*values):
+    """Cases (value, complex) with id ``value`` and (value, float) with id ``value-real``."""
+    return [pytest.param(v, complex, id=f"{v}") for v in values] + [
+        pytest.param(v, float, id=f"{v}-real") for v in values
+    ]
+
+
+def random_samples(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape)
+    return v if dtype is float else v + 1j * rng.standard_normal(shape)
+
+
 class TestTypes:
     def test_grid_rejects_small_axis(self):
         with pytest.raises(ValueError):
@@ -135,26 +148,24 @@ class TestPartialDerivative:
         assert interior_max_abs(d3 - target3) < 1e-6
         assert interior_max_abs(d4 - 24.0) < 1e-6
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_every_axis_matches_tensordot(self, order):
+    @pytest.mark.parametrize("order, dtype", complex_and_real(1, 2, 3, 4))
+    def test_every_axis_matches_tensordot(self, order, dtype):
         # distinct counts and spacings per axis, so a mixed-up reshape or the
-        # last-axis branch cannot pass by symmetry
+        # last-axis branch cannot pass by symmetry; real samples stay real
         g = Grid(((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)))
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        f = PhaseFunction(g, v)
+        v = random_samples(g.shape, dtype, seed=7)
         for axis in range(4):
             d = _difference_matrix(g.shape[axis], g.spacing(axis), order)
             expected = np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis)
-            out = partial_derivative(f, axis, order).values
+            out = _derivative_values(v, g, axis, order)
+            assert out.dtype == v.dtype
             assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("axis", [0, 1, 2, 3])
-    def test_out_buffer_holds_the_same_values(self, axis):
+    @pytest.mark.parametrize("axis, dtype", complex_and_real(0, 1, 2, 3))
+    def test_out_buffer_holds_the_same_values(self, axis, dtype):
         g = Grid(((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)))
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-        out = np.full(g.shape, np.nan, dtype=complex)
+        v = random_samples(g.shape, dtype, seed=3)
+        out = np.full(g.shape, np.nan, dtype=dtype)
         assert _derivative_values(v, g, axis, 2, out=out) is out
         assert np.array_equal(out, _derivative_values(v, g, axis, 2))
 

@@ -14,7 +14,6 @@ from phasedec.weyl import (
     WaveFunction,
     gaussian_state,
     oscillator_state,
-    p_marginal,
     q_marginal,
     trace_pair,
     weyl_quantize,
@@ -227,12 +226,6 @@ class TestMarginals:
         marg = q_marginal(w_excited)
         assert marg.min() >= -1e-6
         assert float(np.max(np.abs(marg - np.abs(excited.values) ** 2))) < 1e-5
-
-    def test_p_marginal_of_ground(self, w_ground, grid):
-        marg = p_marginal(w_ground)
-        p = grid.coordinate(1)
-        exact = np.exp(-(p**2)) / np.sqrt(np.pi)
-        assert float(np.max(np.abs(marg - exact))) < 1e-5
 
     def test_zero_symbol(self, grid):
         w = PhaseFunction.zeros(grid)
