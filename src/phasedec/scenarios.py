@@ -494,10 +494,11 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
         # 2 pi hbar / d_omega, so the tail probe must sit before half of it
         t_tail = 40.0 * t_dec_expected
         half_recurrence = sgrid.recurrence_time(hbar) / 2.0
-        # one trajectory covers the curve and both probes; the union keeps
-        # its time grid increasing whatever the configured curve range
+        # one trajectory covers the curve and both probes; the sorted set
+        # keeps its time grid increasing whatever the configured curve
+        # range (np.unique would import numpy.ma on its first call)
         wanted = np.concatenate([times, [10.0 * t_dec_expected, t_tail]])
-        grid_times = np.union1d(times, wanted)
+        grid_times = np.array(sorted(set(wanted.tolist())))
         values = residual_trajectory(rho, obs, grid_times, hbar).values
         values = values[np.searchsorted(grid_times, wanted)]
         traj = Trajectory(times, values[: len(times)], limit)

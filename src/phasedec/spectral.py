@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.interpolate import RegularGridInterpolator
+from numpy import fft
 
 from .phase_space import (
     HERMITIAN_TOL,
@@ -242,6 +241,22 @@ def _regular_terms(grid: SpectralGrid, kernel) -> CoherenceTerms:
     return CoherenceTerms(grid, a, a, symbol)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: a length whose prime factors are all <= 11.
+
+    pocketfft transforms such lengths fastest; scipy.fft.next_fast_len
+    returns the same value for complex transforms.
+    """
+    while True:
+        m = n
+        for prime in (2, 3, 5, 7, 11):
+            while m % prime == 0:
+                m //= prime
+        if m == 1:
+            return n
+        n += 1
+
+
 def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
     """Regular pairing weights w_d grouped by the frequency offset d = omega - omega'.
 
@@ -265,7 +280,7 @@ def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
     u = (rho.a[:, None] * obs.b[None].conj()).reshape((k * l,) + shape)
     v = (rho.b[:, None].conj() * obs.a[None]).reshape((k * l,) + shape)
     # sum_x u(x) v(x - D) is the full convolution of u with v reversed, at D + n - 1
-    size = [fft.next_fast_len(m) for m in offsets]
+    size = [_fast_len(m) for m in offsets]
     spectrum = fft.fftn(u, size, axes=axes) * fft.fftn(v[flip], size, axes=axes)
     window = (slice(None),) + tuple(slice(0, m) for m in offsets)
     corr = fft.ifftn(spectrum, axes=axes)[window].reshape((k, l) + offsets)
@@ -395,6 +410,8 @@ def _compose_on_phase_space(
         if np.iscomplexobj(table):
             values += 1j * np.interp(fields[0], coords[0], table.imag)
     else:
+        from scipy.interpolate import RegularGridInterpolator
+
         interp = RegularGridInterpolator(
             coords, np.asarray(table), method="linear", bounds_error=False, fill_value=None
         )

@@ -1,4 +1,4 @@
-"""Wigner transforms of operator kernels, their inverse, and the position marginal.
+"""Wigner transforms of operator kernels and the position marginal.
 
 Conventions, applied everywhere and asserted by tests:
 
@@ -15,8 +15,8 @@ spacing; callers must keep max|p| * dy / hbar below pi/4 so the phase is
 well sampled (checked on entry). When every output q is a kernel node, the
 samples K(q-y, q+y) are read off the kernel's anti-diagonals: one weighted
 gather of all rows, times one phase table shared by every row, in a single
-matmul. A cubic spline of the kernel serves only output grids whose q values
-fall between kernel nodes.
+matmul. A cubic spline of the kernel (scipy.interpolate, imported on first
+use) serves only output grids whose q values fall between kernel nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, _hermitian_defect
 
@@ -35,7 +34,6 @@ __all__ = [
     "wigner_of_kernel",
     "wigner_of_pure_state",
     "q_marginal",
-    "weyl_quantize",
     "trace_pair",
     "oscillator_state",
     "gaussian_state",
@@ -208,6 +206,8 @@ def _wigner_on_nodes(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarra
 
 def _wigner_by_spline(kernel: OperatorKernel, q_out: np.ndarray, p_out: np.ndarray, hbar: float):
     """Symbol rows at arbitrary q: spline the kernel, then one quadrature per row."""
+    from scipy.interpolate import RectBivariateSpline
+
     k_lo, k_hi, _ = kernel.axis
     h = kernel.spacing
     qk = kernel.q
@@ -244,38 +244,6 @@ def q_marginal(w: PhaseFunction) -> np.ndarray:
     """integral of W over p, one value per q node of the grid."""
     _check_grid_2d(w.grid)
     return np.trapezoid(w.values.real, dx=w.grid.spacing(1), axis=1)
-
-
-def weyl_quantize(f: PhaseFunction, hbar: float) -> OperatorKernel:
-    """Inverse transform: K(q, q') = (1/2 pi hbar) integral f((q+q')/2, p) exp(i p (q-q')/hbar) dp.
-
-    The kernel is returned on the q axis of the input grid; the midpoint
-    values of f are taken from a cubic spline along q.
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    _check_grid_2d(f.grid)
-    q = f.grid.coordinate(0)
-    p = f.grid.coordinate(1)
-    n = len(q)
-    dq = f.grid.spacing(0)
-    dp = f.grid.spacing(1)
-
-    mids = (q[0] + q[-1]) / 2.0 + (np.arange(2 * n - 1) - (n - 1)) * (dq / 2.0)
-    f_mid = CubicSpline(q, f.values, axis=0)(mids)
-
-    weights = np.ones(len(p))
-    weights[0] = weights[-1] = 0.5
-    seps = np.arange(-(n - 1), n) * dq
-    phases = np.exp(1j * np.outer(p, seps) / hbar)
-    # table[s, d] = quadrature over p at midpoint index s and separation index d
-    table = (f_mid * weights[None, :]) @ phases * dp / (2.0 * np.pi * hbar)
-
-    i = np.arange(n)
-    sums = i[:, None] + i[None, :]
-    diffs = i[:, None] - i[None, :] + (n - 1)
-    lo, hi, _ = f.grid.axes[0]
-    return OperatorKernel((lo, hi, n), table[sums, diffs])
 
 
 def trace_pair(a: OperatorKernel, b: OperatorKernel) -> complex:

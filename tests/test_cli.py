@@ -28,14 +28,33 @@ def write_config(path, payload):
     return str(path)
 
 
-def test_package_import_leaves_scipy_signal_unloaded():
-    # importing scipy.signal adds about half a second to every run's start-up
+def _modules_loaded_after(code):
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
     env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
-    code = "import sys, phasedec; print(sorted(m for m in sys.modules if 'scipy.signal' in m))"
+    code += "\nimport sys; print('\\n'.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.interpolate and scipy.fft alone used to take about half a second
+    # of every run's start-up; the package and its CLI need numpy only
+    loaded = _modules_loaded_after("import phasedec, phasedec.cli")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_default_scenarios_leave_scipy_and_numpy_ma_unloaded():
+    # no default scenario reaches a deferred scipy import, and np.unique
+    # (which imports numpy.ma on its first call) stays out of the first op
+    code = (
+        "from phasedec.scenarios import SCENARIO_NAMES, run_named_scenario\n"
+        "for name in SCENARIO_NAMES:\n"
+        "    assert run_named_scenario(name, {}, 0).report['passed'], name\n"
+    )
+    loaded = _modules_loaded_after(code)
+    assert [m for m in loaded if m.split(".")[0] == "scipy" or m == "numpy.ma"] == []
 
 
 def test_list_scenarios(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from phasedec import kernels
 from phasedec.phase_space import Grid, integrate
@@ -16,6 +17,7 @@ from phasedec.spectral import (
     symb_singular,
     synthesize_kernel,
     synthesize_wavefunction,
+    _fast_len,
 )
 
 
@@ -29,6 +31,12 @@ def harmonic_setup():
     sgrid = SpectralGrid(9.0, 301)
     pgrid = Grid.square(-3.0, 3.0, 161)
     return sgrid, pgrid, MomentumMap.harmonic(pgrid)
+
+
+def test_fast_len_matches_scipy_complex_sizes():
+    # the padded coherence-weight FFTs use the fast sizes scipy picks for complex data
+    sizes = range(1, 20001)
+    assert [_fast_len(n) for n in sizes] == [next_fast_len(n) for n in sizes]
 
 
 class TestSpectralGrid:

@@ -1,4 +1,4 @@
-"""Wigner transform, inverse quantization, and marginal tests.
+"""Wigner transform and marginal tests.
 
 Analytic oracles: the oscillator ground state maps to exp(-q^2-p^2)/pi at
 hbar = 1 and the first excited state to (2(q^2+p^2)-1) exp(-(q^2+p^2))/pi,
@@ -16,7 +16,6 @@ from phasedec.weyl import (
     oscillator_state,
     q_marginal,
     trace_pair,
-    weyl_quantize,
     wigner_of_kernel,
     wigner_of_pure_state,
 )
@@ -230,42 +229,6 @@ class TestMarginals:
     def test_zero_symbol(self, grid):
         w = PhaseFunction.zeros(grid)
         assert float(np.max(np.abs(q_marginal(w)))) == 0.0
-
-
-class TestWeylQuantize:
-    def test_identity_symbol(self):
-        # Nyquist-companion grid: p_max = pi hbar / dq makes the discrete
-        # delta exact, so K = I/dq on the diagonal and 0 off it
-        n = 65
-        dq = 12.0 / (n - 1)
-        pmax = np.pi / dq
-        g = Grid.rectangle((-6.0, 6.0, n), (-pmax, pmax, 129))
-        one = PhaseFunction.sample(g, lambda q, p: 1.0 + 0 * q)
-        k = weyl_quantize(one, 1.0)
-        diag = np.diag(k.values)
-        off = k.values - np.diag(diag)
-        assert float(np.max(np.abs(diag - 1.0 / dq))) < 0.05 / dq
-        assert float(np.max(np.abs(off))) < 1e-10 / dq
-
-    def test_position_symbol(self):
-        n = 65
-        dq = 12.0 / (n - 1)
-        pmax = np.pi / dq
-        g = Grid.rectangle((-6.0, 6.0, n), (-pmax, pmax, 129))
-        fq = PhaseFunction.sample(g, lambda q, p: q + 0 * p)
-        k = weyl_quantize(fq, 1.0)
-        assert float(np.max(np.abs(np.diag(k.values) * dq - k.q))) < 1e-10
-
-    def test_round_trip_on_gaussian(self):
-        g = Grid.square(-6.0, 6.0, 129)
-        axis = (-6.0, 6.0, 129)
-        w = wigner_of_pure_state(gaussian_state(axis), 1.0, g)
-        back = wigner_of_kernel(weyl_quantize(w, 1.0), 1.0, g)
-        assert float(np.max(np.abs(back.values - w.values))) < 1e-4
-
-    def test_rejects_bad_hbar(self, grid):
-        with pytest.raises(ValueError):
-            weyl_quantize(PhaseFunction.zeros(grid), -1.0)
 
 
 class TestTracePairing:
