@@ -27,8 +27,6 @@ __all__ = [
 MIN_AXIS_COUNT = 8
 #: central share of each axis kept by the interior error norms
 INTERIOR_FRACTION = 0.8
-#: largest max|A - A^H| a hermitian kernel may have, relative to its own scale
-HERMITIAN_TOL = 1e-12
 
 
 def _frozen(values, dtype, shape, what: str) -> np.ndarray:
@@ -44,11 +42,6 @@ def _frozen(values, dtype, shape, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     values.setflags(write=False)
     return values
-
-
-def _hermitian_defect(matrix: np.ndarray) -> float:
-    """max |A - A^H| of a square matrix (a spectral kernel in its flat (n, n) view)."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 @dataclass(frozen=True)

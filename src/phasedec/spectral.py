@@ -25,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .phase_space import (
-    HERMITIAN_TOL,
-    Grid,
-    PhaseFunction,
-    _frozen,
-    interior_max_abs,
-    poisson_bracket,
-)
+from .phase_space import Grid, PhaseFunction, _frozen
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "MomentumMap",
     "make_observable",
     "symb_singular",
-    "level_set_band",
     "singular_basis_observable",
     "regular_basis_observable",
     "synthesize_wavefunction",
@@ -302,18 +294,6 @@ class Observable:
         object.__setattr__(self, "singular", singular)
         object.__setattr__(self, "regular", _regular_terms(self.grid, self.regular))
 
-    @property
-    def self_adjoint(self) -> bool:
-        """Real singular part and hermitian regular part, within ``HERMITIAN_TOL``.
-
-        The regular check uses an upper bound on max|O - O^H| against a lower
-        bound on max|O|, so it never accepts what the dense check rejects.
-        """
-        scale = max(float(np.max(np.abs(self.singular))), self.regular.max_abs_floor(), 1e-300)
-        real_diag = float(np.max(np.abs(self.singular.imag)))
-        herm = self.regular.hermitian_defect_bound()
-        return real_diag <= HERMITIAN_TOL * scale and herm <= HERMITIAN_TOL * scale
-
 
 def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Observable:
     """Sample an observable on the spectral grid.
@@ -352,15 +332,6 @@ class MomentumMap:
     @property
     def n_dof(self) -> int:
         return 1 + len(self.momenta)
-
-    def max_bracket_residual(self) -> float:
-        """Largest interior |{F_i, F_j}| over all pairs; zero for a commuting family."""
-        fns = (self.hamiltonian,) + self.momenta
-        worst = 0.0
-        for i in range(len(fns)):
-            for j in range(i + 1, len(fns)):
-                worst = max(worst, interior_max_abs(poisson_bracket(fns[i], fns[j])))
-        return worst
 
     @classmethod
     def harmonic(cls, grid: Grid) -> "MomentumMap":
@@ -429,32 +400,6 @@ def symb_singular(obs: Observable, momentum_map: MomentumMap, out_grid: Grid) ->
     if momentum_map.grid != out_grid:
         raise ValueError("momentum map must be sampled on the output grid")
     return _compose_on_phase_space(obs.singular, obs.grid, momentum_map, label="O_S")
-
-
-def level_set_band(
-    momentum_map: MomentumMap, grid: SpectralGrid, index: tuple[int, ...] | int
-) -> PhaseFunction:
-    """Histogram realization of the delta-kernel symbol at one grid node.
-
-    Each phase-space cell is assigned to its nearest spectral node by
-    (H, P) value; the band at ``index`` carries weight 1/cell so the
-    momentum-space integration prescription is exact under this measure.
-    """
-    idx = _node(index)
-    if len(idx) != grid.n_dof:
-        raise ValueError(f"index needs {grid.n_dof} components")
-    coords = grid.coordinates()
-    fields = [momentum_map.hamiltonian.values.real] + [
-        p.values.real for p in momentum_map.momenta
-    ]
-    mask = np.ones(momentum_map.grid.shape, dtype=bool)
-    for axis_values, field, i in zip(coords, fields, idx):
-        spacing = axis_values[1] - axis_values[0]
-        nearest = np.rint((field - axis_values[0]) / spacing).astype(int)
-        nearest = np.clip(nearest, 0, len(axis_values) - 1)
-        mask &= nearest == i
-    values = mask.astype(complex) / grid.cell
-    return PhaseFunction(momentum_map.grid, values, label="delta_band")
 
 
 def singular_basis_observable(grid: SpectralGrid, index: tuple[int, ...] | int) -> Observable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, integrate
+from .phase_space import Grid, PhaseFunction, _frozen, integrate
 from .spectral import (
     CoherenceTerms,
     MomentumMap,
@@ -55,6 +55,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 NEGATIVITY_TOL = 1e-12
+#: largest max|K - K^H| a regular state kernel may have, relative to its own scale
+HERMITIAN_TOL = 1e-12
 #: rank of the regular kernel drawn by random_admissible_state
 RANDOM_STATE_RANK = 3
 

@@ -12,11 +12,10 @@ Conventions, applied everywhere and asserted by tests:
 
 The oscillatory y-integral is a direct trapezoid sum on the kernel's own
 spacing; callers must keep max|p| * dy / hbar below pi/4 so the phase is
-well sampled (checked on entry). When every output q is a kernel node, the
-samples K(q-y, q+y) are read off the kernel's anti-diagonals: one weighted
-gather of all rows, times one phase table shared by every row, in a single
-matmul. A cubic spline of the kernel (scipy.interpolate, imported on first
-use) serves only output grids whose q values fall between kernel nodes.
+well sampled, and every output q must be a kernel node (both checked on
+entry). The samples K(q-y, q+y) are then read off the kernel's
+anti-diagonals: one weighted gather of all rows, times one phase table
+shared by every row, in a single matmul.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .phase_space import HERMITIAN_TOL, Grid, PhaseFunction, _frozen, _hermitian_defect
+from .phase_space import Grid, PhaseFunction, _frozen
 
 __all__ = [
     "OperatorKernel",
@@ -61,23 +60,9 @@ class OperatorKernel:
         object.__setattr__(self, "values", values)
 
     @property
-    def q(self) -> np.ndarray:
-        return _axis_coords(self.axis)
-
-    @property
     def spacing(self) -> float:
         lo, hi, n = self.axis
         return (hi - lo) / (n - 1)
-
-    @property
-    def hermitian(self) -> bool:
-        scale = max(float(np.max(np.abs(self.values))), 1e-300)
-        return _hermitian_defect(self.values) <= HERMITIAN_TOL * scale
-
-    @classmethod
-    def sample(cls, axis, fn) -> "OperatorKernel":
-        q = _axis_coords(tuple(axis))
-        return cls(tuple(axis), fn(q[:, None], q[None, :]))
 
     @classmethod
     def from_wavefunction(cls, psi: "WaveFunction") -> "OperatorKernel":
@@ -161,10 +146,10 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
     y spanning the largest symmetric window the kernel support allows at
     each q. Hermitian kernels give real symbols up to quadrature noise.
 
-    If every output q lies within 1e-9 cells of a kernel node, the integrand
-    is gathered straight from the kernel's anti-diagonals and all rows share
-    one phase table, so the whole transform is one matmul. Otherwise the
-    kernel is interpolated by a cubic spline, row by row.
+    Every output q must lie within 1e-9 cells of a kernel node, or
+    ValueError is raised. The integrand is then gathered straight from the
+    kernel's anti-diagonals and all rows share one phase table, so the
+    whole transform is one matmul.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -179,15 +164,17 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
 
     offsets = (q_out - k_lo) / h
     nodes = np.rint(offsets)
-    if np.all(np.abs(offsets - nodes) <= 1e-9):
-        values = _wigner_on_nodes(kernel, nodes.astype(int), p_out, hbar)
-    else:
-        values = _wigner_by_spline(kernel, q_out, p_out, hbar)
-    return PhaseFunction(out_grid, values)
+    if not np.all(np.abs(offsets - nodes) <= 1e-9):
+        raise ValueError("output q values must be kernel q nodes")
+    return PhaseFunction(out_grid, _wigner_on_nodes(kernel, nodes.astype(int), p_out, hbar))
 
 
 def _wigner_on_nodes(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at kernel node indices ``nodes``: gather, weight, one matmul."""
+    """Symbol rows at kernel node indices ``nodes``: gather, weight, one matmul.
+
+    A separate frame, so the gathered samples and the phase table are freed
+    before ``PhaseFunction`` copies the result.
+    """
     n = kernel.axis[2]
     h = kernel.spacing
     reach = np.minimum(nodes, n - 1 - nodes)
@@ -202,31 +189,6 @@ def _wigner_on_nodes(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarra
     gathered[reach == 0] = 0.0
     phases = np.exp(2j * np.outer(j * h, p_out) / hbar)
     return 2.0 * h * (gathered @ phases)
-
-
-def _wigner_by_spline(kernel: OperatorKernel, q_out: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at arbitrary q: spline the kernel, then one quadrature per row."""
-    from scipy.interpolate import RectBivariateSpline
-
-    k_lo, k_hi, _ = kernel.axis
-    h = kernel.spacing
-    qk = kernel.q
-    spline_re = RectBivariateSpline(qk, qk, kernel.values.real)
-    spline_im = RectBivariateSpline(qk, qk, kernel.values.imag)
-
-    out = np.zeros((len(q_out), len(p_out)), dtype=complex)
-    for i, q in enumerate(q_out):
-        reach = min(q - k_lo, k_hi - q)
-        m = int(np.floor(reach / h + 1e-9))
-        if m == 0:
-            continue
-        y = np.arange(-m, m + 1) * h
-        kv = spline_re(q - y, q + y, grid=False) + 1j * spline_im(q - y, q + y, grid=False)
-        weights = np.ones(2 * m + 1)
-        weights[0] = weights[-1] = 0.5
-        phases = np.exp(2j * np.outer(p_out, y) / hbar)
-        out[i] = 2.0 * h * (phases @ (weights * kv))
-    return out
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:

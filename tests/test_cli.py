@@ -284,6 +284,49 @@ def test_hbar_override(tmp_path):
     assert report["target_minimum"] == pytest.approx(-2.0 / 3.141592653589793, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scenario, override, flag",
+    [
+        ("wigner-negativity", {}, "nan"),
+        ("moyal-convergence", {"hbar": [0.4, float("nan"), 0.1]}, None),
+        ("decoherence-lorentzian", {}, "inf"),
+        ("moyal-convergence", {"quadratic_hbar": float("nan")}, None),
+    ],
+    ids=["nan-wigner", "nan-moyal", "inf-lorentzian", "nan-quadratic"],
+)
+def test_non_finite_hbar_is_validation_error(tmp_path, capsys, scenario, override, flag):
+    # caught up front, before a NaN or inf hbar turns into an unrelated
+    # message (non-finite samples, a failed SVD, a reversed time grid)
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": scenario, **override})
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv += ["--hbar", flag]
+    assert main(argv) == EXIT_VALIDATION
+    assert "hbar" in capsys.readouterr().err
+
+
+def test_unknown_time_spacing_is_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree", "times": {"spacing": "logarithmic"}},
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "spacing" in capsys.readouterr().err
+
+
+def test_linear_time_spacing(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree", "spectral_grid": {"omega_count": 201},
+         "times": {"start": 2.0, "stop": 50.0, "count": 25, "spacing": "linear"}},
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_ASSERTION)
+    with (out / "residual.csv").open(newline="") as handle:
+        times = [float(row["t"]) for row in csv.DictReader(handle)]
+    assert times == pytest.approx(list(range(2, 51, 2)), rel=1e-12)
+
+
 def test_verbose_flag_logs_progress_to_stderr(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",

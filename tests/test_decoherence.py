@@ -21,7 +21,7 @@ from phasedec.decoherence import (
     residual_trajectory,
     verify_final_positivity,
 )
-from phasedec.phase_space import Grid, _hermitian_defect
+from phasedec.phase_space import Grid
 from phasedec.spectral import (
     CoherenceTerms,
     Observable,
@@ -126,6 +126,11 @@ def swapped_blocks(rho, obs):
     blocks = (n, grid.n_points // n) * 2
     obs_swapped = obs.regular.dense().reshape(blocks).transpose(2, 3, 0, 1)
     return rho.regular.dense().reshape(blocks), obs_swapped
+
+
+def hermitian_defect(matrix):
+    """max |A - A^H| of a dense (n, n) kernel: the oracle for the terms bound."""
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 def dense_direct_pairing(rho, obs):
@@ -367,7 +372,7 @@ class TestStructuredKernels:
     def test_hermitian_bound_covers_dense_defect(self, build):
         for terms in (part.regular for part in build()):
             dense = terms.dense().reshape(terms.grid.n_points, -1)
-            assert terms.hermitian_defect_bound() >= _hermitian_defect(dense)
+            assert terms.hermitian_defect_bound() >= hermitian_defect(dense)
             assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -380,7 +385,7 @@ class TestStructuredKernels:
             c = terms.c + terms.c[:, ::-1, ::-1].conj()
             terms = CoherenceTerms(sgrid, (1.0 + 1e-9j) * terms.b, terms.b, c)
         dense = terms.dense().reshape(sgrid.n_points, -1)
-        defect = _hermitian_defect(dense)
+        defect = hermitian_defect(dense)
         assert terms.hermitian_defect_bound() >= defect > 0.0
         assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
 
@@ -390,7 +395,7 @@ class TestStructuredKernels:
         dense = rho.regular.dense()
         assert len(rho.regular.a) == 1
         assert np.array_equal(np.diag(dense).real, rho.diagonal)
-        assert rho.regular.hermitian_defect_bound() == 0.0 == _hermitian_defect(dense)
+        assert rho.regular.hermitian_defect_bound() == 0.0 == hermitian_defect(dense)
 
     def test_memory_stays_linear_in_the_grid(self):
         # at 4001 nodes one dense complex kernel would be 256 MB

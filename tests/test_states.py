@@ -57,11 +57,20 @@ class TestMakeState:
             make_state(sgrid, lambda w: np.where(np.abs(w - 2.0) < 0.5, -0.1, 1.0))
 
     def test_non_hermitian_regular_rejected(self, sgrid):
-        # w + 2 w' as the two terms w (x) 1 and 2 (x) w'
         w, ones = sgrid.omega, np.ones(sgrid.shape)
-        regular = CoherenceTerms(sgrid, np.stack([w, 2.0 * ones]), np.stack([ones, w]))
-        with pytest.raises(AdmissibilityError):
-            make_state(sgrid, lambda w: 1.0 + 0 * w, regular)
+        a, b = np.random.default_rng(4).normal(size=(2, 1, sgrid.omega_count))
+        symbol = np.exp(-np.linspace(-3.0, 1.0, 2 * sgrid.omega_count - 1))[None]
+        non_hermitian = [
+            # w + 2 w' as the two terms w (x) 1 and 2 (x) w'
+            CoherenceTerms(sgrid, np.stack([w, 2.0 * ones]), np.stack([ones, w])),
+            # a skewed against b
+            CoherenceTerms(sgrid, a, b),
+            # a = b, but c(-d) != conj(c(d))
+            CoherenceTerms(sgrid, a, a, symbol),
+        ]
+        for regular in non_hermitian:
+            with pytest.raises(AdmissibilityError, match="not hermitian"):
+                make_state(sgrid, lambda w: 1.0 + 0 * w, regular)
 
     @pytest.mark.parametrize(
         "kernel", [lambda w, wp: np.exp(-((w - wp) ** 2)), np.eye(161)], ids=["callable", "array"]
@@ -288,15 +297,17 @@ class TestSingularIntegrationPrescription:
         obs = make_observable(sgrid, kernels.gaussian_profile(2.0, 0.4))
         restricted = pair_singular_symbols(to_classical_density(rho), obs).real
 
-        volumes, fulls, restr = [], [], []
+        volumes, fulls, densities = [], [], []
         for length in (4.0, 8.0, 16.0, 32.0):
             box = Grid.rectangle((-length, length, 97), (0.0, 4.0, 161))
             mm = MomentumMap.translation(box)
             product = singular_symbol(rho, mm, box) * symb_singular(obs, mm, box)
             volumes.append(2.0 * length * 4.0)
             fulls.append(integrate(product).real)
-            restr.append(pair_singular_symbols(to_classical_density(rho), obs).real)
+            densities.append(fulls[-1] / (2.0 * length))
         slope = float(np.polyfit(np.log(volumes), np.log(fulls), 1)[0])
         assert abs(slope - 1.0) < 0.1
-        assert max(abs(r - restricted) for r in restr) < 1e-10
+        # H = p: the full integral is 2L times the momentum-space pairing, and
+        # the box's p nodes are the spectral nodes, so only round-off remains
+        assert max(abs(d - restricted) for d in densities) <= 1e-10 * restricted
         assert fulls[-1] > 5.0 * fulls[0]  # the unrestricted integral keeps growing

@@ -107,8 +107,6 @@ def test_one_hermitian_tolerance(defect, accepted):
     matrix = terms.dense()
     assert np.max(np.abs(matrix)) == pytest.approx(1.0)
     assert np.max(np.abs(matrix - matrix.conj().T)) == pytest.approx(defect, rel=1e-3)
-    assert OperatorKernel((0.0, 1.0, 16), matrix).hermitian is accepted
-    assert Observable(SGRID, np.zeros(16), terms).self_adjoint is accepted
     if accepted:
         make_state(SGRID, np.ones(16), terms)
     else:

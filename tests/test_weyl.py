@@ -19,7 +19,6 @@ from phasedec.weyl import (
     wigner_of_kernel,
     wigner_of_pure_state,
 )
-from phasedec.weyl import _wigner_by_spline
 
 AXIS = (-6.0, 6.0, 193)
 
@@ -50,12 +49,6 @@ def w_excited(excited, grid):
 
 
 class TestKernelTypes:
-    def test_hermitian_detection(self):
-        herm = OperatorKernel.sample(AXIS, lambda q, qp: np.exp(-(q**2) - qp**2))
-        assert herm.hermitian
-        skew = OperatorKernel.sample(AXIS, lambda q, qp: q + 2 * qp + 0j)
-        assert not skew.hermitian
-
     def test_kernel_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             OperatorKernel(AXIS, np.zeros((5, 5)))
@@ -115,8 +108,25 @@ class TestWignerOfKernel:
             wigner_of_kernel(k, 1.0, fast)
 
 
-def _spline_oracle(kernel, grid, hbar=1.0):
-    return _wigner_by_spline(kernel, grid.coordinate(0), grid.coordinate(1), hbar)
+def _trapezoid_oracle(kernel, grid, hbar=1.0):
+    """Row by row: 2 h sum_j w_j K[i - j, i + j] exp(2i p j h / hbar) over |j| <= reach.
+
+    w_j is 1/2 at j = +-reach and 1 inside; a row with reach 0 is zero.
+    """
+    n, h = kernel.axis[2], kernel.spacing
+    nodes = np.rint((grid.coordinate(0) - kernel.axis[0]) / h).astype(int)
+    p = grid.coordinate(1)
+    out = np.zeros(grid.shape, dtype=complex)
+    for row, i in enumerate(nodes):
+        reach = min(i, n - 1 - i)
+        if reach == 0:
+            continue
+        j = np.arange(-reach, reach + 1)
+        weights = np.ones(2 * reach + 1)
+        weights[0] = weights[-1] = 0.5
+        phases = np.exp(2j * np.outer(p, j * h) / hbar)
+        out[row] = 2.0 * h * (phases @ (weights * kernel.values[i - j, i + j]))
+    return out
 
 
 def _random_hermitian_kernel(axis, seed):
@@ -126,12 +136,12 @@ def _random_hermitian_kernel(axis, seed):
 
 
 class TestGatherPath:
-    """On kernel nodes the anti-diagonal gather must reproduce the spline path."""
+    """The anti-diagonal gather must reproduce a direct trapezoid sum per row."""
 
     @staticmethod
     def _assert_matches_oracle(kernel, grid):
         fast = wigner_of_kernel(kernel, 1.0, grid).values
-        oracle = _spline_oracle(kernel, grid)
+        oracle = _trapezoid_oracle(kernel, grid)
         scale = float(np.max(np.abs(oracle)))
         assert float(np.max(np.abs(fast - oracle))) <= 1e-13 * scale
         return fast
@@ -156,17 +166,13 @@ class TestGatherPath:
         k = _random_hermitian_kernel(axis, seed=4)
         self._assert_matches_oracle(k, Grid.rectangle(sub, (-4.0, 4.0, 97)))
 
-    def test_off_node_grid_takes_spline_path(self, ground):
+    def test_off_node_grid_rejected(self, ground):
         # q shifted by a third of a cell, kept inside the kernel range
         h = (AXIS[1] - AXIS[0]) / (AXIS[2] - 1)
         shifted = (AXIS[0] + h / 3.0, AXIS[1] - 2.0 * h / 3.0, AXIS[2] - 1)
-        g = Grid.rectangle(shifted, AXIS)
         k = OperatorKernel.from_wavefunction(ground)
-        symbol = wigner_of_kernel(k, 1.0, g)
-        assert np.array_equal(symbol.values, _spline_oracle(k, g))
-        qm, pm = g.mesh()
-        exact = 2.0 * np.exp(-(qm**2) - pm**2)
-        assert float(np.max(np.abs(symbol.values - exact))) < 1e-5
+        with pytest.raises(ValueError, match="output q values must be kernel q nodes"):
+            wigner_of_kernel(k, 1.0, Grid.rectangle(shifted, AXIS))
 
 
 class TestWignerOfPureState:
