@@ -77,6 +77,19 @@ class TestMakeObservable:
         dense = obs.regular.dense()
         assert np.array_equal(dense, dense.conj().T)
 
+    def test_non_hermitian_terms_are_not_self_adjoint(self, sgrid):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 1, sgrid.omega_count))
+        skewed = CoherenceTerms(sgrid, a, b)
+        # a = b, but c(-d) != conj(c(d))
+        asymmetric = CoherenceTerms(sgrid, a, a, np.exp(-np.linspace(-3.0, 1.0, 161))[None])
+        for regular in (skewed, asymmetric):
+            obs = Observable(sgrid, np.zeros(sgrid.shape), regular)
+            dense = obs.regular.dense()
+            defect = float(np.max(np.abs(dense - dense.conj().T)))
+            assert defect > 1e-3 * float(np.max(np.abs(dense)))
+            assert obs.regular.hermitian_defect_bound() >= defect
+
     @pytest.mark.parametrize(
         "kernel", [lambda w, wp: np.exp(-((w - wp) ** 2)), np.eye(81)], ids=["callable", "array"]
     )
