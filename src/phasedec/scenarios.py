@@ -8,6 +8,7 @@ parameters all have defaults; a config file only overrides what it names.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,9 +133,25 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ValueError(f"option {path + key!r} must be a mapping")
             out[key] = _merge(out[key], value, path=f"{path}{key}.")
+        elif isinstance(out[key], int) and not isinstance(out[key], bool):
+            out[key] = _integer_option(value, path + key)
         else:
             out[key] = value
     return out
+
+
+def _integer_option(value, name: str) -> int:
+    """``value`` as an int, for an option whose default is one.
+
+    A float must be finite and integral (193.0, not 193.7 or 1e400); a bool
+    or a non-number is refused, so nothing is silently truncated.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        if float(value).is_integer():  # False for inf and nan
+            value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"option {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 _KERNEL_FAMILY_DEFAULTS = {
@@ -198,6 +215,14 @@ def _hbar_list(value) -> list[float]:
     return values
 
 
+def _one_hbar(value, name: str = "hbar") -> float:
+    """The single hbar of a scenario that runs one; a longer list is refused."""
+    values = _hbar_list(value)
+    if len(values) > 1:
+        raise ValueError(f"option {name!r} takes one value here, got {len(values)}: {values}")
+    return values[0]
+
+
 def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
     entry = {"passed": bool(passed)}
     entry.update(details)
@@ -237,7 +262,7 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
     h = PhaseFunction.sample(grid, lambda q, p: p**3, "p^3")
     rep = classical_limit_check(f, h, hbars, order=int(opts["truncation_order"]))
 
-    hq = _hbar_list(opts["quadratic_hbar"])[0]
+    hq = _one_hbar(opts["quadratic_hbar"], "quadratic_hbar")
     ham = PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), "H")
     coord_q = PhaseFunction.sample(grid, lambda q, p: q + 0 * p, "q")
     mom_p = PhaseFunction.sample(grid, lambda q, p: p + 0 * q, "p")
@@ -285,7 +310,7 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
-    hbar = _hbar_list(opts["hbar"])[0]
+    hbar = _one_hbar(opts["hbar"])
     ax = opts["axis"]
     axis = (float(ax["lo"]), float(ax["hi"]), int(ax["count"]))
     grid = Grid.rectangle(axis, axis)
@@ -347,7 +372,7 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
-    hbar = _hbar_list(opts["hbar"])[0]
+    hbar = _one_hbar(opts["hbar"])
     sg_opts = opts["spectral_grid"]
     sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
     sp = opts["state_profile"]
@@ -572,7 +597,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
-    hbar = _hbar_list(opts["hbar"])[0]
+    hbar = _one_hbar(opts["hbar"])
     sg_opts = opts["spectral_grid"]
     sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
     diagonal, regular, kernel_meta = _coherence_from_options(opts["kernel"])
@@ -628,7 +653,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
-    hbar = _hbar_list(opts["hbar"])[0]
+    hbar = _one_hbar(opts["hbar"])
     sg_opts = opts["spectral_grid"]
     sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
     n_states = int(opts["n_states"])

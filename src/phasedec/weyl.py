@@ -13,9 +13,14 @@ Conventions, applied everywhere and asserted by tests:
 The oscillatory y-integral is a direct trapezoid sum on the kernel's own
 spacing; callers must keep max|p| * dy / hbar below pi/4 so the phase is
 well sampled, and every output q must be a kernel node (both checked on
-entry). The samples K(q-y, q+y) are then read off the kernel's
-anti-diagonals: one weighted gather of all rows, times one phase table
-shared by every row, in a single matmul.
+entry). With lags y = j*dy, the sum over j = -M..M is folded onto
+j = 0..M: even_j = g_j + g_-j multiplies cos(2 j dy p / hbar) and
+odd_j = i (g_j - g_-j) multiplies sin(2 j dy p / hbar), so every row
+shares one real (M+1) x n_p cos/sin table and the sum is one real matmul.
+A kernel's samples g_j = K(q-y, q+y) and g_-j = K(q+y, q-y) are read off
+its anti-diagonals. A pure state's g_j = psi(q-y) conj(psi(q+y)) is
+formed straight from psi, so the n^2 projector kernel is never built; its
+mirror is g_-j = conj(g_j), so even and odd are real and so is W.
 """
 
 from __future__ import annotations
@@ -139,6 +144,63 @@ def _nyquist_guard(p_max: float, dy: float, hbar: float):
         )
 
 
+def _output_nodes(axis: tuple[float, float, int], hbar: float, out_grid: Grid):
+    """Kernel-node index of every output q, and the output p values.
+
+    Checks hbar, the 2-axis grid, the q range, the phase-step bound and
+    that every output q lies within 1e-9 cells of a node.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    _check_grid_2d(out_grid)
+    q_out = out_grid.coordinate(0)
+    p_out = out_grid.coordinate(1)
+    k_lo, k_hi, n = axis
+    if q_out[0] < k_lo - 1e-12 or q_out[-1] > k_hi + 1e-12:
+        raise ValueError("output q-range must lie inside the kernel q-range")
+    h = (k_hi - k_lo) / (n - 1)
+    _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
+
+    offsets = (q_out - k_lo) / h
+    nodes = np.rint(offsets)
+    if not np.all(np.abs(offsets - nodes) <= 1e-9):
+        raise ValueError("output q values must be kernel q nodes")
+    return nodes.astype(int), p_out
+
+
+def _half_window(n: int, nodes: np.ndarray):
+    """Each row's reach min(i, n-1-i) and the lags j = 0..max reach, as a column."""
+    reach = np.minimum(nodes, n - 1 - nodes)
+    return reach, np.arange(int(reach.max()) + 1)[:, None]
+
+
+def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hbar: float):
+    """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
+
+    ``halves`` is (2, M+1, rows), even over odd lags j = 0..M, and gets the
+    trapezoid weights in place: 1 inside a row's reach, 1/2 at it, 0 past it.
+    The j = 0 lag occurs once in the full sum but twice in even_0, so it takes
+    a further 1/2; a row with reach 0 has no window and is zero. Complex
+    halves are multiplied as their real and imaginary columns; the result is
+    (rows, n_p), or (2 rows, n_p) with real and imaginary rows alternating.
+    """
+    lags = np.arange(halves.shape[1])[:, None]
+    halves *= np.clip(reach + 0.5 - lags, 0.0, 1.0)
+    halves[0, 0] *= 0.5
+    halves[:, :, reach == 0] = 0.0
+    theta = np.outer(lags * h, p_out)
+    theta *= 2.0
+    theta /= hbar
+    table = np.empty((2,) + theta.shape)
+    np.cos(theta, out=table[0])
+    np.sin(theta, out=table[1])
+    del theta
+    both = 2 * len(lags)
+    out = halves.view(float).reshape(both, -1).T @ table.reshape(both, -1)
+    out *= 2.0 * h
+    return out
+
+
 def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> PhaseFunction:
     """Phase-space symbol of an operator kernel.
 
@@ -148,58 +210,78 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
 
     Every output q must lie within 1e-9 cells of a kernel node, or
     ValueError is raised. The integrand is then gathered straight from the
-    kernel's anti-diagonals and all rows share one phase table, so the
-    whole transform is one matmul.
+    kernel's anti-diagonals, folded onto lags j >= 0 as even and odd parts,
+    and summed against one real cos/sin table shared by every row.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    _check_grid_2d(out_grid)
-    q_out = out_grid.coordinate(0)
-    p_out = out_grid.coordinate(1)
-    k_lo, k_hi, _ = kernel.axis
-    if q_out[0] < k_lo - 1e-12 or q_out[-1] > k_hi + 1e-12:
-        raise ValueError("output q-range must lie inside the kernel q-range")
-    h = kernel.spacing
-    _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
-
-    offsets = (q_out - k_lo) / h
-    nodes = np.rint(offsets)
-    if not np.all(np.abs(offsets - nodes) <= 1e-9):
-        raise ValueError("output q values must be kernel q nodes")
-    return PhaseFunction(out_grid, _wigner_on_nodes(kernel, nodes.astype(int), p_out, hbar))
+    nodes, p_out = _output_nodes(kernel.axis, hbar, out_grid)
+    return PhaseFunction(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
 
 
-def _wigner_on_nodes(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at kernel node indices ``nodes``: gather, weight, one matmul.
+def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
+    """Symbol rows at kernel node indices ``nodes``.
 
-    A separate frame, so the gathered samples and the phase table are freed
+    A separate frame, so the gathered lags and the phase table are freed
     before ``PhaseFunction`` copies the result.
     """
     n = kernel.axis[2]
-    h = kernel.spacing
-    reach = np.minimum(nodes, n - 1 - nodes)
-    m = int(reach.max())
-    j = np.arange(-m, m + 1)
-    # K[i - j, i + j] sits at flat index i*(n+1) - j*(n-1); entries past a
-    # row's reach are clipped reads that the zero weight below discards
-    gathered = np.take(kernel.values, nodes[:, None] * (n + 1) - j * (n - 1), mode="clip")
-    # trapezoid weights: 1 inside the reach, 1/2 at its ends, 0 past it
-    gathered[np.abs(j) > reach[:, None]] = 0.0
-    gathered[np.abs(j) == reach[:, None]] *= 0.5
-    gathered[reach == 0] = 0.0
-    phases = np.exp(2j * np.outer(j * h, p_out) / hbar)
-    return 2.0 * h * (gathered @ phases)
+    reach, lags = _half_window(n, nodes)
+    halves = np.empty((2, len(lags), len(nodes)), dtype=complex)
+    # g_j = K[i - j, i + j] sits at flat index i*(n+1) - j*(n-1) and its
+    # mirror g_-j at i*(n+1) + j*(n-1); reads past a row's reach are clipped
+    # and then zero-weighted
+    flat = nodes * (n + 1) - lags * (n - 1)
+    np.take(kernel.values, flat, mode="clip", out=halves[0])
+    flat += 2 * (n - 1) * lags
+    np.take(kernel.values, flat, mode="clip", out=halves[1])
+    del flat
+    halves[0] += halves[1]  # g_j + g_-j
+    halves[1] *= -2.0
+    halves[1] += halves[0]  # g_j - g_-j
+    halves[1] *= 1j
+    folded = _fold(halves, reach, p_out, kernel.spacing, hbar)
+    del halves
+    rows = np.empty((len(nodes), len(p_out)), dtype=complex)
+    rows.real = folded[0::2]
+    rows.imag = folded[1::2]
+    return rows
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:
     """Unit-mass Wigner quasi-density of a pure state.
 
-    Normalizes psi, forms the projector kernel, and rescales the symbol by
-    1/(2 pi hbar) so the result integrates to 1.
+    The symbol of the projector |psi><psi| of the normalized psi, divided
+    by 2 pi hbar so the result integrates to 1. Its lag products
+    psi(q-y) conj(psi(q+y)) are gathered straight from psi, so the n^2
+    projector kernel is never formed, and the result is exactly real.
     """
-    kernel = OperatorKernel.from_wavefunction(psi.normalize())
-    symbol = wigner_of_kernel(kernel, hbar, out_grid)
-    return symbol.with_values(symbol.values / (2.0 * np.pi * hbar))
+    nodes, p_out = _output_nodes(psi.axis, hbar, out_grid)
+    return PhaseFunction(out_grid, _pure_state_rows(psi.normalize(), nodes, p_out, hbar))
+
+
+def _pure_state_rows(psi: WaveFunction, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
+    """Real quasi-density rows at node indices ``nodes``.
+
+    Each buffer is dropped once used, and this frame ends before
+    ``PhaseFunction`` copies the rows: the peak stays near 1.6 times the
+    bytes of the complex result.
+    """
+    reach, lags = _half_window(psi.axis[2], nodes)
+    at = nodes - lags
+    lag_products = np.take(psi.values, at, mode="clip")
+    at += 2 * lags
+    mirror = np.take(psi.values, at, mode="clip")
+    del at
+    np.conjugate(mirror, out=mirror)
+    lag_products *= mirror  # g_j = psi[i - j] conj(psi[i + j])
+    del mirror
+    # the mirror lag is g_-j = conj(g_j), so even_j = 2 Re g_j, odd_j = -2 Im g_j
+    halves = np.empty((2,) + lag_products.shape)
+    np.multiply(lag_products.real, 2.0, out=halves[0])
+    np.multiply(lag_products.imag, -2.0, out=halves[1])
+    del lag_products
+    rows = _fold(halves, reach, p_out, psi.spacing, hbar)
+    rows /= 2.0 * np.pi * hbar
+    return rows
 
 
 def q_marginal(w: PhaseFunction) -> np.ndarray:

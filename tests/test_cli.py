@@ -342,3 +342,61 @@ def test_verbose_flag_logs_progress_to_stderr(tmp_path, capsys):
     assert "INFO phasedec.states: renormalizing state diagonal" in loud_err
     assert "renormalizing" not in loud_out
     assert (quiet / "report.json").read_bytes() == (loud / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["wigner-negativity", "pairing-equivalence", "decoherence-polefree", "limit-positivity"],
+)
+def test_hbar_list_in_single_hbar_scenario_is_validation_error(tmp_path, capsys, scenario):
+    # these scenarios run one hbar; a longer list used to run only its first value
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": scenario, "hbar": [1.0, 0.5]})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "'hbar'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_quadratic_hbar_list_is_validation_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json", {"scenario": "moyal-convergence", "quadratic_hbar": [0.5, 0.25]}
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "'quadratic_hbar'" in capsys.readouterr().err
+
+
+def test_one_element_hbar_list_runs_that_hbar(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": "wigner-negativity", "hbar": [0.5]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["hbar"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"scenario": "wigner-negativity", "axis": {"count": 1e400}}', "axis.count"),
+        ('{"scenario": "wigner-negativity", "axis": {"count": 193.7}}', "axis.count"),
+        ('{"scenario": "limit-positivity", "n_states": true}', "n_states"),
+        ('{"scenario": "decoherence-polefree", "times": {"count": "100"}}', "times.count"),
+    ],
+    ids=["overflowing", "fractional", "bool", "string"],
+)
+def test_non_integer_count_is_validation_error(tmp_path, capsys, text, path):
+    # 1e400 parses to inf, whose int() overflowed into a traceback with exit 1;
+    # 193.7 ran at 193 without a word
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "integer" in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_count_is_accepted(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"count": 129.0}}
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with (out / "wigner_slice.csv").open(newline="") as handle:
+        assert len(list(csv.reader(handle))) == 1 + 129

@@ -5,6 +5,8 @@ hbar = 1 and the first excited state to (2(q^2+p^2)-1) exp(-(q^2+p^2))/pi,
 whose origin value -1/pi is the canonical negativity witness.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,10 +131,21 @@ def _trapezoid_oracle(kernel, grid, hbar=1.0):
     return out
 
 
-def _random_hermitian_kernel(axis, seed):
+def _random_kernel(axis, seed):
     n = axis[2]
-    a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+    return OperatorKernel(axis, np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j])
+
+
+def _random_hermitian_kernel(axis, seed):
+    a = _random_kernel(axis, seed).values
     return OperatorKernel(axis, (a + a.conj().T) / 2.0)
+
+
+def _complex_wavefunction(axis):
+    """Unnormalized, with a momentum kick, so its lag products have imaginary parts."""
+    q = np.linspace(*axis)
+    values = 3.0 * np.exp(-((q - 0.5) ** 2) / 2.0 + 1.3j * q) + 0.4j * np.exp(-((q + 1.0) ** 2))
+    return WaveFunction(axis, values)
 
 
 class TestGatherPath:
@@ -165,6 +178,33 @@ class TestGatherPath:
         sub = (axis[0] + 10 * h, axis[0] + 150 * h, 141)
         k = _random_hermitian_kernel(axis, seed=4)
         self._assert_matches_oracle(k, Grid.rectangle(sub, (-4.0, 4.0, 97)))
+
+    def test_non_hermitian_kernel(self):
+        # even and odd lag parts are both complex here, so the symbol's
+        # imaginary part is as large as its real part
+        axis = (-6.0, 6.0, 193)
+        grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
+        fast = self._assert_matches_oracle(_random_kernel(axis, seed=5), grid)
+        assert float(np.max(np.abs(fast.imag))) > 0.1 * float(np.max(np.abs(fast.real)))
+
+    @pytest.mark.parametrize(
+        "make", [_random_hermitian_kernel, _random_kernel], ids=["hermitian", "non-hermitian"]
+    )
+    def test_long_axis(self, make):
+        # 1537 nodes, every 32nd as an output row: reaches up to 768 lags
+        axis = (-24.0, 24.0, 1537)
+        grid = Grid.rectangle((-24.0, 24.0, 49), (-0.5, 4.5, 641))
+        self._assert_matches_oracle(make(axis, seed=6), grid)
+
+    def test_pure_state_matches_its_projector_kernel(self):
+        psi = _complex_wavefunction(AXIS)
+        hbar = 0.7
+        grid = Grid.rectangle((AXIS[0] + 1.0, AXIS[1] - 2.0, 145), (-3.0, 3.0, 121))
+        w = wigner_of_pure_state(psi, hbar, grid).values
+        kernel = OperatorKernel.from_wavefunction(psi.normalize())
+        expected = wigner_of_kernel(kernel, hbar, grid).values / (2.0 * np.pi * hbar)
+        assert float(np.max(np.abs(w - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+        assert np.all(w.imag == 0.0)
 
     def test_off_node_grid_rejected(self, ground):
         # q shifted by a third of a cell, kept inside the kernel range
@@ -206,6 +246,19 @@ class TestWignerOfPureState:
         shifted = w1.values[rows, :]
         base = w0.values[rows - shift_cells, :]
         assert float(np.max(np.abs(shifted - base))) < 1e-8
+
+    def test_peak_memory_stays_near_output_size(self):
+        # lag products come straight from psi: no 385 x 385 projector kernel
+        axis = (-6.0, 6.0, 385)
+        psi = oscillator_state(axis, 1)
+        grid = Grid.rectangle(axis, axis)
+        tracemalloc.start()
+        try:
+            w = wigner_of_pure_state(psi, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * w.values.nbytes
 
     def test_excited_minimum_is_negative(self, w_excited):
         assert float(w_excited.values.real.min()) < 0
