@@ -3,7 +3,7 @@
 Evolution multiplies the regular coefficients by exp(i (omega - omega') t
 / hbar); the singular term never moves. For smooth absolutely-integrable
 regular kernels the oscillatory sum dies out (Riemann-Lebesgue), leaving
-the momentum-space pairing of the diagonal as the weak limit. Residual
+the energy-label pairing of the diagonal as the weak limit. Residual
 decay is classified empirically by competing exponential and power-law
 fits; for a Lorentzian coherence kernel of half-width gamma the fitted
 rate is gamma / hbar, the inverse-pole-distance law.
@@ -122,17 +122,13 @@ def evolve_pairing(rho: State, obs: Observable, t: float, hbar: float) -> comple
 
     omega = grid.omega
     phase = np.exp(1j * (omega[:, None] - omega[None, :]) * t / hbar)
-    # (omega, momenta, omega', momenta') blocks; obs is read transposed
-    n_omega = grid.omega_count
-    blocks = (n_omega, grid.n_points // n_omega) * 2
-    rho_blocks = rho.regular.dense().reshape(blocks)
-    obs_swapped = obs.regular.dense().reshape(blocks).transpose(2, 3, 0, 1)
-    regular_term = np.sum(rho_blocks * obs_swapped * phase[:, None, :, None]) * cell**2
+    # rho(w, w') obs(w', w): obs is read transposed
+    regular_term = np.sum(rho.regular.dense() * obs.regular.dense().T * phase) * cell**2
     return complex(singular_term + regular_term)
 
 
 def limit_pairing(rho: State, obs: Observable) -> float:
-    """Weak limit of the evolved pairing: the momentum-space diagonal term."""
+    """Weak limit of the evolved pairing: the energy-label diagonal term."""
     if rho.grid != obs.grid:
         raise ValueError("state and observable live on different spectral grids")
     return complex(pair_singular_symbols(to_classical_density(rho), obs)).real
@@ -236,7 +232,7 @@ def fit_decay(traj: Trajectory) -> DecayReport:
 
 
 def verify_final_positivity(rho: State) -> PositivityReport:
-    """Check the decohered density is nonnegative over the (H, P) grid."""
+    """Check the decohered density is nonnegative over the H grid."""
     density = to_classical_density(rho)
     min_value = float(density.values.min())
     return PositivityReport(min_value=min_value, passed=min_value >= -POSITIVITY_TOL)

@@ -1,6 +1,6 @@
 """Built-in spectral kernel families for states and observables.
 
-Profiles are plain callables of the label mesh. The regular-kernel
+Profiles are plain callables of the omega nodes. The regular-kernel
 factories return a :class:`CoherenceKernel`: one term
 profile(w) conj(profile(w')) symbol(w - w'), which ``make_state`` and
 ``make_observable`` sample as :class:`~phasedec.spectral.CoherenceTerms`
@@ -32,10 +32,10 @@ __all__ = [
 
 
 class CoherenceKernel:
-    """One kernel term profile(x) conj(profile(x')) symbol(x - x'), described, not sampled.
+    """One kernel term profile(w) conj(profile(w')) symbol(w - w'), described, not sampled.
 
-    ``profile`` takes the label meshes (omega, p_1, ...) and ``symbol`` the
-    offset meshes (nu, pi_1, ...); ``symbol`` None means 1. Consumers read
+    ``profile`` takes the omega nodes and ``symbol`` the offsets
+    nu = omega - omega'; ``symbol`` None means 1. Consumers read
     the two attributes only, so a copy of the instance ``__dict__`` (as
     ``functools.wraps`` makes) describes the same kernel.
     """

@@ -131,10 +131,6 @@ class PhaseFunction:
         """Sample ``fn(*mesh)`` on the grid; fn gets one array per axis."""
         return cls(grid, np.broadcast_to(fn(*grid.mesh()), grid.shape), label)
 
-    @classmethod
-    def zeros(cls, grid: Grid, label: str = "") -> "PhaseFunction":
-        return cls(grid, np.zeros(grid.shape, dtype=complex), label)
-
     def with_values(self, values: np.ndarray, label: str | None = None) -> "PhaseFunction":
         return PhaseFunction(self.grid, values, self.label if label is None else label)
 
@@ -157,9 +153,6 @@ class PhaseFunction:
         return self.with_values(self.values * self._operand(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
 
 def _require_same_grid(f: PhaseFunction, g: PhaseFunction):

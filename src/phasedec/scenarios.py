@@ -8,6 +8,7 @@ parameters all have defaults; a config file only overrides what it names.
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -135,6 +136,9 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
             out[key] = _merge(out[key], value, path=f"{path}{key}.")
         elif isinstance(out[key], int) and not isinstance(out[key], bool):
             out[key] = _integer_option(value, path + key)
+        elif isinstance(out[key], float) and key not in ("hbar", "quadratic_hbar"):
+            # hbar options also take lists; _hbar_list checks them
+            out[key] = _float_option(value, path + key)
         else:
             out[key] = value
     return out
@@ -152,6 +156,22 @@ def _integer_option(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"option {name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _float_option(value, name: str) -> float:
+    """``value`` as a float, for an option whose default is one.
+
+    It must be a finite real number: a bool, a string, nan, inf or an
+    integer too large for a float (1e400 in JSON parses to inf) is refused.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"option {name!r} must be a finite number, got {value!r}")
 
 
 _KERNEL_FAMILY_DEFAULTS = {
@@ -183,7 +203,8 @@ def _coherence_from_options(kernel_opts: dict):
             continue
         if key not in opts:
             raise ValueError(f"kernel family {family!r} has no parameter {key!r}")
-        opts[key] = value
+        is_float = isinstance(opts[key], float)
+        opts[key] = _float_option(value, f"kernel.{key}") if is_float else value
 
     if family == "lorentzian":
         profile = kernels.gaussian_profile(float(opts["center"]), float(opts["width"]))

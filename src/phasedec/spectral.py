@@ -1,16 +1,15 @@
-"""Spectral (omega, p) representation: singular + regular observable kernels.
+"""Spectral (omega) representation: singular + regular observable kernels.
 
 An observable is a pair of kernels on a truncated continuous-spectrum
-grid: a singular part O(omega, p) diagonal in the energy labels, and a
-regular part O(omega, omega', p, p') on the grid squared. Dirac deltas in
-the labels discretize to (1/cell) Kronecker indicators, which keeps the
-basis duality exact at the discrete level.
+grid of the energy label omega: a singular part O(omega), diagonal in the
+label, and a regular part O(omega, omega') on the grid squared. Dirac
+deltas in the label discretize to (1/cell) Kronecker indicators, which
+keeps the basis duality exact at the discrete level.
 
-Array layout: singular kernels have one axis per label (omega first, then
-the N-1 momentum axes). A regular kernel is never stored as an array: it
-is a :class:`CoherenceTerms`, a short sum of terms
-a_k(x) conj(b_k(x')) c_k(x - x') with x = (omega, p_1, ...). ``a`` and
-``b`` live on the label grid and ``c`` on the grid of label offsets, so
+Array layout: a singular kernel is one array over omega. A regular kernel
+is never stored as an array: it is a :class:`CoherenceTerms`, a short sum
+of terms a_k(omega) conj(b_k(omega')) c_k(omega - omega'). ``a`` and ``b``
+live on the n grid nodes and ``c`` on the 2n - 1 node offsets, so
 building and checking a kernel costs O(k n), and pairing k state terms
 with l observable terms O(k l n log n), instead of O(n^2). Any hermitian
 kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
@@ -46,30 +45,18 @@ MIN_SPECTRAL_COUNT = 16
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform grid over the CSCO labels: omega in [0, omega_max] plus N-1 momentum axes."""
+    """Uniform grid over the energy label: omega in [0, omega_max] at ``omega_count`` nodes."""
 
     omega_max: float
     omega_count: int
-    momentum_axes: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
         if self.omega_max <= 0:
             raise ValueError("omega_max must be positive")
         if self.omega_count < MIN_SPECTRAL_COUNT:
             raise ValueError(f"omega count must be >= {MIN_SPECTRAL_COUNT}")
-        axes = tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.momentum_axes)
-        for lo, hi, n in axes:
-            if not hi > lo:
-                raise ValueError("momentum axis range must satisfy max > min")
-            if n < MIN_SPECTRAL_COUNT:
-                raise ValueError(f"momentum axis count must be >= {MIN_SPECTRAL_COUNT}")
-        object.__setattr__(self, "momentum_axes", axes)
         object.__setattr__(self, "omega_max", float(self.omega_max))
         object.__setattr__(self, "omega_count", int(self.omega_count))
-
-    @property
-    def n_dof(self) -> int:
-        return 1 + len(self.momentum_axes)
 
     @property
     def omega(self) -> np.ndarray:
@@ -80,25 +67,27 @@ class SpectralGrid:
         return self.omega_max / (self.omega_count - 1)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.omega_count,) + tuple(n for _, _, n in self.momentum_axes)
+    def nu(self) -> np.ndarray:
+        """Label offsets omega - omega' at d = -(n-1)..(n-1) steps, index d + n - 1."""
+        n = self.omega_count
+        return np.arange(1 - n, n) * self.d_omega
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.omega_count,)
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.shape))
+        return self.omega_count
 
     @property
-    def offset_shape(self) -> tuple[int, ...]:
-        """Label offsets x - x' run over -(n-1)..(n-1) on every axis, index d + n - 1."""
-        return tuple(2 * n - 1 for n in self.shape)
+    def offset_shape(self) -> tuple[int]:
+        return (2 * self.omega_count - 1,)
 
     @property
     def cell(self) -> float:
-        """Discrete measure d_omega * prod(d_p) of one grid cell."""
-        out = self.d_omega
-        for lo, hi, n in self.momentum_axes:
-            out *= (hi - lo) / (n - 1)
-        return out
+        """Discrete measure d_omega of one grid cell."""
+        return self.d_omega
 
     def recurrence_time(self, hbar: float) -> float:
         """Period 2 pi hbar / d_omega of every evolved pairing on this uniform grid.
@@ -108,34 +97,14 @@ class SpectralGrid:
         """
         return 2.0 * np.pi * hbar / self.d_omega
 
-    def coordinates(self) -> list[np.ndarray]:
-        coords = [self.omega]
-        coords.extend(np.linspace(lo, hi, n) for lo, hi, n in self.momentum_axes)
-        return coords
-
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.coordinates(), indexing="ij"))
-
-    def offset_meshes(self) -> tuple[np.ndarray, ...]:
-        """Full meshes of the label differences (nu, pi_1, ...), shaped ``offset_shape``."""
-        steps = [self.d_omega] + [(hi - lo) / (n - 1) for lo, hi, n in self.momentum_axes]
-        axes = [np.arange(1 - n, n) * step for n, step in zip(self.shape, steps)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
-
-def _node(index) -> tuple[int, ...]:
-    """A grid node as an index tuple; a bare integer names an omega node."""
-    return (index,) if np.isscalar(index) else tuple(index)
-
 
 @dataclass(frozen=True, eq=False)
 class CoherenceTerms:
-    """Regular kernel K(x, x') = sum_k a_k(x) conj(b_k(x')) c_k(x - x') on a spectral grid.
+    """Regular kernel K(w, w') = sum_k a_k(w) conj(b_k(w')) c_k(w - w') on a spectral grid.
 
-    x runs over the labels (omega, p_1, ...). ``a`` and ``b`` have shape
-    ``(k, *grid.shape)`` and ``c`` has shape ``(k, *grid.offset_shape)``:
-    ``c[k][d + n - 1]`` holds the factor at label offset d on each axis.
-    ``c`` None means c = 1. With k = 0 the kernel is zero.
+    ``a`` and ``b`` have shape ``(k, n)`` and ``c`` has shape ``(k, 2n - 1)``:
+    ``c[k, d + n - 1]`` holds the factor at node offset d. ``c`` None
+    means c = 1. With k = 0 the kernel is zero.
     """
 
     grid: SpectralGrid
@@ -153,15 +122,13 @@ class CoherenceTerms:
         object.__setattr__(self, "c", _frozen(c, complex, offsets, "term offset symbols c"))
 
     def dense(self) -> np.ndarray:
-        """The full ``grid.shape * 2`` kernel array: O(k n^2), for test oracles only."""
-        shape = self.grid.shape
-        ndim = len(shape)
-        rows = np.ix_(*(np.arange(n) for n in shape * 2))
-        offset = tuple(rows[m] - rows[ndim + m] + n - 1 for m, n in enumerate(shape))
-        out = np.zeros(shape * 2, dtype=complex)
+        """The full ``(n, n)`` kernel array: O(k n^2), for test oracles only."""
+        n = self.grid.omega_count
+        nodes = np.arange(n)
+        offset = nodes[:, None] - nodes[None, :] + n - 1
+        out = np.zeros((n, n), dtype=complex)
         for a, b, c in zip(self.a, self.b, self.c):
-            rows_a = a.reshape(shape + (1,) * ndim)
-            out += rows_a * b.conj().reshape((1,) * ndim + shape) * c[offset]
+            out += a[:, None] * b.conj()[None, :] * c[offset]
         return out
 
     def hermitian_defect_bound(self) -> float:
@@ -175,13 +142,12 @@ class CoherenceTerms:
         zero for a = lam b with c = c~; a hermitian sum of non-hermitian
         terms is not recognised.
         """
-        flip = (slice(None, None, -1),) * len(self.grid.shape)
         bound = 0.0
         for a, b, c in zip(self.a, self.b, self.c):
             norm = float(np.vdot(b, b).real)
             lam = float(np.vdot(b, a).real) / norm if norm > 0.0 else 0.0
             peak_b = float(np.max(np.abs(b)))
-            skew = float(np.max(np.abs(c - c[flip].conj())))
+            skew = float(np.max(np.abs(c - c[::-1].conj())))
             spread = float(np.max(np.abs(a - lam * b)))
             bound += abs(lam) * peak_b**2 * skew + 2.0 * spread * peak_b * float(np.max(np.abs(c)))
         return bound
@@ -190,16 +156,12 @@ class CoherenceTerms:
         """A lower bound on max|K|: |K| on the diagonal and at each term's argmax|a|, argmax|b|."""
         if len(self.a) == 0:
             return 0.0
-        shape = self.grid.shape
-        centre = (slice(None),) + tuple(n - 1 for n in shape)
-        diagonal = np.einsum("k...,k...,k->...", self.a, self.b.conj(), self.c[centre])
+        n = self.grid.omega_count
+        diagonal = np.einsum("kw,kw,k->w", self.a, self.b.conj(), self.c[:, n - 1])
         floor = float(np.max(np.abs(diagonal)))
         for a, b in zip(self.a, self.b):
-            x = np.unravel_index(np.argmax(np.abs(a)), shape)
-            xp = np.unravel_index(np.argmax(np.abs(b)), shape)
-            offset = tuple(i - j + n - 1 for i, j, n in zip(x, xp, shape))
-            entry = np.sum(self.a[(slice(None),) + x] * self.b[(slice(None),) + xp].conj()
-                           * self.c[(slice(None),) + offset])
+            w, wp = np.argmax(np.abs(a)), np.argmax(np.abs(b))
+            entry = np.sum(self.a[:, w] * self.b[:, wp].conj() * self.c[:, w - wp + n - 1])
             floor = max(floor, float(abs(entry)))
         return floor
 
@@ -209,9 +171,9 @@ def _regular_terms(grid: SpectralGrid, kernel) -> CoherenceTerms:
 
     A factory result is read only through its ``profile`` and ``symbol``
     attributes, so a wrapped copy of it works as well as the original. It
-    becomes one term profile(x) conj(profile(x')) symbol(x - x'), with the
-    profile sampled on the label meshes (omega, p_1, ...) and the symbol
-    on the offset meshes (nu, pi_1, ...); a None symbol means 1.
+    becomes one term profile(w) conj(profile(w')) symbol(w - w'), with the
+    profile sampled on ``grid.omega`` and the symbol on the offsets
+    ``grid.nu``; a None symbol means 1.
     """
     if kernel is None:
         empty = np.zeros((0,) + grid.shape)
@@ -226,18 +188,18 @@ def _regular_terms(grid: SpectralGrid, kernel) -> CoherenceTerms:
             "a regular kernel is None, CoherenceTerms or a phasedec.kernels factory result; "
             "opaque callables and arrays are not accepted"
         )
-    a = np.broadcast_to(profile(*grid.meshes()), grid.shape)[None]
+    a = np.broadcast_to(profile(grid.omega), grid.shape)[None]
     symbol = getattr(kernel, "symbol", None)
     if symbol is not None:
-        symbol = np.broadcast_to(symbol(*grid.offset_meshes()), grid.offset_shape)[None]
+        symbol = np.broadcast_to(symbol(grid.nu), grid.offset_shape)[None]
     return CoherenceTerms(grid, a, a, symbol)
 
 
 def _fast_len(n: int) -> int:
     """Smallest 11-smooth integer >= n: a length whose prime factors are all <= 11.
 
-    pocketfft transforms such lengths fastest; scipy.fft.next_fast_len
-    returns the same value for complex transforms.
+    pocketfft transforms such lengths fastest; the tests check the value
+    against the fast complex-transform lengths of a reference FFT library.
     """
     while True:
         m = n
@@ -253,37 +215,33 @@ def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
     """Regular pairing weights w_d grouped by the frequency offset d = omega - omega'.
 
     Returns w[d + n-1] for d in -(n-1)..(n-1), with
-    w_d = cell^2 sum over (x, x') with omega offset d of rho(x, x') obs(x', x),
+    w_d = cell^2 sum over (w, w') with offset d of rho(w, w') obs(w', w),
     so the regular pairing is sum_d w_d and its evolution
     sum_d w_d exp(i d d_omega t / hbar). For a state term (a, b, c) and an
-    observable term (A, B, C), rho(x, x') obs(x', x) = u(x) v(x') c(D) C(-D)
-    with u = a conj(B), v = conj(b) A and D = x - x'; the sum over x of
-    u(x) v(x - D) is one n-D cross-correlation, done by FFT over every
-    label axis, and the momentum offsets are summed out at the end.
-    Costs O(k l n log n) for k and l terms.
+    observable term (A, B, C), rho(w, w') obs(w', w) = u(w) v(w') c(d) C(-d)
+    with u = a conj(B) and v = conj(b) A; the sum over w of u(w) v(w - d)
+    is one cross-correlation, done by FFT. Costs O(k l n log n) for k and
+    l terms.
     """
     grid = rho.grid
-    shape, offsets = grid.shape, grid.offset_shape
+    offsets = 2 * grid.omega_count - 1
     k, l = len(rho.a), len(obs.a)
     if k == 0 or l == 0:
-        return np.zeros(offsets[0], dtype=complex)
-    axes = tuple(range(1, len(shape) + 1))
-    flip = (slice(None),) + (slice(None, None, -1),) * len(shape)
-    u = (rho.a[:, None] * obs.b[None].conj()).reshape((k * l,) + shape)
-    v = (rho.b[:, None].conj() * obs.a[None]).reshape((k * l,) + shape)
-    # sum_x u(x) v(x - D) is the full convolution of u with v reversed, at D + n - 1
-    size = [_fast_len(m) for m in offsets]
-    spectrum = fft.fftn(u, size, axes=axes) * fft.fftn(v[flip], size, axes=axes)
-    window = (slice(None),) + tuple(slice(0, m) for m in offsets)
-    corr = fft.ifftn(spectrum, axes=axes)[window].reshape((k, l) + offsets)
-    # obs.c reversed on every axis holds C(-D) at the slot of D
-    weights = (rho.c[:, None] * obs.c[flip][None] * corr).sum(axis=(0, 1))
-    return weights.reshape(offsets[0], -1).sum(axis=1) * grid.cell**2
+        return np.zeros(offsets, dtype=complex)
+    u = (rho.a[:, None] * obs.b[None].conj()).reshape(k * l, -1)
+    v = (rho.b[:, None].conj() * obs.a[None]).reshape(k * l, -1)
+    # sum_w u(w) v(w - d) is the full convolution of u with v reversed, at d + n - 1
+    size = _fast_len(offsets)
+    spectrum = fft.fft(u, size, axis=1) * fft.fft(v[:, ::-1], size, axis=1)
+    corr = fft.ifft(spectrum, axis=1)[:, :offsets].reshape(k, l, offsets)
+    # obs.c reversed holds C(-d) at the slot of d
+    weights = (rho.c[:, None] * obs.c[:, ::-1][None] * corr).sum(axis=(0, 1))
+    return weights * grid.cell**2
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Singular kernel O(omega, p) plus regular kernel terms O(omega, omega', p, p')."""
+    """Singular kernel O(omega) plus regular kernel terms O(omega, omega')."""
 
     grid: SpectralGrid
     singular: np.ndarray
@@ -298,15 +256,15 @@ class Observable:
 def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Observable:
     """Sample an observable on the spectral grid.
 
-    ``singular_fn`` is a callable on the full label meshes (omega, p_1,
-    ...) or an array of samples. ``regular_fn`` is None, a
-    :class:`CoherenceTerms`, or a :mod:`phasedec.kernels` factory result
-    (read through its ``profile`` and ``symbol`` attributes).
+    ``singular_fn`` is a callable of the omega nodes or an array of
+    samples. ``regular_fn`` is None, a :class:`CoherenceTerms`, or a
+    :mod:`phasedec.kernels` factory result (read through its ``profile``
+    and ``symbol`` attributes).
     """
     if singular_fn is None:
         singular = np.zeros(grid.shape, dtype=complex)
     elif callable(singular_fn):
-        singular = np.broadcast_to(singular_fn(*grid.meshes()), grid.shape)
+        singular = np.broadcast_to(singular_fn(grid.omega), grid.shape)
     else:
         singular = np.asarray(singular_fn, dtype=complex)
     return Observable(grid, singular, regular_fn)
@@ -314,24 +272,13 @@ def make_observable(grid: SpectralGrid, singular_fn=None, regular_fn=None) -> Ob
 
 @dataclass(frozen=True)
 class MomentumMap:
-    """Classical realization H(phi), P_i(phi) of the CSCO on a phase-space grid."""
+    """Classical realization H(phi) of the energy label on a phase-space grid."""
 
     hamiltonian: PhaseFunction
-    momenta: tuple[PhaseFunction, ...] = ()
-
-    def __post_init__(self):
-        for p in self.momenta:
-            if p.grid != self.hamiltonian.grid:
-                raise ValueError("all momentum-map functions must share one grid")
-        object.__setattr__(self, "momenta", tuple(self.momenta))
 
     @property
     def grid(self) -> Grid:
         return self.hamiltonian.grid
-
-    @property
-    def n_dof(self) -> int:
-        return 1 + len(self.momenta)
 
     @classmethod
     def harmonic(cls, grid: Grid) -> "MomentumMap":
@@ -351,76 +298,56 @@ class MomentumMap:
 def _compose_on_phase_space(
     table: np.ndarray, grid: SpectralGrid, momentum_map: MomentumMap, label: str = ""
 ) -> PhaseFunction:
-    """Evaluate table(H(phi), P(phi)) by multilinear interpolation.
+    """Evaluate table(H(phi)) by linear interpolation along omega.
 
     Range excursions beyond the spectral grid raise; values are never
     clamped or extrapolated.
     """
-    if momentum_map.n_dof != grid.n_dof:
-        raise ValueError(
-            f"momentum map supplies {momentum_map.n_dof} labels, grid has {grid.n_dof}"
-        )
-    coords = grid.coordinates()
-    fields = [momentum_map.hamiltonian.values.real] + [
-        p.values.real for p in momentum_map.momenta
-    ]
+    omega = grid.omega
+    field = momentum_map.hamiltonian.values.real
+    lo, hi = omega[0], omega[-1]
+    span = hi - lo
     eps = 1e-9
-    for axis_values, field, name in zip(
-        coords, fields, ["H"] + [f"P_{i}" for i in range(len(momentum_map.momenta))]
-    ):
-        lo, hi = axis_values[0], axis_values[-1]
-        span = hi - lo
-        if field.min() < lo - eps * span or field.max() > hi + eps * span:
-            raise ValueError(
-                f"{name}(phi) range [{field.min():.4g}, {field.max():.4g}] leaves the "
-                f"spectral axis [{lo:.4g}, {hi:.4g}]"
-            )
-    table = np.asarray(table)
-    if grid.n_dof == 1:
-        values = np.interp(fields[0], coords[0], table.real).astype(complex)
-        if np.iscomplexobj(table):
-            values += 1j * np.interp(fields[0], coords[0], table.imag)
-    else:
-        from scipy.interpolate import RegularGridInterpolator
-
-        interp = RegularGridInterpolator(
-            coords, np.asarray(table), method="linear", bounds_error=False, fill_value=None
+    if field.min() < lo - eps * span or field.max() > hi + eps * span:
+        raise ValueError(
+            f"H(phi) range [{field.min():.4g}, {field.max():.4g}] leaves the "
+            f"spectral axis [{lo:.4g}, {hi:.4g}]"
         )
-        points = np.stack([f.ravel() for f in fields], axis=-1)
-        values = interp(points).reshape(momentum_map.grid.shape)
+    table = np.asarray(table)
+    values = np.interp(field, omega, table.real).astype(complex)
+    if np.iscomplexobj(table):
+        values += 1j * np.interp(field, omega, table.imag)
     return PhaseFunction(momentum_map.grid, values, label=label)
 
 
 def symb_singular(obs: Observable, momentum_map: MomentumMap, out_grid: Grid) -> PhaseFunction:
-    """Phase-space symbol of the singular part: O(H(phi), P(phi)).
+    """Phase-space symbol of the singular part: O(H(phi)).
 
-    The regular part is ignored; the map's functions must live on
-    ``out_grid`` and stay inside the spectral ranges.
+    The regular part is ignored; the map's Hamiltonian must live on
+    ``out_grid`` and stay inside the spectral range.
     """
     if momentum_map.grid != out_grid:
         raise ValueError("momentum map must be sampled on the output grid")
     return _compose_on_phase_space(obs.singular, obs.grid, momentum_map, label="O_S")
 
 
-def singular_basis_observable(grid: SpectralGrid, index: tuple[int, ...] | int) -> Observable:
+def singular_basis_observable(grid: SpectralGrid, index: int) -> Observable:
     """Discrete delta-column: indicator / cell at one node, regular part zero."""
     singular = np.zeros(grid.shape, dtype=complex)
-    singular[_node(index)] = 1.0 / grid.cell
+    singular[index] = 1.0 / grid.cell
     return Observable(grid, singular)
 
 
-def _delta_term(grid: SpectralGrid, row, col, value: float) -> CoherenceTerms:
+def _delta_term(grid: SpectralGrid, row: int, col: int, value: float) -> CoherenceTerms:
     """One term that is ``value`` at (row, col) of the regular kernel and zero elsewhere."""
     a = np.zeros((1,) + grid.shape)
     b = np.zeros((1,) + grid.shape)
-    a[(0,) + _node(row)] = value
-    b[(0,) + _node(col)] = 1.0
+    a[0, row] = value
+    b[0, col] = 1.0
     return CoherenceTerms(grid, a, b)
 
 
-def regular_basis_observable(
-    grid: SpectralGrid, row: tuple[int, ...] | int, col: tuple[int, ...] | int
-) -> Observable:
+def regular_basis_observable(grid: SpectralGrid, row: int, col: int) -> Observable:
     """Discrete delta at one (row, col) pair of the regular kernel."""
     regular = _delta_term(grid, row, col, 1.0 / grid.cell**2)
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
@@ -440,8 +367,6 @@ def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: 
     Uses generalized eigenfunctions u_w(q) = exp(i w q / hbar) / sqrt(2 pi hbar)
     of the momentum operator, so psi(q) = integral c(w) u_w(q) dw.
     """
-    if grid.momentum_axes:
-        raise ValueError("plane-wave synthesis is provided for N = 1 spectral grids")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -461,8 +386,6 @@ def synthesize_kernel(
     exp(i (w q - w' q') / hbar) dw dw'. Builds the dense (n, n) spectral
     kernel; the plane-wave products cost O(n^2 n_q) with or without it.
     """
-    if grid.momentum_axes:
-        raise ValueError("plane-wave synthesis is provided for N = 1 spectral grids")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     if regular.grid != grid:

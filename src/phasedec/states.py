@@ -1,16 +1,16 @@
 """State functionals over the singular + regular observable algebra.
 
 A state is a pair of coefficient kernels on a spectral grid: a real
-diagonal rho(omega, p) carrying probabilities (nonnegative, unit discrete
-mass) and a hermitian regular kernel rho(omega, omega', p, p'), held as
+diagonal rho(omega) carrying probabilities (nonnegative, unit discrete
+mass) and a hermitian regular kernel rho(omega, omega'), held as
 :class:`~phasedec.spectral.CoherenceTerms` (a short sum of terms
-a(x) conj(b(x')) c(x - x'), never a dense array). Admissibility is
+a(w) conj(b(w')) c(w - w'), never a dense array). Admissibility is
 enforced by :func:`make_state`; the dataclass itself is a plain value
 holder so basis functionals and test fixtures can be built directly.
 
 Two pairing prescriptions coexist on purpose. Regular pairings integrate
 over all of phase space (or equivalently sum both spectral kernels);
-singular pairings integrate over the (H, P) momentum space only. The
+singular pairings integrate over the energy label H only. The
 full-phase-space integral of a singular (x) singular pairing grows with
 the volume of the conjugate coordinates and has no finite limit, which is
 exactly why the restricted prescription exists.
@@ -32,7 +32,6 @@ from .spectral import (
     _coherence_weights,
     _compose_on_phase_space,
     _delta_term,
-    _node,
     _regular_terms,
 )
 
@@ -85,7 +84,7 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalDensity:
-    """Nonnegative unit-mass density over the (H, P) momentum space."""
+    """Nonnegative unit-mass density over the energy label H."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -93,25 +92,21 @@ class ClassicalDensity:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, float, self.grid.shape, "density"))
 
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.grid.cell)
-
 
 def _sample_diagonal(grid: SpectralGrid, diagonal_fn) -> np.ndarray:
     if callable(diagonal_fn):
-        return np.array(np.broadcast_to(diagonal_fn(*grid.meshes()), grid.shape), dtype=float)
+        return np.array(np.broadcast_to(diagonal_fn(grid.omega), grid.shape), dtype=float)
     return np.asarray(diagonal_fn, dtype=float).copy()
 
 
 def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
     """Build an admissible state, renormalizing the diagonal to unit mass.
 
-    ``diagonal_fn`` receives the full label meshes (omega, p_1, ...), or is
-    an array of samples. ``regular_fn`` is None, a :class:`CoherenceTerms`,
-    or a :mod:`phasedec.kernels` factory result (read through its
-    ``profile`` and ``symbol`` attributes); callables of (w, w') and dense
-    arrays are not accepted.
+    ``diagonal_fn`` receives the omega nodes, or is an array of samples.
+    ``regular_fn`` is None, a :class:`CoherenceTerms`, or a
+    :mod:`phasedec.kernels` factory result (read through its ``profile``
+    and ``symbol`` attributes); callables of (w, w') and dense arrays are
+    not accepted.
 
     Rejects negative diagonal samples and regular kernels that the
     hermitian rule cannot certify: an upper bound on max|K - K^H| must stay
@@ -161,31 +156,23 @@ def random_admissible_state(grid: SpectralGrid, rng: np.random.Generator) -> Sta
     The regular kernel is sum_k lam_k v_k v_k^H with ``RANDOM_STATE_RANK``
     terms (a = lam v, b = v, c = 1).
     """
-    coords = grid.coordinates()
+    omega = grid.omega
+    lo, hi = omega[0], omega[-1]
     diagonal = np.zeros(grid.shape)
-    meshes = grid.meshes()
     n_bumps = int(rng.integers(2, 5))
     for _ in range(n_bumps):
         weight = float(rng.uniform(0.2, 1.0))
-        bump = np.ones(grid.shape)
-        for axis_values, mesh in zip(coords, meshes):
-            lo, hi = axis_values[0], axis_values[-1]
-            center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-            width = rng.uniform(0.05, 0.15) * (hi - lo)
-            bump = bump * np.exp(-((mesh - center) ** 2) / (2.0 * width**2))
-        diagonal += weight * bump
+        center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        width = rng.uniform(0.05, 0.15) * (hi - lo)
+        diagonal += weight * np.exp(-((omega - center) ** 2) / (2.0 * width**2))
 
     vectors = np.empty((RANDOM_STATE_RANK,) + grid.shape, dtype=complex)
-    weights = np.empty((RANDOM_STATE_RANK,) + (1,) * len(grid.shape))
+    weights = np.empty((RANDOM_STATE_RANK, 1))
     for k in range(RANDOM_STATE_RANK):
-        vec = np.ones(grid.shape, dtype=complex)
-        for axis_values, mesh in zip(coords, meshes):
-            lo, hi = axis_values[0], axis_values[-1]
-            center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-            width = rng.uniform(0.08, 0.2) * (hi - lo)
-            phase = rng.uniform(0.0, 4.0) / (hi - lo)
-            vec = vec * np.exp(-((mesh - center) ** 2) / (2.0 * width**2) + 1j * phase * mesh)
-        vectors[k] = vec
+        center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        width = rng.uniform(0.08, 0.2) * (hi - lo)
+        phase = rng.uniform(0.0, 4.0) / (hi - lo)
+        vectors[k] = np.exp(-((omega - center) ** 2) / (2.0 * width**2) + 1j * phase * omega)
         weights[k] = rng.uniform(0.1, 0.5)
     return make_state(grid, diagonal, CoherenceTerms(grid, weights * vectors, vectors))
 
@@ -219,7 +206,7 @@ def pair_regular_symbols(rho_symbol: PhaseFunction, obs_symbol: PhaseFunction) -
 
 
 def pair_singular_symbols(rho_s: ClassicalDensity, obs: Observable) -> complex:
-    """Momentum-space-only pairing: sum over (H, P) with the cell measure.
+    """Energy-label-only pairing: sum over H with the cell measure.
 
     Never integrates over the conjugate coordinates; the full 2N-volume
     integral of two singular symbols diverges with the box size.
@@ -229,32 +216,32 @@ def pair_singular_symbols(rho_s: ClassicalDensity, obs: Observable) -> complex:
 
 
 def singular_symbol(rho: State, momentum_map: MomentumMap, out_grid: Grid) -> PhaseFunction:
-    """rho(H(phi), P(phi)): the decohered part of the state as a phase-space density."""
+    """rho(H(phi)): the decohered part of the state as a phase-space density."""
     if momentum_map.grid != out_grid:
         raise ValueError("momentum map must be sampled on the output grid")
     return _compose_on_phase_space(rho.diagonal, rho.grid, momentum_map, label="rho_S")
 
 
 def to_classical_density(rho: State) -> ClassicalDensity:
-    """Reinterpret the diagonal over (H, P), renormalized to unit mass."""
+    """Reinterpret the diagonal over H, renormalized to unit mass."""
     mass = rho.diagonal_mass
     if mass <= 0:
         raise ValueError("state has zero diagonal mass")
     return ClassicalDensity(rho.grid, rho.diagonal / mass)
 
 
-def singular_basis_functional(grid: SpectralGrid, index) -> State:
+def singular_basis_functional(grid: SpectralGrid, index: int) -> State:
     """Discrete basis functional at one node: diagonal indicator / cell.
 
     Evaluating an observable with it returns the singular kernel value at
     the node; it is itself an admissible (already decohered) state.
     """
     diagonal = np.zeros(grid.shape)
-    diagonal[_node(index)] = 1.0 / grid.cell
+    diagonal[index] = 1.0 / grid.cell
     return State(grid, diagonal)
 
 
-def regular_basis_functional(grid: SpectralGrid, row, col) -> State:
+def regular_basis_functional(grid: SpectralGrid, row: int, col: int) -> State:
     """Discrete regular-basis functional; a raw coefficient vector, not a state.
 
     Pairing it with an observable extracts the regular kernel entry at

@@ -90,10 +90,6 @@ class WaveFunction:
         object.__setattr__(self, "values", values)
 
     @property
-    def q(self) -> np.ndarray:
-        return _axis_coords(self.axis)
-
-    @property
     def spacing(self) -> float:
         lo, hi, n = self.axis
         return (hi - lo) / (n - 1)

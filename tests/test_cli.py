@@ -28,14 +28,32 @@ def write_config(path, payload):
     return str(path)
 
 
+# a meta-path finder that fails any scipy import outright; a RuntimeError,
+# not an ImportError, so no optional-import fallback can swallow it
+_REFUSE_SCIPY = """\
+import sys
+class _RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise RuntimeError(f"scipy import attempted: {name}")
+sys.meta_path.insert(0, _RefuseScipy())
+"""
+
+
 def _modules_loaded_after(code):
-    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    """Names in sys.modules after a fresh interpreter runs ``code`` with scipy refused."""
     env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
-    code += "\nimport sys; print('\\n'.join(sys.modules))"
+    code = _REFUSE_SCIPY + code + "\nimport sys; print('\\n'.join(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout.split()
+
+
+def test_scipy_guard_fails_a_scipy_import():
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        _modules_loaded_after("import scipy.fft")
+    assert "scipy import attempted: scipy" in failed.value.stderr
 
 
 def test_package_import_leaves_scipy_signal_unloaded():
@@ -55,6 +73,24 @@ def test_default_scenarios_leave_scipy_and_numpy_ma_unloaded():
     )
     loaded = _modules_loaded_after(code)
     assert [m for m in loaded if m.split(".")[0] == "scipy" or m == "numpy.ma"] == []
+
+
+def test_phase_space_symbols_run_without_scipy():
+    # the singular symbols of an observable and a state on the harmonic map
+    code = (
+        "import numpy as np\n"
+        "from phasedec.phase_space import Grid\n"
+        "from phasedec.spectral import MomentumMap, SpectralGrid, make_observable, symb_singular\n"
+        "from phasedec.states import make_state, singular_symbol\n"
+        "sgrid, pgrid = SpectralGrid(9.0, 301), Grid.square(-3.0, 3.0, 65)\n"
+        "mm = MomentumMap.harmonic(pgrid)\n"
+        "energy = symb_singular(make_observable(sgrid, lambda w: w), mm, pgrid)\n"
+        "h = mm.hamiltonian.values\n"
+        "assert np.max(np.abs(energy.values - h)) < 1e-12\n"
+        "rho = singular_symbol(make_state(sgrid, lambda w: 1.0 + 0.0 * w), mm, pgrid)\n"
+        "assert np.max(np.abs(rho.values - 1.0 / (301 * sgrid.cell))) < 1e-12\n"
+    )
+    assert [m for m in _modules_loaded_after(code) if m.split(".")[0] == "scipy"] == []
 
 
 def test_list_scenarios(capsys):
@@ -400,3 +436,43 @@ def test_integral_float_count_is_accepted(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     with (out / "wigner_slice.csv").open(newline="") as handle:
         assert len(list(csv.reader(handle))) == 1 + 129
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"scenario": "wigner-negativity", "axis": {"hi": 1e400}}', "axis.hi"),
+        ('{"scenario": "pairing-equivalence", "state_profile": {"width": Infinity}}',
+         "state_profile.width"),
+        ('{"scenario": "decoherence-polefree", "times": {"start": NaN}}', "times.start"),
+        ('{"scenario": "wigner-negativity", "axis": {"hi": "6"}}', "axis.hi"),
+        ('{"scenario": "decoherence-lorentzian", "times": {"stop_factor": true}}',
+         "times.stop_factor"),
+        ('{"scenario": "pairing-equivalence", "q_axis": {"lo": -1' + "0" * 400 + '}}',
+         "q_axis.lo"),
+        ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", '
+         '"gamma": Infinity}}', "kernel.gamma"),
+    ],
+    ids=["overflowing", "infinite", "nan", "string", "bool", "huge-integer", "kernel"],
+)
+def test_non_finite_float_option_is_validation_error(tmp_path, capsys, text, path):
+    # 1e400 used to end in a numpy RuntimeWarning and "wavefunction samples must be
+    # finite", an infinite width ran and failed its assertions, and "6" ran as 6.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "finite number" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integer_for_float_option_is_accepted(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"lo": -6, "hi": 6}}
+    )
+    default = write_config(tmp_path / "default.json", {"scenario": "wigner-negativity"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "int")]) == EXIT_OK
+    assert main(["run", "--config", default, "--out", str(tmp_path / "float")]) == EXIT_OK
+    report = (tmp_path / "int" / "report.json").read_bytes()
+    assert report == (tmp_path / "float" / "report.json").read_bytes()

@@ -62,24 +62,6 @@ def polefree_states():
     return rho, obs
 
 
-def two_label_states():
-    # 21 x 17 labels; the observable is one term with c = exp(-nu^2 - pi^2)
-    sgrid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
-    rho = make_state(
-        sgrid,
-        lambda w, p: np.exp(-((w - 1.5) ** 2) / 0.3) * np.exp(-(p**2) / 0.4),
-        kernels.CoherenceKernel(lambda w, p: np.exp(-((w - 1.5) ** 2)) * np.exp(-(p**2))),
-    )
-    obs = make_observable(
-        sgrid,
-        lambda w, p: 1.0 + 0 * w,
-        kernels.CoherenceKernel(
-            lambda w, p: 1.0 + 0 * w, lambda nu, pi: np.exp(-(nu**2)) * np.exp(-(pi**2))
-        ),
-    )
-    return rho, obs
-
-
 def random_states():
     # RANDOM_STATE_RANK = 3 terms against a Gaussian-coherence observable
     sgrid = SpectralGrid(4.0, 401)
@@ -102,8 +84,8 @@ def random_terms(rng, sgrid, k):
 
 
 def random_term_states():
-    # non-hermitian terms with asymmetric offset symbols, 2 x 3 terms on two labels
-    sgrid = SpectralGrid(2.0, 17, momentum_axes=((-1.0, 1.0, 16),))
+    # non-hermitian terms with asymmetric offset symbols, 2 x 3 terms
+    sgrid = SpectralGrid(2.0, 17)
     rng = np.random.default_rng(29)
     rho = State(sgrid, rng.uniform(size=sgrid.shape), random_terms(rng, sgrid, 2))
     return rho, Observable(sgrid, rng.normal(size=sgrid.shape), random_terms(rng, sgrid, 3))
@@ -112,20 +94,10 @@ def random_term_states():
 ORACLE_PAIRS = [
     pytest.param(lambda: lorentzian_states(SpectralGrid(4.0, 801)), id="lorentzian-801"),
     pytest.param(polefree_states, id="polefree-1001"),
-    pytest.param(two_label_states, id="two-label"),
     pytest.param(random_states, id="random-rank-3"),
     pytest.param(basis_states, id="basis-indicators"),
     pytest.param(random_term_states, id="random-terms"),
 ]
-
-
-def swapped_blocks(rho, obs):
-    # rho(x, x') and obs(x', x) as dense (omega, momenta, omega', momenta') blocks
-    grid = rho.grid
-    n = grid.omega_count
-    blocks = (n, grid.n_points // n) * 2
-    obs_swapped = obs.regular.dense().reshape(blocks).transpose(2, 3, 0, 1)
-    return rho.regular.dense().reshape(blocks), obs_swapped
 
 
 def hermitian_defect(matrix):
@@ -135,17 +107,17 @@ def hermitian_defect(matrix):
 
 def dense_direct_pairing(rho, obs):
     """The static pairing as a direct sum over the dense kernels."""
-    rho_blocks, obs_swapped = swapped_blocks(rho, obs)
+    # rho(w, w') obs(w', w): obs is read transposed
+    regular = np.sum(rho.regular.dense() * obs.regular.dense().T)
     singular = np.sum(rho.diagonal * obs.singular) * rho.grid.cell
-    return complex(singular + np.sum(rho_blocks * obs_swapped) * rho.grid.cell**2)
+    return complex(singular + regular * rho.grid.cell**2)
 
 
 def bincount_spectrum(rho, obs):
     # the coherence spectrum as an n^2 offset table and two bincounts
     grid = rho.grid
     n = grid.omega_count
-    rho_blocks, obs_swapped = swapped_blocks(rho, obs)
-    cross = (rho_blocks * obs_swapped).sum(axis=(1, 3)) * grid.cell**2
+    cross = rho.regular.dense() * obs.regular.dense().T * grid.cell**2
     i = np.arange(n)
     offsets = (i[:, None] - i[None, :]).ravel() + (n - 1)
     weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n - 1)
@@ -311,9 +283,8 @@ class TestFactoredPhaseSum:
             (lambda: lorentzian_states(SpectralGrid(4.0, 50), 0.5), np.linspace(0.0, 19.0, 37), 0.5),
             (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([3.7]), 0.5),
             (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([0.0]), 1.0),
-            (two_label_states, np.array([0.5, 3.0, 12.0]), 1.0),
         ],
-        ids=["lorentzian-801", "polefree-1001", "n17", "n41", "n50", "single", "t0", "two-label"],
+        ids=["lorentzian-801", "polefree-1001", "n17", "n41", "n50", "single", "t0"],
     )
     def test_matches_long_double_direct_sum(self, build, times, hbar):
         rho, obs = build()
@@ -371,20 +342,20 @@ class TestStructuredKernels:
     @pytest.mark.parametrize("build", ORACLE_PAIRS)
     def test_hermitian_bound_covers_dense_defect(self, build):
         for terms in (part.regular for part in build()):
-            dense = terms.dense().reshape(terms.grid.n_points, -1)
+            dense = terms.dense()
             assert terms.hermitian_defect_bound() >= hermitian_defect(dense)
             assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hermitian_bound_covers_non_hermitian_terms(self, seed):
-        # random complex terms and offset symbols on a two-label grid
-        sgrid = SpectralGrid(2.0, 16, momentum_axes=((-1.0, 1.0, 16),))
+        # random complex terms and offset symbols
+        sgrid = SpectralGrid(2.0, 16)
         terms = random_terms(np.random.default_rng(seed), sgrid, 2)
         if seed == 3:
             # nearly hermitian: a = (1 + 1e-9 i) b with c(-d) = conj(c(d))
-            c = terms.c + terms.c[:, ::-1, ::-1].conj()
+            c = terms.c + terms.c[:, ::-1].conj()
             terms = CoherenceTerms(sgrid, (1.0 + 1e-9j) * terms.b, terms.b, c)
-        dense = terms.dense().reshape(sgrid.n_points, -1)
+        dense = terms.dense()
         defect = hermitian_defect(dense)
         assert terms.hermitian_defect_bound() >= defect > 0.0
         assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
@@ -529,20 +500,6 @@ class TestPoleFreeKernel:
         rep = fit_decay(traj)
         assert rep.model in ("power_law", "none")
         assert np.isinf(rep.t_dec)
-
-
-class TestMomentumAxisPath:
-    def test_two_label_evolution_matches_direct_sum(self):
-        # one momentum axis: the frequency-grouped trajectory must agree
-        # with direct evolution after contracting the momentum labels
-        rho, obs = two_label_states()
-        assert evolve_pairing(rho, obs, 0.0, 1.0) == dense_direct_pairing(rho, obs)
-        times = np.array([0.5, 3.0, 12.0])
-        traj = residual_trajectory(rho, obs, times, 1.0)
-        limit = limit_pairing(rho, obs)
-        direct = np.array([evolve_pairing(rho, obs, t, 1.0) - limit for t in times])
-        assert float(np.max(np.abs(traj.values - direct))) < 1e-12
-        assert np.abs(traj.values[-1]) < 1e-3 * np.abs(traj.values[0])
 
 
 class TestFinalPositivity:

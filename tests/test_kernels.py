@@ -100,22 +100,17 @@ def _closed_form(family, w, wp):
 
 
 def _full_mesh(grid):
-    coords = grid.coordinates()
-    return np.meshgrid(*coords, *coords, indexing="ij")
+    return np.meshgrid(grid.omega, grid.omega, indexing="ij")
 
 
 def _full_mesh_samples(grid, kernel):
     # the sampling before open meshes: profile and symbol on the full squared grid,
-    # with each label offset taken as (i - i') times its step, as the offset grid has it
-    coords = grid.coordinates()
-    half = len(coords)
-    meshes = np.meshgrid(*coords, *coords, indexing="ij")
-    index = np.meshgrid(*(np.arange(len(x)) for x in coords * 2), indexing="ij")
-    steps = [grid.d_omega] + [(hi - lo) / (n - 1) for lo, hi, n in grid.momentum_axes]
-    offsets = [(index[m] - index[half + m]) * step for m, step in enumerate(steps)]
-    out = kernel.profile(*meshes[:half]) * np.conj(kernel.profile(*meshes[half:]))
+    # with each offset taken as (i - i') * d_omega, as the offset grid has it
+    w, wp = _full_mesh(grid)
+    i, ip = np.meshgrid(np.arange(grid.omega_count), np.arange(grid.omega_count), indexing="ij")
+    out = kernel.profile(w) * np.conj(kernel.profile(wp))
     if kernel.symbol is not None:
-        out = out * kernel.symbol(*offsets)
+        out = out * kernel.symbol((i - ip) * grid.d_omega)
     return np.array(np.broadcast_to(out, grid.shape * 2), dtype=complex)
 
 
@@ -128,19 +123,6 @@ def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
     assert np.array_equal(make_observable(grid, None, regular).regular.dense(), expected)
 
 
-def test_open_mesh_sampling_on_two_label_grid():
-    grid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
-    kernel = kernels.CoherenceKernel(
-        lambda w, p: np.exp(-((w - 1.5) ** 2) - p**2 + 0.3j * (w + p)),
-        lambda nu, pi: np.exp(-(nu**2) - pi**2),
-    )
-    expected = _full_mesh_samples(grid, kernel)
-    assert np.array_equal(make_observable(grid, None, kernel).regular.dense(), expected)
-    assert np.array_equal(
-        make_state(grid, lambda w, p: 1.0 + 0 * w, kernel).regular.dense(), expected
-    )
-
-
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
 def test_dense_matches_closed_form_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)
@@ -150,22 +132,4 @@ def test_dense_matches_closed_form_full_mesh(family):
     state, observable = make_state(grid, diagonal, regular), make_observable(grid, None, regular)
     for terms in (state.regular, observable.regular):
         assert len(terms.a) == 1
-        assert float(np.max(np.abs(terms.dense() - expected))) <= 1e-14 * scale
-
-
-def test_dense_matches_closed_form_on_two_label_grid():
-    # one term whose offset symbol depends on both the omega and the momentum offset
-    grid = SpectralGrid(3.0, 21, momentum_axes=((-1.0, 1.0, 17),))
-
-    def profile(w, p):
-        return np.exp(-((w - 1.5) ** 2) - p**2 + 0.3j * (w + p))
-
-    kernel = kernels.CoherenceKernel(profile, lambda nu, pi: np.exp(-(nu**2) - pi**2))
-    w, p, wp, pp = _full_mesh(grid)
-    expected = profile(w, p) * np.conj(profile(wp, pp)) * np.exp(-((w - wp) ** 2) - (p - pp) ** 2)
-    scale = float(np.max(np.abs(expected)))
-    observable = make_observable(grid, None, kernel).regular
-    state = make_state(grid, lambda w, p: 1.0 + 0 * w, kernel).regular
-    for terms in (observable, state):
-        assert terms.c.shape == (1, 41, 33)
         assert float(np.max(np.abs(terms.dense() - expected))) <= 1e-14 * scale

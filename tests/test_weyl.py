@@ -286,7 +286,7 @@ class TestMarginals:
         assert float(np.max(np.abs(marg - np.abs(excited.values) ** 2))) < 1e-5
 
     def test_zero_symbol(self, grid):
-        w = PhaseFunction.zeros(grid)
+        w = PhaseFunction(grid, np.zeros(grid.shape))
         assert float(np.max(np.abs(q_marginal(w)))) == 0.0
 
 
