@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scenarios import SCENARIO_NAMES, run_named_scenario, scenario_defaults
+from .scenarios import SCENARIO_NAMES, _integer_option, run_named_scenario, scenario_defaults
 
 __all__ = ["ScenarioConfig", "run_scenario", "main"]
 
@@ -55,7 +55,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; known: {', '.join(SCENARIO_NAMES)}"
             )
-        self.seed = int(self.seed)
+        self.seed = _integer_option(self.seed, "seed")
         self.output_dir = Path(self.output_dir)
         self.options = dict(self.options or {})
 
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_dir = args.out
         if args.seed is not None:
-            config.seed = int(args.seed)
+            config.seed = args.seed
         if args.hbar is not None:
             config.options["hbar"] = args.hbar
     except ConfigError as exc:

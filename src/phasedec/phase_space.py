@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Axis",
     "Grid",
     "PhaseFunction",
     "integrate",
@@ -44,30 +46,52 @@ def _frozen(values, dtype, shape, what: str) -> np.ndarray:
     return values
 
 
+class _AxisFields(NamedTuple):
+    lo: float
+    hi: float
+    count: int
+
+
+class Axis(_AxisFields):
+    """``count`` uniform nodes from ``lo`` to ``hi``: the one axis type of every grid.
+
+    Construction checks ``hi > lo`` and ``count >= MIN_AXIS_COUNT`` and
+    stores ``(float, float, int)``; as a tuple it still unpacks and
+    compares like a plain ``(lo, hi, count)`` triple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float, count: int):
+        lo, hi, count = float(lo), float(hi), int(count)
+        if not hi > lo:
+            raise ValueError(f"axis range must satisfy max > min, got [{lo}, {hi}]")
+        if count < MIN_AXIS_COUNT:
+            raise ValueError(f"axis count must be >= {MIN_AXIS_COUNT}, got {count}")
+        return super().__new__(cls, lo, hi, count)
+
+    @property
+    def spacing(self) -> float:
+        return (self.hi - self.lo) / (self.count - 1)
+
+    def nodes(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.count)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid over R^(2N).
 
-    ``axes`` holds one (min, max, count) triple per coordinate, ordered
-    (q_1..q_N, p_1..p_N).
+    ``axes`` holds one :class:`Axis` per coordinate, ordered
+    (q_1..q_N, p_1..p_N); plain (min, max, count) triples are converted.
     """
 
-    axes: tuple[tuple[float, float, int], ...]
+    axes: tuple[Axis, ...]
 
     def __post_init__(self):
         if len(self.axes) < 2 or len(self.axes) % 2 != 0:
             raise ValueError("grid needs 2N axes with N >= 1")
-        for lo, hi, count in self.axes:
-            if not hi > lo:
-                raise ValueError(f"axis range must satisfy max > min, got [{lo}, {hi}]")
-            if count < MIN_AXIS_COUNT:
-                raise ValueError(f"axis count must be >= {MIN_AXIS_COUNT}, got {count}")
-        # normalize entry types so Grid equality is well defined
-        object.__setattr__(
-            self,
-            "axes",
-            tuple((float(lo), float(hi), int(n)) for lo, hi, n in self.axes),
-        )
+        object.__setattr__(self, "axes", tuple(Axis(*axis) for axis in self.axes))
 
     @classmethod
     def square(cls, lo: float, hi: float, count: int, n_dof: int = 1) -> "Grid":
@@ -77,7 +101,7 @@ class Grid:
     @classmethod
     def rectangle(cls, q_axis, p_axis) -> "Grid":
         """N = 1 grid from a (min, max, count) triple per coordinate."""
-        return cls((tuple(q_axis), tuple(p_axis)))
+        return cls((q_axis, p_axis))
 
     @property
     def n_dof(self) -> int:
@@ -85,19 +109,17 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(n for _, _, n in self.axes)
+        return tuple(axis.count for axis in self.axes)
 
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
     def spacing(self, axis: int) -> float:
-        lo, hi, n = self.axes[axis]
-        return (hi - lo) / (n - 1)
+        return self.axes[axis].spacing
 
     def coordinate(self, axis: int) -> np.ndarray:
-        lo, hi, n = self.axes[axis]
-        return np.linspace(lo, hi, n)
+        return self.axes[axis].nodes()
 
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Broadcast coordinate arrays, one per axis, shaped ``self.shape``."""

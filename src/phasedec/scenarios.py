@@ -23,7 +23,7 @@ from .decoherence import (
     verify_final_positivity,
 )
 from .moyal import classical_limit_check, moyal_bracket, star_product
-from .phase_space import Grid, PhaseFunction, integrate, interior_max_abs
+from .phase_space import Axis, Grid, PhaseFunction, integrate, interior_max_abs
 from .spectral import (
     MomentumMap,
     SpectralGrid,
@@ -120,25 +120,35 @@ def scenario_defaults(name: str | None = None) -> dict:
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
+    """``defaults`` with ``override`` merged in: the one place an override is typed.
+
+    Each override takes its default's type. A mapping merges key by key, a
+    list holds finite floats, ints, floats and the hbar options go through
+    their ``_*_option``, and ``kernel`` merges over its family's defaults.
+    A refused value raises ValueError naming its path, as ``box_lengths[1]``.
+    """
     out = copy.deepcopy(defaults)
     for key, value in override.items():
+        name = path + key
         if key not in out:
-            raise ValueError(f"unknown option {path + key!r}")
+            raise ValueError(f"unknown option {name!r}")
+        default = out[key]
         if key == "kernel":
-            # kernel blocks are replaced whole: their parameter set depends
-            # on the family, so key-by-key merging would reject valid specs
+            out[key] = _kernel_option(value)
+        elif key in ("hbar", "quadratic_hbar"):
+            out[key] = _hbar_option(default, value, name)
+        elif isinstance(default, dict):
             if not isinstance(value, dict):
-                raise ValueError("option 'kernel' must be a mapping")
-            out[key] = copy.deepcopy(value)
-        elif isinstance(out[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"option {path + key!r} must be a mapping")
-            out[key] = _merge(out[key], value, path=f"{path}{key}.")
-        elif isinstance(out[key], int) and not isinstance(out[key], bool):
-            out[key] = _integer_option(value, path + key)
-        elif isinstance(out[key], float) and key not in ("hbar", "quadratic_hbar"):
-            # hbar options also take lists; _hbar_list checks them
-            out[key] = _float_option(value, path + key)
+                raise ValueError(f"option {name!r} must be a mapping")
+            out[key] = _merge(default, value, f"{name}.")
+        elif isinstance(default, list):
+            if not isinstance(value, list):
+                raise ValueError(f"option {name!r} must be a list of finite numbers, got {value!r}")
+            out[key] = [_float_option(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        elif isinstance(default, int):
+            out[key] = _integer_option(value, name)
+        elif isinstance(default, float):
+            out[key] = _float_option(value, name)
         else:
             out[key] = value
     return out
@@ -174,6 +184,23 @@ def _float_option(value, name: str) -> float:
     raise ValueError(f"option {name!r} must be a finite number, got {value!r}")
 
 
+def _hbar_option(default, value, name: str):
+    """hbar values: a list where the default is one, else a single number.
+
+    Each must be a positive finite number. A list default also takes one
+    number (``--hbar`` gives one); a scalar default a one-element list.
+    """
+    values = value if isinstance(value, list) else [value]
+    values = [_float_option(v, name) for v in values]
+    if not values or min(values) <= 0:
+        raise ValueError(f"option {name!r} needs positive numbers, got {value!r}")
+    if isinstance(default, list):
+        return values
+    if len(values) > 1:
+        raise ValueError(f"option {name!r} takes one value here, got {len(values)}: {values}")
+    return values[0]
+
+
 _KERNEL_FAMILY_DEFAULTS = {
     "lorentzian": {"gamma": 0.1, "center": 2.0, "width": 0.35},
     "gaussian": {"nu_width": 0.25, "center": 2.0, "width": 0.5},
@@ -182,66 +209,45 @@ _KERNEL_FAMILY_DEFAULTS = {
 }
 
 
-def _coherence_from_options(kernel_opts: dict):
-    """Diagonal callable and regular kernel term for a named kernel family.
-
-    Returns (diagonal_fn, regular_kernel, normalized_options), the kernel
-    a ``kernels`` factory result. The diagonal is the squared profile, so
-    every family yields an admissible state.
-    """
-    if "family" not in kernel_opts:
-        raise ValueError("kernel block must name a family")
-    family = kernel_opts["family"]
-    if family not in _KERNEL_FAMILY_DEFAULTS:
+def _kernel_option(value) -> dict:
+    """A ``kernel`` block over its named family's defaults, not the scenario's kernel."""
+    if not isinstance(value, dict):
+        raise ValueError("option 'kernel' must be a mapping")
+    params = dict(value)
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in _KERNEL_FAMILY_DEFAULTS:
         raise ValueError(
-            f"unknown kernel family {family!r}; choose from "
+            f"unknown kernel family {family!r} in option 'kernel.family'; choose from "
             f"{', '.join(sorted(_KERNEL_FAMILY_DEFAULTS))}"
         )
-    opts = dict(_KERNEL_FAMILY_DEFAULTS[family])
-    for key, value in kernel_opts.items():
-        if key == "family":
-            continue
-        if key not in opts:
-            raise ValueError(f"kernel family {family!r} has no parameter {key!r}")
-        is_float = isinstance(opts[key], float)
-        opts[key] = _float_option(value, f"kernel.{key}") if is_float else value
+    return {"family": family, **_merge(_KERNEL_FAMILY_DEFAULTS[family], params, "kernel.")}
 
+
+def _coherence_from_options(kernel: dict):
+    """Diagonal callable and regular kernel term of a typed ``kernel`` block.
+
+    Returns (diagonal_fn, regular_kernel), the kernel a ``kernels``
+    factory result. The diagonal is the squared profile, so every family
+    yields an admissible state.
+    """
+    family = kernel["family"]
     if family == "lorentzian":
-        profile = kernels.gaussian_profile(float(opts["center"]), float(opts["width"]))
-        regular = kernels.lorentzian_kernel(float(opts["gamma"]), profile)
+        profile = kernels.gaussian_profile(kernel["center"], kernel["width"])
+        regular = kernels.lorentzian_kernel(kernel["gamma"], profile)
     elif family == "gaussian":
-        profile = kernels.gaussian_profile(float(opts["center"]), float(opts["width"]))
-        regular = kernels.gaussian_coherence_kernel(float(opts["nu_width"]), profile)
+        profile = kernels.gaussian_profile(kernel["center"], kernel["width"])
+        regular = kernels.gaussian_coherence_kernel(kernel["nu_width"], profile)
     elif family == "polefree":
-        profile = kernels.spectral_edge_profile(
-            decay=float(opts["decay"]), cutoff=float(opts["cutoff"])
-        )
+        profile = kernels.spectral_edge_profile(decay=kernel["decay"], cutoff=kernel["cutoff"])
         regular = kernels.separable_kernel(profile)
     else:  # custom-polynomial
-        profile = kernels.polynomial_profile(
-            [float(c) for c in opts["coefficients"]], decay=float(opts["decay"])
-        )
+        profile = kernels.polynomial_profile(kernel["coefficients"], decay=kernel["decay"])
         regular = kernels.separable_kernel(profile)
 
     def diagonal(w):
         return np.abs(profile(w)) ** 2
 
-    return diagonal, regular, {"family": family, **opts}
-
-
-def _hbar_list(value) -> list[float]:
-    values = [float(v) for v in (value if isinstance(value, (list, tuple)) else [value])]
-    if not values or not all(np.isfinite(v) and v > 0 for v in values):
-        raise ValueError("hbar must be positive and finite")
-    return values
-
-
-def _one_hbar(value, name: str = "hbar") -> float:
-    """The single hbar of a scenario that runs one; a longer list is refused."""
-    values = _hbar_list(value)
-    if len(values) > 1:
-        raise ValueError(f"option {name!r} takes one value here, got {len(values)}: {values}")
-    return values[0]
+    return diagonal, regular
 
 
 def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
@@ -257,17 +263,17 @@ def _finish(report: dict, assertions: list[tuple[str, dict]]) -> dict:
 
 
 def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
-    count = int(time_opts["count"])
+    count = time_opts["count"]
     if count < 12:
         raise ValueError("time grid needs at least 12 points")
     if "start_factor" in time_opts:
         start = time_opts["start_factor"] * t_scale
         stop = time_opts["stop_factor"] * t_scale
     else:
-        start, stop = float(time_opts["start"]), float(time_opts["stop"])
+        start, stop = time_opts["start"], time_opts["stop"]
     if not 0 < start < stop:
         raise ValueError("time grid must satisfy 0 < start < stop")
-    spacing = time_opts.get("spacing", "log")
+    spacing = time_opts["spacing"]
     if spacing == "log":
         return np.geomspace(start, stop, count)
     if spacing == "linear":
@@ -276,14 +282,13 @@ def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
 
 
 def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
-    hbars = sorted(_hbar_list(opts["hbar"]), reverse=True)
-    g = opts["grid"]
-    grid = Grid.square(float(g["lo"]), float(g["hi"]), int(g["count"]))
+    hbars = sorted(opts["hbar"], reverse=True)
+    grid = Grid.square(**opts["grid"])
     f = PhaseFunction.sample(grid, lambda q, p: q**3, "q^3")
     h = PhaseFunction.sample(grid, lambda q, p: p**3, "p^3")
-    rep = classical_limit_check(f, h, hbars, order=int(opts["truncation_order"]))
+    rep = classical_limit_check(f, h, hbars, order=opts["truncation_order"])
 
-    hq = _one_hbar(opts["quadratic_hbar"], "quadratic_hbar")
+    hq = opts["quadratic_hbar"]
     ham = PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), "H")
     coord_q = PhaseFunction.sample(grid, lambda q, p: q + 0 * p, "q")
     mom_p = PhaseFunction.sample(grid, lambda q, p: p + 0 * q, "p")
@@ -331,9 +336,8 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
-    hbar = _one_hbar(opts["hbar"])
-    ax = opts["axis"]
-    axis = (float(ax["lo"]), float(ax["hi"]), int(ax["count"]))
+    hbar = opts["hbar"]
+    axis = Axis(**opts["axis"])
     grid = Grid.rectangle(axis, axis)
 
     ground = wigner_of_pure_state(gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
@@ -393,13 +397,10 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
-    hbar = _one_hbar(opts["hbar"])
-    sg_opts = opts["spectral_grid"]
-    sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
-    sp = opts["state_profile"]
-    op = opts["observable_profile"]
-    coeff_profile = kernels.gaussian_profile(float(sp["center"]), float(sp["width"]))
-    obs_profile = kernels.gaussian_profile(float(op["center"]), float(op["width"]))
+    hbar = opts["hbar"]
+    sgrid = SpectralGrid(**opts["spectral_grid"])
+    coeff_profile = kernels.gaussian_profile(**opts["state_profile"])
+    obs_profile = kernels.gaussian_profile(**opts["observable_profile"])
 
     coeffs = coeff_profile(sgrid.omega).astype(complex)
     coeffs = coeffs / np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.cell)
@@ -407,15 +408,13 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     obs = make_observable(sgrid, None, kernels.separable_kernel(obs_profile))
 
     v_spectral = pair(rho, obs)
-    qa = opts["q_axis"]
-    pa = opts["p_axis"]
-    q_axis = (float(qa["lo"]), float(qa["hi"]), int(qa["count"]))
+    q_axis = Axis(**opts["q_axis"])
     psi = synthesize_wavefunction(sgrid, coeffs, q_axis, hbar)
     k_rho = OperatorKernel.from_wavefunction(psi.normalize())
     k_obs = synthesize_kernel(sgrid, obs.regular, q_axis, hbar)
     v_trace = trace_pair(k_rho, k_obs)
 
-    pgrid = Grid.rectangle(q_axis, (float(pa["lo"]), float(pa["hi"]), int(pa["count"])))
+    pgrid = Grid.rectangle(q_axis, Axis(**opts["p_axis"]))
     w_rho = wigner_of_pure_state(psi, hbar, pgrid)
     a_obs = wigner_of_kernel(k_obs, hbar, pgrid)
     v_phase = pair_regular_symbols(w_rho, a_obs)
@@ -446,14 +445,12 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     volumes, full_values, densities = [], [], []
     p_lo, p_hi = 0.0, sgrid.omega_max
     for length in opts["box_lengths"]:
-        box = Grid.rectangle(
-            (-float(length), float(length), 97), (p_lo, p_hi, int(opts["box_momentum_count"]))
-        )
+        box = Grid.rectangle((-length, length, 97), (p_lo, p_hi, opts["box_momentum_count"]))
         tmap = MomentumMap.translation(box)
         product = singular_symbol(rho_diag, tmap, box) * symb_singular(obs_diag, tmap, box)
-        volumes.append(2.0 * float(length) * (p_hi - p_lo))
+        volumes.append(2.0 * length * (p_hi - p_lo))
         full_values.append(float(integrate(product).real))
-        densities.append(full_values[-1] / (2.0 * float(length)))
+        densities.append(full_values[-1] / (2.0 * length))
     growth_slope = float(np.polyfit(np.log(volumes), np.log(full_values), 1)[0])
     density_error = float(np.max(np.abs(np.array(densities) - restricted)) / abs(restricted))
 
@@ -515,20 +512,17 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
-    hbars = _hbar_list(opts["hbar"])
-    diagonal, regular, kernel_meta = _coherence_from_options(opts["kernel"])
-    if kernel_meta["family"] != "lorentzian":
+    hbars = opts["hbar"]
+    kernel = opts["kernel"]
+    if kernel["family"] != "lorentzian":
         raise ValueError(
             "the inverse-pole-distance assertions need a 'lorentzian' kernel; "
-            f"got family {kernel_meta['family']!r} (use decoherence-polefree for the others)"
+            f"got family {kernel['family']!r} (use decoherence-polefree for the others)"
         )
-    gamma = float(kernel_meta["gamma"])
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    sg_opts = opts["spectral_grid"]
-    sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
-    op = opts["observable_profile"]
-    prof_obs = kernels.gaussian_profile(float(op["center"]), float(op["width"]))
+    diagonal, regular = _coherence_from_options(kernel)
+    gamma = kernel["gamma"]
+    sgrid = SpectralGrid(**opts["spectral_grid"])
+    prof_obs = kernels.gaussian_profile(**opts["observable_profile"])
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, kernels.separable_kernel(prof_obs))
     limit = limit_pairing(rho, obs)
@@ -607,7 +601,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     report = _finish(
         {
             "scenario": "decoherence-lorentzian",
-            "kernel": kernel_meta,
+            "kernel": kernel,
             "gamma": gamma,
             "limit_value": limit,
             "results": per_hbar,
@@ -618,15 +612,15 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
-    hbar = _one_hbar(opts["hbar"])
-    sg_opts = opts["spectral_grid"]
-    sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
-    diagonal, regular, kernel_meta = _coherence_from_options(opts["kernel"])
-    if kernel_meta["family"] == "lorentzian":
+    hbar = opts["hbar"]
+    sgrid = SpectralGrid(**opts["spectral_grid"])
+    kernel = opts["kernel"]
+    if kernel["family"] == "lorentzian":
         raise ValueError(
             "this scenario checks the absence of exponential decay; "
             "run the lorentzian family through decoherence-lorentzian"
         )
+    diagonal, regular = _coherence_from_options(kernel)
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, regular)
     times = _time_grid(opts["times"])
@@ -656,7 +650,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
         {
             "scenario": "decoherence-polefree",
             "hbar": hbar,
-            "kernel": kernel_meta,
+            "kernel": kernel,
             "model": fit.model,
             "power_law_exponent": fit.rate,
             "r_squared_selected": fit.fit_quality,
@@ -674,10 +668,9 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
 
 
 def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
-    hbar = _one_hbar(opts["hbar"])
-    sg_opts = opts["spectral_grid"]
-    sgrid = SpectralGrid(float(sg_opts["omega_max"]), int(sg_opts["omega_count"]))
-    n_states = int(opts["n_states"])
+    hbar = opts["hbar"]
+    sgrid = SpectralGrid(**opts["spectral_grid"])
+    n_states = opts["n_states"]
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
 
@@ -689,8 +682,7 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
         minima.append(result.min_value)
         all_passed = all_passed and result.passed
 
-    ax = opts["wigner_axis"]
-    axis = (float(ax["lo"]), float(ax["hi"]), int(ax["count"]))
+    axis = Axis(**opts["wigner_axis"])
     grid = Grid.rectangle(axis, axis)
     excited = wigner_of_pure_state(oscillator_state(axis, 1, hbar), hbar, grid)
     wigner_min = float(excited.values.real.min())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .phase_space import Grid, PhaseFunction, _frozen
+from .phase_space import Axis, Grid, PhaseFunction, _frozen
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -372,9 +372,8 @@ def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: 
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != grid.shape:
         raise ValueError("coefficient array must match the spectral grid shape")
-    q = np.linspace(float(axis[0]), float(axis[1]), int(axis[2]))
-    values = _plane_wave_matrix(grid, q, hbar) @ coeffs
-    return WaveFunction((float(axis[0]), float(axis[1]), int(axis[2])), values)
+    axis = Axis(*axis)
+    return WaveFunction(axis, _plane_wave_matrix(grid, axis.nodes(), hbar) @ coeffs)
 
 
 def synthesize_kernel(
@@ -390,7 +389,6 @@ def synthesize_kernel(
         raise ValueError("hbar must be positive")
     if regular.grid != grid:
         raise ValueError("regular kernel terms must live on the given spectral grid")
-    q = np.linspace(float(axis[0]), float(axis[1]), int(axis[2]))
-    e = _plane_wave_matrix(grid, q, hbar)
-    values = e @ regular.dense() @ e.conj().T
-    return OperatorKernel((float(axis[0]), float(axis[1]), int(axis[2])), values)
+    axis = Axis(*axis)
+    e = _plane_wave_matrix(grid, axis.nodes(), hbar)
+    return OperatorKernel(axis, e @ regular.dense() @ e.conj().T)

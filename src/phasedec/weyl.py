@@ -10,13 +10,15 @@ Conventions, applied everywhere and asserted by tests:
 * With those two choices, integrate(W_state * symbol_observable) equals
   the kernel-space trace pairing.
 
-The oscillatory y-integral is a direct trapezoid sum on the kernel's own
-spacing; callers must keep max|p| * dy / hbar below pi/4 so the phase is
-well sampled, and every output q must be a kernel node (both checked on
-entry). With lags y = j*dy, the sum over j = -M..M is folded onto
-j = 0..M: even_j = g_j + g_-j multiplies cos(2 j dy p / hbar) and
-odd_j = i (g_j - g_-j) multiplies sin(2 j dy p / hbar), so every row
-shares one real (M+1) x n_p cos/sin table and the sum is one real matmul.
+Kernels and wavefunctions live on a q :class:`~phasedec.phase_space.Axis`,
+checked by the same rule as every grid axis. The oscillatory y-integral is
+a direct trapezoid sum with dy the axis spacing; callers must keep
+max|p| * dy / hbar below pi/4 so the phase is well sampled, and every
+output q must be an axis node (both checked on entry). With lags y = j*dy,
+the sum over j = -M..M is folded onto j = 0..M: even_j = g_j + g_-j
+multiplies cos(2 j dy p / hbar) and odd_j = i (g_j - g_-j) multiplies
+sin(2 j dy p / hbar), so every row shares one real (M+1) x n_p cos/sin
+table and the sum is one real matmul.
 A kernel's samples g_j = K(q-y, q+y) and g_-j = K(q+y, q-y) are read off
 its anti-diagonals. A pure state's g_j = psi(q-y) conj(psi(q+y)) is
 formed straight from psi, so the n^2 projector kernel is never built; its
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .phase_space import Grid, PhaseFunction, _frozen
+from .phase_space import Axis, Grid, PhaseFunction, _frozen
 
 __all__ = [
     "OperatorKernel",
@@ -44,30 +46,18 @@ __all__ = [
 ]
 
 
-def _axis_coords(axis: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, n = axis
-    return np.linspace(lo, hi, int(n))
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorKernel:
-    """Position-representation kernel K(q, q') on a uniform q axis."""
+    """Position-representation kernel K(q, q'); any (min, max, count) ``axis`` becomes an :class:`Axis`."""
 
-    axis: tuple[float, float, int]
+    axis: Axis
     values: np.ndarray
 
     def __post_init__(self):
-        lo, hi, n = self.axis
-        if not hi > lo or int(n) < 8:
-            raise ValueError("kernel axis needs max > min and count >= 8")
-        object.__setattr__(self, "axis", (float(lo), float(hi), int(n)))
-        values = _frozen(self.values, complex, (int(n),) * 2, "kernel values")
+        axis = Axis(*self.axis)
+        object.__setattr__(self, "axis", axis)
+        values = _frozen(self.values, complex, (axis.count,) * 2, "kernel values")
         object.__setattr__(self, "values", values)
-
-    @property
-    def spacing(self) -> float:
-        lo, hi, n = self.axis
-        return (hi - lo) / (n - 1)
 
     @classmethod
     def from_wavefunction(cls, psi: "WaveFunction") -> "OperatorKernel":
@@ -76,27 +66,20 @@ class OperatorKernel:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex wavefunction samples on a uniform q axis."""
+    """Complex wavefunction samples; any (min, max, count) ``axis`` becomes an :class:`Axis`."""
 
-    axis: tuple[float, float, int]
+    axis: Axis
     values: np.ndarray
 
     def __post_init__(self):
-        lo, hi, n = self.axis
-        if not hi > lo or int(n) < 8:
-            raise ValueError("wavefunction axis needs max > min and count >= 8")
-        object.__setattr__(self, "axis", (float(lo), float(hi), int(n)))
-        values = _frozen(self.values, complex, (int(n),), "wavefunction samples")
+        axis = Axis(*self.axis)
+        object.__setattr__(self, "axis", axis)
+        values = _frozen(self.values, complex, (axis.count,), "wavefunction samples")
         object.__setattr__(self, "values", values)
 
     @property
-    def spacing(self) -> float:
-        lo, hi, n = self.axis
-        return (hi - lo) / (n - 1)
-
-    @property
     def norm(self) -> float:
-        return float(np.sqrt(np.trapezoid(np.abs(self.values) ** 2, dx=self.spacing)))
+        return float(np.sqrt(np.trapezoid(np.abs(self.values) ** 2, dx=self.axis.spacing)))
 
     def normalize(self) -> "WaveFunction":
         n = self.norm
@@ -111,20 +94,19 @@ def oscillator_state(axis, level: int, hbar: float = 1.0) -> WaveFunction:
         raise ValueError("level must be >= 0")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    q = _axis_coords(tuple(axis))
-    sigma = np.sqrt(hbar)
-    x = q / sigma
+    axis = Axis(*axis)
+    x = axis.nodes() / np.sqrt(hbar)
     coeffs = np.zeros(level + 1)
     coeffs[level] = 1.0
     values = hermval(x, coeffs) * np.exp(-0.5 * x**2)
-    return WaveFunction(tuple(axis), values).normalize()
+    return WaveFunction(axis, values).normalize()
 
 
 def gaussian_state(axis, center: float = 0.0, sigma: float = 1.0) -> WaveFunction:
     """Normalized Gaussian wave packet exp(-(q-center)^2 / (2 sigma^2))."""
-    q = _axis_coords(tuple(axis))
-    values = np.exp(-((q - center) ** 2) / (2.0 * sigma**2))
-    return WaveFunction(tuple(axis), values).normalize()
+    axis = Axis(*axis)
+    values = np.exp(-((axis.nodes() - center) ** 2) / (2.0 * sigma**2))
+    return WaveFunction(axis, values).normalize()
 
 
 def _check_grid_2d(grid: Grid):
@@ -140,7 +122,7 @@ def _nyquist_guard(p_max: float, dy: float, hbar: float):
         )
 
 
-def _output_nodes(axis: tuple[float, float, int], hbar: float, out_grid: Grid):
+def _output_nodes(axis: Axis, hbar: float, out_grid: Grid):
     """Kernel-node index of every output q, and the output p values.
 
     Checks hbar, the 2-axis grid, the q range, the phase-step bound and
@@ -151,13 +133,12 @@ def _output_nodes(axis: tuple[float, float, int], hbar: float, out_grid: Grid):
     _check_grid_2d(out_grid)
     q_out = out_grid.coordinate(0)
     p_out = out_grid.coordinate(1)
-    k_lo, k_hi, n = axis
-    if q_out[0] < k_lo - 1e-12 or q_out[-1] > k_hi + 1e-12:
+    if q_out[0] < axis.lo - 1e-12 or q_out[-1] > axis.hi + 1e-12:
         raise ValueError("output q-range must lie inside the kernel q-range")
-    h = (k_hi - k_lo) / (n - 1)
+    h = axis.spacing
     _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
 
-    offsets = (q_out - k_lo) / h
+    offsets = (q_out - axis.lo) / h
     nodes = np.rint(offsets)
     if not np.all(np.abs(offsets - nodes) <= 1e-9):
         raise ValueError("output q values must be kernel q nodes")
@@ -219,7 +200,7 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     A separate frame, so the gathered lags and the phase table are freed
     before ``PhaseFunction`` copies the result.
     """
-    n = kernel.axis[2]
+    n = kernel.axis.count
     reach, lags = _half_window(n, nodes)
     halves = np.empty((2, len(lags), len(nodes)), dtype=complex)
     # g_j = K[i - j, i + j] sits at flat index i*(n+1) - j*(n-1) and its
@@ -234,7 +215,7 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     halves[1] *= -2.0
     halves[1] += halves[0]  # g_j - g_-j
     halves[1] *= 1j
-    folded = _fold(halves, reach, p_out, kernel.spacing, hbar)
+    folded = _fold(halves, reach, p_out, kernel.axis.spacing, hbar)
     del halves
     rows = np.empty((len(nodes), len(p_out)), dtype=complex)
     rows.real = folded[0::2]
@@ -261,7 +242,7 @@ def _pure_state_rows(psi: WaveFunction, nodes: np.ndarray, p_out: np.ndarray, hb
     ``PhaseFunction`` copies the rows: the peak stays near 1.6 times the
     bytes of the complex result.
     """
-    reach, lags = _half_window(psi.axis[2], nodes)
+    reach, lags = _half_window(psi.axis.count, nodes)
     at = nodes - lags
     lag_products = np.take(psi.values, at, mode="clip")
     at += 2 * lags
@@ -275,7 +256,7 @@ def _pure_state_rows(psi: WaveFunction, nodes: np.ndarray, p_out: np.ndarray, hb
     np.multiply(lag_products.real, 2.0, out=halves[0])
     np.multiply(lag_products.imag, -2.0, out=halves[1])
     del lag_products
-    rows = _fold(halves, reach, p_out, psi.spacing, hbar)
+    rows = _fold(halves, reach, p_out, psi.axis.spacing, hbar)
     rows /= 2.0 * np.pi * hbar
     return rows
 
@@ -290,8 +271,7 @@ def trace_pair(a: OperatorKernel, b: OperatorKernel) -> complex:
     """Tr(A B) by double trapezoid: integral A(q, q') B(q', q) dq dq'."""
     if a.axis != b.axis:
         raise ValueError("kernels live on different axes")
-    n = a.axis[2]
-    w = np.ones(n)
+    w = np.ones(a.axis.count)
     w[0] = w[-1] = 0.5
     integrand = a.values * b.values.T
-    return complex(np.einsum("i,j,ij->", w, w, integrand) * a.spacing**2)
+    return complex(np.einsum("i,j,ij->", w, w, integrand) * a.axis.spacing**2)

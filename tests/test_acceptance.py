@@ -173,7 +173,7 @@ def test_probe_at_10_tdec_matches_direct_evolution(lorentzian_report):
     # the probes come from the residual trajectory; the direct sum is the oracle
     opts = scenario_defaults("decoherence-lorentzian")
     sgrid = SpectralGrid(**opts["spectral_grid"])
-    diagonal, regular, _ = _coherence_from_options(opts["kernel"])
+    diagonal, regular = _coherence_from_options(opts["kernel"])
     profile = opts["observable_profile"]
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(

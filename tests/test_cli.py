@@ -20,7 +20,7 @@ from phasedec.cli import (
     EXIT_VALIDATION,
     main,
 )
-from phasedec.scenarios import SCENARIO_NAMES
+from phasedec.scenarios import SCENARIO_NAMES, _merge, scenario_defaults
 
 
 def write_config(path, payload):
@@ -280,6 +280,17 @@ def test_unknown_kernel_family_is_validation_error(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
 
+def test_non_string_kernel_family_is_validation_error(tmp_path, capsys):
+    # a list used to reach a dict lookup and end in "unhashable type: 'list'"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-lorentzian", "kernel": {"family": ["lorentzian"]}},
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "unknown kernel family" in err and "'kernel.family'" in err
+
+
 def test_unknown_kernel_parameter_is_validation_error(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -414,12 +425,16 @@ def test_one_element_hbar_list_runs_that_hbar(tmp_path):
         ('{"scenario": "wigner-negativity", "axis": {"count": 193.7}}', "axis.count"),
         ('{"scenario": "limit-positivity", "n_states": true}', "n_states"),
         ('{"scenario": "decoherence-polefree", "times": {"count": "100"}}', "times.count"),
+        ('{"scenario": "moyal-convergence", "seed": 1e400}', "seed"),
+        ('{"scenario": "moyal-convergence", "seed": 2.7}', "seed"),
+        ('{"scenario": "moyal-convergence", "seed": true}', "seed"),
     ],
-    ids=["overflowing", "fractional", "bool", "string"],
+    ids=["overflowing", "fractional", "bool", "string", "seed-overflowing", "seed-fractional",
+         "seed-bool"],
 )
 def test_non_integer_count_is_validation_error(tmp_path, capsys, text, path):
     # 1e400 parses to inf, whose int() overflowed into a traceback with exit 1;
-    # 193.7 ran at 193 without a word
+    # 193.7 ran at 193 without a word, and a seed of 2.7 or true ran seed 2 or 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -430,10 +445,13 @@ def test_non_integer_count_is_validation_error(tmp_path, capsys, text, path):
 
 def test_integral_float_count_is_accepted(tmp_path):
     cfg = write_config(
-        tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"count": 129.0}}
+        tmp_path / "cfg.json",
+        {"scenario": "wigner-negativity", "axis": {"count": 129.0}, "seed": 3.0},
     )
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    seed = json.loads((out / "report.json").read_text())["seed"]
+    assert seed == 3 and type(seed) is int
     with (out / "wigner_slice.csv").open(newline="") as handle:
         assert len(list(csv.reader(handle))) == 1 + 129
 
@@ -452,12 +470,19 @@ def test_integral_float_count_is_accepted(tmp_path):
          "q_axis.lo"),
         ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", '
          '"gamma": Infinity}}', "kernel.gamma"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": [4.0, Infinity]}', "box_lengths[1]"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": 8.0}', "box_lengths"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "custom-polynomial", '
+         '"coefficients": [1.0, NaN]}}', "kernel.coefficients[1]"),
     ],
-    ids=["overflowing", "infinite", "nan", "string", "bool", "huge-integer", "kernel"],
+    ids=["overflowing", "infinite", "nan", "string", "bool", "huge-integer", "kernel",
+         "list-infinite-entry", "list-scalar", "kernel-list-nan-entry"],
 )
 def test_non_finite_float_option_is_validation_error(tmp_path, capsys, text, path):
     # 1e400 used to end in a numpy RuntimeWarning and "wavefunction samples must be
-    # finite", an infinite width ran and failed its assertions, and "6" ran as 6.0
+    # finite", an infinite width ran and failed its assertions, and "6" ran as 6.0;
+    # an infinite box length printed a RuntimeWarning and a box_lengths scalar ended
+    # in "'float' object is not iterable", neither naming the option
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -476,3 +501,23 @@ def test_integer_for_float_option_is_accepted(tmp_path):
     assert main(["run", "--config", default, "--out", str(tmp_path / "float")]) == EXIT_OK
     report = (tmp_path / "int" / "report.json").read_bytes()
     assert report == (tmp_path / "float" / "report.json").read_bytes()
+
+
+def _types(value):
+    if isinstance(value, dict):
+        return {key: _types(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_types(v) for v in value]
+    return type(value)
+
+
+def test_printed_defaults_merge_back_unchanged(capsys):
+    # print-defaults output, fed back as a scenario's overrides, passes every
+    # option check and changes neither a value nor a type
+    assert main(["print-defaults"]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    for name in SCENARIO_NAMES:
+        defaults = scenario_defaults(name)
+        merged = _merge(defaults, printed[name])
+        assert merged == defaults
+        assert _types(merged) == _types(defaults)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasedec import kernels
-from phasedec.scenarios import _KERNEL_FAMILY_DEFAULTS, _coherence_from_options
+from phasedec.scenarios import _KERNEL_FAMILY_DEFAULTS, _coherence_from_options, _kernel_option
 from phasedec.spectral import SpectralGrid, make_observable
 from phasedec.states import HERMITIAN_TOL, make_state
 
@@ -117,7 +117,7 @@ def _full_mesh_samples(grid, kernel):
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
 def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)
-    diagonal, regular, _ = _coherence_from_options({"family": family})
+    diagonal, regular = _coherence_from_options(_kernel_option({"family": family}))
     expected = _full_mesh_samples(grid, regular)
     assert np.array_equal(make_state(grid, diagonal, regular).regular.dense(), expected)
     assert np.array_equal(make_observable(grid, None, regular).regular.dense(), expected)
@@ -126,7 +126,7 @@ def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
 def test_dense_matches_closed_form_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)
-    diagonal, regular, _ = _coherence_from_options({"family": family})
+    diagonal, regular = _coherence_from_options(_kernel_option({"family": family}))
     expected = _closed_form(family, *_full_mesh(grid))
     scale = float(np.max(np.abs(expected)))
     state, observable = make_state(grid, diagonal, regular), make_observable(grid, None, regular)

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from phasedec.decoherence import Trajectory
-from phasedec.phase_space import Grid, PhaseFunction
-from phasedec.spectral import CoherenceTerms, Observable, SpectralGrid
+from phasedec.phase_space import Axis, Grid, PhaseFunction
+from phasedec.spectral import (
+    CoherenceTerms,
+    Observable,
+    SpectralGrid,
+    synthesize_kernel,
+    synthesize_wavefunction,
+)
 from phasedec.states import AdmissibilityError, ClassicalDensity, State, make_state
-from phasedec.weyl import OperatorKernel, WaveFunction
+from phasedec.weyl import OperatorKernel, WaveFunction, gaussian_state, oscillator_state
 
 GRID = Grid.square(-1.0, 1.0, 8)
 SGRID = SpectralGrid(1.0, 16)
@@ -112,3 +118,41 @@ def test_one_hermitian_tolerance(defect, accepted):
     else:
         with pytest.raises(AdmissibilityError, match="not hermitian"):
             make_state(SGRID, np.ones(16), terms)
+
+
+# every constructor that takes a (lo, hi, count) triple, fed one bad axis
+AXIS_USERS = {
+    "Grid.rectangle": lambda axis: Grid.rectangle(axis, AXIS),
+    "OperatorKernel": lambda axis: OperatorKernel(axis, np.zeros((9, 9))),
+    "WaveFunction": lambda axis: WaveFunction(axis, np.zeros(9)),
+    "oscillator_state": lambda axis: oscillator_state(axis, 1),
+    "gaussian_state": lambda axis: gaussian_state(axis),
+    "synthesize_wavefunction": lambda axis: synthesize_wavefunction(SGRID, np.ones(16), axis, 1.0),
+    "synthesize_kernel": lambda axis: synthesize_kernel(
+        SGRID, CoherenceTerms(SGRID, np.ones((1, 16)), np.ones((1, 16))), axis, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ((1.0, 1.0, 9), "axis range must satisfy max > min, got [1.0, 1.0]"),
+        ((0.0, 1.0, 7), "axis count must be >= 8, got 7"),
+    ],
+    ids=["empty-range", "too-few-nodes"],
+)
+@pytest.mark.parametrize("build", AXIS_USERS.values(), ids=AXIS_USERS.keys())
+def test_one_axis_rule_and_message(build, axis, message):
+    with pytest.raises(ValueError) as refused:
+        build(axis)
+    assert str(refused.value) == message
+
+
+def test_axis_normalizes_to_float_float_int():
+    axis = Axis(-1, 1, 9.0)
+    assert axis == (-1.0, 1.0, 9)
+    assert [type(v) for v in axis] == [float, float, int]
+    assert axis.spacing == 0.25
+    np.testing.assert_array_equal(axis.nodes(), np.linspace(-1.0, 1.0, 9))
+    assert Grid.rectangle(axis, (-1, 1, 9)).axes == (axis, axis)

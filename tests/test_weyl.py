@@ -66,7 +66,7 @@ class TestKernelTypes:
     def test_oscillator_states_orthonormal(self):
         psi0 = oscillator_state(AXIS, 0)
         psi2 = oscillator_state(AXIS, 2)
-        overlap = np.trapezoid(psi0.values * np.conj(psi2.values), dx=psi0.spacing)
+        overlap = np.trapezoid(psi0.values * np.conj(psi2.values), dx=psi0.axis.spacing)
         assert abs(overlap) < 1e-8
         assert abs(psi2.norm - 1.0) < 1e-8
 
@@ -115,7 +115,7 @@ def _trapezoid_oracle(kernel, grid, hbar=1.0):
 
     w_j is 1/2 at j = +-reach and 1 inside; a row with reach 0 is zero.
     """
-    n, h = kernel.axis[2], kernel.spacing
+    n, h = kernel.axis[2], kernel.axis.spacing
     nodes = np.rint((grid.coordinate(0) - kernel.axis[0]) / h).astype(int)
     p = grid.coordinate(1)
     out = np.zeros(grid.shape, dtype=complex)
