@@ -3,7 +3,10 @@
 Evolution multiplies the regular coefficients by exp(i (omega - omega') t
 / hbar); the singular term never moves. For smooth absolutely-integrable
 regular kernels the oscillatory sum dies out (Riemann-Lebesgue), leaving
-the energy-label pairing of the diagonal as the weak limit. Residual
+the energy-label pairing of the diagonal as the weak limit. The residual
+is the sum over frequency differences d of a coherence weight times
+exp(i d d_omega t / hbar); it is evaluated from real cos/sin tables over
+half the in-block offsets and half the block centres of d. Residual
 decay is classified empirically by competing exponential and power-law
 fits; for a Lorentzian coherence kernel of half-width gamma the fitted
 rate is gamma / hbar, the inverse-pole-distance law.
@@ -134,16 +137,46 @@ def limit_pairing(rho: State, obs: Observable) -> float:
     return complex(pair_singular_symbols(to_classical_density(rho), obs)).real
 
 
+def _cos_sin(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(2F x T) real table: cos(f t) rows for the F frequencies, then sin(f t) rows."""
+    theta = np.outer(freqs, times)
+    table = np.empty((2,) + theta.shape)
+    np.cos(theta, out=table[0])
+    np.sin(theta, out=table[1])
+    return table.reshape(-1, theta.shape[1])
+
+
+def _fold(rows: np.ndarray, centre: int) -> np.ndarray:
+    """Fold rows centre - k and centre + k, k = 0..centre: even rows over odd rows.
+
+    sum_k rows[c + k] e^(i k x) over |k| <= c equals sum_k even_k cos(k x) +
+    odd_k sin(k x) over k = 0..c, with even_k = rows[c + k] + rows[c - k]
+    (row c taken once at k = 0) and odd_k = i (rows[c + k] - rows[c - k]),
+    exactly zero at k = 0.
+    """
+    up = rows[centre:]
+    down = rows[: centre + 1][::-1]
+    folded = np.empty((2 * (centre + 1),) + rows.shape[1:], dtype=complex)
+    np.add(up, down, out=folded[: centre + 1])
+    folded[0] = rows[centre]
+    np.subtract(up, down, out=folded[centre + 1 :])
+    folded[centre + 1 :] *= 1j
+    return folded
+
+
 def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
     """sum_d weights[d] exp(i d step t) for d in -(m-1)/2..(m-1)/2, m = len(weights).
 
-    Writes d = c + j with block centres c = b*B and in-block offsets
-    |j| <= (B-1)/2, B odd and about sqrt(m), so exp(i d step t) =
-    exp(i c step t) * exp(i j step t). That takes about 2 sqrt(m)
-    exponentials per time and one (T x B) @ (B x blocks) matmul, instead
-    of a dense T x m phase table. Both factors are centred on d = 0: the
-    heavy small-|d| terms then use small arguments, where exp is exact to
-    round-off.
+    Writes d = c + j with block centres c = k*B, |k| <= K, and in-block
+    offsets |j| <= R = (B-1)/2, B odd and about sqrt(m), so exp(i d step t) =
+    exp(i c step t) * exp(i j step t). ``_fold`` pairs j with -j and k with
+    -k, so the weights, folded on both levels first, meet only real tables
+    of cos and sin at j, k >= 0: 2(R+1) + 2(K+1) values per time (84 at
+    m = 1601), one real matmul against the offset table and one row-wise
+    reduction against the centre table, instead of a dense T x m phase
+    table or complex exponentials. Both factors are centred on d = 0: the
+    heavy small-|d| terms then use small arguments, where cos and sin are
+    exact to round-off, and the d = 0 weight meets only cos 0 = 1 and sin 0 = 0.
     """
     reach = (len(weights) - 1) // 2
     radius = int(round(math.sqrt(len(weights)) / 2.0))
@@ -152,13 +185,19 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     padded_reach = (n_blocks * size - 1) // 2
     padded = np.zeros(2 * padded_reach + 1, dtype=complex)
     padded[padded_reach - reach : padded_reach + reach + 1] = weights
-    # column b holds offsets centres[b] - radius .. centres[b] + radius
-    blocks = padded.reshape(n_blocks, size).T
-    offsets = np.arange(-radius, radius + 1)
-    centres = (np.arange(n_blocks) - n_blocks // 2) * size
-    inner = np.exp(1j * np.outer(times, offsets * step))
-    outer = np.exp(1j * np.outer(times, centres * step))
-    return np.einsum("tb,tb->t", inner @ blocks, outer)
+    half = n_blocks // 2
+    # row b of the reshape holds offsets c - radius .. c + radius of centre
+    # c = (b - half) * size; coeffs is (2(half+1) x 2(radius+1)) complex,
+    # one row per centre term and one column per offset term
+    coeffs = _fold(_fold(padded.reshape(n_blocks, size), half).T, radius).T
+    # real and imaginary parts as row pairs, so the offset sum is one real matmul
+    parts = np.stack([coeffs.real, coeffs.imag], axis=1).reshape(2 * len(coeffs), -1)
+    partial = parts @ _cos_sin(np.arange(radius + 1) * step, times)
+    partial = partial.reshape(len(coeffs), 2, -1)
+    partial *= _cos_sin((np.arange(half + 1) * size) * step, times)[:, None, :]
+    # the far, small centre terms are added first and the heavy k = 0 term last
+    sums = partial[::-1].sum(axis=0)
+    return sums[0] + 1j * sums[1]
 
 
 def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Trajectory:
@@ -167,7 +206,9 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     Algebraically identical to evolve_pairing(t) - limit_pairing, but the
     off-diagonal sum is grouped by frequency difference first (one FFT
     cross-correlation of the kernel terms, O(n log n)), and the phases of
-    the uniform frequency grid are factored so no T x (2n-1) table is built.
+    the uniform frequency grid are factored into block centres and in-block
+    offsets, each folded onto real cos/sin tables over its nonnegative
+    half, so no T x (2n-1) table is built (``_phase_sums``).
     Logs a warning when a time reaches half of ``grid.recurrence_time(hbar)``.
     """
     times = np.asarray(times, dtype=float)

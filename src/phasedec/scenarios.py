@@ -123,8 +123,9 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     """``defaults`` with ``override`` merged in: the one place an override is typed.
 
     Each override takes its default's type. A mapping merges key by key, a
-    list holds finite floats, ints, floats and the hbar options go through
-    their ``_*_option``, and ``kernel`` merges over its family's defaults.
+    list must be non-empty and holds finite floats, ints, floats and the
+    hbar options go through their ``_*_option``, and ``kernel`` merges over
+    its family's defaults.
     A refused value raises ValueError naming its path, as ``box_lengths[1]``.
     """
     out = copy.deepcopy(defaults)
@@ -142,8 +143,10 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
                 raise ValueError(f"option {name!r} must be a mapping")
             out[key] = _merge(default, value, f"{name}.")
         elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ValueError(f"option {name!r} must be a list of finite numbers, got {value!r}")
+            if not isinstance(value, list) or not value:
+                raise ValueError(
+                    f"option {name!r} must be a non-empty list of finite numbers, got {value!r}"
+                )
             out[key] = [_float_option(v, f"{name}[{i}]") for i, v in enumerate(value)]
         elif isinstance(default, int):
             out[key] = _integer_option(value, name)
@@ -250,6 +253,14 @@ def _coherence_from_options(kernel: dict):
     return diagonal, regular
 
 
+def _axis_option(opts: dict, name: str) -> Axis:
+    """``Axis`` of the (lo, hi, count) option ``name``; a refused triple names the option."""
+    try:
+        return Axis(**opts[name])
+    except ValueError as exc:
+        raise ValueError(f"option {name!r}: {exc}") from None
+
+
 def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
     entry = {"passed": bool(passed)}
     entry.update(details)
@@ -283,7 +294,7 @@ def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
 
 def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
     hbars = sorted(opts["hbar"], reverse=True)
-    grid = Grid.square(**opts["grid"])
+    grid = Grid.square(*_axis_option(opts, "grid"))
     f = PhaseFunction.sample(grid, lambda q, p: q**3, "q^3")
     h = PhaseFunction.sample(grid, lambda q, p: p**3, "p^3")
     rep = classical_limit_check(f, h, hbars, order=opts["truncation_order"])
@@ -337,7 +348,7 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
 
 def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
-    axis = Axis(**opts["axis"])
+    axis = _axis_option(opts, "axis")
     grid = Grid.rectangle(axis, axis)
 
     ground = wigner_of_pure_state(gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
@@ -398,6 +409,11 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
 
 def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
+    q_axis = _axis_option(opts, "q_axis")
+    p_axis = _axis_option(opts, "p_axis")
+    for i, length in enumerate(opts["box_lengths"]):
+        if length <= 0:
+            raise ValueError(f"option 'box_lengths[{i}]' must be positive, got {length}")
     sgrid = SpectralGrid(**opts["spectral_grid"])
     coeff_profile = kernels.gaussian_profile(**opts["state_profile"])
     obs_profile = kernels.gaussian_profile(**opts["observable_profile"])
@@ -408,13 +424,12 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     obs = make_observable(sgrid, None, kernels.separable_kernel(obs_profile))
 
     v_spectral = pair(rho, obs)
-    q_axis = Axis(**opts["q_axis"])
     psi = synthesize_wavefunction(sgrid, coeffs, q_axis, hbar)
     k_rho = OperatorKernel.from_wavefunction(psi.normalize())
     k_obs = synthesize_kernel(sgrid, obs.regular, q_axis, hbar)
     v_trace = trace_pair(k_rho, k_obs)
 
-    pgrid = Grid.rectangle(q_axis, Axis(**opts["p_axis"]))
+    pgrid = Grid.rectangle(q_axis, p_axis)
     w_rho = wigner_of_pure_state(psi, hbar, pgrid)
     a_obs = wigner_of_kernel(k_obs, hbar, pgrid)
     v_phase = pair_regular_symbols(w_rho, a_obs)
@@ -673,6 +688,7 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
     n_states = opts["n_states"]
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
+    axis = _axis_option(opts, "wigner_axis")
 
     minima = []
     all_passed = True
@@ -682,7 +698,6 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
         minima.append(result.min_value)
         all_passed = all_passed and result.passed
 
-    axis = Axis(**opts["wigner_axis"])
     grid = Grid.rectangle(axis, axis)
     excited = wigner_of_pure_state(oscillator_state(axis, 1, hbar), hbar, grid)
     wigner_min = float(excited.values.real.min())

@@ -492,6 +492,55 @@ def test_non_finite_float_option_is_validation_error(tmp_path, capsys, text, pat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"scenario": "pairing-equivalence", "box_lengths": []}', "box_lengths"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "custom-polynomial", '
+         '"coefficients": []}}', "kernel.coefficients"),
+    ],
+    ids=["box-lengths", "kernel-coefficients"],
+)
+def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
+    # an empty box_lengths ended in numpy's "expected non-empty vector for x" and
+    # empty coefficients in "diagonal has zero mass", neither naming the option
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "non-empty list" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, path, message",
+    [
+        ('{"scenario": "wigner-negativity", "axis": {"hi": -7}}', "axis", "max > min"),
+        ('{"scenario": "limit-positivity", "wigner_axis": {"count": 5}}', "wigner_axis",
+         "count must be >="),
+        ('{"scenario": "pairing-equivalence", "p_axis": {"lo": 4.5}}', "p_axis", "max > min"),
+        ('{"scenario": "moyal-convergence", "grid": {"lo": 2.0}}', "grid", "max > min"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": [-4.0]}', "box_lengths[0]",
+         "must be positive"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": [4.0, 0]}', "box_lengths[1]",
+         "must be positive"),
+    ],
+    ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
+         "zero-box"],
+)
+def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
+    # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
+    # no option name, since each number on its own is a valid float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_integer_for_float_option_is_accepted(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"lo": -6, "hi": 6}}

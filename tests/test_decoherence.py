@@ -15,6 +15,7 @@ import pytest
 from phasedec import kernels
 from phasedec.decoherence import (
     Trajectory,
+    _phase_sums,
     evolve_pairing,
     fit_decay,
     limit_pairing,
@@ -291,6 +292,19 @@ class TestFactoredPhaseSum:
         weights = _coherence_weights(rho.regular, obs.regular)
         values = residual_trajectory(rho, obs, times, hbar).values
         expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
+        assert float(np.max(np.abs(values - expected))) <= 1e-12 * float(np.sum(np.abs(weights)))
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 9, 15, 33])
+    def test_short_weights_match_long_double_direct_sum(self, length):
+        # radius 0 (length 1), a single block and so a single centre (1, 3), one
+        # centre pair (5, 9, 15), at t = 0 and at negative times
+        rng = np.random.default_rng(length)
+        weights = rng.normal(size=length) + 1j * rng.normal(size=length)
+        times = np.array([-7.3, -1.0, -0.25, 0.0, 0.4, 2.0, 11.9])
+        step = 0.61
+        values = _phase_sums(weights, times, step)
+        expected = long_double_phase_sum(weights, times, step, 1.0)
+        assert values.shape == times.shape
         assert float(np.max(np.abs(values - expected))) <= 1e-12 * float(np.sum(np.abs(weights)))
 
     @pytest.mark.parametrize("build", ORACLE_PAIRS)
