@@ -182,11 +182,26 @@ def _require_same_grid(f: PhaseFunction, g: PhaseFunction):
         raise ValueError("phase functions live on different grids")
 
 
+def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
+    """Trapezoid weights of ``count`` nodes ``spacing`` apart: the spacing, halved at both ends.
+
+    Every full-axis trapezoid sum in the package contracts with this vector;
+    only the Wigner lag windows, whose reach differs per row, weight their own.
+    """
+    weights = np.full(count, spacing)
+    weights[0] = weights[-1] = 0.5 * spacing
+    return weights
+
+
 def integrate(f: PhaseFunction) -> complex:
-    """Trapezoidal quadrature of ``f`` over all 2N axes."""
+    """Trapezoidal quadrature of ``f`` over all 2N axes.
+
+    Each axis is contracted with its weight vector, the last axis first, so
+    every step is one matrix-vector product on a contiguous array.
+    """
     values = f.values
-    for axis in reversed(range(len(f.grid.axes))):
-        values = np.trapezoid(values, dx=f.grid.spacing(axis), axis=axis)
+    for axis in reversed(f.grid.axes):
+        values = values @ _trapezoid_weights(axis.count, axis.spacing)
     return complex(values)
 
 

@@ -14,7 +14,9 @@ building and checking a kernel costs O(k n), and pairing k state terms
 with l observable terms O(k l n log n), instead of O(n^2). Any hermitian
 kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
 callables and dense arrays are not accepted. ``CoherenceTerms.dense()``
-builds the full array, for test oracles only.
+builds the full array at O(k n^2). Outside test oracles it runs only in
+``synthesize_kernel``, and only for terms whose offset symbol c is not 1
+everywhere; separable terms (c = 1) are synthesized from their profiles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .phase_space import Axis, Grid, PhaseFunction, _frozen
+from .phase_space import Axis, Grid, PhaseFunction, _frozen, _trapezoid_weights
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -122,7 +124,11 @@ class CoherenceTerms:
         object.__setattr__(self, "c", _frozen(c, complex, offsets, "term offset symbols c"))
 
     def dense(self) -> np.ndarray:
-        """The full ``(n, n)`` kernel array: O(k n^2), for test oracles only."""
+        """The full ``(n, n)`` kernel array: O(k n^2).
+
+        Test oracles use it; ``synthesize_kernel`` uses it only for terms
+        whose offset symbol c is not 1 everywhere.
+        """
         n = self.grid.omega_count
         nodes = np.arange(n)
         offset = nodes[:, None] - nodes[None, :] + n - 1
@@ -354,11 +360,19 @@ def regular_basis_observable(grid: SpectralGrid, row: int, col: int) -> Observab
 
 
 def _plane_wave_matrix(grid: SpectralGrid, q: np.ndarray, hbar: float) -> np.ndarray:
-    """E[i, k] = exp(i omega_k q_i / hbar) * w_k * d_omega / sqrt(2 pi hbar)."""
-    weights = np.ones(grid.omega_count)
-    weights[0] = weights[-1] = 0.5
-    phases = np.exp(1j * np.outer(q, grid.omega) / hbar)
-    return phases * (weights * grid.d_omega / np.sqrt(2.0 * np.pi * hbar))
+    """E[i, k] = exp(i omega_k q_i / hbar) * w_k / sqrt(2 pi hbar), w the omega trapezoid weights.
+
+    The cos and sin of the real phase are written straight into the real
+    and imaginary parts of one complex buffer, which is then scaled in place.
+    """
+    phase = np.outer(q, grid.omega)
+    phase /= hbar
+    table = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
+    del phase
+    table *= _trapezoid_weights(grid.omega_count, grid.d_omega) / np.sqrt(2.0 * np.pi * hbar)
+    return table
 
 
 def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: float) -> WaveFunction:
@@ -382,8 +396,11 @@ def synthesize_kernel(
     """Position-space kernel of regular spectral kernel terms in the translation realization.
 
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
-    exp(i (w q - w' q') / hbar) dw dw'. Builds the dense (n, n) spectral
-    kernel; the plane-wave products cost O(n^2 n_q) with or without it.
+    exp(i (w q - w' q') / hbar) dw dw'. With E the plane-wave matrix, the
+    k terms whose offset symbol c is 1 everywhere sum to (E A^T)(E B^T)^H,
+    at O(k n n_q + k n_q^2). Only the other terms are summed
+    through their dense (n, n) spectral kernel, as E dense E^H at
+    O(n^2 n_q + n n_q^2).
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -391,4 +408,10 @@ def synthesize_kernel(
         raise ValueError("regular kernel terms must live on the given spectral grid")
     axis = Axis(*axis)
     e = _plane_wave_matrix(grid, axis.nodes(), hbar)
-    return OperatorKernel(axis, e @ regular.dense() @ e.conj().T)
+    separable = np.all(regular.c == 1.0, axis=1)
+    values = (e @ regular.a[separable].T) @ (e @ regular.b[separable].T).conj().T
+    if not separable.all():
+        rest = ~separable
+        dense = CoherenceTerms(grid, regular.a[rest], regular.b[rest], regular.c[rest]).dense()
+        values += e @ dense @ e.conj().T
+    return OperatorKernel(axis, values)

@@ -22,7 +22,9 @@ table and the sum is one real matmul.
 A kernel's samples g_j = K(q-y, q+y) and g_-j = K(q+y, q-y) are read off
 its anti-diagonals. A pure state's g_j = psi(q-y) conj(psi(q+y)) is
 formed straight from psi, so the n^2 projector kernel is never built; its
-mirror is g_-j = conj(g_j), so even and odd are real and so is W.
+mirror is g_-j = conj(g_j), so even and odd are real and so is W. A real
+psi (imaginary part exactly zero) has real g_j and no odd lags: it meets
+only the cos table, in a real matmul half as deep.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .phase_space import Axis, Grid, PhaseFunction, _frozen
+from .phase_space import Axis, Grid, PhaseFunction, _frozen, _trapezoid_weights
 
 __all__ = [
     "OperatorKernel",
@@ -79,7 +81,8 @@ class WaveFunction:
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(np.trapezoid(np.abs(self.values) ** 2, dx=self.axis.spacing)))
+        weights = _trapezoid_weights(self.axis.count, self.axis.spacing)
+        return float(np.sqrt(np.abs(self.values) ** 2 @ weights))
 
     def normalize(self) -> "WaveFunction":
         n = self.norm
@@ -154,26 +157,29 @@ def _half_window(n: int, nodes: np.ndarray):
 def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hbar: float):
     """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
 
-    ``halves`` is (2, M+1, rows), even over odd lags j = 0..M, and gets the
-    trapezoid weights in place: 1 inside a row's reach, 1/2 at it, 0 past it.
-    The j = 0 lag occurs once in the full sum but twice in even_0, so it takes
-    a further 1/2; a row with reach 0 has no window and is zero. Complex
-    halves are multiplied as their real and imaginary columns; the result is
-    (rows, n_p), or (2 rows, n_p) with real and imaginary rows alternating.
+    ``halves`` is (2, M+1, rows), even over odd lags j = 0..M, or (1, M+1,
+    rows) with even lags only when every odd lag is zero; only the tables
+    it needs are built. It gets the trapezoid weights in place: 1 inside a
+    row's reach, 1/2 at it, 0 past it. The j = 0 lag occurs once in the
+    full sum but twice in even_0, so it takes a further 1/2; a row with
+    reach 0 has no window and is zero. Complex halves are multiplied as
+    their real and imaginary columns; the result is (rows, n_p), or
+    (2 rows, n_p) with real and imaginary rows alternating.
     """
-    lags = np.arange(halves.shape[1])[:, None]
+    parts, depth = halves.shape[:2]
+    lags = np.arange(depth)[:, None]
     halves *= np.clip(reach + 0.5 - lags, 0.0, 1.0)
     halves[0, 0] *= 0.5
     halves[:, :, reach == 0] = 0.0
     theta = np.outer(lags * h, p_out)
     theta *= 2.0
     theta /= hbar
-    table = np.empty((2,) + theta.shape)
+    table = np.empty((parts,) + theta.shape)
     np.cos(theta, out=table[0])
-    np.sin(theta, out=table[1])
+    if parts == 2:
+        np.sin(theta, out=table[1])
     del theta
-    both = 2 * len(lags)
-    out = halves.view(float).reshape(both, -1).T @ table.reshape(both, -1)
+    out = halves.view(float).reshape(parts * depth, -1).T @ table.reshape(parts * depth, -1)
     out *= 2.0 * h
     return out
 
@@ -229,7 +235,9 @@ def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> Phas
     The symbol of the projector |psi><psi| of the normalized psi, divided
     by 2 pi hbar so the result integrates to 1. Its lag products
     psi(q-y) conj(psi(q+y)) are gathered straight from psi, so the n^2
-    projector kernel is never formed, and the result is exactly real.
+    projector kernel is never formed, and the result is exactly real. A
+    psi whose imaginary part is exactly zero is summed against the cos
+    table alone.
     """
     nodes, p_out = _output_nodes(psi.axis, hbar, out_grid)
     return PhaseFunction(out_grid, _pure_state_rows(psi.normalize(), nodes, p_out, hbar))
@@ -243,18 +251,27 @@ def _pure_state_rows(psi: WaveFunction, nodes: np.ndarray, p_out: np.ndarray, hb
     bytes of the complex result.
     """
     reach, lags = _half_window(psi.axis.count, nodes)
+    # the mirror lag is g_-j = conj(g_j), so even_j = 2 Re g_j, odd_j = -2 Im g_j;
+    # a real psi has real g_j and no odd half
+    real = not psi.values.imag.any()
+    values = psi.values.real if real else psi.values
     at = nodes - lags
-    lag_products = np.take(psi.values, at, mode="clip")
+    lag_products = np.take(values, at, mode="clip")
     at += 2 * lags
-    mirror = np.take(psi.values, at, mode="clip")
+    mirror = np.take(values, at, mode="clip")
     del at
-    np.conjugate(mirror, out=mirror)
-    lag_products *= mirror  # g_j = psi[i - j] conj(psi[i + j])
-    del mirror
-    # the mirror lag is g_-j = conj(g_j), so even_j = 2 Re g_j, odd_j = -2 Im g_j
-    halves = np.empty((2,) + lag_products.shape)
-    np.multiply(lag_products.real, 2.0, out=halves[0])
-    np.multiply(lag_products.imag, -2.0, out=halves[1])
+    if real:
+        lag_products *= mirror  # g_j = psi[i - j] psi[i + j]
+        del mirror
+        lag_products *= 2.0
+        halves = lag_products[None]
+    else:
+        np.conjugate(mirror, out=mirror)
+        lag_products *= mirror  # g_j = psi[i - j] conj(psi[i + j])
+        del mirror
+        halves = np.empty((2,) + lag_products.shape)
+        np.multiply(lag_products.real, 2.0, out=halves[0])
+        np.multiply(lag_products.imag, -2.0, out=halves[1])
     del lag_products
     rows = _fold(halves, reach, p_out, psi.axis.spacing, hbar)
     rows /= 2.0 * np.pi * hbar
@@ -264,14 +281,14 @@ def _pure_state_rows(psi: WaveFunction, nodes: np.ndarray, p_out: np.ndarray, hb
 def q_marginal(w: PhaseFunction) -> np.ndarray:
     """integral of W over p, one value per q node of the grid."""
     _check_grid_2d(w.grid)
-    return np.trapezoid(w.values.real, dx=w.grid.spacing(1), axis=1)
+    p_axis = w.grid.axes[1]
+    return w.values.real @ _trapezoid_weights(p_axis.count, p_axis.spacing)
 
 
 def trace_pair(a: OperatorKernel, b: OperatorKernel) -> complex:
     """Tr(A B) by double trapezoid: integral A(q, q') B(q', q) dq dq'."""
     if a.axis != b.axis:
         raise ValueError("kernels live on different axes")
-    w = np.ones(a.axis.count)
-    w[0] = w[-1] = 0.5
+    w = _trapezoid_weights(a.axis.count, a.axis.spacing)
     integrand = a.values * b.values.T
-    return complex(np.einsum("i,j,ij->", w, w, integrand) * a.axis.spacing**2)
+    return complex(np.einsum("i,j,ij->", w, w, integrand))

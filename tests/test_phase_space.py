@@ -109,6 +109,24 @@ class TestIntegrate:
             errors.append(abs(integrate(f).real - 1.0))
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ((-2.0, 3.0, 37), (-0.5, 4.5, 53)),
+            ((-1.0, 2.0, 9), (0.0, 5.0, 11), (-3.0, 1.0, 13), (2.0, 2.5, 15)),
+        ],
+        ids=["2-axis", "4-axis"],
+    )
+    def test_matches_nested_trapezoid_rule(self, axes):
+        # distinct counts and spacings: every axis must get its own weights
+        grid = Grid(axes)
+        values = np.random.default_rng(11).normal(size=grid.shape + (2,)) @ [1.0, 1j]
+        expected = values
+        for axis in reversed(range(len(axes))):
+            expected = np.trapezoid(expected, dx=grid.spacing(axis), axis=axis)
+        scale = float(np.sum(np.abs(values))) * np.prod([grid.spacing(a) for a in range(len(axes))])
+        assert abs(integrate(PhaseFunction(grid, values)) - expected) <= 1e-13 * scale
+
     def test_rejects_nonfinite(self, grid):
         # construction is the choke point: non-finite samples never reach quadrature
         bad = np.zeros(grid.shape, dtype=complex)

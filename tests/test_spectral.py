@@ -6,6 +6,7 @@ from scipy.fft import next_fast_len
 
 from phasedec import kernels
 from phasedec.phase_space import Grid, integrate
+from phasedec.scenarios import run_named_scenario
 from phasedec.spectral import (
     CoherenceTerms,
     MomentumMap,
@@ -200,3 +201,44 @@ class TestPlaneWaveSynthesis:
         assert float(np.max(np.abs(kernel.values - expected))) < 1e-10
         scale = float(np.max(np.abs(kernel.values)))
         assert float(np.max(np.abs(kernel.values - kernel.values.conj().T))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("build", ["separable", "lorentzian", "mixed", "empty"])
+    def test_kernel_synthesis_matches_dense_oracle(self, build):
+        # E dense E^H with E from the complex exponential: the rank-k sum of
+        # separable terms and the dense sum of the others must both match it
+        sgrid = SpectralGrid(4.0, 121)
+        w = sgrid.omega
+        hbar = 0.7
+        skewed = kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w)
+        lorentzian = kernels.lorentzian_kernel(0.3, lambda x: np.exp(-x))
+        lorentz = make_observable(sgrid, None, lorentzian).regular
+        separable = CoherenceTerms(sgrid, [skewed], [np.exp(-((w - 2.0) ** 2))])
+        terms = {
+            "separable": separable,
+            "lorentzian": lorentz,
+            "mixed": CoherenceTerms(
+                sgrid,
+                np.concatenate([separable.a, lorentz.a, [np.exp(-w)]]),
+                np.concatenate([separable.b, lorentz.b, [w]]),
+                np.concatenate([separable.c, lorentz.c, np.ones((1, 2 * sgrid.omega_count - 1))]),
+            ),
+            "empty": make_observable(sgrid, None, None).regular,
+        }[build]
+        axis = (-12.0, 9.0, 97)
+        weights = np.full(sgrid.omega_count, sgrid.d_omega)
+        weights[0] = weights[-1] = 0.5 * sgrid.d_omega
+        e = np.exp(1j * np.outer(np.linspace(*axis), w) / hbar) * weights
+        e /= np.sqrt(2.0 * np.pi * hbar)
+        expected = e @ terms.dense() @ e.conj().T
+        kernel = synthesize_kernel(sgrid, terms, axis, hbar).values
+        assert float(np.max(np.abs(kernel - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
+        assert (build == "empty") == (not kernel.any())
+
+
+def test_pairing_equivalence_builds_no_dense_spectral_kernel(monkeypatch):
+    # its observable is one separable term, synthesized from the profile alone
+    def refuse(self):
+        raise AssertionError("CoherenceTerms.dense() called")
+
+    monkeypatch.setattr(CoherenceTerms, "dense", refuse)
+    assert run_named_scenario("pairing-equivalence", {}, seed=0).report["passed"]

@@ -206,6 +206,25 @@ class TestGatherPath:
         assert float(np.max(np.abs(w - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
         assert np.all(w.imag == 0.0)
 
+    @pytest.mark.parametrize(
+        "out_grid, hbar",
+        [
+            (Grid.rectangle(AXIS, AXIS), 1.0),
+            (Grid.rectangle((AXIS[0] + 1.0, AXIS[1] - 2.0, 145), (-3.0, 3.0, 121)), 0.7),
+        ],
+        ids=["oscillator-grid", "rectangular"],
+    )
+    def test_real_state_matches_phase_rotated_state(self, out_grid, hbar):
+        # a global phase leaves W unchanged but sends psi down the complex
+        # path, which folds the odd lags against the sin table as well
+        mixed = oscillator_state(AXIS, 1, hbar).values + 0.3 * gaussian_state(AXIS, 0.5).values
+        real = WaveFunction(AXIS, mixed)
+        rotated = WaveFunction(AXIS, np.exp(0.9j) * real.values)
+        assert not real.values.imag.any() and rotated.values.imag.any()
+        w_real = wigner_of_pure_state(real, hbar, out_grid).values
+        w_rotated = wigner_of_pure_state(rotated, hbar, out_grid).values
+        assert float(np.max(np.abs(w_real - w_rotated))) <= 1e-13 * float(np.max(np.abs(w_rotated)))
+
     def test_off_node_grid_rejected(self, ground):
         # q shifted by a third of a cell, kept inside the kernel range
         h = (AXIS[1] - AXIS[0]) / (AXIS[2] - 1)
@@ -284,6 +303,14 @@ class TestMarginals:
         marg = q_marginal(w_excited)
         assert marg.min() >= -1e-6
         assert float(np.max(np.abs(marg - np.abs(excited.values) ** 2))) < 1e-5
+
+    def test_matches_trapezoid_rule(self):
+        # distinct q and p counts and spacings: the p axis's weights must be the ones used
+        grid = Grid.rectangle((-2.0, 3.0, 37), (-0.5, 4.5, 53))
+        values = np.random.default_rng(7).normal(size=grid.shape + (2,)) @ [1.0, 1j]
+        w = PhaseFunction(grid, values)
+        expected = np.trapezoid(values.real, dx=grid.spacing(1), axis=1)
+        assert float(np.max(np.abs(q_marginal(w) - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
 
     def test_zero_symbol(self, grid):
         w = PhaseFunction(grid, np.zeros(grid.shape))
