@@ -190,19 +190,11 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.hbar is not None:
             config.options["hbar"] = args.hbar
+        with _package_logging(args.verbose):
+            return run_scenario(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        with _package_logging(args.verbose):
-            return run_scenario(config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

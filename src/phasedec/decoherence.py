@@ -120,13 +120,13 @@ def evolve_pairing(rho: State, obs: Observable, t: float, hbar: float) -> comple
     _check_pair_args(rho, obs, hbar)
     _warn_past_half_recurrence(rho.grid, np.asarray(t, dtype=float), hbar)
     grid = rho.grid
-    cell = grid.cell
-    singular_term = np.sum(rho.diagonal * obs.singular) * cell
+    d_omega = grid.d_omega
+    singular_term = np.sum(rho.diagonal * obs.singular) * d_omega
 
     omega = grid.omega
     phase = np.exp(1j * (omega[:, None] - omega[None, :]) * t / hbar)
     # rho(w, w') obs(w', w): obs is read transposed
-    regular_term = np.sum(rho.regular.dense() * obs.regular.dense().T * phase) * cell**2
+    regular_term = np.sum(rho.regular.dense() * obs.regular.dense().T * phase) * d_omega**2
     return complex(singular_term + regular_term)
 
 

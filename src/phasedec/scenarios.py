@@ -419,7 +419,7 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     obs_profile = kernels.gaussian_profile(**opts["observable_profile"])
 
     coeffs = coeff_profile(sgrid.omega).astype(complex)
-    coeffs = coeffs / np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.cell)
+    coeffs = coeffs / np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.d_omega)
     rho = pure_state(sgrid, coeffs)
     obs = make_observable(sgrid, None, kernels.separable_kernel(obs_profile))
 

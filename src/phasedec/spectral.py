@@ -3,7 +3,7 @@
 An observable is a pair of kernels on a truncated continuous-spectrum
 grid of the energy label omega: a singular part O(omega), diagonal in the
 label, and a regular part O(omega, omega') on the grid squared. Dirac
-deltas in the label discretize to (1/cell) Kronecker indicators, which
+deltas in the label discretize to (1/d_omega) Kronecker indicators, which
 keeps the basis duality exact at the discrete level.
 
 Array layout: a singular kernel is one array over omega. A regular kernel
@@ -85,11 +85,6 @@ class SpectralGrid:
     @property
     def offset_shape(self) -> tuple[int]:
         return (2 * self.omega_count - 1,)
-
-    @property
-    def cell(self) -> float:
-        """Discrete measure d_omega of one grid cell."""
-        return self.d_omega
 
     def recurrence_time(self, hbar: float) -> float:
         """Period 2 pi hbar / d_omega of every evolved pairing on this uniform grid.
@@ -221,7 +216,7 @@ def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
     """Regular pairing weights w_d grouped by the frequency offset d = omega - omega'.
 
     Returns w[d + n-1] for d in -(n-1)..(n-1), with
-    w_d = cell^2 sum over (w, w') with offset d of rho(w, w') obs(w', w),
+    w_d = d_omega^2 sum over (w, w') with offset d of rho(w, w') obs(w', w),
     so the regular pairing is sum_d w_d and its evolution
     sum_d w_d exp(i d d_omega t / hbar). For a state term (a, b, c) and an
     observable term (A, B, C), rho(w, w') obs(w', w) = u(w) v(w') c(d) C(-d)
@@ -242,7 +237,7 @@ def _coherence_weights(rho: CoherenceTerms, obs: CoherenceTerms) -> np.ndarray:
     corr = fft.ifft(spectrum, axis=1)[:, :offsets].reshape(k, l, offsets)
     # obs.c reversed holds C(-d) at the slot of d
     weights = (rho.c[:, None] * obs.c[:, ::-1][None] * corr).sum(axis=(0, 1))
-    return weights * grid.cell**2
+    return weights * grid.d_omega**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +316,7 @@ def _compose_on_phase_space(
         )
     table = np.asarray(table)
     values = np.interp(field, omega, table.real).astype(complex)
-    if np.iscomplexobj(table):
+    if table.imag.any():
         values += 1j * np.interp(field, omega, table.imag)
     return PhaseFunction(momentum_map.grid, values, label=label)
 
@@ -338,9 +333,9 @@ def symb_singular(obs: Observable, momentum_map: MomentumMap, out_grid: Grid) ->
 
 
 def singular_basis_observable(grid: SpectralGrid, index: int) -> Observable:
-    """Discrete delta-column: indicator / cell at one node, regular part zero."""
+    """Discrete delta-column: indicator / d_omega at one node, regular part zero."""
     singular = np.zeros(grid.shape, dtype=complex)
-    singular[index] = 1.0 / grid.cell
+    singular[index] = 1.0 / grid.d_omega
     return Observable(grid, singular)
 
 
@@ -355,7 +350,7 @@ def _delta_term(grid: SpectralGrid, row: int, col: int, value: float) -> Coheren
 
 def regular_basis_observable(grid: SpectralGrid, row: int, col: int) -> Observable:
     """Discrete delta at one (row, col) pair of the regular kernel."""
-    regular = _delta_term(grid, row, col, 1.0 / grid.cell**2)
+    regular = _delta_term(grid, row, col, 1.0 / grid.d_omega**2)
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
 
 

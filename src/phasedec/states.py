@@ -79,7 +79,7 @@ class State:
 
     @property
     def diagonal_mass(self) -> float:
-        return float(np.sum(self.diagonal) * self.grid.cell)
+        return float(np.sum(self.diagonal) * self.grid.d_omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +125,7 @@ def make_state(grid: SpectralGrid, diagonal_fn, regular_fn=None) -> State:
             f"diagonal must be nonnegative; min sample {float(diagonal.min()):.4g}"
         )
     diagonal = np.maximum(diagonal, 0.0)
-    mass = float(np.sum(diagonal) * grid.cell)
+    mass = float(np.sum(diagonal) * grid.d_omega)
     if mass <= 0.0:
         raise AdmissibilityError("diagonal has zero mass; cannot normalize")
     if abs(mass - 1.0) > 1e-12:
@@ -143,7 +143,7 @@ def pure_state(grid: SpectralGrid, coeffs) -> State:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != grid.shape:
         raise ValueError("coefficient array must match the spectral grid shape")
-    norm = np.sqrt(np.sum(np.abs(coeffs) ** 2) * grid.cell)
+    norm = np.sqrt(np.sum(np.abs(coeffs) ** 2) * grid.d_omega)
     if norm == 0:
         raise AdmissibilityError("zero coefficients")
     coeffs = coeffs / norm
@@ -185,11 +185,11 @@ def _require_same_spectral_grid(a, b):
 def pair(rho: State, obs: Observable) -> complex:
     """Functional applied to an observable: singular term + transposed regular term.
 
-    The regular term, the sum of rho(x, x') obs(x', x) cell^2, is the sum of
+    The regular term, the sum of rho(x, x') obs(x', x) d_omega^2, is the sum of
     the coherence weights, so it costs O(k l n log n) for k and l terms.
     """
     _require_same_spectral_grid(rho, obs)
-    singular_term = np.sum(rho.diagonal * obs.singular) * rho.grid.cell
+    singular_term = np.sum(rho.diagonal * obs.singular) * rho.grid.d_omega
     regular_term = np.sum(_coherence_weights(rho.regular, obs.regular))
     return complex(singular_term + regular_term)
 
@@ -206,13 +206,13 @@ def pair_regular_symbols(rho_symbol: PhaseFunction, obs_symbol: PhaseFunction) -
 
 
 def pair_singular_symbols(rho_s: ClassicalDensity, obs: Observable) -> complex:
-    """Energy-label-only pairing: sum over H with the cell measure.
+    """Energy-label-only pairing: sum over H with the d_omega measure.
 
     Never integrates over the conjugate coordinates; the full 2N-volume
     integral of two singular symbols diverges with the box size.
     """
     _require_same_spectral_grid(rho_s, obs)
-    return complex(np.sum(rho_s.values * obs.singular) * rho_s.grid.cell)
+    return complex(np.sum(rho_s.values * obs.singular) * rho_s.grid.d_omega)
 
 
 def singular_symbol(rho: State, momentum_map: MomentumMap, out_grid: Grid) -> PhaseFunction:
@@ -231,13 +231,13 @@ def to_classical_density(rho: State) -> ClassicalDensity:
 
 
 def singular_basis_functional(grid: SpectralGrid, index: int) -> State:
-    """Discrete basis functional at one node: diagonal indicator / cell.
+    """Discrete basis functional at one node: diagonal indicator / d_omega.
 
     Evaluating an observable with it returns the singular kernel value at
     the node; it is itself an admissible (already decohered) state.
     """
     diagonal = np.zeros(grid.shape)
-    diagonal[index] = 1.0 / grid.cell
+    diagonal[index] = 1.0 / grid.d_omega
     return State(grid, diagonal)
 
 
@@ -248,4 +248,4 @@ def regular_basis_functional(grid: SpectralGrid, row: int, col: int) -> State:
     (row, col). Because the pairing transposes the observable indices,
     the coefficient sits at the swapped slot.
     """
-    return State(grid, np.zeros(grid.shape), _delta_term(grid, col, row, 1.0 / grid.cell**2))
+    return State(grid, np.zeros(grid.shape), _delta_term(grid, col, row, 1.0 / grid.d_omega**2))

@@ -14,17 +14,14 @@ Kernels and wavefunctions live on a q :class:`~phasedec.phase_space.Axis`,
 checked by the same rule as every grid axis. The oscillatory y-integral is
 a direct trapezoid sum with dy the axis spacing; callers must keep
 max|p| * dy / hbar below pi/4 so the phase is well sampled, and every
-output q must be an axis node (both checked on entry). With lags y = j*dy,
-the sum over j = -M..M is folded onto j = 0..M: even_j = g_j + g_-j
-multiplies cos(2 j dy p / hbar) and odd_j = i (g_j - g_-j) multiplies
-sin(2 j dy p / hbar), so every row shares one real (M+1) x n_p cos/sin
-table and the sum is one real matmul.
-A kernel's samples g_j = K(q-y, q+y) and g_-j = K(q+y, q-y) are read off
-its anti-diagonals. A pure state's g_j = psi(q-y) conj(psi(q+y)) is
-formed straight from psi, so the n^2 projector kernel is never built; its
-mirror is g_-j = conj(g_j), so even and odd are real and so is W. A real
-psi (imaginary part exactly zero) has real g_j and no odd lags: it meets
-only the cos table, in a real matmul half as deep.
+output q must be an axis node (both checked on entry).
+
+One fold serves both transforms. A hermitian operator's lag samples g_j
+(y = j*dy) have mirrors g_-j = conj(g_j), so the sum over j = -M..M folds
+onto j = 0..M as real halves: even_j = 2 Re g_j against cos(2 j dy p / hbar)
+and odd_j = -2 Im g_j against sin, in one real matmul sharing one table
+over every row. A pure state's g_j = psi(q-y) conj(psi(q+y)) come straight
+from psi; a kernel folds as its hermitian parts H and A, K = H + iA.
 """
 
 from __future__ import annotations
@@ -157,14 +154,11 @@ def _half_window(n: int, nodes: np.ndarray):
 def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hbar: float):
     """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
 
-    ``halves`` is (2, M+1, rows), even over odd lags j = 0..M, or (1, M+1,
-    rows) with even lags only when every odd lag is zero; only the tables
-    it needs are built. It gets the trapezoid weights in place: 1 inside a
-    row's reach, 1/2 at it, 0 past it. The j = 0 lag occurs once in the
-    full sum but twice in even_0, so it takes a further 1/2; a row with
-    reach 0 has no window and is zero. Complex halves are multiplied as
-    their real and imaginary columns; the result is (rows, n_p), or
-    (2 rows, n_p) with real and imaginary rows alternating.
+    ``halves`` holds one hermitian operator's real lags j = 0..M by row:
+    (2, M+1, rows) even over odd, or (1, M+1, rows) when every odd lag is
+    zero, and only the tables it needs are built. Weights go on in place:
+    1 inside a row's reach, 1/2 at it, 0 past it, and 1/2 more on even_0,
+    which counts the j = 0 lag twice. The result is (rows, n_p).
     """
     parts, depth = halves.shape[:2]
     lags = np.arange(depth)[:, None]
@@ -179,7 +173,7 @@ def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hb
     if parts == 2:
         np.sin(theta, out=table[1])
     del theta
-    out = halves.view(float).reshape(parts * depth, -1).T @ table.reshape(parts * depth, -1)
+    out = halves.reshape(parts * depth, -1).T @ table.reshape(parts * depth, -1)
     out *= 2.0 * h
     return out
 
@@ -189,55 +183,60 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
 
     f(q, p) = 2 * integral over y of K(q-y, q+y) exp(2i p y / hbar), with
     y spanning the largest symmetric window the kernel support allows at
-    each q. Hermitian kernels give real symbols up to quadrature noise.
-
-    Every output q must lie within 1e-9 cells of a kernel node, or
-    ValueError is raised. The integrand is then gathered straight from the
-    kernel's anti-diagonals, folded onto lags j >= 0 as even and odd parts,
-    and summed against one real cos/sin table shared by every row.
+    each q. Every output q must lie within 1e-9 cells of a kernel node, or
+    ValueError is raised. K = H + iA, with H = (K + K^H)/2 and
+    A = (K - K^H)/2i hermitian, maps to symbol(H) + i symbol(A), each by
+    the real fold; a hermitian kernel has A = 0 and an exactly real symbol.
     """
     nodes, p_out = _output_nodes(kernel.axis, hbar, out_grid)
     return PhaseFunction(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
 
 
 def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at kernel node indices ``nodes``.
-
-    A separate frame, so the gathered lags and the phase table are freed
-    before ``PhaseFunction`` copies the result.
-    """
-    n = kernel.axis.count
+    """Symbol rows at node indices ``nodes``; the buffers go before ``PhaseFunction`` copies them."""
+    n, h = kernel.axis.count, kernel.axis.spacing
     reach, lags = _half_window(n, nodes)
-    halves = np.empty((2, len(lags), len(nodes)), dtype=complex)
-    # g_j = K[i - j, i + j] sits at flat index i*(n+1) - j*(n-1) and its
-    # mirror g_-j at i*(n+1) + j*(n-1); reads past a row's reach are clipped
-    # and then zero-weighted
-    flat = nodes * (n + 1) - lags * (n - 1)
-    np.take(kernel.values, flat, mode="clip", out=halves[0])
-    flat += 2 * (n - 1) * lags
-    np.take(kernel.values, flat, mode="clip", out=halves[1])
-    del flat
-    halves[0] += halves[1]  # g_j + g_-j
-    halves[1] *= -2.0
-    halves[1] += halves[0]  # g_j - g_-j
-    halves[1] *= 1j
-    folded = _fold(halves, reach, p_out, kernel.axis.spacing, hbar)
-    del halves
-    rows = np.empty((len(nodes), len(p_out)), dtype=complex)
-    rows.real = folded[0::2]
-    rows.imag = folded[1::2]
-    return rows
+    # g_j = K[i - j, i + j] sits at flat index f = i*(n+1) - j*(n-1), its mirror
+    # m_j = K[i + j, i - j] at 2*i*(n+1) - f, their real and imaginary parts at
+    # 2f and 2f + 1 of the float view. Past a row's reach j is held at the
+    # reach: zero-weighted, and exactly zero in A for a hermitian kernel
+    floats = kernel.values.view(float).reshape(-1)
+    h_lags = np.empty((2, len(lags), len(nodes)))  # even over odd lags of H
+    a_lags = np.empty_like(h_lags)  # and of A
+    at = np.minimum(lags, reach)
+    at *= -2 * (n - 1)
+    at += 2 * (n + 1) * nodes
+    np.take(floats, at, mode="clip", out=h_lags[0])  # Re g
+    at += 1
+    np.take(floats, at, mode="clip", out=a_lags[0])  # Im g
+    np.subtract(4 * (n + 1) * nodes + 2, at, out=at)
+    np.take(floats, at, mode="clip", out=h_lags[1])  # Im m
+    at -= 1
+    np.take(floats, at, mode="clip", out=a_lags[1])  # Re m
+    del at
+    # H's lags are (g + conj m)/2 and A's (g - conj m)/2i: even = 2 Re, odd = -2 Im
+    h_lags[0] += a_lags[1]  # Re g + Re m
+    a_lags[1] *= -2.0
+    a_lags[1] += h_lags[0]  # Re g - Re m
+    a_lags[0] += h_lags[1]  # Im g + Im m
+    h_lags[1] *= 2.0
+    h_lags[1] -= a_lags[0]  # Im m - Im g
+    rows = _fold(h_lags, reach, p_out, h, hbar)
+    del h_lags
+    if not a_lags.any():
+        return rows
+    imag = _fold(a_lags, reach, p_out, h, hbar)
+    del a_lags
+    return rows + 1j * imag
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:
     """Unit-mass Wigner quasi-density of a pure state.
 
     The symbol of the projector |psi><psi| of the normalized psi, divided
-    by 2 pi hbar so the result integrates to 1. Its lag products
-    psi(q-y) conj(psi(q+y)) are gathered straight from psi, so the n^2
-    projector kernel is never formed, and the result is exactly real. A
-    psi whose imaginary part is exactly zero is summed against the cos
-    table alone.
+    by 2 pi hbar so the result integrates to 1. Its lag products come
+    straight from psi (no n^2 projector kernel), the result is exactly
+    real, and a real psi has no odd lags: it meets the cos table alone.
     """
     nodes, p_out = _output_nodes(psi.axis, hbar, out_grid)
     return PhaseFunction(out_grid, _pure_state_rows(psi.normalize(), nodes, p_out, hbar))

@@ -88,7 +88,7 @@ def test_phase_space_symbols_run_without_scipy():
         "h = mm.hamiltonian.values\n"
         "assert np.max(np.abs(energy.values - h)) < 1e-12\n"
         "rho = singular_symbol(make_state(sgrid, lambda w: 1.0 + 0.0 * w), mm, pgrid)\n"
-        "assert np.max(np.abs(rho.values - 1.0 / (301 * sgrid.cell))) < 1e-12\n"
+        "assert np.max(np.abs(rho.values - 1.0 / (301 * sgrid.d_omega))) < 1e-12\n"
     )
     assert [m for m in _modules_loaded_after(code) if m.split(".")[0] == "scipy"] == []
 

@@ -110,15 +110,15 @@ def dense_direct_pairing(rho, obs):
     """The static pairing as a direct sum over the dense kernels."""
     # rho(w, w') obs(w', w): obs is read transposed
     regular = np.sum(rho.regular.dense() * obs.regular.dense().T)
-    singular = np.sum(rho.diagonal * obs.singular) * rho.grid.cell
-    return complex(singular + regular * rho.grid.cell**2)
+    singular = np.sum(rho.diagonal * obs.singular) * rho.grid.d_omega
+    return complex(singular + regular * rho.grid.d_omega**2)
 
 
 def bincount_spectrum(rho, obs):
     # the coherence spectrum as an n^2 offset table and two bincounts
     grid = rho.grid
     n = grid.omega_count
-    cross = rho.regular.dense() * obs.regular.dense().T * grid.cell**2
+    cross = rho.regular.dense() * obs.regular.dense().T * grid.d_omega**2
     i = np.arange(n)
     offsets = (i[:, None] - i[None, :]).ravel() + (n - 1)
     weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n - 1)

@@ -117,6 +117,20 @@ class TestSymbSingular:
         rhs = 2.0 * symb_singular(o1, mm, pgrid) + 3.0 * symb_singular(o2, mm, pgrid)
         assert float(np.max(np.abs(lhs.values - rhs.values))) < 1e-12
 
+    def test_imaginary_part_composes(self, harmonic_setup, monkeypatch):
+        # a real-valued table skips the imaginary interpolation; a complex one must not
+        sgrid, pgrid, mm = harmonic_setup
+        interp, calls = np.interp, []
+        monkeypatch.setattr(np, "interp", lambda *args: calls.append(1) or interp(*args))
+        real = symb_singular(make_observable(sgrid, lambda w: w), mm, pgrid)
+        assert len(calls) == 1
+        both = symb_singular(make_observable(sgrid, lambda w: w + 1j * np.exp(-w)), mm, pgrid)
+        assert len(calls) == 3
+        assert np.all(real.values.imag == 0.0)
+        assert np.array_equal(both.values.real, real.values.real)
+        h = 0.5 * sum(m**2 for m in pgrid.mesh())
+        assert float(np.max(np.abs(both.values.imag - np.exp(-h)))) < 1e-3
+
     def test_composition_law(self, harmonic_setup):
         # symb of a product of diagonal kernels is the product of symbols
         sgrid, pgrid, mm = harmonic_setup

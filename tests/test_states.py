@@ -238,12 +238,12 @@ class TestToClassicalDensity:
         rho = make_state(sgrid, kernels.gaussian_profile(2.0, 0.3))
         dens = to_classical_density(rho)
         assert np.allclose(dens.values, rho.diagonal)
-        assert np.sum(dens.values) * sgrid.cell == pytest.approx(1.0)
+        assert np.sum(dens.values) * sgrid.d_omega == pytest.approx(1.0)
 
     def test_unnormalized_input_scaled(self, sgrid):
         raw = State(sgrid, np.ones(sgrid.shape) * 3.0)
         dens = to_classical_density(raw)
-        assert np.sum(dens.values) * sgrid.cell == pytest.approx(1.0)
+        assert np.sum(dens.values) * sgrid.d_omega == pytest.approx(1.0)
 
     def test_moments_preserved_under_scaling(self, sgrid):
         profile = kernels.gaussian_profile(2.0, 0.3)(sgrid.omega)
@@ -267,7 +267,7 @@ class TestRegularPairingEquivalence:
         hbar = 1.0
         sgrid = SpectralGrid(4.0, 161)
         coeffs = kernels.gaussian_profile(2.0, 0.3)(sgrid.omega).astype(complex)
-        coeffs /= np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.cell)
+        coeffs /= np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.d_omega)
         rho = pure_state(sgrid, coeffs)
         obs = make_observable(
             sgrid, None, kernels.separable_kernel(kernels.gaussian_profile(2.0, 0.5))

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phasedec import weyl
 from phasedec.phase_space import Grid, PhaseFunction, integrate
 from phasedec.weyl import (
     OperatorKernel,
@@ -195,6 +196,46 @@ class TestGatherPath:
         axis = (-24.0, 24.0, 1537)
         grid = Grid.rectangle((-24.0, 24.0, 49), (-0.5, 4.5, 641))
         self._assert_matches_oracle(make(axis, seed=6), grid)
+
+    @pytest.mark.parametrize(
+        "make, columns_per_row",
+        [(_random_hermitian_kernel, 1), (_random_kernel, 2)],
+        ids=["hermitian", "non-hermitian"],
+    )
+    def test_fold_takes_real_columns(self, monkeypatch, make, columns_per_row):
+        # K = H + iA folds as real even and odd lags (2 x 97 per column):
+        # one column per output row for H, and as many again for A unless A = 0
+        seen = []
+        fold = weyl._fold
+
+        def spy(halves, *args):
+            seen.append((halves.dtype, halves.size))
+            return fold(halves, *args)
+
+        monkeypatch.setattr(weyl, "_fold", spy)
+        axis = (-6.0, 6.0, 193)
+        grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
+        w = wigner_of_kernel(make(axis, seed=7), 1.0, grid)
+        assert seen and all(dtype == np.dtype(float) for dtype, _ in seen)
+        assert sum(size for _, size in seen) == columns_per_row * 193 * 2 * 97
+        assert np.all(w.values.imag == 0.0) == (columns_per_row == 1)
+
+    @pytest.mark.parametrize(
+        "make", [_random_hermitian_kernel, _random_kernel], ids=["hermitian", "non-hermitian"]
+    )
+    def test_peak_memory_stays_near_kernel_size(self, make):
+        # the real lags of both parts take the kernel's bytes; the phase
+        # table and the folded rows stay below twice the output's bytes
+        axis = (-24.0, 24.0, 385)
+        kernel = make(axis, seed=8)
+        grid = Grid.rectangle(axis, (-0.5, 4.5, 161))
+        tracemalloc.start()
+        try:
+            w = wigner_of_kernel(kernel, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kernel.values.nbytes + 2.0 * w.values.nbytes
 
     def test_pure_state_matches_its_projector_kernel(self):
         psi = _complex_wavefunction(AXIS)
