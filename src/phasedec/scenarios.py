@@ -27,12 +27,13 @@ from .phase_space import Axis, Grid, PhaseFunction, integrate, interior_max_abs
 from .spectral import (
     MomentumMap,
     SpectralGrid,
+    _plane_wave_matrix,
+    _synthesized_kernel,
+    _synthesized_wavefunction,
     make_observable,
     regular_basis_observable,
     singular_basis_observable,
     symb_singular,
-    synthesize_kernel,
-    synthesize_wavefunction,
 )
 from .states import (
     make_state,
@@ -424,9 +425,13 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     obs = make_observable(sgrid, None, kernels.separable_kernel(obs_profile))
 
     v_spectral = pair(rho, obs)
-    psi = synthesize_wavefunction(sgrid, coeffs, q_axis, hbar)
-    k_rho = OperatorKernel.from_wavefunction(psi.normalize())
-    k_obs = synthesize_kernel(sgrid, obs.regular, q_axis, hbar)
+    # one plane-wave matrix serves psi and the observable's factors; both
+    # kernels stay rank one, so no q x q array is formed
+    table = _plane_wave_matrix(sgrid, q_axis, hbar)
+    psi = _synthesized_wavefunction(sgrid, coeffs, q_axis, table)
+    k_rho = OperatorKernel(q_axis, u=psi.normalize().values[None])
+    k_obs = _synthesized_kernel(sgrid, obs.regular, q_axis, table)
+    del table
     v_trace = trace_pair(k_rho, k_obs)
 
     pgrid = Grid.rectangle(q_axis, p_axis)

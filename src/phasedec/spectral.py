@@ -16,11 +16,13 @@ kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
 callables and dense arrays are not accepted. ``CoherenceTerms.dense()``
 builds the full array at O(k n^2). Outside test oracles it runs only in
 ``synthesize_kernel``, and only for terms whose offset symbol c is not 1
-everywhere; separable terms (c = 1) are synthesized from their profiles.
+everywhere; separable terms (c = 1) become the factors of the position
+kernel, synthesized from their profiles with no n_q^2 array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,11 @@ MIN_SPECTRAL_COUNT = 16
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform grid over the energy label: omega in [0, omega_max] at ``omega_count`` nodes."""
+    """Uniform grid over the energy label: omega in [0, omega_max] at ``omega_count`` nodes.
+
+    The step d_omega must have a finite positive square and inverse
+    square: delta functionals divide by d_omega^2 and pairings multiply by it.
+    """
 
     omega_max: float
     omega_count: int
@@ -59,6 +65,13 @@ class SpectralGrid:
             raise ValueError(f"omega count must be >= {MIN_SPECTRAL_COUNT}")
         object.__setattr__(self, "omega_max", float(self.omega_max))
         object.__setattr__(self, "omega_count", int(self.omega_count))
+        square = self.d_omega * self.d_omega
+        if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+            raise ValueError(
+                f"omega_max {self.omega_max!r} over {self.omega_count - 1} steps gives "
+                f"d_omega = {self.d_omega!r}, whose square or inverse square is not a finite "
+                "positive float"
+            )
 
     @property
     def omega(self) -> np.ndarray:
@@ -354,13 +367,15 @@ def regular_basis_observable(grid: SpectralGrid, row: int, col: int) -> Observab
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
 
 
-def _plane_wave_matrix(grid: SpectralGrid, q: np.ndarray, hbar: float) -> np.ndarray:
+def _plane_wave_matrix(grid: SpectralGrid, axis: Axis, hbar: float) -> np.ndarray:
     """E[i, k] = exp(i omega_k q_i / hbar) * w_k / sqrt(2 pi hbar), w the omega trapezoid weights.
 
-    The cos and sin of the real phase are written straight into the real
+    The q_i are the axis nodes. The cos and sin of the real phase are written straight into the real
     and imaginary parts of one complex buffer, which is then scaled in place.
     """
-    phase = np.outer(q, grid.omega)
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    phase = np.outer(axis.nodes(), grid.omega)
     phase /= hbar
     table = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=table.real)
@@ -376,13 +391,18 @@ def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: 
     Uses generalized eigenfunctions u_w(q) = exp(i w q / hbar) / sqrt(2 pi hbar)
     of the momentum operator, so psi(q) = integral c(w) u_w(q) dw.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    axis = Axis(*axis)
+    return _synthesized_wavefunction(grid, coeffs, axis, _plane_wave_matrix(grid, axis, hbar))
+
+
+def _synthesized_wavefunction(
+    grid: SpectralGrid, coeffs, axis: Axis, table: np.ndarray
+) -> WaveFunction:
+    """``synthesize_wavefunction`` with the plane-wave matrix of (grid, axis, hbar) given."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != grid.shape:
         raise ValueError("coefficient array must match the spectral grid shape")
-    axis = Axis(*axis)
-    return WaveFunction(axis, _plane_wave_matrix(grid, axis.nodes(), hbar) @ coeffs)
+    return WaveFunction(axis, table @ coeffs)
 
 
 def synthesize_kernel(
@@ -392,21 +412,29 @@ def synthesize_kernel(
 
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
     exp(i (w q - w' q') / hbar) dw dw'. With E the plane-wave matrix, the
-    k terms whose offset symbol c is 1 everywhere sum to (E A^T)(E B^T)^H,
-    at O(k n n_q + k n_q^2). Only the other terms are summed
-    through their dense (n, n) spectral kernel, as E dense E^H at
-    O(n^2 n_q + n n_q^2).
+    k terms whose offset symbol c is 1 everywhere become the kernel's
+    factors u = E A^T and v = E B^T (v = u when B = A), at O(k n n_q), and
+    no n_q^2 array is formed for them. Only the other terms are summed
+    into the dense rest, through their dense (n, n) spectral kernel, as
+    E dense E^H at O(n^2 n_q + n n_q^2).
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    axis = Axis(*axis)
+    return _synthesized_kernel(grid, regular, axis, _plane_wave_matrix(grid, axis, hbar))
+
+
+def _synthesized_kernel(
+    grid: SpectralGrid, regular: CoherenceTerms, axis: Axis, table: np.ndarray
+) -> OperatorKernel:
+    """``synthesize_kernel`` with the plane-wave matrix of (grid, axis, hbar) given."""
     if regular.grid != grid:
         raise ValueError("regular kernel terms must live on the given spectral grid")
-    axis = Axis(*axis)
-    e = _plane_wave_matrix(grid, axis.nodes(), hbar)
     separable = np.all(regular.c == 1.0, axis=1)
-    values = (e @ regular.a[separable].T) @ (e @ regular.b[separable].T).conj().T
+    a, b = regular.a[separable], regular.b[separable]
+    u = (table @ a.T).T
+    v = None if np.array_equal(a, b) else (table @ b.T).T
+    rest = None
     if not separable.all():
-        rest = ~separable
-        dense = CoherenceTerms(grid, regular.a[rest], regular.b[rest], regular.c[rest]).dense()
-        values += e @ dense @ e.conj().T
-    return OperatorKernel(axis, values)
+        others = ~separable
+        dense = CoherenceTerms(grid, regular.a[others], regular.b[others], regular.c[others]).dense()
+        rest = table @ dense @ table.conj().T
+    return OperatorKernel(axis, rest, u, v)

@@ -201,12 +201,17 @@ def test_run_writes_report_and_curves(tmp_path, capsys):
     assert "[pass]" in stdout
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json",
+@pytest.mark.parametrize(
+    "payload",
+    [
         {"scenario": "limit-positivity", "n_states": 3, "seed": 7,
          "spectral_grid": {"omega_count": 41}, "wigner_axis": {"count": 97}},
-    )
+        {"scenario": "pairing-equivalence", "seed": 7},
+    ],
+    ids=["limit-positivity", "pairing-equivalence"],
+)
+def test_reports_are_byte_identical_across_runs(tmp_path, payload):
+    cfg = write_config(tmp_path / "cfg.json", payload)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["run", "--config", cfg, "--out", str(out2)]) == EXIT_OK
@@ -537,6 +542,22 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"'{path}'" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("omega_max", [1e-300, 1e300], ids=["underflow", "overflow"])
+def test_spectral_step_out_of_float_range_is_validation_error(tmp_path, capsys, omega_max):
+    # the delta functionals divide by d_omega**2 and pairings multiply by it: a step
+    # whose square underflowed ended in a ZeroDivisionError traceback, and one
+    # whose square overflowed in an OverflowError traceback, both with exit 1
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "pairing-equivalence", "spectral_grid": {"omega_max": omega_max}},
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "omega_max" in err and "d_omega" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

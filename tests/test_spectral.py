@@ -209,12 +209,12 @@ class TestPlaneWaveSynthesis:
         profile = np.exp(-((sgrid.omega - 2.0) ** 2)).astype(complex)
         regular = CoherenceTerms(sgrid, profile[None], profile[None])
         axis = (-10.0, 10.0, 161)
-        kernel = synthesize_kernel(sgrid, regular, axis, hbar=1.0)
+        kernel = synthesize_kernel(sgrid, regular, axis, hbar=1.0).dense()
         psi = synthesize_wavefunction(sgrid, profile, axis, hbar=1.0)
         expected = np.outer(psi.values, psi.values.conj())
-        assert float(np.max(np.abs(kernel.values - expected))) < 1e-10
-        scale = float(np.max(np.abs(kernel.values)))
-        assert float(np.max(np.abs(kernel.values - kernel.values.conj().T))) <= 1e-12 * scale
+        assert float(np.max(np.abs(kernel - expected))) < 1e-10
+        scale = float(np.max(np.abs(kernel)))
+        assert float(np.max(np.abs(kernel - kernel.conj().T))) <= 1e-12 * scale
 
     @pytest.mark.parametrize("build", ["separable", "lorentzian", "mixed", "empty"])
     def test_kernel_synthesis_matches_dense_oracle(self, build):
@@ -244,7 +244,7 @@ class TestPlaneWaveSynthesis:
         e = np.exp(1j * np.outer(np.linspace(*axis), w) / hbar) * weights
         e /= np.sqrt(2.0 * np.pi * hbar)
         expected = e @ terms.dense() @ e.conj().T
-        kernel = synthesize_kernel(sgrid, terms, axis, hbar).values
+        kernel = synthesize_kernel(sgrid, terms, axis, hbar).dense()
         assert float(np.max(np.abs(kernel - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
         assert (build == "empty") == (not kernel.any())
 

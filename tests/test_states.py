@@ -276,7 +276,8 @@ class TestRegularPairingEquivalence:
 
         axis = (-20.0, 20.0, 321)
         psi = synthesize_wavefunction(sgrid, coeffs, axis, hbar)
-        k_rho = OperatorKernel.from_wavefunction(psi.normalize())
+        unit = psi.normalize().values
+        k_rho = OperatorKernel(axis, np.outer(unit, unit.conj()))
         k_obs = synthesize_kernel(sgrid, obs.regular, axis, hbar)
         v_trace = trace_pair(k_rho, k_obs)
 

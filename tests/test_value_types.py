@@ -39,6 +39,14 @@ CASES = [
         id="OperatorKernel.values",
     ),
     pytest.param(
+        lambda a: OperatorKernel(AXIS, u=a), "u", complex, _complex(2, 8), _complex(2, 9),
+        id="OperatorKernel.u",
+    ),
+    pytest.param(
+        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), v=a), "v", complex, _complex(2, 8),
+        _complex(3, 8), id="OperatorKernel.v",
+    ),
+    pytest.param(
         lambda a: WaveFunction(AXIS, a), "values", complex, _complex(8), _complex(7),
         id="WaveFunction.values",
     ),

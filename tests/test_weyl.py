@@ -10,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phasedec import weyl
+from phasedec import kernels, weyl
 from phasedec.phase_space import Grid, PhaseFunction, integrate
+from phasedec.scenarios import run_named_scenario, scenario_defaults
+from phasedec.spectral import CoherenceTerms, SpectralGrid, make_observable, synthesize_kernel
 from phasedec.weyl import (
     OperatorKernel,
     WaveFunction,
@@ -24,6 +26,11 @@ from phasedec.weyl import (
 )
 
 AXIS = (-6.0, 6.0, 193)
+
+
+def _projector(psi):
+    """The dense projector kernel psi psi^H."""
+    return OperatorKernel(psi.axis, np.outer(psi.values, psi.values.conj()))
 
 
 @pytest.fixture(scope="module")
@@ -80,32 +87,32 @@ class TestWignerOfKernel:
 
     def test_gaussian_projector_symbol(self, ground, grid):
         # symbol of |psi><psi| is 2 pi hbar W; compare against the analytic W
-        k = OperatorKernel.from_wavefunction(ground)
+        k = _projector(ground)
         symbol = wigner_of_kernel(k, 1.0, grid)
         qm, pm = grid.mesh()
         exact = 2.0 * np.exp(-(qm**2) - pm**2)
         assert float(np.max(np.abs(symbol.values - exact))) < 1e-5
 
     def test_hermitian_kernel_gives_real_symbol(self, excited, grid):
-        k = OperatorKernel.from_wavefunction(excited)
+        k = _projector(excited)
         w = wigner_of_kernel(k, 1.0, grid)
         scale = float(np.max(np.abs(w.values)))
         assert float(np.max(np.abs(w.values.imag))) < 1e-8 * scale
 
     def test_rejects_bad_hbar(self, ground, grid):
-        k = OperatorKernel.from_wavefunction(ground)
+        k = _projector(ground)
         with pytest.raises(ValueError):
             wigner_of_kernel(k, 0.0, grid)
 
     def test_rejects_wide_output_range(self, ground):
-        k = OperatorKernel.from_wavefunction(ground)
+        k = _projector(ground)
         wide = Grid.rectangle((-8.0, 8.0, 193), AXIS)
         with pytest.raises(ValueError):
             wigner_of_kernel(k, 1.0, wide)
 
     def test_nyquist_guard(self, ground):
         # huge momenta under-sample the oscillatory phase and must be refused
-        k = OperatorKernel.from_wavefunction(ground)
+        k = _projector(ground)
         fast = Grid.rectangle(AXIS, (-60.0, 60.0, 193))
         with pytest.raises(ValueError, match="pi/4"):
             wigner_of_kernel(k, 1.0, fast)
@@ -161,7 +168,7 @@ class TestGatherPath:
         return fast
 
     def test_oscillator_grid(self, excited, grid):
-        k = OperatorKernel.from_wavefunction(excited)
+        k = _projector(excited)
         fast = self._assert_matches_oracle(k, grid)
         # the endpoint rows have no y-window at all
         assert np.all(fast[0] == 0.0) and np.all(fast[-1] == 0.0)
@@ -242,7 +249,7 @@ class TestGatherPath:
         hbar = 0.7
         grid = Grid.rectangle((AXIS[0] + 1.0, AXIS[1] - 2.0, 145), (-3.0, 3.0, 121))
         w = wigner_of_pure_state(psi, hbar, grid).values
-        kernel = OperatorKernel.from_wavefunction(psi.normalize())
+        kernel = _projector(psi.normalize())
         expected = wigner_of_kernel(kernel, hbar, grid).values / (2.0 * np.pi * hbar)
         assert float(np.max(np.abs(w - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
         assert np.all(w.imag == 0.0)
@@ -270,7 +277,7 @@ class TestGatherPath:
         # q shifted by a third of a cell, kept inside the kernel range
         h = (AXIS[1] - AXIS[0]) / (AXIS[2] - 1)
         shifted = (AXIS[0] + h / 3.0, AXIS[1] - 2.0 * h / 3.0, AXIS[2] - 1)
-        k = OperatorKernel.from_wavefunction(ground)
+        k = _projector(ground)
         with pytest.raises(ValueError, match="output q values must be kernel q nodes"):
             wigner_of_kernel(k, 1.0, Grid.rectangle(shifted, AXIS))
 
@@ -362,8 +369,8 @@ class TestTracePairing:
     def test_phase_space_pairing_equals_kernel_trace(self, ground, w_ground, grid):
         # Eq-of-motion-free check of the pairing identity, both ways
         displaced = gaussian_state(AXIS, center=1.0)
-        k_obs = OperatorKernel.from_wavefunction(displaced)
-        k_rho = OperatorKernel.from_wavefunction(ground)
+        k_obs = _projector(displaced)
+        k_rho = _projector(ground)
         symbol = wigner_of_kernel(k_obs, 1.0, grid)
         lhs = integrate(w_ground * symbol).real
         rhs = trace_pair(k_rho, k_obs).real
@@ -371,7 +378,154 @@ class TestTracePairing:
         assert abs(rhs - np.exp(-0.5)) < 1e-8
 
     def test_trace_pair_axis_mismatch(self, ground):
-        k1 = OperatorKernel.from_wavefunction(ground)
-        k2 = OperatorKernel.from_wavefunction(gaussian_state((-5.0, 5.0, 161)))
+        k1 = _projector(ground)
+        k2 = _projector(gaussian_state((-5.0, 5.0, 161)))
         with pytest.raises(ValueError):
             trace_pair(k1, k2)
+
+
+def _synthesized(build, sgrid, axis, hbar):
+    """A factored kernel from spectral terms: which factors and rest it has depends on ``build``."""
+    w = sgrid.omega
+    bump = kernels.gaussian_profile(2.0, 0.5)(w)
+    skewed = kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w)
+    lorentz = make_observable(sgrid, None, kernels.lorentzian_kernel(0.3, lambda x: np.exp(-x)))
+    terms = {
+        "hermitian-term": CoherenceTerms(sgrid, [bump], [bump]),
+        "two-non-hermitian-terms": CoherenceTerms(sgrid, [skewed, np.exp(-w)], [bump, w]),
+        "separable-and-lorentzian": CoherenceTerms(
+            sgrid,
+            np.concatenate([[bump], lorentz.regular.a]),
+            np.concatenate([[skewed], lorentz.regular.b]),
+            np.concatenate([np.ones((1, 2 * sgrid.omega_count - 1)), lorentz.regular.c]),
+        ),
+        "zero-terms": CoherenceTerms(sgrid, *np.zeros((2, 0, sgrid.omega_count))),
+    }[build]
+    return synthesize_kernel(sgrid, terms, axis, hbar)
+
+
+BUILDS = ["hermitian-term", "two-non-hermitian-terms", "separable-and-lorentzian", "zero-terms"]
+
+
+class TestFactoredKernel:
+    """Factors u_k v_k^H plus a dense rest against the same kernel as one dense array."""
+
+    SGRID = SpectralGrid(4.0, 121)
+    AXIS = (-12.0, 9.0, 193)
+    HBAR = 0.7
+
+    def _pair(self, build):
+        kernel = _synthesized(build, self.SGRID, self.AXIS, self.HBAR)
+        return kernel, OperatorKernel(kernel.axis, kernel.dense())
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_form_follows_the_terms(self, build):
+        kernel, _ = self._pair(build)
+        factors, rest = {
+            "hermitian-term": (1, False),
+            "two-non-hermitian-terms": (2, False),
+            "separable-and-lorentzian": (1, True),
+            "zero-terms": (0, False),
+        }[build]
+        assert kernel.u.shape == kernel.v.shape == (factors, 193)
+        assert (kernel.values is not None) == rest
+        assert (kernel.u is kernel.v) == (build in ("hermitian-term", "zero-terms"))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_symbol_matches_dense(self, build):
+        kernel, dense = self._pair(build)
+        grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
+        fast = wigner_of_kernel(kernel, self.HBAR, grid).values
+        oracle = wigner_of_kernel(dense, self.HBAR, grid).values
+        if build == "zero-terms":
+            assert not fast.any()
+            return
+        scale = float(np.max(np.abs(oracle)))
+        assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * scale
+        assert np.all(fast.imag == 0.0) == (build == "hermitian-term")
+        assert float(np.max(np.abs(fast - _trapezoid_oracle(dense, grid, self.HBAR)))) <= 1e-12 * scale
+
+    def test_equal_factors_in_two_arrays_fold_as_hermitian(self, monkeypatch):
+        # u_k = v_k is read from the data, not from how the kernel was built:
+        # one lag-product gather, and no mirror gather for A
+        kernel, _ = self._pair("hermitian-term")
+        twin = OperatorKernel(kernel.axis, u=kernel.u, v=kernel.u.copy())
+        assert twin.v is not twin.u
+        gathers = []
+        factor_lags = weyl._factor_lags
+
+        def spy(u, v, *args):
+            gathers.append(len(u))
+            return factor_lags(u, v, *args)
+
+        monkeypatch.setattr(weyl, "_factor_lags", spy)
+        grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
+        symbol = wigner_of_kernel(twin, self.HBAR, grid).values
+        assert gathers == [1]
+        assert np.array_equal(symbol, wigner_of_kernel(kernel, self.HBAR, grid).values)
+        assert not symbol.imag.any()
+
+    @pytest.mark.parametrize("other", BUILDS)
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_trace_matches_dense(self, build, other):
+        # every pair of forms: factor x factor, factor x rest, rest x factor, rest x rest
+        a, a_dense = self._pair(build)
+        b, b_dense = self._pair(other)
+        oracle = trace_pair(a_dense, b_dense)
+        scale = float(np.sum(np.abs(a_dense.values) * np.abs(b_dense.values.T)))
+        for left, right in [(a, b), (a, b_dense), (a_dense, b)]:
+            value = trace_pair(left, right)
+            if "zero-terms" in (build, other):
+                assert value == 0.0
+            else:
+                assert abs(value - oracle) <= 1e-12 * abs(oracle)
+                assert abs(oracle) > 1e-6 * scale
+
+    def test_pure_state_is_its_factored_projector(self):
+        psi = _complex_wavefunction(AXIS)
+        grid = Grid.rectangle((AXIS[0] + 1.0, AXIS[1] - 2.0, 145), (-3.0, 3.0, 121))
+        w = wigner_of_pure_state(psi, 0.7, grid).values
+        unit = psi.normalize().values
+        projector = OperatorKernel(AXIS, u=[unit])
+        assert projector.v is projector.u
+        expected = wigner_of_kernel(projector, 0.7, grid).values.real / (2.0 * np.pi * 0.7)
+        assert np.array_equal(w.real, expected) and not w.imag.any()
+
+    def test_factor_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="kernel factors u shape"):
+            OperatorKernel(AXIS, u=np.ones((2, 192)))
+        with pytest.raises(ValueError, match="kernel factors v shape"):
+            OperatorKernel(AXIS, u=np.ones((2, 193)), v=np.ones((1, 193)))
+
+
+def test_pairing_equivalence_forms_no_q_by_q_array(monkeypatch):
+    # both kernels of the default run have rank one: no outer product of two
+    # q vectors, no dense rest and no dense() call, and the peak stays below
+    # the 9.4 MB that the dense kernels took
+    n_q = scenario_defaults()["pairing-equivalence"]["q_axis"]["count"]
+    outer, post_init = np.outer, OperatorKernel.__post_init__
+
+    def refuse_outer(a, b, *args, **kwargs):
+        if np.size(a) >= n_q and np.size(b) >= n_q:
+            raise AssertionError("q x q outer product")
+        return outer(a, b, *args, **kwargs)
+
+    def refuse_rest(self):
+        if self.values is not None:
+            raise AssertionError("dense kernel values")
+        post_init(self)
+
+    def refuse_dense(self):
+        raise AssertionError("OperatorKernel.dense() called")
+
+    monkeypatch.setattr(weyl.np, "outer", refuse_outer)
+    monkeypatch.setattr(OperatorKernel, "__post_init__", refuse_rest)
+    monkeypatch.setattr(OperatorKernel, "dense", refuse_dense)
+    run_named_scenario("pairing-equivalence", {}, seed=0)
+    tracemalloc.start()
+    try:
+        assert run_named_scenario("pairing-equivalence", {}, seed=0).report["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
