@@ -251,7 +251,23 @@ def _coherence_from_options(kernel: dict):
     def diagonal(w):
         return np.abs(profile(w)) ** 2
 
-    return diagonal, regular
+    if family != "custom-polynomial":
+        return diagonal, regular
+
+    def bounded_diagonal(w):
+        # an FFT pairing of two regular terms sums up to 4n products of two sums
+        # of this diagonal; of the four profiles only a polynomial is unbounded
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = diagonal(w)
+            mass = float(np.sum(out))
+        if not math.isfinite(4.0 * out.size * mass * mass):
+            raise ValueError(
+                f"option 'kernel.coefficients': the squared profile sums to {mass:.3g} on "
+                f"the {out.size}-node omega grid, too large for a pairing to stay finite"
+            )
+        return out
+
+    return bounded_diagonal, regular
 
 
 def _axis_option(opts: dict, name: str) -> Axis:

@@ -562,6 +562,28 @@ def test_spectral_step_out_of_float_range_is_validation_error(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e76])
+def test_overflowing_polynomial_profile_names_coefficients(tmp_path, scale):
+    # 1e300 printed numpy's overflow RuntimeWarning, then "diagonal samples must be
+    # finite"; 1e76 overflowed later, in the FFT pairing, with three warnings and
+    # "trajectory values must be finite": neither named the option. A fresh
+    # interpreter shows the warnings as a user would see them.
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree",
+         "kernel": {"family": "custom-polynomial", "coefficients": [scale, scale]}},
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "phasedec.cli", "run", "--config", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "'kernel.coefficients'" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_integer_for_float_option_is_accepted(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"lo": -6, "hi": 6}}
