@@ -26,9 +26,9 @@ block-sized scratch product, which stays in cache. Every element sees the
 same multiply, multiply and add as in a whole-array pass, so the blocks
 change no bit of B_m.
 
-An operand whose samples have an imaginary part of exactly zero is
-differentiated and multiplied in real arithmetic, and B_m is real when both
-operands are; the star product and bracket are still complex PhaseFunctions.
+A float64 operand is differentiated and multiplied in real arithmetic, and B_m
+is real when both operands are. The series sums in complex, as c_m is; a result
+whose imaginary part is exactly zero, as the bracket of real operands, is float64.
 """
 
 from __future__ import annotations
@@ -96,16 +96,13 @@ def _chain(alpha: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 class _DerivativeCache:
     """Derivatives of one sample array along the chain of the latest request.
 
-    Samples whose imaginary part is exactly zero are held as one contiguous
-    real copy, so their derivatives are taken in real arithmetic. A request
-    keeps the links it shares with the previous chain and computes the rest
-    into the buffers of the links it drops, so one chain of arrays is live
-    at a time.
+    The derivatives take the samples' dtype, so real samples are
+    differentiated in real arithmetic. A request keeps the links it shares
+    with the previous chain and computes the rest into the buffers of the
+    links it drops, so one chain of arrays is live at a time.
     """
 
     def __init__(self, values: np.ndarray, grid: Grid):
-        if not values.imag.any():
-            values = np.ascontiguousarray(values.real)
         self.grid, self.dtype = grid, values.dtype
         self._links: tuple[tuple[int, int], ...] = ()
         self._arrays = [values]  # the samples, then one derivative per link
@@ -194,7 +191,10 @@ def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order: int, odd_onl
     """Samples of f*g truncated after the hbar^order term, or of the bracket with ``odd_only``."""
     _check_operands(f, g, order)
     b = _bidifferentials(f, g, range(1, order + 1, 2 if odd_only else 1))
-    total = np.zeros(f.grid.shape, dtype=complex) if odd_only else f.values * g.values
+    if odd_only:
+        total = np.zeros(f.grid.shape, dtype=complex)
+    else:
+        total = np.multiply(f.values, g.values, dtype=complex)
     return _combine(total, b, hbar, order, odd_only)
 
 
@@ -266,7 +266,7 @@ def classical_limit_check(
 
     # B_1 is the Poisson bracket, so it is built at order 0 too
     b = _bidifferentials(f, g, range(1, max(order, 1) + 1))
-    plain, pb = f.values * g.values, b[1]
+    plain, pb = np.multiply(f.values, g.values, dtype=complex), b[1]
     inner = interior_slices(f.grid)
     scale = max(float(np.max(np.abs(plain[inner]))), float(np.max(np.abs(pb[inner]))), 1.0)
     exact_tol = 1e-12 * scale

@@ -32,12 +32,17 @@ INTERIOR_FRACTION = 0.8
 
 
 def _frozen(values, dtype, shape, what: str) -> np.ndarray:
-    """One owned, read-only ``dtype`` copy of ``values``.
+    """One owned, read-only, C-contiguous ``dtype`` copy of ``values``.
 
     Every value type stores its arrays through this; a wrong shape or a
-    non-finite entry raises ValueError naming ``what``.
+    non-finite entry raises ValueError naming ``what``. ``dtype`` None is
+    the one real-or-complex rule: complex128 when some imaginary part is
+    nonzero, else float64.
     """
-    values = np.array(values, dtype=dtype)
+    if dtype is None:
+        nonzero_imag = np.iscomplexobj(values) and np.imag(values).any()
+        values, dtype = (values, complex) if nonzero_imag else (np.real(values), float)
+    values = np.array(values, dtype=dtype, order="C")
     if values.shape != tuple(shape):
         raise ValueError(f"{what} shape {values.shape} does not match {tuple(shape)}")
     if not np.all(np.isfinite(values)):
@@ -138,14 +143,14 @@ def _pairs(n_dof: int) -> list[tuple[int, int, float]]:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFunction:
-    """Complex samples of a function on a :class:`Grid`."""
+    """Samples of a function on a :class:`Grid`: float64 when real, else complex128."""
 
     grid: Grid
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        values = _frozen(self.values, complex, self.grid.shape, "phase function samples")
+        values = _frozen(self.values, None, self.grid.shape, "phase function samples")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -271,7 +276,7 @@ def _interleaved_difference_matrix(count: int, spacing: float, order: int, parts
 def _derivative_values(
     values: np.ndarray, grid: Grid, axis: int, order: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``partial_derivative`` on raw samples: one real matmul on their float view.
+    """``partial_derivative`` on C-contiguous float64 or complex128 samples: one real matmul.
 
     Real samples are differentiated in real arithmetic into a real result.
     On the last axis the stencil acts from the right: as ``d.T`` on real
@@ -279,7 +284,6 @@ def _derivative_values(
     interleaves real and imaginary parts. The result goes into ``out``, a
     C-contiguous array of the grid's shape and the samples' dtype, when given.
     """
-    values = np.ascontiguousarray(values, dtype=np.result_type(values, float))
     if out is None:
         out = np.empty(grid.shape, dtype=values.dtype)
     parts = values.dtype.itemsize // 8
@@ -308,9 +312,9 @@ def partial_derivative(f: PhaseFunction, axis: int, order: int = 1) -> PhaseFunc
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
+    """{f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), real when f and g are."""
     _require_same_grid(f, g)
-    total = np.zeros(f.grid.shape, dtype=complex)
+    total = np.zeros(f.grid.shape, dtype=np.result_type(f.values, g.values))
     for a, b, w in _pairs(f.grid.n_dof):
         df = _derivative_values(f.values, f.grid, a, 1)
         total += w * df * _derivative_values(g.values, g.grid, b, 1)

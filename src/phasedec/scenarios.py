@@ -236,10 +236,10 @@ def _coherence_from_options(kernel: dict):
     """
     family = kernel["family"]
     if family == "lorentzian":
-        profile = kernels.gaussian_profile(kernel["center"], kernel["width"])
+        profile = _gaussian_option(kernel, "kernel")
         regular = kernels.lorentzian_kernel(kernel["gamma"], profile)
     elif family == "gaussian":
-        profile = kernels.gaussian_profile(kernel["center"], kernel["width"])
+        profile = _gaussian_option(kernel, "kernel")
         regular = kernels.gaussian_coherence_kernel(kernel["nu_width"], profile)
     elif family == "polefree":
         profile = kernels.spectral_edge_profile(decay=kernel["decay"], cutoff=kernel["cutoff"])
@@ -268,6 +268,29 @@ def _coherence_from_options(kernel: dict):
         return out
 
     return bounded_diagonal, regular
+
+
+def _gaussian_option(block: dict, path: str):
+    """``kernels.gaussian_profile`` of a (center, width) block that names it where it cannot sample.
+
+    A sample that would overflow or be NaN, or a width <= 0, names the center when
+    its distance to a node squares past the float range, else the width.
+    """
+    center, width = block["center"], block["width"]
+
+    def profile(w):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return kernels.gaussian_profile(center, width)(w)
+        except (FloatingPointError, OverflowError, ValueError):  # an overflow, 0/0 or width <= 0
+            far = np.max(np.abs(w - center)) > np.sqrt(np.finfo(float).max)
+            raise ValueError(
+                f"option '{path}.{'center' if far else 'width'}': a Gaussian profile needs width > 0 "
+                "and a finite exponent (w - center)^2 / (2 width^2) on the omega nodes; "
+                f"got center {center!r}, width {width!r}"
+            ) from None
+
+    return profile
 
 
 def _axis_option(opts: dict, name: str) -> Axis:
@@ -432,8 +455,8 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
         if length <= 0:
             raise ValueError(f"option 'box_lengths[{i}]' must be positive, got {length}")
     sgrid = SpectralGrid(**opts["spectral_grid"])
-    coeff_profile = kernels.gaussian_profile(**opts["state_profile"])
-    obs_profile = kernels.gaussian_profile(**opts["observable_profile"])
+    coeff_profile = _gaussian_option(opts["state_profile"], "state_profile")
+    obs_profile = _gaussian_option(opts["observable_profile"], "observable_profile")
 
     coeffs = coeff_profile(sgrid.omega).astype(complex)
     coeffs = coeffs / np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.d_omega)
@@ -558,7 +581,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     diagonal, regular = _coherence_from_options(kernel)
     gamma = kernel["gamma"]
     sgrid = SpectralGrid(**opts["spectral_grid"])
-    prof_obs = kernels.gaussian_profile(**opts["observable_profile"])
+    prof_obs = _gaussian_option(opts["observable_profile"], "observable_profile")
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, kernels.separable_kernel(prof_obs))
     limit = limit_pairing(rho, obs)

@@ -328,9 +328,9 @@ def _compose_on_phase_space(
             f"spectral axis [{lo:.4g}, {hi:.4g}]"
         )
     table = np.asarray(table)
-    values = np.interp(field, omega, table.real).astype(complex)
+    values = np.interp(field, omega, table.real)
     if table.imag.any():
-        values += 1j * np.interp(field, omega, table.imag)
+        values = values + 1j * np.interp(field, omega, table.imag)
     return PhaseFunction(momentum_map.grid, values, label=label)
 
 

@@ -57,10 +57,10 @@ __all__ = [
 class OperatorKernel:
     """Position kernel K(q, q') = sum_k u_k(q) conj(v_k(q')) + R(q, q') on a q axis.
 
-    ``u`` and ``v`` have shape ``(k, n)`` over the n axis nodes; ``v`` None
-    means v = u. ``values`` is the dense ``(n, n)`` rest R, or None for
-    none. With no factors and no rest the kernel is zero. Any
-    (min, max, count) ``axis`` becomes an :class:`Axis`.
+    ``u`` and ``v`` have shape ``(k, n)`` over the n axis nodes, float64 when
+    real, else complex128; ``v`` None means v = u. ``values`` is the dense
+    complex ``(n, n)`` rest R, or None for none. With no factors and no rest
+    the kernel is zero. Any (min, max, count) ``axis`` becomes an :class:`Axis`.
     """
 
     axis: Axis
@@ -76,22 +76,20 @@ class OperatorKernel:
             values = _frozen(self.values, complex, (n, n), "kernel values")
             object.__setattr__(self, "values", values)
         u = np.zeros((0, n)) if self.u is None else self.u
-        u = _frozen(u, complex, (len(u), n), "kernel factors u")
-        v = u if self.v is None else _frozen(self.v, complex, u.shape, "kernel factors v")
+        u = _frozen(u, None, (len(u), n), "kernel factors u")
+        v = u if self.v is None else _frozen(self.v, None, u.shape, "kernel factors v")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     def dense(self) -> np.ndarray:
         """The full ``(n, n)`` array U V^H + R: O(k n^2), for test oracles."""
         out = self.u.T @ self.v.conj()
-        if self.values is not None:
-            out += self.values
-        return out
+        return out if self.values is None else out + self.values
 
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex wavefunction samples; any (min, max, count) ``axis`` becomes an :class:`Axis`."""
+    """Wavefunction samples, float64 when real; any (lo, hi, count) ``axis`` becomes an :class:`Axis`."""
 
     axis: Axis
     values: np.ndarray
@@ -99,7 +97,7 @@ class WaveFunction:
     def __post_init__(self):
         axis = Axis(*self.axis)
         object.__setattr__(self, "axis", axis)
-        values = _frozen(self.values, complex, (axis.count,), "wavefunction samples")
+        values = _frozen(self.values, None, (axis.count,), "wavefunction samples")
         object.__setattr__(self, "values", values)
 
     @property
@@ -226,19 +224,18 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
 
 
 def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at node indices ``nodes``.
+    """Symbol rows at node indices ``nodes``, float64 when A = 0.
 
     Each buffer is dropped once used, and this frame ends before
     ``PhaseFunction`` copies the rows.
     """
     reach, lags = _half_window(kernel.axis.count, nodes)
     halves = _lag_halves(kernel, nodes, reach, lags)
-    real, *imag = _fold(halves, reach, p_out, kernel.axis.spacing, hbar)
+    symbol, *imag = _fold(halves, reach, p_out, kernel.axis.spacing, hbar)
     del halves
-    if not imag:
-        return real
-    symbol = np.empty(real.shape, dtype=complex)
-    symbol.real, symbol.imag = real, imag[0]
+    if imag:
+        symbol = symbol.astype(complex)
+        symbol.imag = imag[0]
     return symbol
 
 
@@ -280,22 +277,21 @@ def _factor_lags(u, v, nodes: np.ndarray, lags: np.ndarray):
     """sum_k u_k[i - j] conj(v_k[i + j]) for rows i = ``nodes`` and lags j: (M+1, rows).
 
     ``u`` and ``v`` are sequences of k factor rows. The sum is real when
-    every row is, and None for k = 0. Lags past a row's reach read clipped
-    indices; the fold gives them zero weight.
+    every row's dtype is, and None for k = 0. Lags past a row's reach read
+    clipped indices; the fold gives them zero weight.
     """
     if not len(u):
         return None
-    real = not any(a.imag.any() or b.imag.any() for a, b in zip(u, v))
+    dtype = complex if any(a.dtype == complex or b.dtype == complex for a, b in zip(u, v)) else float
     total = None
     for a, b in zip(u, v):
-        if real:
-            a, b = a.real, b.real
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)  # widens a real row
         at = nodes - lags
         g = np.take(a, at, mode="clip")
         at += 2 * lags
         mirror = np.take(b, at, mode="clip")
         del at
-        if not real:
+        if dtype is complex:
             np.conjugate(mirror, out=mirror)
         g *= mirror
         del mirror
@@ -355,8 +351,8 @@ def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> Phas
 
     The symbol of the rank-one projector psi psi^H of the normalized psi,
     divided by 2 pi hbar so the result integrates to 1. Its lag products
-    come straight from psi (no n^2 projector array), the result is exactly
-    real, and a real psi has no odd lags: it meets the cos table alone.
+    come straight from psi (no n^2 projector array), the result is a float64
+    ``PhaseFunction``, and a real psi has no odd lags: it meets the cos table alone.
     """
     nodes, p_out = _output_nodes(psi.axis, hbar, out_grid)
     projector = OperatorKernel(psi.axis, u=psi.normalize().values[None])

@@ -584,6 +584,35 @@ def test_overflowing_polynomial_profile_names_coefficients(tmp_path, scale):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ({"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "width": 1e-300}},
+         "kernel.width"),
+        ({"scenario": "decoherence-polefree", "kernel": {"family": "gaussian", "center": 1e300}},
+         "kernel.center"),
+        ({"scenario": "pairing-equivalence", "state_profile": {"width": 1e-300}}, "state_profile.width"),
+        ({"scenario": "decoherence-lorentzian", "observable_profile": {"center": 1e300}},
+         "observable_profile.center"),
+    ],
+    ids=["kernel-width", "kernel-center", "state-profile-width", "observable-profile-center"],
+)
+def test_gaussian_profile_out_of_float_range_names_its_option(tmp_path, config, path):
+    # a width whose square underflows gave 0/0 at the node on the center, and a far
+    # center overflowed (w - center)^2: numpy RuntimeWarnings, then an error naming no
+    # option or an assertion failure. A fresh interpreter shows the warnings.
+    cfg = write_config(tmp_path / "cfg.json", config)
+    env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "phasedec.cli", "run", "--config", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_VALIDATION
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and f"'{path}'" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_integer_for_float_option_is_accepted(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"lo": -6, "hi": 6}}

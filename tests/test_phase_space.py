@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasedec import phase_space
 from phasedec.phase_space import (
     Grid,
     PhaseFunction,
@@ -249,6 +250,30 @@ class TestPoissonBracket:
             rhs = u * poisson_bracket(f, v) + poisson_bracket(f, u) * v
             errors.append(interior_max_abs(lhs - rhs))
         assert errors[1] < errors[0] / 8.0
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [lambda f, g: partial_derivative(f, axis=1, order=2), poisson_bracket],
+    ids=["partial_derivative", "poisson_bracket"],
+)
+def test_real_operands_take_the_real_last_axis_stencil(monkeypatch, apply):
+    # real samples are float64, so the last axis multiplies by d.T (parts == 1),
+    # not by the half-zero kron(d.T, I_2) of interleaved complex samples
+    parts = []
+    stencil = phase_space._interleaved_difference_matrix
+
+    def spy(count, spacing, order, n_parts):
+        parts.append(n_parts)
+        return stencil(count, spacing, order, n_parts)
+
+    monkeypatch.setattr(phase_space, "_interleaved_difference_matrix", spy)
+    g = Grid.rectangle((-2.0, 2.0, 33), (-1.0, 3.0, 41))
+    f = sample(g, lambda q, p: np.sin(q) * p**2)
+    h = sample(g, lambda q, p: np.cos(q + p) + 0j)  # complex-typed, imaginary part exactly zero
+    out = apply(f, h)
+    assert parts and set(parts) == {1}
+    assert out.values.dtype == np.float64
 
 
 def test_interior_slices_keep_80_percent():

@@ -1,5 +1,6 @@
-"""Validation shared by every value type: owned read-only copies and one hermitian rule."""
+"""Validation shared by every value type: owned read-only copies, one dtype rule and one hermitian rule."""
 
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -15,7 +16,13 @@ from phasedec.spectral import (
     synthesize_wavefunction,
 )
 from phasedec.states import AdmissibilityError, ClassicalDensity, State, make_state
-from phasedec.weyl import OperatorKernel, WaveFunction, gaussian_state, oscillator_state
+from phasedec.weyl import (
+    OperatorKernel,
+    WaveFunction,
+    gaussian_state,
+    oscillator_state,
+    wigner_of_pure_state,
+)
 
 GRID = Grid.square(-1.0, 1.0, 8)
 SGRID = SpectralGrid(1.0, 16)
@@ -110,6 +117,79 @@ def test_rejects_a_wrong_shape_and_a_nan(build, attr, dtype, valid, wrong):
     bad.flat[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+# the arrays that hold real samples as float64: (build from one array, attribute path, shape)
+REAL_OR_COMPLEX = [
+    pytest.param(lambda a: PhaseFunction(GRID, a), "values", (8, 8), id="PhaseFunction.values"),
+    pytest.param(lambda a: WaveFunction(AXIS, a), "values", (8,), id="WaveFunction.values"),
+    pytest.param(lambda a: OperatorKernel(AXIS, u=a), "u", (2, 8), id="OperatorKernel.u"),
+    pytest.param(
+        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), v=a), "v", (2, 8), id="OperatorKernel.v"
+    ),
+]
+
+
+@pytest.mark.parametrize("build, attr, shape", REAL_OR_COMPLEX)
+def test_real_samples_are_stored_as_float64(build, attr, shape):
+    real = np.random.default_rng(1).normal(size=shape)
+    # real-typed, and complex with an imaginary part of exactly zero
+    for samples in (real, real + 0j, real.tolist()):
+        stored = attrgetter(attr)(build(samples))
+        assert stored.dtype == np.float64
+        np.testing.assert_array_equal(stored, real)
+
+
+@pytest.mark.parametrize("build, attr, shape", REAL_OR_COMPLEX)
+def test_any_nonzero_imaginary_part_stays_complex128(build, attr, shape):
+    samples = np.random.default_rng(1).normal(size=shape) + 0j
+    samples.flat[-1] += 1j * 2.0**-1074  # the smallest subnormal, in one sample
+    stored = attrgetter(attr)(build(samples))
+    assert stored.dtype == np.complex128
+    np.testing.assert_array_equal(stored, samples)
+
+
+# arrays whose dtype is declared, whatever the samples: (build from one array, attribute, dtype, shape)
+FIXED_DTYPE = [
+    pytest.param(lambda a: OperatorKernel(AXIS, a), "values", complex, (8, 8), id="OperatorKernel.values"),
+    pytest.param(lambda a: State(SGRID, a), "diagonal", float, (16,), id="State.diagonal"),
+    pytest.param(
+        lambda a: State(SGRID, np.ones(16), CoherenceTerms(SGRID, a, a)), "regular.a", complex,
+        (1, 16), id="State.regular",
+    ),
+    pytest.param(lambda a: Observable(SGRID, a), "singular", complex, (16,), id="Observable.singular"),
+    pytest.param(
+        lambda a: CoherenceTerms(SGRID, a, a), "b", complex, (2, 16), id="CoherenceTerms.b"
+    ),
+    pytest.param(
+        lambda a: CoherenceTerms(SGRID, np.ones((1, 16)), np.ones((1, 16)), a), "c", complex,
+        (1, 31), id="CoherenceTerms.c",
+    ),
+    pytest.param(lambda a: Trajectory(TIMES, a, 0.0), "values", complex, (8,), id="Trajectory.values"),
+]
+
+
+@pytest.mark.parametrize("build, attr, dtype, shape", FIXED_DTYPE)
+def test_other_arrays_keep_their_declared_dtype(build, attr, dtype, shape):
+    real = np.linspace(0.5, 1.0, np.prod(shape)).reshape(shape)
+    for samples in (real, real + 0j) if dtype is complex else (real,):
+        assert attrgetter(attr)(build(samples)).dtype == dtype
+
+
+def test_real_wigner_rows_stay_real():
+    # float64 rows and their owned copy peak at 2.1 x 8 bytes per point at 1537^2
+    # (40 MB); widening them to complex peaked at 3.1 x 8 bytes (59 MB)
+    axis = (-6.0, 6.0, 1537)
+    psi = oscillator_state(axis, 1)
+    grid = Grid.rectangle(axis, axis)
+    tracemalloc.start()
+    try:
+        w = wigner_of_pure_state(psi, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * grid.n_points
+    assert w.values.dtype == np.float64
 
 
 @pytest.mark.parametrize("defect, accepted", [(0.5e-12, True), (2e-12, False)])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from phasedec import kernels, weyl
-from phasedec.phase_space import Grid, PhaseFunction, integrate
+from phasedec.phase_space import Axis, Grid, PhaseFunction, integrate
 from phasedec.scenarios import run_named_scenario, scenario_defaults
 from phasedec.spectral import CoherenceTerms, SpectralGrid, make_observable, synthesize_kernel
 from phasedec.weyl import (
@@ -242,7 +242,7 @@ class TestGatherPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= kernel.values.nbytes + 2.0 * w.values.nbytes
+        assert peak <= kernel.values.nbytes + 2.0 * 16 * grid.n_points  # complex-output bytes
 
     def test_pure_state_matches_its_projector_kernel(self):
         psi = _complex_wavefunction(AXIS)
@@ -464,6 +464,21 @@ class TestFactoredKernel:
         assert gathers == [1]
         assert np.array_equal(symbol, wigner_of_kernel(kernel, self.HBAR, grid).values)
         assert not symbol.imag.any()
+
+    @pytest.mark.parametrize("real_side", ["u", "v"])
+    def test_real_factor_meets_complex_factor(self, real_side):
+        # real samples are stored as float64 and complex ones as complex128; a lag
+        # product of the two is formed in complex, as the dense kernel is
+        x = Axis(*self.AXIS).nodes()
+        real = np.exp(-((x + 1.0) ** 2) / 3.0)[None]
+        skewed = (np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.6j * x))[None]
+        u, v = (real, skewed) if real_side == "u" else (skewed, real)
+        kernel = OperatorKernel(self.AXIS, u=u, v=v)
+        assert getattr(kernel, real_side).dtype == np.float64
+        grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
+        fast = wigner_of_kernel(kernel, self.HBAR, grid).values
+        oracle = wigner_of_kernel(OperatorKernel(self.AXIS, kernel.dense()), self.HBAR, grid).values
+        assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * float(np.max(np.abs(oracle)))
 
     @pytest.mark.parametrize("other", BUILDS)
     @pytest.mark.parametrize("build", BUILDS)
