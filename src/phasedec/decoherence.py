@@ -5,11 +5,11 @@ Evolution multiplies the regular coefficients by exp(i (omega - omega') t
 regular kernels the oscillatory sum dies out (Riemann-Lebesgue), leaving
 the energy-label pairing of the diagonal as the weak limit. The residual
 is the sum over frequency differences d of a coherence weight times
-exp(i d d_omega t / hbar); it is evaluated from real cos/sin tables over
-half the in-block offsets and half the block centres of d. Residual
-decay is classified empirically by competing exponential and power-law
-fits; for a Lorentzian coherence kernel of half-width gamma the fitted
-rate is gamma / hbar, the inverse-pole-distance law.
+exp(i d d_omega t / hbar); it is evaluated from real cos/sin tables, the
+powers of one unit phasor per time, over half the in-block offsets and
+half the block centres of d. Residual decay is classified by competing
+closed-form exponential and power-law line fits; for a Lorentzian kernel
+of half-width gamma the fitted rate is gamma / hbar (inverse pole distance).
 """
 
 from __future__ import annotations
@@ -54,11 +54,7 @@ class Trajectory:
     limit_value: float
 
     def __post_init__(self):
-        times = _frozen(self.times, float, np.shape(self.times), "times")
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("times must be a non-empty 1-D array")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        times = _checked_times(self.times)
         values = _frozen(self.values, complex, times.shape, "trajectory values")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -91,6 +87,14 @@ class PositivityReport:
     passed: bool
 
 
+def _checked_times(times) -> np.ndarray:
+    """``times`` as a frozen finite, non-empty, strictly increasing 1-D float array."""
+    times = _frozen(times, float, np.shape(times), "times")
+    if times.ndim != 1 or len(times) == 0 or np.any(times[1:] <= times[:-1]):
+        raise ValueError("times must be a non-empty, strictly increasing 1-D array")
+    return times
+
+
 def _check_pair_args(rho: State, obs: Observable, hbar: float):
     if rho.grid != obs.grid:
         raise ValueError("state and observable live on different spectral grids")
@@ -114,9 +118,11 @@ def evolve_pairing(rho: State, obs: Observable, t: float, hbar: float) -> comple
     """Pairing at time t: static singular term + phase-weighted regular term.
 
     The direct sum over the dense kernels, O(n^2) in time and memory: the
-    oracle that ``residual_trajectory`` is tested against. Logs a warning
-    when |t| reaches half of ``grid.recurrence_time(hbar)``.
+    oracle that ``residual_trajectory`` is tested against. t must be finite;
+    logs a warning when |t| reaches half of ``grid.recurrence_time(hbar)``.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _check_pair_args(rho, obs, hbar)
     _warn_past_half_recurrence(rho.grid, np.asarray(t, dtype=float), hbar)
     grid = rho.grid
@@ -137,13 +143,21 @@ def limit_pairing(rho: State, obs: Observable) -> float:
     return complex(pair_singular_symbols(to_classical_density(rho), obs)).real
 
 
-def _cos_sin(freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(2F x T) real table: cos(f t) rows for the F frequencies, then sin(f t) rows."""
-    theta = np.outer(freqs, times)
-    table = np.empty((2,) + theta.shape)
-    np.cos(theta, out=table[0])
-    np.sin(theta, out=table[1])
-    return table.reshape(-1, theta.shape[1])
+def _cos_sin(step: float, count: int, times: np.ndarray) -> np.ndarray:
+    """(2 count x T) real table: cos(k step t) rows for k < count, then sin(k step t) rows.
+
+    Row k is row k - 1 times the unit phasor exp(i step t) (Numerical Recipes,
+    3rd ed., 5.4): one cos and one sin per time, any times; row 0 is exact.
+    """
+    phasor = np.empty(len(times), dtype=complex)
+    np.cos(step * times, out=phasor.real)
+    np.sin(step * times, out=phasor.imag)
+    power = np.ones_like(phasor)
+    table = np.empty((2, count, len(times)))
+    for k in range(count):
+        table[0, k], table[1, k] = power.real, power.imag
+        power *= phasor
+    return table.reshape(2 * count, -1)
 
 
 def _fold(rows: np.ndarray, centre: int) -> np.ndarray:
@@ -171,12 +185,12 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     offsets |j| <= R = (B-1)/2, B odd and about sqrt(m), so exp(i d step t) =
     exp(i c step t) * exp(i j step t). ``_fold`` pairs j with -j and k with
     -k, so the weights, folded on both levels first, meet only real tables
-    of cos and sin at j, k >= 0: 2(R+1) + 2(K+1) values per time (84 at
-    m = 1601), one real matmul against the offset table and one row-wise
-    reduction against the centre table, instead of a dense T x m phase
-    table or complex exponentials. Both factors are centred on d = 0: the
-    heavy small-|d| terms then use small arguments, where cos and sin are
-    exact to round-off, and the d = 0 weight meets only cos 0 = 1 and sin 0 = 0.
+    of cos and sin at j, k >= 0: powers of exp(i step t) and exp(i B step t),
+    so 4 cos/sin evaluations per time for any m, one real matmul against the
+    offset table and one row-wise reduction against the centre table. Both
+    factors are centred on d = 0: the heavy small-|d| terms meet low powers,
+    a few ulps from exact, and the d = 0 weight meets only the exact row 0,
+    cos 0 = 1 and sin 0 = 0.
     """
     reach = (len(weights) - 1) // 2
     radius = int(round(math.sqrt(len(weights)) / 2.0))
@@ -192,9 +206,9 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     coeffs = _fold(_fold(padded.reshape(n_blocks, size), half).T, radius).T
     # real and imaginary parts as row pairs, so the offset sum is one real matmul
     parts = np.stack([coeffs.real, coeffs.imag], axis=1).reshape(2 * len(coeffs), -1)
-    partial = parts @ _cos_sin(np.arange(radius + 1) * step, times)
+    partial = parts @ _cos_sin(step, radius + 1, times)
     partial = partial.reshape(len(coeffs), 2, -1)
-    partial *= _cos_sin((np.arange(half + 1) * size) * step, times)[:, None, :]
+    partial *= _cos_sin(size * step, half + 1, times)[:, None, :]
     # the far, small centre terms are added first and the heavy k = 0 term last
     sums = partial[::-1].sum(axis=0)
     return sums[0] + 1j * sums[1]
@@ -208,12 +222,12 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     cross-correlation of the kernel terms, O(n log n)), and the phases of
     the uniform frequency grid are factored into block centres and in-block
     offsets, each folded onto real cos/sin tables over its nonnegative
-    half, so no T x (2n-1) table is built (``_phase_sums``).
-    Logs a warning when a time reaches half of ``grid.recurrence_time(hbar)``.
+    half, so no T x (2n-1) table is built and each time costs 4 cos/sin
+    evaluations (``_phase_sums``). ``times`` must be finite, 1-D and strictly
+    increasing, checked before any arithmetic; a warning is logged when a
+    time reaches half of ``grid.recurrence_time(hbar)``.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("time grid must be non-empty")
+    times = _checked_times(times)
     _check_pair_args(rho, obs, hbar)
     _warn_past_half_recurrence(rho.grid, times, hbar)
     weights = _coherence_weights(rho.regular, obs.regular)
@@ -221,12 +235,22 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     return Trajectory(times, values, limit_pairing(rho, obs))
 
 
-def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    ss_res = float(np.sum((y - fitted) ** 2))
-    return 1.0 - ss_res / ss_tot
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its R^2, in closed form about the means.
+
+    x is scaled to |x| < 1 by an exact power of two, so no sum of squares
+    overflows, and the slope is scaled back. A constant x or y gives (0, 0).
+    """
+    exponent = int(np.frexp(np.max(np.abs(x)))[1])
+    dx = np.ldexp(x, -exponent)
+    dx -= dx.mean()
+    dy = y - y.mean()
+    sxx, ss_tot = float(np.sum(dx**2)), float(np.sum(dy**2))
+    if sxx == 0.0 or ss_tot == 0.0:
+        return 0.0, 0.0
+    slope = float(np.sum(dx * dy)) / sxx
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    return math.ldexp(slope, -exponent), 1.0 - ss_res / ss_tot
 
 
 def fit_decay(traj: Trajectory) -> DecayReport:
@@ -235,7 +259,8 @@ def fit_decay(traj: Trajectory) -> DecayReport:
     The first ``TRANSIENT_FRACTION`` of samples is dropped; magnitudes
     below ``RESIDUAL_FLOOR`` are clipped before taking logs. An all-floor
     trajectory means the state is already decohered (rate-0 sentinel).
-    A model is selected only if its R^2 reaches ``MODEL_R2_THRESHOLD``.
+    Both lines are fit in closed form (``_line_fit``), finite for any finite
+    times. A model is selected only if its R^2 reaches ``MODEL_R2_THRESHOLD``.
     """
     skip = int(math.ceil(TRANSIENT_FRACTION * len(traj.times)))
     times = traj.times[skip:]
@@ -248,27 +273,22 @@ def fit_decay(traj: Trajectory) -> DecayReport:
     mags = np.maximum(mags, RESIDUAL_FLOOR)
     log_mags = np.log(mags)
 
-    exp_coeffs = np.polyfit(times, log_mags, 1)
-    r2_exp = _r_squared(log_mags, np.polyval(exp_coeffs, times))
-
+    exp_slope, r2_exp = _line_fit(times, log_mags)
     positive = times > 0
     if np.count_nonzero(positive) >= 10:
-        log_t = np.log(times[positive])
-        pow_coeffs = np.polyfit(log_t, log_mags[positive], 1)
-        r2_pow = _r_squared(log_mags[positive], np.polyval(pow_coeffs, log_t))
+        pow_slope, r2_pow = _line_fit(np.log(times[positive]), log_mags[positive])
     else:
-        pow_coeffs = (0.0, 0.0)
-        r2_pow = -np.inf
+        pow_slope, r2_pow = 0.0, -np.inf
 
     r2 = {"r2_exponential": r2_exp, "r2_power_law": r2_pow}
     if max(r2_exp, r2_pow) < MODEL_R2_THRESHOLD:
         return DecayReport("none", 0.0, max(r2_exp, 0.0), math.inf, **r2)
     if r2_exp >= r2_pow:
-        rate = -float(exp_coeffs[0])
+        rate = -exp_slope
         if rate <= 0:
             return DecayReport("none", 0.0, r2_exp, math.inf, **r2)
         return DecayReport("exponential", rate, r2_exp, 1.0 / rate, **r2)
-    exponent = -float(pow_coeffs[0])
+    exponent = -pow_slope
     return DecayReport("power_law", max(exponent, 0.0), r2_pow, math.inf, **r2)
 
 

@@ -613,6 +613,23 @@ def test_gaussian_profile_out_of_float_range_names_its_option(tmp_path, config, 
     assert not (tmp_path / "o").exists()
 
 
+def test_decay_fit_on_times_near_float_max_prints_no_numpy_warning(tmp_path):
+    # np.polyfit squared times up to 1e300: an overflow RuntimeWarning and a RankWarning
+    # before the recurrence-window assertion failed. A fresh interpreter shows them.
+    cfg = write_config(
+        tmp_path / "cfg.json", {"scenario": "decoherence-polefree", "times": {"stop": 1e300}}
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "phasedec.cli", "run", "--config", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_ASSERTION
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "half the recurrence time" in lines[0]
+    assert "Warning" not in done.stderr
+
+
 def test_integer_for_float_option_is_accepted(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"scenario": "wigner-negativity", "axis": {"lo": -6, "hi": 6}}

@@ -8,6 +8,7 @@ rate must be gamma / hbar and the decoherence time hbar / gamma.
 
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ import pytest
 from phasedec import kernels
 from phasedec.decoherence import (
     Trajectory,
+    _cos_sin,
+    _line_fit,
     _phase_sums,
     evolve_pairing,
     fit_decay,
@@ -194,6 +197,14 @@ class TestEvolvePairing:
         with pytest.raises(ValueError):
             evolve_pairing(rho, obs, 1.0, 0.0)
 
+    def test_non_finite_time_rejected(self, lorentzian_pair, caplog):
+        # t = inf returned nan + nan i after two RuntimeWarnings and a T_rec/2 log line
+        rho, obs = lorentzian_pair
+        with caplog.at_level(logging.WARNING, logger="phasedec"):
+            with pytest.raises(ValueError, match="finite"):
+                evolve_pairing(rho, obs, np.inf, 1.0)
+        assert not caplog.records
+
 
 class TestLimitPairing:
     def test_stationary_state_limit_equals_pair(self, stationary_pair):
@@ -237,6 +248,22 @@ class TestResidualTrajectory:
         rho, obs = lorentzian_pair
         with pytest.raises(ValueError):
             residual_trajectory(rho, obs, [], 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_rejected_before_any_arithmetic(self, lorentzian_pair, caplog, bad):
+        # validated before the T_rec/2 log line and before any phase is formed, which
+        # used to warn on multiply, cos and sin first
+        rho, obs = lorentzian_pair
+        with caplog.at_level(logging.WARNING, logger="phasedec"):
+            with pytest.raises(ValueError, match="finite"):
+                residual_trajectory(rho, obs, [1.0, bad], 1.0)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [[1.0, 2.0]]])
+    def test_unordered_or_nested_times_rejected(self, lorentzian_pair, times):
+        rho, obs = lorentzian_pair
+        with pytest.raises(ValueError, match="strictly increasing|1-D"):
+            residual_trajectory(rho, obs, times, 1.0)
 
     def test_gaussian_kernel_super_exponential(self, sgrid):
         # wide profile: residual ~ exp(-s^2 t^2 / 2) within ~10%
@@ -293,6 +320,31 @@ class TestFactoredPhaseSum:
         values = residual_trajectory(rho, obs, times, hbar).values
         expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
         assert float(np.max(np.abs(values - expected))) <= 1e-12 * float(np.sum(np.abs(weights)))
+
+    @pytest.mark.parametrize(
+        "n, times, hbar",
+        [(801, np.linspace(0.0, 80.0, 6000), 1.0), (1601, np.linspace(0.0, 40.0, 2000), 0.5)],
+        ids=["lorentzian-801", "lorentzian-1601"],
+    )
+    def test_round_off_stays_near_eps(self, n, times, hbar):
+        # the offset and centre tables come from powers of one phasor each; their
+        # error grows with the power, and the heavy small-|d| weights meet low powers
+        rho, obs = lorentzian_states(SpectralGrid(4.0, n))
+        weights = _coherence_weights(rho.regular, obs.regular)
+        values = residual_trajectory(rho, obs, times, hbar).values
+        expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
+        assert float(np.max(np.abs(values - expected))) <= 2e-15 * float(np.sum(np.abs(weights)))
+
+    def test_phasor_table_matches_long_double(self):
+        # 21 rows, arguments k step t up to 330 rad
+        step = 0.0125
+        times = np.linspace(0.0, 330.0 / (20 * step), 6000)
+        table = _cos_sin(step, 21, times)
+        args = np.multiply.outer(np.arange(21) * np.longdouble(step), times.astype(np.longdouble))
+        expected = np.concatenate([np.cos(args), np.sin(args)])
+        assert table.shape == (42, 6000)
+        assert np.all(table[0] == 1.0) and np.all(table[21] == 0.0)
+        assert float(np.max(np.abs(table - expected))) <= 2e-13
 
     @pytest.mark.parametrize("length", [1, 3, 5, 9, 15, 33])
     def test_short_weights_match_long_double_direct_sum(self, length):
@@ -466,6 +518,18 @@ class TestFitDecay:
         assert rep.model == "power_law" and rep.r2_power_law == rep.fit_quality
         assert rep.r2_exponential < rep.r2_power_law
 
+    def test_times_near_float_max_fit_without_warning(self):
+        # polyfit squared the times: an overflow RuntimeWarning and a RankWarning
+        # t^-0.04 stays above RESIDUAL_FLOOR up to t = 1e300
+        times = np.geomspace(1.0, 1e300, 100)
+        traj = Trajectory(times, np.exp(-0.04 * np.log(times)).astype(complex), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fit_decay(traj)
+        assert rep.model == "power_law"
+        assert rep.rate == pytest.approx(0.04, rel=1e-12)
+        assert 0.0 < rep.r2_exponential < rep.r2_power_law == pytest.approx(1.0, rel=1e-12)
+
     def test_no_decay_flagged_none(self):
         rng = np.random.default_rng(2)
         times = np.linspace(1.0, 50.0, 40)
@@ -478,6 +542,52 @@ class TestFitDecay:
         times = np.linspace(1.0, 5.0, 8)
         with pytest.raises(ValueError):
             fit_decay(Trajectory(times, np.exp(-times).astype(complex), 0.0))
+
+
+def polyfit_slope_and_r2(x, y):
+    """The fit that _line_fit replaced: np.polyfit, np.polyval and 1 - SS_res / SS_tot."""
+    coeffs = np.polyfit(x, y, 1)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return float(coeffs[0]), 0.0
+    return float(coeffs[0]), 1.0 - float(np.sum((y - np.polyval(coeffs, x)) ** 2)) / ss_tot
+
+
+class TestLineFit:
+    def test_lorentzian_log_linear_curve(self, lorentzian_pair):
+        rho, obs = lorentzian_pair
+        times = np.geomspace(8.0, 80.0, 80)
+        y = np.log(np.abs(residual_trajectory(rho, obs, times, 1.0).values))
+        slope, r2 = _line_fit(times, y)
+        expected_slope, expected_r2 = polyfit_slope_and_r2(times, y)
+        assert slope == pytest.approx(expected_slope, rel=1e-12)
+        assert r2 == pytest.approx(expected_r2, rel=1e-12)
+
+    def test_polefree_log_log_curve(self):
+        rho, obs = polefree_states()
+        times = np.geomspace(1.0, 200.0, 100)
+        x = np.log(times)
+        y = np.log(np.abs(residual_trajectory(rho, obs, times, 1.0).values))
+        slope, r2 = _line_fit(x, y)
+        expected_slope, expected_r2 = polyfit_slope_and_r2(x, y)
+        assert slope == pytest.approx(expected_slope, rel=1e-12)
+        assert r2 == pytest.approx(expected_r2, rel=1e-12)
+
+    def test_constant_y_has_zero_r_squared(self):
+        x = np.linspace(1.0, 9.0, 20)
+        assert _line_fit(x, np.full(20, -3.5)) == (0.0, 0.0)
+        assert polyfit_slope_and_r2(x, np.full(20, -3.5))[1] == 0.0
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 0.5, 2.0**600])
+    def test_power_of_two_scaling_is_exact(self, scale):
+        # the same points with x scaled: the slope scales inversely, R^2 not at all
+        rng = np.random.default_rng(4)
+        x = np.sort(rng.uniform(1.0, 3.0, 50))
+        y = 0.7 * x + rng.normal(scale=0.1, size=50)
+        slope, r2 = _line_fit(x, y)
+        scaled_slope, scaled_r2 = _line_fit(x * scale, y)
+        assert scaled_r2 == r2
+        assert scaled_slope * scale == slope
 
 
 class TestLorentzianRateLaw:
