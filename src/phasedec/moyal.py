@@ -229,18 +229,24 @@ def moyal_bracket(
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Observed classical-limit orders from a decreasing hbar sweep."""
+    """Observed classical-limit orders from a decreasing hbar sweep.
+
+    A slope is None when every error of its sweep is below 1e-12 times the
+    largest of 1 and the interior peaks of |fg| and |{f, g}|: the truncated
+    series is then exact, and there is no order to fit.
+    """
 
     hbars: tuple[float, ...]
     product_errors: tuple[float, ...]
     bracket_errors: tuple[float, ...]
     product_slope: float | None
     bracket_slope: float | None
-    product_exact: bool
-    bracket_exact: bool
 
 
-def _loglog_slope(hbars, errors) -> float:
+def _loglog_slope(hbars, errors, exact_tol: float) -> float | None:
+    """Slope of log error against log hbar; None when every error is below ``exact_tol``."""
+    if all(e < exact_tol for e in errors):
+        return None
     return float(np.polyfit(np.log(hbars), np.log(errors), 1)[0])
 
 
@@ -280,14 +286,10 @@ def classical_limit_check(
         prod_err.append(float(np.max(np.abs(product[inner]))))
         brak_err.append(float(np.max(np.abs(bracket[inner]))))
 
-    product_exact = all(e < exact_tol for e in prod_err)
-    bracket_exact = all(e < exact_tol for e in brak_err)
     return ConvergenceReport(
         hbars=tuple(hbars),
         product_errors=tuple(prod_err),
         bracket_errors=tuple(brak_err),
-        product_slope=None if product_exact else _loglog_slope(hbars, prod_err),
-        bracket_slope=None if bracket_exact else _loglog_slope(hbars, brak_err),
-        product_exact=product_exact,
-        bracket_exact=bracket_exact,
+        product_slope=_loglog_slope(hbars, prod_err, exact_tol),
+        bracket_slope=_loglog_slope(hbars, brak_err, exact_tol),
     )

@@ -22,18 +22,18 @@ from .decoherence import (
     residual_trajectory,
     verify_final_positivity,
 )
-from .moyal import classical_limit_check, moyal_bracket, star_product
+from .moyal import MAX_ORDER, classical_limit_check, moyal_bracket, star_product
 from .phase_space import Axis, Grid, PhaseFunction, integrate, interior_max_abs
 from .spectral import (
     MomentumMap,
     SpectralGrid,
-    _plane_wave_matrix,
-    _synthesized_kernel,
-    _synthesized_wavefunction,
     make_observable,
+    plane_wave_matrix,
     regular_basis_observable,
     singular_basis_observable,
     symb_singular,
+    synthesize_kernel,
+    synthesize_wavefunction,
 )
 from .states import (
     make_state,
@@ -66,6 +66,14 @@ class ScenarioResult:
     curves: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
 
 
+_KERNEL_FAMILY_DEFAULTS = {
+    "lorentzian": {"gamma": 0.1, "center": 2.0, "width": 0.35},
+    "gaussian": {"nu_width": 0.25, "center": 2.0, "width": 0.5},
+    "polefree": {"decay": 1.2, "cutoff": 7.5},
+    "custom-polynomial": {"coefficients": [1.0], "decay": 1.2},
+}
+
+
 _DEFAULTS: dict[str, dict] = {
     "moyal-convergence": {
         "hbar": [0.4, 0.2, 0.1],
@@ -90,14 +98,14 @@ _DEFAULTS: dict[str, dict] = {
     "decoherence-lorentzian": {
         "hbar": [0.5, 1.0],
         "spectral_grid": {"omega_max": 4.0, "omega_count": 801},
-        "kernel": {"family": "lorentzian", "gamma": 0.1, "center": 2.0, "width": 0.35},
+        "kernel": {"family": "lorentzian", **_KERNEL_FAMILY_DEFAULTS["lorentzian"]},
         "observable_profile": {"center": 2.0, "width": 0.5},
         "times": {"start_factor": 0.8, "stop_factor": 8.0, "count": 80, "spacing": "log"},
     },
     "decoherence-polefree": {
         "hbar": 1.0,
         "spectral_grid": {"omega_max": 10.0, "omega_count": 1001},
-        "kernel": {"family": "polefree", "decay": 1.2, "cutoff": 7.5},
+        "kernel": {"family": "polefree", **_KERNEL_FAMILY_DEFAULTS["polefree"]},
         "times": {"start": 1.0, "stop": 200.0, "count": 100, "spacing": "log"},
     },
     "limit-positivity": {
@@ -205,14 +213,6 @@ def _hbar_option(default, value, name: str):
     return values[0]
 
 
-_KERNEL_FAMILY_DEFAULTS = {
-    "lorentzian": {"gamma": 0.1, "center": 2.0, "width": 0.35},
-    "gaussian": {"nu_width": 0.25, "center": 2.0, "width": 0.5},
-    "polefree": {"decay": 1.2, "cutoff": 7.5},
-    "custom-polynomial": {"coefficients": [1.0], "decay": 1.2},
-}
-
-
 def _kernel_option(value) -> dict:
     """A ``kernel`` block over its named family's defaults, not the scenario's kernel."""
     if not isinstance(value, dict):
@@ -220,8 +220,9 @@ def _kernel_option(value) -> dict:
     params = dict(value)
     family = params.pop("family", None)
     if not isinstance(family, str) or family not in _KERNEL_FAMILY_DEFAULTS:
+        problem = "is missing" if family is None else f"names unknown kernel family {family!r}"
         raise ValueError(
-            f"unknown kernel family {family!r} in option 'kernel.family'; choose from "
+            f"option 'kernel.family' {problem}; choose from "
             f"{', '.join(sorted(_KERNEL_FAMILY_DEFAULTS))}"
         )
     return {"family": family, **_merge(_KERNEL_FAMILY_DEFAULTS[family], params, "kernel.")}
@@ -293,18 +294,34 @@ def _gaussian_option(block: dict, path: str):
     return profile
 
 
-def _axis_option(opts: dict, name: str) -> Axis:
-    """``Axis`` of the (lo, hi, count) option ``name``; a refused triple names the option."""
+def _option(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for option ``name``: a ValueError it raises names the option."""
     try:
-        return Axis(**opts[name])
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"option {name!r}: {exc}") from None
 
 
 def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
-    entry = {"passed": bool(passed)}
-    entry.update(details)
-    return name, entry
+    return name, {"passed": bool(passed), **details}
+
+
+def _near(name: str, value, target: float, tolerance: float, relative: bool = False):
+    """Passes when |value - target| <= tolerance, times |target| when ``relative``; None fails."""
+    limit = tolerance * abs(target) if relative else tolerance
+    passed = value is not None and abs(value - target) <= limit
+    return _assertion(name, passed, value=value, target=target, tolerance=tolerance)
+
+
+def _below(name: str, value, bound: float, **details):
+    """Passes when value < bound; a probe time ``t`` in ``details`` must also be below ``t_max``."""
+    inside = details.get("t", -math.inf) < details.get("t_max", math.inf)
+    return _assertion(name, value < bound and inside, value=value, bound=bound, **details)
+
+
+def _above(name: str, value, bound: float):
+    """Passes when value > bound."""
+    return _assertion(name, value > bound, value=value, bound=bound)
 
 
 def _finish(report: dict, assertions: list[tuple[str, dict]]) -> dict:
@@ -334,37 +351,27 @@ def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
 
 def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
     hbars = sorted(opts["hbar"], reverse=True)
-    grid = Grid.square(*_axis_option(opts, "grid"))
+    grid = Grid.square(*_option("grid", Axis, **opts["grid"]))
+    order = opts["truncation_order"]
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"option 'truncation_order' must be in 0..{MAX_ORDER}, got {order}")
     f = PhaseFunction.sample(grid, lambda q, p: q**3, "q^3")
     h = PhaseFunction.sample(grid, lambda q, p: p**3, "p^3")
-    rep = classical_limit_check(f, h, hbars, order=opts["truncation_order"])
+    rep = _option("hbar", classical_limit_check, f, h, hbars, order=order)
 
     hq = opts["quadratic_hbar"]
     ham = PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), "H")
     coord_q = PhaseFunction.sample(grid, lambda q, p: q + 0 * p, "q")
     mom_p = PhaseFunction.sample(grid, lambda q, p: p + 0 * q, "p")
     bracket_err = interior_max_abs(moyal_bracket(ham, coord_q, hq) + mom_p)
-    star_err = interior_max_abs(
-        star_product(ham, ham, hq) - ham * ham + PhaseFunction.sample(grid, lambda q, p: hq**2 / 4 + 0 * q)
-    )
+    shift = PhaseFunction.sample(grid, lambda q, p: hq**2 / 4 + 0 * q)
+    star_err = interior_max_abs(star_product(ham, ham, hq) - ham * ham + shift)
 
     assertions = [
-        _assertion(
-            "product_slope_first_order",
-            rep.product_slope is not None and abs(rep.product_slope - 1.0) <= 0.15,
-            value=rep.product_slope,
-            target=1.0,
-            tolerance=0.15,
-        ),
-        _assertion(
-            "bracket_slope_second_order",
-            rep.bracket_slope is not None and abs(rep.bracket_slope - 2.0) <= 0.2,
-            value=rep.bracket_slope,
-            target=2.0,
-            tolerance=0.2,
-        ),
-        _assertion("quadratic_bracket_exact", bracket_err < 1e-8, value=bracket_err, bound=1e-8),
-        _assertion("quadratic_star_exact", star_err < 1e-8, value=star_err, bound=1e-8),
+        _near("product_slope_first_order", rep.product_slope, 1.0, 0.15),
+        _near("bracket_slope_second_order", rep.bracket_slope, 2.0, 0.2),
+        _below("quadratic_bracket_exact", bracket_err, 1e-8),
+        _below("quadratic_star_exact", star_err, 1e-8),
     ]
     report = _finish(
         {
@@ -388,7 +395,7 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
 
 def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
-    axis = _axis_option(opts, "axis")
+    axis = _option("axis", Axis, **opts["axis"])
     grid = Grid.rectangle(axis, axis)
 
     ground = wigner_of_pure_state(gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
@@ -401,26 +408,18 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
     min_marginal = float(marginal.min())
     # dip of the first excited quasi-density at the origin is -1/(pi*hbar)
     target = -1.0 / (np.pi * hbar)
+    masses = {"ground_unit_mass": mass_ground, "excited_unit_mass": mass_excited}
+    mass_tol = 1e-5
 
     assertions = [
-        _assertion(
-            "excited_minimum_depth",
-            abs(min_excited - target) <= 0.02 * abs(target),
-            value=min_excited,
-            target=target,
-            tolerance=0.02,
-        ),
+        _near("excited_minimum_depth", min_excited, target, 0.02, relative=True),
         _assertion("excited_is_negative", min_excited < 0, value=min_excited),
-        _assertion("ground_nonnegative", min_ground >= -1e-6, value=min_ground, bound=-1e-6),
-        _assertion(
-            "ground_unit_mass", abs(mass_ground - 1.0) <= 1e-5, value=mass_ground, tolerance=1e-5
-        ),
-        _assertion(
-            "excited_unit_mass", abs(mass_excited - 1.0) <= 1e-5, value=mass_excited, tolerance=1e-5
-        ),
-        _assertion(
-            "marginal_nonnegative", min_marginal >= -1e-6, value=min_marginal, bound=-1e-6
-        ),
+        _above("ground_nonnegative", min_ground, -1e-6),
+        *[
+            _assertion(name, abs(mass - 1.0) <= mass_tol, value=mass, tolerance=mass_tol)
+            for name, mass in masses.items()
+        ],
+        _above("marginal_nonnegative", min_marginal, -1e-6),
     ]
     report = _finish(
         {
@@ -449,12 +448,14 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
 
 def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
-    q_axis = _axis_option(opts, "q_axis")
-    p_axis = _axis_option(opts, "p_axis")
+    q_axis = _option("q_axis", Axis, **opts["q_axis"])
+    p_axis = _option("p_axis", Axis, **opts["p_axis"])
     for i, length in enumerate(opts["box_lengths"]):
         if length <= 0:
             raise ValueError(f"option 'box_lengths[{i}]' must be positive, got {length}")
-    sgrid = SpectralGrid(**opts["spectral_grid"])
+    sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
+    p_lo, p_hi = 0.0, sgrid.omega_max
+    box_p_axis = _option("box_momentum_count", Axis, p_lo, p_hi, opts["box_momentum_count"])
     coeff_profile = _gaussian_option(opts["state_profile"], "state_profile")
     obs_profile = _gaussian_option(opts["observable_profile"], "observable_profile")
 
@@ -466,10 +467,10 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     v_spectral = pair(rho, obs)
     # one plane-wave matrix serves psi and the observable's factors; both
     # kernels stay rank one, so no q x q array is formed
-    table = _plane_wave_matrix(sgrid, q_axis, hbar)
-    psi = _synthesized_wavefunction(sgrid, coeffs, q_axis, table)
+    table = plane_wave_matrix(sgrid, q_axis, hbar)
+    psi = synthesize_wavefunction(sgrid, coeffs, q_axis, table)
     k_rho = OperatorKernel(q_axis, u=psi.normalize().values[None])
-    k_obs = _synthesized_kernel(sgrid, obs.regular, q_axis, table)
+    k_obs = synthesize_kernel(sgrid, obs.regular, q_axis, table)
     del table
     v_trace = trace_pair(k_rho, k_obs)
 
@@ -494,6 +495,7 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     cross_b = abs(pair(regular_basis_functional(sgrid, k, l), singular_basis_observable(sgrid, i)))
     dual_expected = 1.0 / sgrid.d_omega
     dual_reg_expected = 1.0 / sgrid.d_omega**2
+    exact = 1e-9  # relative round-off allowed in the delta identities
 
     # singular-integration block: momentum-space pairing vs growing boxes.
     # With H = p the full integral over [-L, L] x [p_lo, p_hi] is 2L times
@@ -502,9 +504,8 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     obs_diag = make_observable(sgrid, obs_profile)
     restricted = pair_singular_symbols(to_classical_density(rho_diag), obs_diag).real
     volumes, full_values, densities = [], [], []
-    p_lo, p_hi = 0.0, sgrid.omega_max
     for length in opts["box_lengths"]:
-        box = Grid.rectangle((-length, length, 97), (p_lo, p_hi, opts["box_momentum_count"]))
+        box = Grid.rectangle((-length, length, 97), box_p_axis)
         tmap = MomentumMap.translation(box)
         product = singular_symbol(rho_diag, tmap, box) * symb_singular(obs_diag, tmap, box)
         volumes.append(2.0 * length * (p_hi - p_lo))
@@ -514,38 +515,25 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     density_error = float(np.max(np.abs(np.array(densities) - restricted)) / abs(restricted))
 
     assertions = [
-        _assertion(
-            "three_way_agreement", spread <= 1e-4, value=spread, bound=1e-4
-        ),
+        _below("three_way_agreement", spread, 1e-4),
         _assertion(
             "duality_singular_delta",
-            abs(dual_same - dual_expected) <= 1e-9 * dual_expected and dual_diff == 0.0,
+            abs(dual_same - dual_expected) <= exact * dual_expected and dual_diff == 0.0,
             value=dual_same,
             expected=dual_expected,
             off_node=dual_diff,
         ),
         _assertion(
             "duality_regular_delta",
-            abs(dual_reg - dual_reg_expected) <= 1e-9 * dual_reg_expected,
+            abs(dual_reg - dual_reg_expected) <= exact * dual_reg_expected,
             value=dual_reg,
             expected=dual_reg_expected,
         ),
         _assertion(
             "duality_cross_zero", cross_a == 0.0 and cross_b == 0.0, sing_reg=cross_a, reg_sing=cross_b
         ),
-        _assertion(
-            "box_growth_linear",
-            abs(growth_slope - 1.0) <= 0.1,
-            value=growth_slope,
-            target=1.0,
-            tolerance=0.1,
-        ),
-        _assertion(
-            "restricted_pairing_is_conjugate_density",
-            density_error <= 1e-3,
-            value=density_error,
-            bound=1e-3,
-        ),
+        _near("box_growth_linear", growth_slope, 1.0, 0.1),
+        _below("restricted_pairing_is_conjugate_density", density_error, 1e-3),
     ]
     report = _finish(
         {
@@ -578,9 +566,9 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
             "the inverse-pole-distance assertions need a 'lorentzian' kernel; "
             f"got family {kernel['family']!r} (use decoherence-polefree for the others)"
         )
-    diagonal, regular = _coherence_from_options(kernel)
+    diagonal, regular = _option("kernel", _coherence_from_options, kernel)
     gamma = kernel["gamma"]
-    sgrid = SpectralGrid(**opts["spectral_grid"])
+    sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     prof_obs = _gaussian_option(opts["observable_profile"], "observable_profile")
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, kernels.separable_kernel(prof_obs))
@@ -591,7 +579,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     curves = {}
     for hbar in hbars:
         t_dec_expected = hbar / gamma
-        times = _time_grid(opts["times"], t_scale=t_dec_expected)
+        times = _option("times", _time_grid, opts["times"], t_scale=t_dec_expected)
         # the residual on a uniform omega grid recurs with period
         # 2 pi hbar / d_omega, so the tail probe must sit before half of it
         t_tail = 40.0 * t_dec_expected
@@ -604,7 +592,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
         values = residual_trajectory(rho, obs, grid_times, hbar).values
         values = values[np.searchsorted(grid_times, wanted)]
         traj = Trajectory(times, values[: len(times)], limit)
-        late, very_late = np.abs(values[len(times) :])
+        late, very_late = np.abs(values[len(times) :]) / abs(limit)
         fit = fit_decay(traj)
         rate_expected = gamma / hbar
         tag = f"hbar_{hbar:g}"
@@ -616,43 +604,19 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
                 "r_squared": fit.fit_quality,
                 "t_dec": fit.t_dec,
                 "expected_rate": rate_expected,
-                "relative_residual_at_10_tdec": late / abs(limit),
-                "relative_residual_at_40_tdec": very_late / abs(limit),
+                "relative_residual_at_10_tdec": late,
+                "relative_residual_at_40_tdec": very_late,
                 "tail_probe_time": t_tail,
                 "half_recurrence_time": half_recurrence,
             }
         )
-        assertions.extend(
-            [
-                _assertion(
-                    f"{tag}_exponential_selected", fit.model == "exponential", model=fit.model
-                ),
-                _assertion(
-                    f"{tag}_fit_quality", fit.fit_quality > 0.99, value=fit.fit_quality, bound=0.99
-                ),
-                _assertion(
-                    f"{tag}_inverse_pole_distance",
-                    abs(fit.rate - rate_expected) <= 0.05 * rate_expected,
-                    value=fit.rate,
-                    target=rate_expected,
-                    tolerance=0.05,
-                ),
-                _assertion(
-                    f"{tag}_weak_limit_reached",
-                    late <= 1e-3 * abs(limit),
-                    value=late / abs(limit),
-                    bound=1e-3,
-                ),
-                _assertion(
-                    f"{tag}_weak_limit_tail",
-                    very_late <= 1e-6 * abs(limit) and t_tail < half_recurrence,
-                    value=very_late / abs(limit),
-                    bound=1e-6,
-                    t=t_tail,
-                    t_max=half_recurrence,
-                ),
-            ]
-        )
+        assertions += [
+            _assertion(f"{tag}_exponential_selected", fit.model == "exponential", model=fit.model),
+            _above(f"{tag}_fit_quality", fit.fit_quality, 0.99),
+            _near(f"{tag}_inverse_pole_distance", fit.rate, rate_expected, 0.05, relative=True),
+            _below(f"{tag}_weak_limit_reached", late, 1e-3),
+            _below(f"{tag}_weak_limit_tail", very_late, 1e-6, t=t_tail, t_max=half_recurrence),
+        ]
         curves[f"residual_{tag}"] = (
             ["t", "abs_residual"],
             [[float(t), float(abs(v))] for t, v in zip(traj.times, traj.values)],
@@ -672,17 +636,17 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
 
 def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
-    sgrid = SpectralGrid(**opts["spectral_grid"])
+    sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     kernel = opts["kernel"]
     if kernel["family"] == "lorentzian":
         raise ValueError(
             "this scenario checks the absence of exponential decay; "
             "run the lorentzian family through decoherence-lorentzian"
         )
-    diagonal, regular = _coherence_from_options(kernel)
+    diagonal, regular = _option("kernel", _coherence_from_options, kernel)
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, regular)
-    times = _time_grid(opts["times"])
+    times = _option("times", _time_grid, opts["times"])
     # past half the recurrence time 2 pi hbar / d_omega the residual is aliased
     half_recurrence = sgrid.recurrence_time(hbar) / 2.0
     traj = residual_trajectory(rho, obs, times, hbar)
@@ -691,12 +655,8 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     # the exponential fit must lose outright for a pole-free kernel
     r2_exp = fit.r2_exponential
     assertions = [
-        _assertion(
-            "non_exponential_model",
-            fit.model in ("power_law", "none"),
-            model=fit.model,
-        ),
-        _assertion("exponential_fit_poor", r2_exp < 0.9, value=r2_exp, bound=0.9),
+        _assertion("non_exponential_model", fit.model in ("power_law", "none"), model=fit.model),
+        _below("exponential_fit_poor", r2_exp, 0.9),
         _assertion("infinite_decoherence_time", np.isinf(fit.t_dec), value=fit.t_dec),
         _assertion(
             "within_recurrence_window",
@@ -728,11 +688,11 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
 
 def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
-    sgrid = SpectralGrid(**opts["spectral_grid"])
+    sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     n_states = opts["n_states"]
     if n_states < 1:
-        raise ValueError("n_states must be >= 1")
-    axis = _axis_option(opts, "wigner_axis")
+        raise ValueError(f"option 'n_states' must be >= 1, got {n_states}")
+    axis = _option("wigner_axis", Axis, **opts["wigner_axis"])
 
     minima = []
     all_passed = True
@@ -753,11 +713,7 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
             n_states=n_states,
             worst_minimum=float(min(minima)),
         ),
-        _assertion(
-            "pre_limit_symbol_negative",
-            wigner_min < 0,
-            value=wigner_min,
-        ),
+        _assertion("pre_limit_symbol_negative", wigner_min < 0, value=wigner_min),
     ]
     report = _finish(
         {

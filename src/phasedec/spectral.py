@@ -40,6 +40,7 @@ __all__ = [
     "symb_singular",
     "singular_basis_observable",
     "regular_basis_observable",
+    "plane_wave_matrix",
     "synthesize_wavefunction",
     "synthesize_kernel",
 ]
@@ -295,13 +296,6 @@ class MomentumMap:
         return self.hamiltonian.grid
 
     @classmethod
-    def harmonic(cls, grid: Grid) -> "MomentumMap":
-        """H = (q^2 + p^2) / 2 on an N = 1 grid; compact circular orbits."""
-        if grid.n_dof != 1:
-            raise ValueError("harmonic map is provided for N = 1")
-        return cls(PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), label="H"))
-
-    @classmethod
     def translation(cls, grid: Grid) -> "MomentumMap":
         """H = p on an N = 1 grid; the conjugate coordinate q is unbounded."""
         if grid.n_dof != 1:
@@ -367,15 +361,20 @@ def regular_basis_observable(grid: SpectralGrid, row: int, col: int) -> Observab
     return Observable(grid, np.zeros(grid.shape, dtype=complex), regular)
 
 
-def _plane_wave_matrix(grid: SpectralGrid, axis: Axis, hbar: float) -> np.ndarray:
+def plane_wave_matrix(grid: SpectralGrid, axis, hbar: float) -> np.ndarray:
     """E[i, k] = exp(i omega_k q_i / hbar) * w_k / sqrt(2 pi hbar), w the omega trapezoid weights.
 
-    The q_i are the axis nodes. The cos and sin of the real phase are written straight into the real
+    The q_i are the nodes of ``axis``, any (lo, hi, count) triple. The
+    rows are the generalized momentum eigenfunctions u_w(q) = exp(i w q / hbar)
+    / sqrt(2 pi hbar) of the translation realization, weighted for the
+    omega integral; ``synthesize_wavefunction`` and ``synthesize_kernel``
+    take this table, so one table serves every synthesis on (grid, axis, hbar).
+    The cos and sin of the real phase are written straight into the real
     and imaginary parts of one complex buffer, which is then scaled in place.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    phase = np.outer(axis.nodes(), grid.omega)
+    phase = np.outer(Axis(*axis).nodes(), grid.omega)
     phase /= hbar
     table = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=table.real)
@@ -385,20 +384,21 @@ def _plane_wave_matrix(grid: SpectralGrid, axis: Axis, hbar: float) -> np.ndarra
     return table
 
 
-def synthesize_wavefunction(grid: SpectralGrid, coeffs: np.ndarray, axis, hbar: float) -> WaveFunction:
-    """Position-space wavefunction of spectral coefficients in the translation realization.
-
-    Uses generalized eigenfunctions u_w(q) = exp(i w q / hbar) / sqrt(2 pi hbar)
-    of the momentum operator, so psi(q) = integral c(w) u_w(q) dw.
-    """
+def _table_axis(grid: SpectralGrid, axis, table: np.ndarray) -> Axis:
+    """``axis`` as an :class:`Axis`, once ``table`` has the shape of its plane-wave matrix."""
     axis = Axis(*axis)
-    return _synthesized_wavefunction(grid, coeffs, axis, _plane_wave_matrix(grid, axis, hbar))
+    shape = (axis.count, grid.omega_count)
+    if np.shape(table) != shape:
+        raise ValueError(f"plane-wave table must have shape {shape}, got {np.shape(table)}")
+    return axis
 
 
-def _synthesized_wavefunction(
-    grid: SpectralGrid, coeffs, axis: Axis, table: np.ndarray
-) -> WaveFunction:
-    """``synthesize_wavefunction`` with the plane-wave matrix of (grid, axis, hbar) given."""
+def synthesize_wavefunction(grid: SpectralGrid, coeffs, axis, table: np.ndarray) -> WaveFunction:
+    """Position-space wavefunction psi(q) = integral c(w) u_w(q) dw of spectral coefficients.
+
+    ``table`` is ``plane_wave_matrix(grid, axis, hbar)``, so psi = E c.
+    """
+    axis = _table_axis(grid, axis, table)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != grid.shape:
         raise ValueError("coefficient array must match the spectral grid shape")
@@ -406,26 +406,20 @@ def _synthesized_wavefunction(
 
 
 def synthesize_kernel(
-    grid: SpectralGrid, regular: CoherenceTerms, axis, hbar: float
+    grid: SpectralGrid, regular: CoherenceTerms, axis, table: np.ndarray
 ) -> OperatorKernel:
     """Position-space kernel of regular spectral kernel terms in the translation realization.
 
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
-    exp(i (w q - w' q') / hbar) dw dw'. With E the plane-wave matrix, the
-    k terms whose offset symbol c is 1 everywhere become the kernel's
-    factors u = E A^T and v = E B^T (v = u when B = A), at O(k n n_q), and
-    no n_q^2 array is formed for them. Only the other terms are summed
-    into the dense rest, through their dense (n, n) spectral kernel, as
-    E dense E^H at O(n^2 n_q + n n_q^2).
+    exp(i (w q - w' q') / hbar) dw dw', with ``table`` the plane-wave matrix
+    E = ``plane_wave_matrix(grid, axis, hbar)``. The k terms whose offset
+    symbol c is 1 everywhere become the kernel's factors u = E A^T and
+    v = E B^T (v = u when B = A), at O(k n n_q), and no n_q^2 array is
+    formed for them. Only the other terms are summed into the dense rest,
+    through their dense (n, n) spectral kernel, as E dense E^H at
+    O(n^2 n_q + n n_q^2).
     """
-    axis = Axis(*axis)
-    return _synthesized_kernel(grid, regular, axis, _plane_wave_matrix(grid, axis, hbar))
-
-
-def _synthesized_kernel(
-    grid: SpectralGrid, regular: CoherenceTerms, axis: Axis, table: np.ndarray
-) -> OperatorKernel:
-    """``synthesize_kernel`` with the plane-wave matrix of (grid, axis, hbar) given."""
+    axis = _table_axis(grid, axis, table)
     if regular.grid != grid:
         raise ValueError("regular kernel terms must live on the given spectral grid")
     separable = np.all(regular.c == 1.0, axis=1)

@@ -81,11 +81,6 @@ class OperatorKernel:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    def dense(self) -> np.ndarray:
-        """The full ``(n, n)`` array U V^H + R: O(k n^2), for test oracles."""
-        out = self.u.T @ self.v.conj()
-        return out if self.values is None else out + self.values
-
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:

@@ -79,11 +79,11 @@ def test_phase_space_symbols_run_without_scipy():
     # the singular symbols of an observable and a state on the harmonic map
     code = (
         "import numpy as np\n"
-        "from phasedec.phase_space import Grid\n"
+        "from phasedec.phase_space import Grid, PhaseFunction\n"
         "from phasedec.spectral import MomentumMap, SpectralGrid, make_observable, symb_singular\n"
         "from phasedec.states import make_state, singular_symbol\n"
         "sgrid, pgrid = SpectralGrid(9.0, 301), Grid.square(-3.0, 3.0, 65)\n"
-        "mm = MomentumMap.harmonic(pgrid)\n"
+        "mm = MomentumMap(PhaseFunction.sample(pgrid, lambda q, p: 0.5 * (q**2 + p**2)))\n"
         "energy = symb_singular(make_observable(sgrid, lambda w: w), mm, pgrid)\n"
         "h = mm.hamiltonian.values\n"
         "assert np.max(np.abs(energy.values - h)) < 1e-12\n"
@@ -530,13 +530,38 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "must be positive"),
         ('{"scenario": "pairing-equivalence", "box_lengths": [4.0, 0]}', "box_lengths[1]",
          "must be positive"),
+        ('{"scenario": "pairing-equivalence", "spectral_grid": {"omega_count": 5}}',
+         "spectral_grid", "omega count must be >= 16"),
+        ('{"scenario": "decoherence-polefree", "spectral_grid": {"omega_max": -1}}',
+         "spectral_grid", "omega_max must be positive"),
+        ('{"scenario": "decoherence-lorentzian", "times": {"count": 5}}', "times",
+         "at least 12 points"),
+        ('{"scenario": "decoherence-polefree", "times": {"spacing": "cubic"}}', "times",
+         "'log' or 'linear'"),
+        ('{"scenario": "decoherence-polefree", "times": {"start": 300}}', "times",
+         "0 < start < stop"),
+        ('{"scenario": "pairing-equivalence", "box_momentum_count": 3}', "box_momentum_count",
+         "axis count must be >= 8, got 3"),
+        ('{"scenario": "moyal-convergence", "truncation_order": 9}', "truncation_order",
+         "must be in 0..6"),
+        ('{"scenario": "limit-positivity", "n_states": 0}', "n_states", "must be >= 1"),
+        ('{"scenario": "decoherence-lorentzian", "kernel": {"gamma": 0.2}}', "kernel.family",
+         "is missing"),
+        ('{"scenario": "moyal-convergence", "hbar": [0.4, 0.2]}', "hbar", "at least 3 hbar"),
+        ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "gamma": -1}}',
+         "kernel", "gamma must be positive"),
     ],
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
-         "zero-box"],
+         "zero-box", "omega-count", "omega-max", "times-count", "times-spacing", "times-start",
+         "box-momentum-count", "truncation-order", "n-states", "kernel-without-family",
+         "two-hbar-values", "kernel-gamma"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
-    # no option name, since each number on its own is a valid float
+    # no option name, since each number on its own is a valid float. The spectral
+    # grid, the time grid, the box momentum count, the truncation order, n_states,
+    # the hbar sweep and the kernel parameters were refused without their option
+    # too, and a kernel block without a family read "unknown kernel family None"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

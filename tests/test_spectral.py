@@ -9,16 +9,17 @@ from phasedec.phase_space import Grid, integrate
 from phasedec.scenarios import run_named_scenario
 from phasedec.spectral import (
     CoherenceTerms,
-    MomentumMap,
     Observable,
     SpectralGrid,
     make_observable,
+    plane_wave_matrix,
     singular_basis_observable,
     symb_singular,
     synthesize_kernel,
     synthesize_wavefunction,
     _fast_len,
 )
+from oracles import dense_kernel, harmonic_map
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def sgrid():
 def harmonic_setup():
     sgrid = SpectralGrid(9.0, 301)
     pgrid = Grid.square(-3.0, 3.0, 161)
-    return sgrid, pgrid, MomentumMap.harmonic(pgrid)
+    return sgrid, pgrid, harmonic_map(pgrid)
 
 
 def test_fast_len_matches_scipy_complex_sizes():
@@ -157,7 +158,7 @@ class TestSymbSingular:
     def test_range_excursion_raises(self):
         sgrid = SpectralGrid(4.0, 81)
         pgrid = Grid.square(-4.0, 4.0, 65)  # H reaches 16 > 4
-        mm = MomentumMap.harmonic(pgrid)
+        mm = harmonic_map(pgrid)
         obs = make_observable(sgrid, lambda w: w)
         with pytest.raises(ValueError, match="leaves the spectral axis"):
             symb_singular(obs, mm, pgrid)
@@ -186,7 +187,7 @@ class TestSelfAdjointnessAlgebra:
 class TestMomentumMap:
     def test_harmonic_map_on_two_dof_rejected(self):
         with pytest.raises(ValueError):
-            MomentumMap.harmonic(Grid.square(-1.0, 1.0, 17, n_dof=2))
+            harmonic_map(Grid.square(-1.0, 1.0, 17, n_dof=2))
 
 
 class TestPlaneWaveSynthesis:
@@ -197,7 +198,7 @@ class TestPlaneWaveSynthesis:
         w0, s = 2.0, 0.25  # keeps the coefficient tails below 1e-7 at the window edge
         coeffs = np.exp(-((sgrid.omega - w0) ** 2) / (4.0 * s**2)).astype(complex)
         axis = (-15.0, 15.0, 301)
-        psi = synthesize_wavefunction(sgrid, coeffs, axis, hbar=1.0)
+        psi = synthesize_wavefunction(sgrid, coeffs, axis, plane_wave_matrix(sgrid, axis, 1.0))
         q = np.linspace(*axis)
         # peak-normalized modulus of the packet is exp(-s^2 q^2)
         got = np.abs(psi.values) / np.max(np.abs(psi.values))
@@ -209,8 +210,9 @@ class TestPlaneWaveSynthesis:
         profile = np.exp(-((sgrid.omega - 2.0) ** 2)).astype(complex)
         regular = CoherenceTerms(sgrid, profile[None], profile[None])
         axis = (-10.0, 10.0, 161)
-        kernel = synthesize_kernel(sgrid, regular, axis, hbar=1.0).dense()
-        psi = synthesize_wavefunction(sgrid, profile, axis, hbar=1.0)
+        table = plane_wave_matrix(sgrid, axis, 1.0)
+        kernel = dense_kernel(synthesize_kernel(sgrid, regular, axis, table))
+        psi = synthesize_wavefunction(sgrid, profile, axis, table)
         expected = np.outer(psi.values, psi.values.conj())
         assert float(np.max(np.abs(kernel - expected))) < 1e-10
         scale = float(np.max(np.abs(kernel)))
@@ -244,9 +246,24 @@ class TestPlaneWaveSynthesis:
         e = np.exp(1j * np.outer(np.linspace(*axis), w) / hbar) * weights
         e /= np.sqrt(2.0 * np.pi * hbar)
         expected = e @ terms.dense() @ e.conj().T
-        kernel = synthesize_kernel(sgrid, terms, axis, hbar).dense()
+        table = plane_wave_matrix(sgrid, axis, hbar)
+        kernel = dense_kernel(synthesize_kernel(sgrid, terms, axis, table))
         assert float(np.max(np.abs(kernel - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
         assert (build == "empty") == (not kernel.any())
+
+    @pytest.mark.parametrize(
+        "shape", [(97, 120), (96, 121), (121, 97)], ids=["omega", "axis", "transposed"]
+    )
+    def test_table_of_another_shape_is_refused(self, shape):
+        # the table is E for (grid, axis, hbar): one row per q node, one column per omega node
+        sgrid = SpectralGrid(4.0, 121)
+        axis = (-12.0, 9.0, 97)
+        terms = CoherenceTerms(sgrid, np.ones((1, 121)), np.ones((1, 121)))
+        table = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"plane-wave table must have shape \(97, 121\)"):
+            synthesize_wavefunction(sgrid, np.ones(121), axis, table)
+        with pytest.raises(ValueError, match=r"plane-wave table must have shape \(97, 121\)"):
+            synthesize_kernel(sgrid, terms, axis, table)
 
 
 def test_pairing_equivalence_builds_no_dense_spectral_kernel(monkeypatch):

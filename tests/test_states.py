@@ -10,6 +10,7 @@ from phasedec.spectral import (
     MomentumMap,
     SpectralGrid,
     make_observable,
+    plane_wave_matrix,
     symb_singular,
     synthesize_kernel,
     synthesize_wavefunction,
@@ -28,6 +29,7 @@ from phasedec.states import (
     to_classical_density,
 )
 from phasedec.weyl import OperatorKernel, trace_pair, wigner_of_kernel, wigner_of_pure_state
+from oracles import harmonic_map
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ class TestSingularSymbol:
     def test_ring_density_on_classical_orbit(self):
         sgrid = SpectralGrid(9.0, 301)
         pgrid = Grid.square(-3.0, 3.0, 161)
-        mm = MomentumMap.harmonic(pgrid)
+        mm = harmonic_map(pgrid)
         rho = make_state(sgrid, kernels.gaussian_profile(1.0, 0.15))
         sym = singular_symbol(rho, mm, pgrid)
         qm, pm = pgrid.mesh()
@@ -212,7 +214,7 @@ class TestSingularSymbol:
     def test_uniform_diagonal_is_constant(self):
         sgrid = SpectralGrid(9.0, 301)
         pgrid = Grid.square(-3.0, 3.0, 161)
-        mm = MomentumMap.harmonic(pgrid)
+        mm = harmonic_map(pgrid)
         rho = make_state(sgrid, lambda w: 1.0 + 0 * w)
         sym = singular_symbol(rho, mm, pgrid)
         assert float(np.ptp(sym.values.real)) < 1e-12
@@ -220,7 +222,7 @@ class TestSingularSymbol:
     def test_constant_of_the_motion(self):
         sgrid = SpectralGrid(9.0, 601)
         pgrid = Grid.square(-3.0, 3.0, 161)
-        mm = MomentumMap.harmonic(pgrid)
+        mm = harmonic_map(pgrid)
         rho = make_state(sgrid, kernels.gaussian_profile(2.0, 0.4))
         sym = singular_symbol(rho, mm, pgrid)
         residual = interior_max_abs(poisson_bracket(sym, mm.hamiltonian))
@@ -275,10 +277,11 @@ class TestRegularPairingEquivalence:
         v_spectral = pair(rho, obs)
 
         axis = (-20.0, 20.0, 321)
-        psi = synthesize_wavefunction(sgrid, coeffs, axis, hbar)
+        table = plane_wave_matrix(sgrid, axis, hbar)
+        psi = synthesize_wavefunction(sgrid, coeffs, axis, table)
         unit = psi.normalize().values
         k_rho = OperatorKernel(axis, np.outer(unit, unit.conj()))
-        k_obs = synthesize_kernel(sgrid, obs.regular, axis, hbar)
+        k_obs = synthesize_kernel(sgrid, obs.regular, axis, table)
         v_trace = trace_pair(k_rho, k_obs)
 
         pgrid = Grid.rectangle(axis, (-0.5, 4.5, 129))

@@ -12,6 +12,7 @@ from phasedec.spectral import (
     CoherenceTerms,
     Observable,
     SpectralGrid,
+    plane_wave_matrix,
     synthesize_kernel,
     synthesize_wavefunction,
 )
@@ -215,9 +216,12 @@ AXIS_USERS = {
     "WaveFunction": lambda axis: WaveFunction(axis, np.zeros(9)),
     "oscillator_state": lambda axis: oscillator_state(axis, 1),
     "gaussian_state": lambda axis: gaussian_state(axis),
-    "synthesize_wavefunction": lambda axis: synthesize_wavefunction(SGRID, np.ones(16), axis, 1.0),
+    "plane_wave_matrix": lambda axis: plane_wave_matrix(SGRID, axis, 1.0),
+    "synthesize_wavefunction": lambda axis: synthesize_wavefunction(
+        SGRID, np.ones(16), axis, np.ones((9, 16))
+    ),
     "synthesize_kernel": lambda axis: synthesize_kernel(
-        SGRID, CoherenceTerms(SGRID, np.ones((1, 16)), np.ones((1, 16))), axis, 1.0
+        SGRID, CoherenceTerms(SGRID, np.ones((1, 16)), np.ones((1, 16))), axis, np.ones((9, 16))
     ),
 }
 
