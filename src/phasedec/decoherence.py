@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _frozen
+from .phase_space import _cos_sin, _frozen
 from .spectral import Observable, SpectralGrid, _coherence_weights
 from .states import State, pair, pair_singular_symbols, to_classical_density
 
@@ -143,23 +143,6 @@ def limit_pairing(rho: State, obs: Observable) -> float:
     return complex(pair_singular_symbols(to_classical_density(rho), obs)).real
 
 
-def _cos_sin(step: float, count: int, times: np.ndarray) -> np.ndarray:
-    """(2 count x T) real table: cos(k step t) rows for k < count, then sin(k step t) rows.
-
-    Row k is row k - 1 times the unit phasor exp(i step t) (Numerical Recipes,
-    3rd ed., 5.4): one cos and one sin per time, any times; row 0 is exact.
-    """
-    phasor = np.empty(len(times), dtype=complex)
-    np.cos(step * times, out=phasor.real)
-    np.sin(step * times, out=phasor.imag)
-    power = np.ones_like(phasor)
-    table = np.empty((2, count, len(times)))
-    for k in range(count):
-        table[0, k], table[1, k] = power.real, power.imag
-        power *= phasor
-    return table.reshape(2 * count, -1)
-
-
 def _fold(rows: np.ndarray, centre: int) -> np.ndarray:
     """Fold rows centre - k and centre + k, k = 0..centre: even rows over odd rows.
 
@@ -206,9 +189,9 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     coeffs = _fold(_fold(padded.reshape(n_blocks, size), half).T, radius).T
     # real and imaginary parts as row pairs, so the offset sum is one real matmul
     parts = np.stack([coeffs.real, coeffs.imag], axis=1).reshape(2 * len(coeffs), -1)
-    partial = parts @ _cos_sin(step, radius + 1, times)
+    partial = parts @ _cos_sin(step, radius + 1, times, 2, "times")
     partial = partial.reshape(len(coeffs), 2, -1)
-    partial *= _cos_sin(size * step, half + 1, times)[:, None, :]
+    partial *= _cos_sin(size * step, half + 1, times, 2, "times")[:, None, :]
     # the far, small centre terms are added first and the heavy k = 0 term last
     sums = partial[::-1].sum(axis=0)
     return sums[0] + 1j * sums[1]

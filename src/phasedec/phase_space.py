@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -126,12 +126,6 @@ class Grid:
     def coordinate(self, axis: int) -> np.ndarray:
         return self.axes[axis].nodes()
 
-    def mesh(self) -> tuple[np.ndarray, ...]:
-        """Broadcast coordinate arrays, one per axis, shaped ``self.shape``."""
-        return tuple(
-            np.meshgrid(*(self.coordinate(a) for a in range(len(self.axes))), indexing="ij")
-        )
-
 
 def _pairs(n_dof: int) -> list[tuple[int, int, float]]:
     """Nonzero entries (a, b, omega_ab) of the symplectic form [[0, I_N], [-I_N, 0]].
@@ -155,8 +149,15 @@ class PhaseFunction:
 
     @classmethod
     def sample(cls, grid: Grid, fn, label: str = "") -> "PhaseFunction":
-        """Sample ``fn(*mesh)`` on the grid; fn gets one array per axis."""
-        return cls(grid, np.broadcast_to(fn(*grid.mesh()), grid.shape), label)
+        """Sample ``fn`` on the grid, broadcast once to the grid shape.
+
+        ``fn`` gets one open-mesh coordinate array per axis: axis a's nodes
+        along dimension a and length 1 along the others. Its result must
+        broadcast to the grid shape, so a constant or a function of one
+        coordinate needs no padding.
+        """
+        mesh = np.meshgrid(*(axis.nodes() for axis in grid.axes), indexing="ij", sparse=True)
+        return cls(grid, np.broadcast_to(fn(*mesh), grid.shape), label)
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "PhaseFunction":
         return PhaseFunction(self.grid, values, self.label if label is None else label)
@@ -196,6 +197,30 @@ def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     weights = np.full(count, spacing)
     weights[0] = weights[-1] = 0.5 * spacing
     return weights
+
+
+def _cos_sin(step: float, count: int, points: np.ndarray, parts: int, what: str) -> np.ndarray:
+    """(parts count x len(points)) real table: cos(k step x) rows for k < count, then sin rows.
+
+    The sin rows are built only for ``parts`` 2. Row k is row k - 1 times
+    the unit phasor exp(i step x) (Numerical Recipes, 3rd ed., 5.4): one
+    cos and one sin per point whatever ``count``, and row 0 is exact. Every
+    cos/sin table of the package comes from here. A step * max|x| that is
+    not finite is refused before any arithmetic, naming the points ``what``.
+    """
+    reach = float(step) * float(np.max(np.abs(points)))
+    if not isfinite(reach):
+        raise ValueError(f"phase step {step:.3g} times max|{what}| is {reach}; the phases overflow")
+    phasor = np.empty(len(points), dtype=complex)
+    np.cos(step * points, out=phasor.real)
+    np.sin(step * points, out=phasor.imag)
+    power = np.ones_like(phasor)
+    cos_sin = power.view(float).reshape(-1, 2).T[:parts]  # the live real and imaginary parts
+    table = np.empty((parts, count, len(points)))
+    for k in range(count):
+        table[:, k] = cos_sin
+        power *= phasor
+    return table.reshape(parts * count, -1)
 
 
 def integrate(f: PhaseFunction) -> complex:

@@ -361,10 +361,10 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
 
     hq = opts["quadratic_hbar"]
     ham = PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), "H")
-    coord_q = PhaseFunction.sample(grid, lambda q, p: q + 0 * p, "q")
-    mom_p = PhaseFunction.sample(grid, lambda q, p: p + 0 * q, "p")
+    coord_q = PhaseFunction.sample(grid, lambda q, p: q, "q")
+    mom_p = PhaseFunction.sample(grid, lambda q, p: p, "p")
     bracket_err = interior_max_abs(moyal_bracket(ham, coord_q, hq) + mom_p)
-    shift = PhaseFunction.sample(grid, lambda q, p: hq**2 / 4 + 0 * q)
+    shift = PhaseFunction.sample(grid, lambda q, p: hq**2 / 4)
     star_err = interior_max_abs(star_product(ham, ham, hq) - ham * ham + shift)
 
     assertions = [
@@ -571,7 +571,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     prof_obs = _gaussian_option(opts["observable_profile"], "observable_profile")
     rho = make_state(sgrid, diagonal, regular)
-    obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, kernels.separable_kernel(prof_obs))
+    obs = make_observable(sgrid, lambda w: 1.0, kernels.separable_kernel(prof_obs))
     limit = limit_pairing(rho, obs)
 
     assertions = []
@@ -645,7 +645,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
         )
     diagonal, regular = _option("kernel", _coherence_from_options, kernel)
     rho = make_state(sgrid, diagonal, regular)
-    obs = make_observable(sgrid, lambda w: 1.0 + 0.0 * w, regular)
+    obs = make_observable(sgrid, lambda w: 1.0, regular)
     times = _option("times", _time_grid, opts["times"])
     # past half the recurrence time 2 pi hbar / d_omega the residual is aliased
     half_recurrence = sgrid.recurrence_time(hbar) / 2.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .phase_space import Axis, Grid, PhaseFunction, _frozen, _trapezoid_weights
+from .phase_space import Axis, Grid, PhaseFunction, _cos_sin, _frozen, _trapezoid_weights
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -300,7 +300,7 @@ class MomentumMap:
         """H = p on an N = 1 grid; the conjugate coordinate q is unbounded."""
         if grid.n_dof != 1:
             raise ValueError("translation map is provided for N = 1")
-        return cls(PhaseFunction.sample(grid, lambda q, p: p + 0.0 * q, label="H"))
+        return cls(PhaseFunction.sample(grid, lambda q, p: p, label="H"))
 
 
 def _compose_on_phase_space(
@@ -369,17 +369,15 @@ def plane_wave_matrix(grid: SpectralGrid, axis, hbar: float) -> np.ndarray:
     / sqrt(2 pi hbar) of the translation realization, weighted for the
     omega integral; ``synthesize_wavefunction`` and ``synthesize_kernel``
     take this table, so one table serves every synthesis on (grid, axis, hbar).
-    The cos and sin of the real phase are written straight into the real
-    and imaginary parts of one complex buffer, which is then scaled in place.
+    Column k is the k-th power of exp(i d_omega q / hbar), from the one
+    cos/sin table builder, which refuses a d_omega max|q| / hbar that overflows.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    phase = np.outer(Axis(*axis).nodes(), grid.omega)
-    phase /= hbar
-    table = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=table.real)
-    np.sin(phase, out=table.imag)
-    del phase
+    axis, n = Axis(*axis), grid.omega_count
+    cos, sin = _cos_sin(grid.d_omega / hbar, n, axis.nodes(), 2, "q").reshape(2, n, -1)
+    table = np.empty((axis.count, n), dtype=complex)
+    table.real, table.imag = cos.T, sin.T
     table *= _trapezoid_weights(grid.omega_count, grid.d_omega) / np.sqrt(2.0 * np.pi * hbar)
     return table
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .phase_space import Axis, Grid, PhaseFunction, _frozen, _trapezoid_weights
+from .phase_space import Axis, Grid, PhaseFunction, _cos_sin, _frozen, _trapezoid_weights
 
 __all__ = [
     "OperatorKernel",
@@ -136,7 +136,7 @@ def _check_grid_2d(grid: Grid):
 def _nyquist_guard(p_max: float, dy: float, hbar: float):
     if p_max * dy / hbar >= np.pi / 4.0:
         raise ValueError(
-            f"phase step max|p|*dy/hbar = {p_max * dy / hbar:.3f} exceeds pi/4; "
+            f"phase step max|p|*dy/hbar = {p_max * dy / hbar:.3g} exceeds pi/4; "
             "refine the kernel axis or shrink the momentum range"
         )
 
@@ -186,15 +186,7 @@ def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hb
     halves *= np.clip(reach + 0.5 - lags, 0.0, 1.0)
     halves[:, 0, 0] *= 0.5
     halves[..., reach == 0] = 0.0
-    theta = np.outer(lags * h, p_out)
-    theta *= 2.0
-    theta /= hbar
-    table = np.empty((parts,) + theta.shape)
-    np.cos(theta, out=table[0])
-    if parts == 2:
-        np.sin(theta, out=table[1])
-    del theta
-    table = table.reshape(parts * depth, -1)
+    table = _cos_sin(2.0 * h / hbar, depth, p_out, parts, "p")
     symbols = []
     for lag_rows in halves:
         symbol = lag_rows.reshape(parts * depth, rows).T @ table

@@ -1,8 +1,9 @@
 """Test-only reference constructions that the package does not need at run time.
 
-``dense_kernel`` forms the full array of a factored ``OperatorKernel``, and
+``dense_kernel`` forms the full array of a factored ``OperatorKernel``,
 ``harmonic_map`` realizes the energy label as the oscillator Hamiltonian,
-whose compact orbits give closed-form singular symbols.
+whose compact orbits give closed-form singular symbols, and ``mesh`` gives
+full coordinate arrays for closed-form symbols on a grid.
 """
 
 import numpy as np
@@ -23,3 +24,8 @@ def harmonic_map(grid: Grid) -> MomentumMap:
     if grid.n_dof != 1:
         raise ValueError("harmonic map is provided for N = 1")
     return MomentumMap(PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), label="H"))
+
+
+def mesh(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Full coordinate arrays, one per axis, each of the grid's shape."""
+    return tuple(np.meshgrid(*(axis.nodes() for axis in grid.axes), indexing="ij"))

@@ -16,7 +16,6 @@ import pytest
 from phasedec import kernels
 from phasedec.decoherence import (
     Trajectory,
-    _cos_sin,
     _line_fit,
     _phase_sums,
     evolve_pairing,
@@ -25,7 +24,7 @@ from phasedec.decoherence import (
     residual_trajectory,
     verify_final_positivity,
 )
-from phasedec.phase_space import Grid
+from phasedec.phase_space import Grid, _cos_sin
 from phasedec.spectral import (
     CoherenceTerms,
     Observable,
@@ -339,10 +338,11 @@ class TestFactoredPhaseSum:
         # 21 rows, arguments k step t up to 330 rad
         step = 0.0125
         times = np.linspace(0.0, 330.0 / (20 * step), 6000)
-        table = _cos_sin(step, 21, times)
+        table = _cos_sin(step, 21, times, 2, "times")
         args = np.multiply.outer(np.arange(21) * np.longdouble(step), times.astype(np.longdouble))
         expected = np.concatenate([np.cos(args), np.sin(args)])
         assert table.shape == (42, 6000)
+        assert np.array_equal(_cos_sin(step, 21, times, 1, "times"), table[:21])  # cos rows alone
         assert np.all(table[0] == 1.0) and np.all(table[21] == 0.0)
         assert float(np.max(np.abs(table - expected))) <= 2e-13
 

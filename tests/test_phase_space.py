@@ -83,6 +83,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
+    def test_sample_passes_open_meshes_and_broadcasts_once(self):
+        g = Grid(((-1.0, 1.0, 9), (0.0, 2.0, 10), (-2.0, 0.0, 11), (1.0, 3.0, 12)))
+        shapes = []
+        f = sample(g, lambda *x: shapes.append([c.shape for c in x]) or x[0] * x[3] + x[1])
+        assert shapes == [[(9, 1, 1, 1), (1, 10, 1, 1), (1, 1, 11, 1), (1, 1, 1, 12)]]
+        full = np.meshgrid(*(axis.nodes() for axis in g.axes), indexing="ij")
+        assert np.array_equal(f.values, full[0] * full[3] + full[1])
+        assert f.values.flags.c_contiguous and f.values.dtype == float
+        # a constant or a function of one coordinate needs no padding
+        assert np.array_equal(sample(g, lambda *x: 2.5).values, np.full(g.shape, 2.5))
+        assert np.array_equal(sample(g, lambda *x: x[1]).values, full[1])
+
 
 class TestIntegrate:
     def test_zero(self, grid):

@@ -29,7 +29,7 @@ from phasedec.states import (
     to_classical_density,
 )
 from phasedec.weyl import OperatorKernel, trace_pair, wigner_of_kernel, wigner_of_pure_state
-from oracles import harmonic_map
+from oracles import harmonic_map, mesh
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ class TestSingularSymbol:
         mm = harmonic_map(pgrid)
         rho = make_state(sgrid, kernels.gaussian_profile(1.0, 0.15))
         sym = singular_symbol(rho, mm, pgrid)
-        qm, pm = pgrid.mesh()
+        qm, pm = mesh(pgrid)
         h = 0.5 * (qm**2 + pm**2)
         peak_band = np.abs(h - 1.0) < 0.1
         off_band = np.abs(h - 1.0) > 1.0

@@ -30,7 +30,7 @@ from phasedec.weyl import (
     wigner_of_kernel,
     wigner_of_pure_state,
 )
-from oracles import dense_kernel
+from oracles import dense_kernel, mesh
 
 AXIS = (-6.0, 6.0, 193)
 
@@ -96,7 +96,7 @@ class TestWignerOfKernel:
         # symbol of |psi><psi| is 2 pi hbar W; compare against the analytic W
         k = _projector(ground)
         symbol = wigner_of_kernel(k, 1.0, grid)
-        qm, pm = grid.mesh()
+        qm, pm = mesh(grid)
         exact = 2.0 * np.exp(-(qm**2) - pm**2)
         assert float(np.max(np.abs(symbol.values - exact))) < 1e-5
 
@@ -291,7 +291,7 @@ class TestGatherPath:
 
 class TestWignerOfPureState:
     def test_ground_state_matches_analytic(self, w_ground, grid):
-        qm, pm = grid.mesh()
+        qm, pm = mesh(grid)
         exact = np.exp(-(qm**2) - pm**2) / np.pi
         assert float(np.max(np.abs(w_ground.values - exact))) < 1e-5
 
@@ -304,7 +304,7 @@ class TestWignerOfPureState:
         # sigma = sqrt(hbar) ground state: W = exp(-(q^2+p^2)/hbar)/(pi hbar)
         hbar = 0.5
         w = wigner_of_pure_state(gaussian_state(AXIS, sigma=np.sqrt(hbar)), hbar, grid)
-        qm, pm = grid.mesh()
+        qm, pm = mesh(grid)
         exact = np.exp(-(qm**2 + pm**2) / hbar) / (np.pi * hbar)
         assert float(np.max(np.abs(w.values - exact))) < 1e-5
 
@@ -343,7 +343,7 @@ class TestWignerOfPureState:
         assert abs(origin - (-1.0 / np.pi)) < 0.02 / np.pi
 
     def test_excited_matches_laguerre_form(self, w_excited, grid):
-        qm, pm = grid.mesh()
+        qm, pm = mesh(grid)
         r2 = qm**2 + pm**2
         exact = (2.0 * r2 - 1.0) * np.exp(-r2) / np.pi
         assert float(np.max(np.abs(w_excited.values - exact))) < 1e-5
