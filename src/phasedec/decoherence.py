@@ -6,10 +6,12 @@ regular kernels the oscillatory sum dies out (Riemann-Lebesgue), leaving
 the energy-label pairing of the diagonal as the weak limit. The residual
 is the sum over frequency differences d of a coherence weight times
 exp(i d d_omega t / hbar); it is evaluated from real cos/sin tables, the
-powers of one unit phasor per time, over half the in-block offsets and
-half the block centres of d. Residual decay is classified by competing
-closed-form exponential and power-law line fits; for a Lorentzian kernel
-of half-width gamma the fitted rate is gamma / hbar (inverse pole distance).
+powers of one unit phasor per time from the package's one table builder
+in ``phase_space``, over half the in-block offsets and half the block
+centres of d; a time whose phase overflows is refused, naming ``times``.
+Residual decay is classified by competing closed-form exponential and
+power-law line fits; for a Lorentzian kernel of half-width gamma the
+fitted rate is gamma / hbar (inverse pole distance).
 """
 
 from __future__ import annotations
@@ -207,8 +209,9 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     offsets, each folded onto real cos/sin tables over its nonnegative
     half, so no T x (2n-1) table is built and each time costs 4 cos/sin
     evaluations (``_phase_sums``). ``times`` must be finite, 1-D and strictly
-    increasing, checked before any arithmetic; a warning is logged when a
-    time reaches half of ``grid.recurrence_time(hbar)``.
+    increasing, checked before any arithmetic, and d_omega max|t| / hbar
+    must not overflow; a warning is logged when a time reaches half of
+    ``grid.recurrence_time(hbar)``.
     """
     times = _checked_times(times)
     _check_pair_args(rho, obs, hbar)

@@ -294,12 +294,16 @@ def _gaussian_option(block: dict, path: str):
     return profile
 
 
-def _option(name: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)`` for option ``name``: a ValueError it raises names the option."""
+def _option(names: str | tuple[str, ...], build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for one option, or for a tuple of options that set a limit together.
+
+    A ValueError it raises names the option, or every option of the tuple.
+    """
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"option {name!r}: {exc}") from None
+        names = (names,) if isinstance(names, str) else names
+        raise ValueError(f"option{'s' * (len(names) > 1)} {', '.join(map(repr, names))}: {exc}") from None
 
 
 def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
@@ -397,9 +401,9 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
     hbar = opts["hbar"]
     axis = _option("axis", Axis, **opts["axis"])
     grid = Grid.rectangle(axis, axis)
-
-    ground = wigner_of_pure_state(gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
-    excited = wigner_of_pure_state(oscillator_state(axis, 1, hbar), hbar, grid)
+    limit = ("hbar", "axis")  # the options of the phase-step limit max|p| dy / hbar < pi/4
+    ground = _option(limit, wigner_of_pure_state, gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
+    excited = _option(limit, wigner_of_pure_state, oscillator_state(axis, 1, hbar), hbar, grid)
     min_ground = float(ground.values.real.min())
     min_excited = float(excited.values.real.min())
     mass_ground = float(integrate(ground).real)
@@ -467,7 +471,7 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     v_spectral = pair(rho, obs)
     # one plane-wave matrix serves psi and the observable's factors; both
     # kernels stay rank one, so no q x q array is formed
-    table = plane_wave_matrix(sgrid, q_axis, hbar)
+    table = _option(("hbar", "spectral_grid", "q_axis"), plane_wave_matrix, sgrid, q_axis, hbar)
     psi = synthesize_wavefunction(sgrid, coeffs, q_axis, table)
     k_rho = OperatorKernel(q_axis, u=psi.normalize().values[None])
     k_obs = synthesize_kernel(sgrid, obs.regular, q_axis, table)
@@ -475,8 +479,9 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     v_trace = trace_pair(k_rho, k_obs)
 
     pgrid = Grid.rectangle(q_axis, p_axis)
-    w_rho = wigner_of_pure_state(psi, hbar, pgrid)
-    a_obs = wigner_of_kernel(k_obs, hbar, pgrid)
+    limit = ("hbar", "q_axis", "p_axis")  # the Wigner phase-step limit
+    w_rho = _option(limit, wigner_of_pure_state, psi, hbar, pgrid)
+    a_obs = _option(limit, wigner_of_kernel, k_obs, hbar, pgrid)
     v_phase = pair_regular_symbols(w_rho, a_obs)
 
     values = np.array([v_spectral, v_trace, v_phase])
@@ -703,7 +708,9 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
         all_passed = all_passed and result.passed
 
     grid = Grid.rectangle(axis, axis)
-    excited = wigner_of_pure_state(oscillator_state(axis, 1, hbar), hbar, grid)
+    limit = ("hbar", "wigner_axis")  # they set the phase-step limit and the state's samples
+    psi = _option(limit, oscillator_state, axis, 1, hbar)
+    excited = _option(limit, wigner_of_pure_state, psi, hbar, grid)
     wigner_min = float(excited.values.real.min())
 
     assertions = [

@@ -25,11 +25,14 @@ A = (K - K^H)/2i hermitian. A hermitian operator's lag samples g_j
 (y = j*dy) have mirrors g_-j = conj(g_j), so the sum over j = -M..M folds
 onto j = 0..M as real halves: even_j = 2 Re g_j against cos(2 j dy p / hbar)
 and odd_j = -2 Im g_j against sin, in one real matmul per part, and H and
-A share one table. Factor lags g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the
-cross-Wigner lag products of G. B. Folland, *Harmonic Analysis in Phase
-Space*, ch. 1) come straight from the factors, and a term with u_k = v_k
-adds to H alone; a rest is read off its anti-diagonals. A pure state is the factored
-projector psi psi^H, divided by 2 pi hbar.
+A share one table. The table is the package's one cos/sin table, the
+powers of exp(2i dy p / hbar) from ``phase_space``, and its sin rows are
+built only when some odd half is nonzero. Factor lags
+g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the cross-Wigner lag products of
+G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come straight
+from the factors, and a term with u_k = v_k adds to H alone; a rest is
+read off its anti-diagonals. A pure state is the factored projector
+psi psi^H, divided by 2 pi hbar.
 """
 
 from __future__ import annotations
@@ -176,8 +179,8 @@ def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hb
     ``halves`` holds the real lags j = 0..M of one or two hermitian
     operators, by row: (operators, 2, M+1, rows) even over odd, or
     (operators, 1, M+1, rows) when every odd lag is zero. The operators
-    share one weight window and one table, and only the tables the parts
-    need are built. Weights go on in place: 1 inside a row's reach, 1/2 at
+    share one weight window and one table, whose sin rows are built only
+    for two parts. Weights go on in place: 1 inside a row's reach, 1/2 at
     it, 0 past it, and 1/2 more on even_0, which counts the j = 0 lag
     twice. The result is one (rows, n_p) array per operator.
     """

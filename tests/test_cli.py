@@ -550,18 +550,30 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ('{"scenario": "moyal-convergence", "hbar": [0.4, 0.2]}', "hbar", "at least 3 hbar"),
         ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "gamma": -1}}',
          "kernel", "gamma must be positive"),
+        ('{"scenario": "wigner-negativity", "hbar": 0.01}', "hbar", "'axis': phase step"),
+        ('{"scenario": "pairing-equivalence", "p_axis": {"hi": 40.0}}', "hbar",
+         "'q_axis', 'p_axis': phase step"),
+        ('{"scenario": "pairing-equivalence", "hbar": 0.05}', "hbar", "'q_axis', 'p_axis': phase step"),
+        ('{"scenario": "limit-positivity", "hbar": 0.001}', "hbar", "'wigner_axis': phase step"),
+        ('{"scenario": "pairing-equivalence", "hbar": 1e-300}', "hbar", "= 5.62e+299 exceeds pi/4"),
+        ('{"scenario": "limit-positivity", "hbar": 1e-300}', "hbar",
+         "'wigner_axis': cannot normalize the zero wavefunction"),
     ],
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
          "zero-box", "omega-count", "omega-max", "times-count", "times-spacing", "times-start",
          "box-momentum-count", "truncation-order", "n-states", "kernel-without-family",
-         "two-hbar-values", "kernel-gamma"],
+         "two-hbar-values", "kernel-gamma", "wigner-phase-step", "pairing-p-range-phase-step",
+         "pairing-hbar-phase-step", "positivity-phase-step", "pairing-tiny-hbar-phase-step",
+         "positivity-tiny-hbar-zero-state"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
     # no option name, since each number on its own is a valid float. The spectral
     # grid, the time grid, the box momentum count, the truncation order, n_states,
     # the hbar sweep and the kernel parameters were refused without their option
-    # too, and a kernel block without a family read "unknown kernel family None"
+    # too, and a kernel block without a family read "unknown kernel family None".
+    # The Wigner phase-step limit max|p| dy / hbar < pi/4 spans hbar and the axes
+    # it reads dy and p from, so its refusal names all of them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -584,6 +596,16 @@ def test_spectral_step_out_of_float_range_is_validation_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "omega_max" in err and "d_omega" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_plane_wave_phase_names_hbar(tmp_path, capsys):
+    # d_omega max|q| / hbar overflows at hbar 1e-310: the plane-wave table warned
+    # three times, then "wavefunction samples must be finite" named no option
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": "pairing-equivalence", "hbar": 1e-310})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "'hbar'" in lines[0] and "overflow" in lines[0]
     assert not (tmp_path / "o").exists()
 
 

@@ -258,6 +258,14 @@ class TestResidualTrajectory:
                 residual_trajectory(rho, obs, [1.0, bad], 1.0)
         assert not caplog.records
 
+    @pytest.mark.past_recurrence
+    def test_overflowing_phase_is_refused_naming_times(self):
+        # d_omega / hbar = 40 times t = 1e308 overflows: the table builder warned on
+        # overflow and invalid values, then "trajectory values must be finite"
+        rho, obs = lorentzian_states(SpectralGrid(4.0, 101))
+        with pytest.raises(ValueError, match="max.times. is inf"):
+            residual_trajectory(rho, obs, [1.0, 1e308], 1e-3)
+
     @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [[1.0, 2.0]]])
     def test_unordered_or_nested_times_rejected(self, lorentzian_pair, times):
         rho, obs = lorentzian_pair
