@@ -5,6 +5,8 @@ B_m applies the m-th power of the bidifferential operator built from the
 symplectic form. No B_m depends on hbar: ``_bidifferentials`` builds them,
 and ``_combine`` weights them with in-place multiply-adds, so
 ``classical_limit_check`` builds B_1..B_order once for its whole hbar sweep.
+The weights come from ``_coefficients``, which refuses an hbar whose
+weights or bracket scale overflow before any B_m is built.
 
 A term of B_m is weight * D^alpha f * D^beta g, where beta is alpha with
 the counts of q_i and p_i swapped for each i. Both operands reach a
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import factorial, isfinite, prod
 
 import numpy as np
 
@@ -169,33 +171,56 @@ def _bidifferentials(f: PhaseFunction, g: PhaseFunction, orders) -> dict[int, np
     return sums
 
 
-def _combine(
-    total: np.ndarray, b: dict[int, np.ndarray], hbar: float, order: int, odd_only: bool
-) -> np.ndarray:
-    """Add c_m(hbar) B_m into ``total`` for m <= order, in place, and return it.
+def _coefficients(
+    hbar: float, order: int, odd_only: bool
+) -> tuple[dict[int, complex], complex | None]:
+    """The weights c_m(hbar) = (i*hbar/2)^m / m! of the B_m, m <= order, and the scale of their sum.
 
-    With ``odd_only`` only the odd m enter and the sum is then scaled by
-    2/(i*hbar): from ``total`` = 0 that is the Moyal bracket. ``b`` is only
-    read, so one set of B_m serves a whole hbar sweep.
+    With ``odd_only`` only the odd m enter and the scale is 2/(i*hbar);
+    otherwise there is none. A weight or scale that is not finite is refused
+    as a ValueError naming hbar, before any arithmetic on samples.
+    """
+    weights = {}
+    for m in range(1, order + 1, 2 if odd_only else 1):
+        try:  # a complex power that overflows raises rather than returning inf
+            weights[m] = (1j * hbar / 2.0) ** m / factorial(m)
+        except OverflowError:
+            weight = f"(i hbar/2)^{m}/{m}!"
+            raise ValueError(f"hbar {hbar:.3g} overflows the star series weight {weight}") from None
+    scale = 2.0 / (1j * hbar) if odd_only else None
+    if odd_only and not isfinite(abs(scale)):
+        raise ValueError(f"hbar {hbar:.3g} overflows the bracket scale 2/(i hbar)")
+    return weights, scale
+
+
+def _combine(
+    total: np.ndarray, b: dict[int, np.ndarray], weights: dict[int, complex], scale: complex | None
+) -> np.ndarray:
+    """Add each weight times its B_m into ``total``, in place, scale the sum and return it.
+
+    ``weights`` and ``scale`` come from ``_coefficients``: with the odd-m
+    weights and 2/(i*hbar), from ``total`` = 0, that is the Moyal bracket.
+    ``b`` is only read, so one set of B_m serves a whole hbar sweep.
     """
     term = np.empty_like(total)
-    for m in range(1, order + 1, 2 if odd_only else 1):
-        np.multiply((1j * hbar / 2.0) ** m / factorial(m), b[m], out=term)
+    for m, weight in weights.items():
+        np.multiply(weight, b[m], out=term)
         total += term
-    if odd_only:
-        total *= 2.0 / (1j * hbar)
+    if scale is not None:
+        total *= scale
     return total
 
 
 def _series(f: PhaseFunction, g: PhaseFunction, hbar: float, order: int, odd_only: bool) -> np.ndarray:
     """Samples of f*g truncated after the hbar^order term, or of the bracket with ``odd_only``."""
     _check_operands(f, g, order)
-    b = _bidifferentials(f, g, range(1, order + 1, 2 if odd_only else 1))
+    weights, scale = _coefficients(hbar, order, odd_only)
+    b = _bidifferentials(f, g, weights)
     if odd_only:
         total = np.zeros(f.grid.shape, dtype=complex)
     else:
         total = np.multiply(f.values, g.values, dtype=complex)
-    return _combine(total, b, hbar, order, odd_only)
+    return _combine(total, b, weights, scale)
 
 
 def star_product(
@@ -269,6 +294,7 @@ def classical_limit_check(
     if any(h <= 0 for h in hbars) or any(a <= b for a, b in zip(hbars, hbars[1:])):
         raise ValueError("hbar sequence must be positive and strictly decreasing")
     _check_operands(f, g, order)
+    coefficients = [(_coefficients(h, order, False), _coefficients(h, order, True)) for h in hbars]
 
     # B_1 is the Poisson bracket, so it is built at order 0 too
     b = _bidifferentials(f, g, range(1, max(order, 1) + 1))
@@ -278,9 +304,9 @@ def classical_limit_check(
     exact_tol = 1e-12 * scale
 
     prod_err, brak_err = [], []
-    for h in hbars:
-        product = _combine(plain.copy(), b, h, order, odd_only=False)
-        bracket = _combine(np.zeros_like(plain), b, h, order, odd_only=True)
+    for product_coefficients, bracket_coefficients in coefficients:
+        product = _combine(plain.copy(), b, *product_coefficients)
+        bracket = _combine(np.zeros_like(plain), b, *bracket_coefficients)
         product -= plain
         bracket -= pb
         prod_err.append(float(np.max(np.abs(product[inner]))))

@@ -367,9 +367,12 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
     ham = PhaseFunction.sample(grid, lambda q, p: 0.5 * (q**2 + p**2), "H")
     coord_q = PhaseFunction.sample(grid, lambda q, p: q, "q")
     mom_p = PhaseFunction.sample(grid, lambda q, p: p, "p")
-    bracket_err = interior_max_abs(moyal_bracket(ham, coord_q, hq) + mom_p)
-    shift = PhaseFunction.sample(grid, lambda q, p: hq**2 / 4)
-    star_err = interior_max_abs(star_product(ham, ham, hq) - ham * ham + shift)
+    # the star product refuses an hq whose (i hq/2)^2 / 2 overflows, so the
+    # shift (hq/2)^2 = hq^2/4 is finite by the time it is sampled
+    star = _option("quadratic_hbar", star_product, ham, ham, hq)
+    bracket_err = interior_max_abs(_option("quadratic_hbar", moyal_bracket, ham, coord_q, hq) + mom_p)
+    shift = PhaseFunction.sample(grid, lambda q, p: (hq / 2) ** 2)
+    star_err = interior_max_abs(star - ham * ham + shift)
 
     assertions = [
         _near("product_slope_first_order", rep.product_slope, 1.0, 0.15),
@@ -594,7 +597,9 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
         # range (np.unique would import numpy.ma on its first call)
         wanted = np.concatenate([times, [10.0 * t_dec_expected, t_tail]])
         grid_times = np.array(sorted(set(wanted.tolist())))
-        values = residual_trajectory(rho, obs, grid_times, hbar).values
+        # its times scale with hbar / gamma, so the kernel is named too
+        names = ("hbar", "kernel", "spectral_grid", "times")
+        values = _option(names, residual_trajectory, rho, obs, grid_times, hbar).values
         values = values[np.searchsorted(grid_times, wanted)]
         traj = Trajectory(times, values[: len(times)], limit)
         late, very_late = np.abs(values[len(times) :]) / abs(limit)
@@ -654,7 +659,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     times = _option("times", _time_grid, opts["times"])
     # past half the recurrence time 2 pi hbar / d_omega the residual is aliased
     half_recurrence = sgrid.recurrence_time(hbar) / 2.0
-    traj = residual_trajectory(rho, obs, times, hbar)
+    traj = _option(("hbar", "spectral_grid", "times"), residual_trajectory, rho, obs, times, hbar)
     fit = fit_decay(traj)
 
     # the exponential fit must lose outright for a pole-free kernel

@@ -132,19 +132,28 @@ class CoherenceTerms:
         offsets = (k,) + self.grid.offset_shape
         object.__setattr__(self, "c", _frozen(c, complex, offsets, "term offset symbols c"))
 
+    def _block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The kernel entries K[rows, cols] as a dense array: O(k rows cols).
+
+        Built as zeros plus each term a[rows] conj(b[cols]) c[rows - cols],
+        in term order, so a block holds the same bits as that part of
+        ``dense()``. Every dense array of kernel entries is built here.
+        """
+        n = self.grid.omega_count
+        nodes = np.arange(n)
+        offset = nodes[rows, None] - nodes[None, cols] + n - 1
+        out = np.zeros(offset.shape, dtype=complex)
+        for a, b, c in zip(self.a, self.b, self.c):
+            out += a[rows, None] * b[cols].conj()[None, :] * c[offset]
+        return out
+
     def dense(self) -> np.ndarray:
-        """The full ``(n, n)`` kernel array: O(k n^2).
+        """The full ``(n, n)`` kernel array, one block of every row and column: O(k n^2).
 
         Test oracles use it; ``synthesize_kernel`` uses it only for terms
         whose offset symbol c is not 1 everywhere.
         """
-        n = self.grid.omega_count
-        nodes = np.arange(n)
-        offset = nodes[:, None] - nodes[None, :] + n - 1
-        out = np.zeros((n, n), dtype=complex)
-        for a, b, c in zip(self.a, self.b, self.c):
-            out += a[:, None] * b.conj()[None, :] * c[offset]
-        return out
+        return self._block(slice(None), slice(None))
 
     def hermitian_defect_bound(self) -> float:
         """An upper bound on max|K - K^H| of ``dense()``, in O(k n).

@@ -558,13 +558,23 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ('{"scenario": "pairing-equivalence", "hbar": 1e-300}', "hbar", "= 5.62e+299 exceeds pi/4"),
         ('{"scenario": "limit-positivity", "hbar": 1e-300}', "hbar",
          "'wigner_axis': cannot normalize the zero wavefunction"),
+        pytest.param(
+            '{"scenario": "decoherence-polefree", "hbar": 0.001, "times": {"stop": 1e308}}',
+            "times", "'hbar', 'spectral_grid', 'times': phase step",
+            marks=pytest.mark.past_recurrence,
+        ),
+        pytest.param(
+            '{"scenario": "decoherence-lorentzian", "hbar": [0.1], "times": {"stop_factor": 1e308}}',
+            "kernel", "'hbar', 'kernel', 'spectral_grid', 'times': phase step",
+            marks=pytest.mark.past_recurrence,
+        ),
     ],
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
          "zero-box", "omega-count", "omega-max", "times-count", "times-spacing", "times-start",
          "box-momentum-count", "truncation-order", "n-states", "kernel-without-family",
          "two-hbar-values", "kernel-gamma", "wigner-phase-step", "pairing-p-range-phase-step",
          "pairing-hbar-phase-step", "positivity-phase-step", "pairing-tiny-hbar-phase-step",
-         "positivity-tiny-hbar-zero-state"],
+         "positivity-tiny-hbar-zero-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
@@ -573,7 +583,9 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # the hbar sweep and the kernel parameters were refused without their option
     # too, and a kernel block without a family read "unknown kernel family None".
     # The Wigner phase-step limit max|p| dy / hbar < pi/4 spans hbar and the axes
-    # it reads dy and p from, so its refusal names all of them
+    # it reads dy and p from, so its refusal names all of them. The residual
+    # phase d_omega max|t| / hbar spans hbar, the spectral grid and the times,
+    # and the Lorentzian times scale with hbar / gamma; its overflow named none
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -606,6 +618,21 @@ def test_overflowing_plane_wave_phase_names_hbar(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "'hbar'" in lines[0] and "overflow" in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [({"quadratic_hbar": 1e200}, "quadratic_hbar"), ({"hbar": [1e200, 1e100, 1e50]}, "hbar")],
+    ids=["quadratic-hbar", "hbar-sweep"],
+)
+def test_overflowing_star_weight_names_hbar(tmp_path, capsys, override, path):
+    # (i hbar/2)^2 / 2! overflows at hbar 1e200: hq**2 / 4 ended in an OverflowError
+    # traceback with exit 1, and so did the complex power of the series weight
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": "moyal-convergence", **override})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and f"'{path}'" in lines[0] and "overflows" in lines[0]
     assert not (tmp_path / "o").exists()
 
 

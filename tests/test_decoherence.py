@@ -196,6 +196,43 @@ class TestEvolvePairing:
         with pytest.raises(ValueError):
             evolve_pairing(rho, obs, 1.0, 0.0)
 
+    def test_kernel_blocks_match_closed_form_bit_exactly(self):
+        # K[i, j] = sum_k a_k[i] conj(b_k[j]) c_k[i - j + n - 1], from zero in term
+        # order, on gathered flat index arrays; numpy's array loops round alike at
+        # every stride, while its scalar arithmetic may not
+        grid = SpectralGrid(2.0, 23)
+        terms = random_terms(np.random.default_rng(41), grid, 3)
+        n = grid.omega_count
+        i, j = (index.ravel() for index in np.indices((n, n)))
+        expected = np.zeros(n * n, dtype=complex)
+        for a, b, c in zip(terms.a, terms.b, terms.c):
+            expected += a[i] * b[j].conj() * c[i - j + n - 1]
+        expected = expected.reshape(n, n)
+        everything = slice(None)
+        blocks = [
+            (slice(4, 9), everything),
+            (everything, slice(0, 6)),
+            (slice(n - 3, n + 5), slice(0, 2)),
+            (slice(0, 1), slice(n - 1, n)),
+            (slice(n - 7, n), slice(n - 7, n)),
+        ]
+        assert np.array_equal(terms.dense(), expected)
+        for rows, cols in blocks:
+            assert np.array_equal(terms._block(rows, cols), expected[rows, cols])
+
+    def test_peak_memory_is_one_product_array(self, lorentzian_pair):
+        # two dense kernels, the phase table and their products peaked at 56.5 MB
+        rho, obs = lorentzian_pair
+        n = rho.grid.omega_count
+        evolve_pairing(rho, obs, 3.0, 1.0)
+        tracemalloc.start()
+        try:
+            evolve_pairing(rho, obs, 3.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 16
+
     def test_non_finite_time_rejected(self, lorentzian_pair, caplog):
         # t = inf returned nan + nan i after two RuntimeWarnings and a T_rec/2 log line
         rho, obs = lorentzian_pair
