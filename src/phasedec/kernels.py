@@ -95,10 +95,15 @@ def lorentzian_kernel(gamma: float, profile) -> CoherenceKernel:
     """profile(w) conj(profile(w')) * gamma^2 / ((w - w')^2 + gamma^2).
 
     Half-width ``gamma`` in nu = w - w'; the nearest pole of the nu
-    dependence sits at distance gamma from the real axis.
+    dependence sits at distance gamma from the real axis. A gamma whose
+    square is not a normal float is refused: at nu = 0 the symbol would be
+    0/0 (an underflowed square) or inf/inf (an overflowed one).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    square = float(gamma) * float(gamma)
+    if not np.finfo(float).tiny <= square <= np.finfo(float).max:
+        raise ValueError(f"gamma {gamma!r} squares to {square!r}, not a normal float")
 
     def symbol(nu):
         return gamma**2 / (nu**2 + gamma**2)

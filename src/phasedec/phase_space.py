@@ -238,7 +238,9 @@ def integrate(f: PhaseFunction) -> complex:
 def _fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights for the ``order``-th derivative at ``x0``.
 
-    Fornberg's recursion; exact for polynomials of degree < len(nodes).
+    Fornberg's recursion (Math. Comp. 51 (1988) 699-706); exact for
+    polynomials of degree < len(nodes). The package calls it only on
+    integer nodes, from ``_integer_stencils``, once per stencil row.
     """
     n = len(nodes)
     c = np.zeros((n, order + 1))
@@ -264,27 +266,39 @@ def _fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
     return c[:, order]
 
 
+@lru_cache(maxsize=4)
+def _integer_stencils(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(centred, edge) weights of the ``order``-th derivative on unit-spaced nodes.
+
+    ``centred`` is the shortest centred stencil with accuracy 4, on offsets
+    -half..half, made exactly (anti)symmetric by averaging it with its
+    mirror. Row i < half of ``edge`` is the one-sided window of order + 4
+    nodes 0..order + 3 seen from node i (accuracy >= 4 there as well).
+    These are the package's only Fornberg calls: 1 + half per order.
+    """
+    half = (order + 1) // 2 + 1  # centred window half-width for accuracy 4
+    centred = _fornberg_weights(0.0, np.arange(-half, half + 1.0), order)
+    edge = np.array([_fornberg_weights(float(i), np.arange(order + 4.0), order) for i in range(half)])
+    return 0.5 * (centred + (-1) ** order * centred[::-1]), edge
+
+
 @lru_cache(maxsize=128)
 def _difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
     """Dense 1-D differentiation matrix, 4th-order interior stencils.
 
-    Interior rows use the shortest centered stencil with accuracy 4;
-    rows too close to an edge use one-sided windows of order + 4 nodes
-    (accuracy >= 4 there as well).
+    The ``_integer_stencils`` rows divided by ``spacing**order``, placed
+    without a Fornberg call: the centred stencil on every interior row, the
+    edge rows on the first ``half`` rows, and the edge rows mirrored times
+    (-1)^order on the last ``half``, so ``d[::-1, ::-1] == (-1)**order * d``
+    holds exactly.
     """
-    x = np.arange(count) * spacing
-    half = (order + 1) // 2 + 1  # centered window half-width for accuracy 4
-    central = 2 * half + 1
-    sided = order + 4
-    if count < max(central, sided):
+    centred, edge = (weights / spacing**order for weights in _integer_stencils(order))
+    half, sided = edge.shape
+    if count < sided:
         raise ValueError(f"axis count {count} too small for order-{order} stencils")
     d = np.zeros((count, count))
-    for i in range(count):
-        if half <= i < count - half:
-            lo, size = i - half, central
-        else:
-            lo, size = min(max(i - sided // 2, 0), count - sided), sided
-        d[i, lo : lo + size] = _fornberg_weights(x[i], x[lo : lo + size], order)
+    d.reshape(-1)[np.arange(half, count - half)[:, None] * (count + 1) + np.arange(-half, half + 1)] = centred
+    d[:half, :sided], d[-half:, -sided:] = edge, (-1) ** order * edge[::-1, ::-1]
     return d
 
 
@@ -323,16 +337,22 @@ def _derivative_values(
     return out
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, whose True would read as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def partial_derivative(f: PhaseFunction, axis: int, order: int = 1) -> PhaseFunction:
     """Finite-difference partial derivative along one grid axis.
 
     Central stencils of accuracy order 4 in the interior, one-sided near
-    the boundary; ``order`` in 1..4.
+    the boundary; ``order`` in 1..4. ``order`` and ``axis`` must be ints or
+    numpy integers: a bool or a float is refused, not truncated.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"derivative order must be in 1..4, got {order}")
-    if not 0 <= axis < len(f.grid.axes):
-        raise ValueError(f"axis {axis} out of range for a {len(f.grid.axes)}-axis grid")
+    if not _is_integer(order) or order not in (1, 2, 3, 4):
+        raise ValueError(f"derivative order must be an integer in 1..4, got {order!r}")
+    if not _is_integer(axis) or not 0 <= axis < len(f.grid.axes):
+        raise ValueError(f"axis {axis!r} is not an integer in 0..{len(f.grid.axes) - 1} of the grid")
     return f.with_values(_derivative_values(f.values, f.grid, axis, order), label=f.label)
 
 

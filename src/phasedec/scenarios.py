@@ -574,7 +574,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
             "the inverse-pole-distance assertions need a 'lorentzian' kernel; "
             f"got family {kernel['family']!r} (use decoherence-polefree for the others)"
         )
-    diagonal, regular = _option("kernel", _coherence_from_options, kernel)
+    diagonal, regular = _option("kernel.gamma", _coherence_from_options, kernel)
     gamma = kernel["gamma"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     prof_obs = _gaussian_option(opts["observable_profile"], "observable_profile")

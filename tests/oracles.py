@@ -2,13 +2,15 @@
 
 ``dense_kernel`` forms the full array of a factored ``OperatorKernel``,
 ``harmonic_map`` realizes the energy label as the oscillator Hamiltonian,
-whose compact orbits give closed-form singular symbols, and ``mesh`` gives
-full coordinate arrays for closed-form symbols on a grid.
+whose compact orbits give closed-form singular symbols, ``mesh`` gives
+full coordinate arrays for closed-form symbols on a grid, and
+``per_row_difference_matrix`` builds each differentiation-matrix row with
+its own Fornberg call on the physical nodes.
 """
 
 import numpy as np
 
-from phasedec.phase_space import Grid, PhaseFunction
+from phasedec.phase_space import Grid, PhaseFunction, _fornberg_weights
 from phasedec.spectral import MomentumMap
 from phasedec.weyl import OperatorKernel
 
@@ -29,3 +31,24 @@ def harmonic_map(grid: Grid) -> MomentumMap:
 def mesh(grid: Grid) -> tuple[np.ndarray, ...]:
     """Full coordinate arrays, one per axis, each of the grid's shape."""
     return tuple(np.meshgrid(*(axis.nodes() for axis in grid.axes), indexing="ij"))
+
+
+def per_row_difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
+    """``phase_space._difference_matrix`` built row by row: one Fornberg call per row.
+
+    Each row's weights come from the nodes ``k * spacing`` around it: the
+    centred window of ``2 half + 1`` nodes in the interior, the first or
+    last ``order + 4`` nodes within ``half`` of an edge. O(count) Fornberg
+    calls, against the package's 1 + half per order.
+    """
+    x = np.arange(count) * spacing
+    half = (order + 1) // 2 + 1
+    central, sided = 2 * half + 1, order + 4
+    d = np.zeros((count, count))
+    for i in range(count):
+        if half <= i < count - half:
+            lo, size = i - half, central
+        else:
+            lo, size = min(max(i - sided // 2, 0), count - sided), sided
+        d[i, lo : lo + size] = _fornberg_weights(x[i], x[lo : lo + size], order)
+    return d

@@ -549,7 +549,9 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "is missing"),
         ('{"scenario": "moyal-convergence", "hbar": [0.4, 0.2]}', "hbar", "at least 3 hbar"),
         ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "gamma": -1}}',
-         "kernel", "gamma must be positive"),
+         "kernel.gamma", "gamma must be positive"),
+        ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "gamma": 1e-300}}',
+         "kernel.gamma", "squares to 0.0, not a normal float"),
         ('{"scenario": "wigner-negativity", "hbar": 0.01}', "hbar", "'axis': phase step"),
         ('{"scenario": "pairing-equivalence", "p_axis": {"hi": 40.0}}', "hbar",
          "'q_axis', 'p_axis': phase step"),
@@ -572,7 +574,7 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
          "zero-box", "omega-count", "omega-max", "times-count", "times-spacing", "times-start",
          "box-momentum-count", "truncation-order", "n-states", "kernel-without-family",
-         "two-hbar-values", "kernel-gamma", "wigner-phase-step", "pairing-p-range-phase-step",
+         "two-hbar-values", "kernel-gamma", "kernel-gamma-underflow", "wigner-phase-step", "pairing-p-range-phase-step",
          "pairing-hbar-phase-step", "positivity-phase-step", "pairing-tiny-hbar-phase-step",
          "positivity-tiny-hbar-zero-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
 )
@@ -585,7 +587,9 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # The Wigner phase-step limit max|p| dy / hbar < pi/4 spans hbar and the axes
     # it reads dy and p from, so its refusal names all of them. The residual
     # phase d_omega max|t| / hbar spans hbar, the spectral grid and the times,
-    # and the Lorentzian times scale with hbar / gamma; its overflow named none
+    # and the Lorentzian times scale with hbar / gamma; its overflow named none.
+    # A gamma whose square underflowed printed numpy's 0/0 warning and then
+    # "term offset symbols c must be finite", naming no option
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

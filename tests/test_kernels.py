@@ -47,6 +47,24 @@ def test_families_are_hermitian(factory):
     assert np.allclose(values, values.conj().T)
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [1e-300, 1e-155, 1e155, np.float64(1e-300)],
+    ids=["underflow", "subnormal", "overflow", "numpy-underflow"],
+)
+def test_lorentzian_gamma_square_must_be_normal(gamma):
+    # an underflowed gamma^2 made the nu = 0 symbol 0/0, an overflowed one inf/inf
+    with pytest.raises(ValueError, match="not a normal float"):
+        kernels.lorentzian_kernel(gamma, kernels.gaussian_profile(1.0, 0.3))
+
+
+def test_lorentzian_smallest_normal_square_stays_finite():
+    gamma = 1.5e-154  # gamma^2 just above the smallest normal float
+    values = dense(kernels.lorentzian_kernel(gamma, lambda x: np.ones_like(x))).real
+    assert np.array_equal(np.diag(values), np.ones(len(values)))
+    assert np.max(np.abs(values - np.eye(len(values)))) < 1e-300
+
+
 def test_lorentzian_peaks_on_diagonal():
     values = dense(kernels.lorentzian_kernel(0.1, lambda x: np.ones_like(x))).real
     assert np.allclose(np.diag(values), 1.0)

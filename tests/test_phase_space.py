@@ -1,5 +1,8 @@
 """Grid, quadrature, derivative, and bracket tests."""
 
+import collections
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from phasedec.phase_space import (
     partial_derivative,
     poisson_bracket,
 )
+from oracles import per_row_difference_matrix
 
 
 @pytest.fixture(scope="module")
@@ -200,17 +204,73 @@ class TestPartialDerivative:
         assert _derivative_values(v, g, axis, 2, out=out) is out
         assert np.array_equal(out, _derivative_values(v, g, axis, 2))
 
-    def test_order_out_of_range(self, grid):
+    # a bool or a float order or axis used to reach numpy and fail there with a
+    # broadcast or slice-index error; True would also have read as order 1
+    @pytest.mark.parametrize(
+        "order",
+        [5, 0, True, 2.0, np.bool_(True), np.float64(1.0)],
+        ids=["5", "0", "bool", "float", "numpy-bool", "numpy-float"],
+    )
+    def test_order_out_of_range(self, grid, order):
         f = sample(grid, lambda q, p: q)
-        with pytest.raises(ValueError):
-            partial_derivative(f, axis=0, order=5)
-        with pytest.raises(ValueError):
-            partial_derivative(f, axis=0, order=0)
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            partial_derivative(f, axis=0, order=order)
 
-    def test_axis_out_of_range(self, grid):
+    @pytest.mark.parametrize(
+        "axis", [2, -1, True, 1.0, np.float64(0.0)], ids=["2", "-1", "bool", "float", "numpy-float"]
+    )
+    def test_axis_out_of_range(self, grid, axis):
         f = sample(grid, lambda q, p: q)
-        with pytest.raises(ValueError):
-            partial_derivative(f, axis=2)
+        with pytest.raises(ValueError, match=re.escape(f"axis {axis!r} is not an integer")):
+            partial_derivative(f, axis=axis)
+
+    def test_numpy_integer_order_and_axis(self, grid):
+        f = sample(grid, lambda q, p: q**2 * p)
+        expected = partial_derivative(f, axis=0, order=2).values
+        assert np.array_equal(partial_derivative(f, axis=np.int64(0), order=np.int64(2)).values, expected)
+
+
+class TestDifferenceMatrix:
+    # axis lengths and non-dyadic spacings; the weights are placed, not recomputed per row
+    AXES = [(count, 2.7 / (count - 1)) for count in range(9, 22)] + [(161, 0.4 / np.pi), (1281, 0.011)]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_per_row_fornberg_oracle(self, order):
+        for count, spacing in self.AXES:
+            d = _difference_matrix.__wrapped__(count, spacing, order)
+            expected = per_row_difference_matrix(count, spacing, order)
+            assert not d[expected == 0].any()  # no weight outside the oracle's windows
+            row_max = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.all(np.abs(d - expected) <= 1e-12 * row_max), count
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_mirror_identity_is_exact(self, order):
+        # the last rows are the first ones reversed times (-1)^order, so
+        # reflecting the axis maps the matrix onto itself bit for bit
+        for count, spacing in [(9, 0.3), (21, 2.7 / 20), (161, 0.4 / np.pi)]:
+            d = _difference_matrix.__wrapped__(count, spacing, order)
+            assert np.array_equal(d[::-1, ::-1], (-1) ** order * d), count
+
+    def test_fornberg_runs_once_per_stencil_row_whatever_the_axes(self, monkeypatch):
+        calls = collections.Counter()
+        weights = phase_space._fornberg_weights
+
+        def spy(x0, nodes, order):
+            calls[order] += 1
+            return weights(x0, nodes, order)
+
+        monkeypatch.setattr(phase_space, "_fornberg_weights", spy)
+        phase_space._integer_stencils.cache_clear()
+        for order in (1, 2, 3, 4):
+            for count in (21, 161, 1281):
+                for spacing in (0.1, 0.4 / np.pi):
+                    _difference_matrix.__wrapped__(count, spacing, order)
+            half = (order + 1) // 2 + 1
+            assert 0 < calls[order] <= 1 + half
+
+    def test_short_axis_refused(self):
+        with pytest.raises(ValueError, match="too small for order-4 stencils"):
+            _difference_matrix.__wrapped__(7, 0.1, 4)
 
 
 class TestPoissonBracket:
