@@ -353,7 +353,7 @@ def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
     raise ValueError(f"time grid spacing must be 'log' or 'linear', got {spacing!r}")
 
 
-def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
+def _run_moyal_convergence(opts: dict, seed: int) -> ScenarioResult:
     hbars = sorted(opts["hbar"], reverse=True)
     grid = Grid.square(*_option("grid", Axis, **opts["grid"]))
     order = opts["truncation_order"]
@@ -400,7 +400,7 @@ def _run_moyal_convergence(opts: dict, rng) -> ScenarioResult:
     return ScenarioResult(report, {"convergence": curve})
 
 
-def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
+def _run_wigner_negativity(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     axis = _option("axis", Axis, **opts["axis"])
     grid = Grid.rectangle(axis, axis)
@@ -453,7 +453,7 @@ def _run_wigner_negativity(opts: dict, rng) -> ScenarioResult:
     return ScenarioResult(report, {"wigner_slice": curve})
 
 
-def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
+def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     q_axis = _option("q_axis", Axis, **opts["q_axis"])
     p_axis = _option("p_axis", Axis, **opts["p_axis"])
@@ -491,7 +491,7 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     spread = float(np.max(np.abs(values - values.mean())) / abs(values.mean()))
 
     # duality block: discrete basis pairings across random node pairs
-    idx = rng.integers(0, sgrid.omega_count, size=4)
+    idx = np.random.default_rng(seed).integers(0, sgrid.omega_count, size=4)
     i, j = int(idx[0]), int(idx[1])
     k, l = int(idx[2]), int(idx[3])
     if i == j:
@@ -566,7 +566,7 @@ def _run_pairing_equivalence(opts: dict, rng) -> ScenarioResult:
     return ScenarioResult(report, {"box_growth": curve})
 
 
-def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
+def _run_decoherence_lorentzian(opts: dict, seed: int) -> ScenarioResult:
     hbars = opts["hbar"]
     kernel = opts["kernel"]
     if kernel["family"] != "lorentzian":
@@ -644,7 +644,7 @@ def _run_decoherence_lorentzian(opts: dict, rng) -> ScenarioResult:
     return ScenarioResult(report, curves)
 
 
-def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
+def _run_decoherence_polefree(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     kernel = opts["kernel"]
@@ -696,7 +696,7 @@ def _run_decoherence_polefree(opts: dict, rng) -> ScenarioResult:
     return ScenarioResult(report, {"residual": curve})
 
 
-def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
+def _run_limit_positivity(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     n_states = opts["n_states"]
@@ -706,6 +706,7 @@ def _run_limit_positivity(opts: dict, rng) -> ScenarioResult:
 
     minima = []
     all_passed = True
+    rng = np.random.default_rng(seed)
     for _ in range(n_states):
         state = random_admissible_state(sgrid, rng)
         result = verify_final_positivity(state)
@@ -752,11 +753,17 @@ _RUNNERS = {
 
 
 def run_named_scenario(name: str, overrides: dict, seed: int) -> ScenarioResult:
-    """Run one scenario with defaults merged under the given overrides."""
+    """Run one scenario with defaults merged under the given overrides.
+
+    Only the scenarios that draw (``pairing-equivalence`` and
+    ``limit-positivity``) build a generator from ``seed``, so the others
+    never import ``numpy.random``.
+    """
     if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    if seed < 0:
+        raise ValueError(f"option 'seed' must be >= 0, got {seed}")
     opts = _merge(_DEFAULTS[name], overrides)
-    rng = np.random.default_rng(seed)
-    result = _RUNNERS[name](opts, rng)
+    result = _RUNNERS[name](opts, seed)
     result.report["seed"] = seed
     return result

@@ -24,10 +24,15 @@ One fold serves every transform. K = H + iA with H = (K + K^H)/2 and
 A = (K - K^H)/2i hermitian. A hermitian operator's lag samples g_j
 (y = j*dy) have mirrors g_-j = conj(g_j), so the sum over j = -M..M folds
 onto j = 0..M as real halves: even_j = 2 Re g_j against cos(2 j dy p / hbar)
-and odd_j = -2 Im g_j against sin, in one real matmul per part, and H and
-A share one table. The table is the package's one cos/sin table, the
-powers of exp(2i dy p / hbar) from ``phase_space``, and its sin rows are
-built only when some odd half is nonzero. Factor lags
+and odd_j = -2 Im g_j against sin, and H and A share one table. The table
+is the package's one cos/sin table, the powers of exp(2i dy p / hbar) from
+``phase_space``, and its sin rows are built only when some odd half is
+nonzero. The fold computes only terms that reach an output: row i's
+window holds min(i, n-1-i) lags, so the output rows fold in a few bands
+of consecutive rows, each gathered and multiplied only to its own deepest
+lag, straight into its output rows. On a p axis symmetric about 0 the
+table holds the p >= 0 nodes alone: cos is even in p and sin odd, so a
+p < 0 column is its mirror's even fold minus its odd fold. Factor lags
 g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the cross-Wigner lag products of
 G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come straight
 from the factors, and a term with u_k = v_k adds to H alone; a rest is
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite import hermval
 
 from .phase_space import Axis, Grid, PhaseFunction, _cos_sin, _frozen, _trapezoid_weights
@@ -54,6 +60,10 @@ __all__ = [
     "oscillator_state",
     "gaussian_state",
 ]
+
+#: runs of consecutive output rows in one fold, each gathered and folded
+#: only to its own deepest lag; chosen by timing the perfbench ``wigner`` ops
+BANDS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,55 +157,88 @@ def _nyquist_guard(p_max: float, dy: float, hbar: float):
 def _output_nodes(axis: Axis, hbar: float, out_grid: Grid):
     """Kernel-node index of every output q, and the output p values.
 
-    Checks hbar, the 2-axis grid, the q range, the phase-step bound and
-    that every output q lies within 1e-9 cells of a node.
+    Checks hbar, the 2-axis grid, the phase-step bound, and that every
+    output q lies within 1e-9 cells of a node (one tolerance, in cells, for
+    the range and the nodes).
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     _check_grid_2d(out_grid)
     q_out = out_grid.coordinate(0)
     p_out = out_grid.coordinate(1)
-    if q_out[0] < axis.lo - 1e-12 or q_out[-1] > axis.hi + 1e-12:
-        raise ValueError("output q-range must lie inside the kernel q-range")
     h = axis.spacing
-    _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
-
     offsets = (q_out - axis.lo) / h
     nodes = np.rint(offsets)
+    if nodes[0] < 0 or nodes[-1] > axis.count - 1:
+        raise ValueError("output q-range must lie inside the kernel q-range")
+    _nyquist_guard(float(np.max(np.abs(p_out))), h, hbar)
     if not np.all(np.abs(offsets - nodes) <= 1e-9):
         raise ValueError("output q values must be kernel q nodes")
     return nodes.astype(int), p_out
 
 
 def _half_window(n: int, nodes: np.ndarray):
-    """Each row's reach min(i, n-1-i) and the lags j = 0..max reach, as a column."""
+    """Row reaches, row bands and the lags of half weight on the bands' flat layout.
+
+    Row i reaches min(i, n-1-i) lags. The output rows split into ``BANDS``
+    runs of consecutive rows, and a run whose deepest reach is d - 1 takes
+    lags j = 0..d-1 as a (d, rows) block of one flat axis. Returns the
+    reaches, each run's (row slice, d, flat slice) and, per row, the flat
+    entries of lag 0, which the even half counts twice, and of the lag at
+    the reach, the window's end. Both take half weight; a row of reach 0
+    has both at one entry and is zero.
+    """
     reach = np.minimum(nodes, n - 1 - nodes)
-    return reach, np.arange(int(reach.max()) + 1)[:, None]
+    starts = sorted({k * len(nodes) // BANDS for k in range(BANDS)})
+    widths = np.diff(starts + [len(nodes)])
+    depths = np.maximum.reduceat(reach, starts) + 1
+    ends = np.cumsum(widths * depths)
+    bands = [
+        (slice(lo, lo + width), depth, slice(end - width * depth, end))
+        for lo, width, depth, end in zip(starts, widths.tolist(), depths.tolist(), ends.tolist())
+    ]
+    # lag j of a row sits j band widths past the row's lag 0
+    first = np.arange(len(nodes)) + np.repeat(ends - widths * depths - starts, widths)
+    return reach, bands, first, first + reach * np.repeat(widths, widths)
 
 
-def _fold(halves: np.ndarray, reach: np.ndarray, p_out: np.ndarray, h: float, hbar: float):
+def _fold(halves: np.ndarray, bands, first: np.ndarray, last: np.ndarray, p_out: np.ndarray,
+          h: float, hbar: float):
     """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
 
-    ``halves`` holds the real lags j = 0..M of one or two hermitian
-    operators, by row: (operators, 2, M+1, rows) even over odd, or
-    (operators, 1, M+1, rows) when every odd lag is zero. The operators
-    share one weight window and one table, whose sin rows are built only
-    for two parts. Weights go on in place: 1 inside a row's reach, 1/2 at
-    it, 0 past it, and 1/2 more on even_0, which counts the j = 0 lag
-    twice. The result is one (rows, n_p) array per operator.
+    ``halves`` holds the real lags of one or two hermitian operators on the
+    flat layout of ``_half_window``, zero past each row's reach:
+    (operators, 2, entries) even over odd, or (operators, 1, entries) when
+    every odd lag is zero. Each row's lags ``first`` and ``last`` take half
+    weight in place (a row whose two are one entry is zero). Each band folds
+    straight into its output rows against the first d rows of the cos (and
+    sin) table, which the operators share. On a p axis symmetric about 0
+    (p_out[0] == -p_out[-1]) the table holds the p >= 0 nodes only: cos is
+    even in p and sin odd, so each p < 0 column is its mirror's even fold
+    minus its odd fold. The result is one (rows, n_p) array per operator.
     """
-    operators, parts, depth, rows = halves.shape
-    lags = np.arange(depth)[:, None]
-    halves *= np.clip(reach + 0.5 - lags, 0.0, 1.0)
-    halves[:, 0, 0] *= 0.5
-    halves[..., reach == 0] = 0.0
-    table = _cos_sin(2.0 * h / hbar, depth, p_out, parts, "p")
-    symbols = []
-    for lag_rows in halves:
-        symbol = lag_rows.reshape(parts * depth, rows).T @ table
-        symbol *= 2.0 * h
-        symbols.append(symbol)
-    return symbols
+    operators, parts, _ = halves.shape
+    halves[..., first] *= 0.5
+    halves[..., last] *= np.where(first < last, 0.5, 0.0)
+    mirrored = len(p_out) // 2 if p_out[0] == -p_out[-1] else 0
+    depth = max(d for _, d, _ in bands)
+    table = _cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p").reshape(parts, depth, -1)
+    table *= 2.0 * h
+    symbols = np.empty((operators, len(first), len(p_out)))
+    for rows, d, flat in bands:
+        lag_rows = halves[..., flat].reshape(operators, parts, d, -1)
+        for (even, *odd), symbol in zip(lag_rows, symbols[:, rows]):
+            folded = symbol[:, mirrored:]
+            np.matmul(even.T, table[0, :d], out=folded)
+            if odd:
+                odd_sum = odd[0].T @ table[1, :d]
+                if mirrored:
+                    flipped = symbol[:, mirrored - 1::-1]
+                    np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
+                folded += odd_sum
+    if mirrored and parts == 1:
+        symbols[..., mirrored - 1::-1] = symbols[..., -mirrored:]
+    return list(symbols)
 
 
 def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> PhaseFunction:
@@ -216,12 +259,14 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
 def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
     """Symbol rows at node indices ``nodes``, float64 when A = 0.
 
-    Each buffer is dropped once used, and this frame ends before
-    ``PhaseFunction`` copies the rows.
+    One gather lays every band's lags out on one flat axis, zero past each
+    row's reach, and ``_fold`` folds them band by band. Each buffer is
+    dropped once used, and this frame ends before ``PhaseFunction`` copies
+    the rows.
     """
-    reach, lags = _half_window(kernel.axis.count, nodes)
-    halves = _lag_halves(kernel, nodes, reach, lags)
-    symbol, *imag = _fold(halves, reach, p_out, kernel.axis.spacing, hbar)
+    reach, bands, first, last = _half_window(kernel.axis.count, nodes)
+    halves = _lag_halves(kernel, nodes, reach, bands)
+    symbol, *imag = _fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
     del halves
     if imag:
         symbol = symbol.astype(complex)
@@ -229,10 +274,11 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     return symbol
 
 
-def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, reach: np.ndarray, lags: np.ndarray):
-    """Real lags of H, then of A unless they are all zero: (1 or 2, 1 or 2, M+1, rows).
+def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, reach: np.ndarray, bands):
+    """Real lags of H, then of A unless they are all zero: (1 or 2, 1 or 2, entries).
 
-    A factor term with u_k = v_k is hermitian: its mirror lag is the
+    The entries are the flat layout of ``bands`` for rows at kernel nodes
+    ``nodes``. A factor term with u_k = v_k is hermitian: its mirror lag is the
     conjugate of g_j, so it adds g_j to H's lags and nothing to A's, and
     a sum of real such terms has no odd half. Another term adds
     (g + conj m)/2 to H's lags and (g - conj m)/2i to A's, with
@@ -241,21 +287,21 @@ def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, reach: np.ndarray, la
     u, v, rest = kernel.u, kernel.v, kernel.values
     same = [v is u or np.array_equal(a, b) for a, b in zip(u, v)]  # v is u when built without v
     hermitian = [a for a, same_k in zip(u, same) if same_k]
-    lags_h = _factor_lags(hermitian, hermitian, nodes, lags)
+    lags_h = _factor_lags(hermitian, hermitian, nodes, bands)
     others = [(a, b) for a, b, same_k in zip(u, v, same) if not same_k]
-    shape = (len(lags), len(nodes))
+    shape = (bands[-1][2].stop,)
     if rest is None and not others:
         return np.zeros((1, 1) + shape) if lags_h is None else _halves(lags_h)[None]
     if rest is None:
         halves = np.zeros((2, 2) + shape)
     else:
         halves = np.empty((2, 2) + shape)
-        _rest_lags(rest, nodes, reach, lags, halves)
+        _rest_lags(rest, nodes, reach, bands, halves)
     terms = [] if lags_h is None else [(0, lags_h)]
     if others:
-        left, right = zip(*others)
-        g = _factor_lags(left, right, nodes, lags)
-        mirror = _factor_lags(right, left, nodes, lags)  # conj(m_j)
+        us, vs = zip(*others)
+        g = _factor_lags(us, vs, nodes, bands)
+        mirror = _factor_lags(vs, us, nodes, bands)  # conj(m_j)
         terms += [(0, (g + mirror) / 2.0), (1, (g - mirror) / 2j)]
     for operator, term_lags in terms:
         part = _halves(term_lags)
@@ -263,40 +309,42 @@ def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, reach: np.ndarray, la
     return halves if halves[1].any() else halves[:1]
 
 
-def _factor_lags(u, v, nodes: np.ndarray, lags: np.ndarray):
-    """sum_k u_k[i - j] conj(v_k[i + j]) for rows i = ``nodes`` and lags j: (M+1, rows).
+def _factor_lags(u, v, nodes: np.ndarray, bands):
+    """sum_k u_k[i - j] conj(v_k[i + j]) on the flat layout of ``bands``, rows i = ``nodes``.
 
-    ``u`` and ``v`` are sequences of k factor rows. The sum is real when
-    every row's dtype is, and None for k = 0. Lags past a row's reach read
-    clipped indices; the fold gives them zero weight.
+    ``u`` and ``v`` are sequences of k factor rows. Each is padded with
+    zeros to the deepest lag on both sides, so a lag past its row's reach is
+    zero, and read through one sliding-window view: the output nodes are
+    evenly spaced, so a band's (lag, row) block of u_k[i - j] or
+    v_k[i + j] is a slice of it, with no index array. The sum is real
+    when every row's dtype is, and None for k = 0.
     """
     if not len(u):
         return None
     dtype = complex if any(a.dtype == complex or b.dtype == complex for a, b in zip(u, v)) else float
-    total = None
-    for a, b in zip(u, v):
-        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)  # widens a real row
-        at = nodes - lags
-        g = np.take(a, at, mode="clip")
-        at += 2 * lags
-        mirror = np.take(b, at, mode="clip")
-        del at
-        if dtype is complex:
-            np.conjugate(mirror, out=mirror)
-        g *= mirror
-        del mirror
-        if total is None:
-            total = g
-        else:
-            total += g
-        del g
+    pad = max(d for _, d, _ in bands)
+    step = int(nodes[1] - nodes[0])
+    at = int(nodes[0]) + pad  # window t holds padded[t + step * row], so row's node i at t = at
+    padded = np.zeros((2, len(u[0]) + 2 * pad), dtype)
+    left, right = sliding_window_view(padded, step * (len(nodes) - 1) + 1, axis=1)[:, :, ::step]
+    total = np.empty(bands[-1][2].stop, dtype)
+    for k, (a, b) in enumerate(zip(u, v)):
+        padded[0, pad:-pad] = a
+        padded[1, pad:-pad] = b.conj() if dtype is complex else b
+        for rows, d, flat in bands:
+            block = total[flat].reshape(d, -1)
+            u_lags, v_lags = left[at - d + 1 : at + 1][::-1, rows], right[at : at + d, rows]
+            if k == 0:
+                np.multiply(u_lags, v_lags, out=block)
+            else:
+                block += u_lags * v_lags
     return total
 
 
 def _halves(lags: np.ndarray) -> np.ndarray:
-    """One hermitian operator's lags g_j as (2, M+1, rows) 2 Re g_j over -2 Im g_j.
+    """One hermitian operator's lags g_j as (2, entries) 2 Re g_j over -2 Im g_j.
 
-    Real lags have no odd half: they become (1, M+1, rows) 2 g_j in place.
+    Real lags have no odd half: they become (1, entries) 2 g_j in place.
     """
     if lags.dtype == float:
         lags *= 2.0
@@ -307,26 +355,33 @@ def _halves(lags: np.ndarray) -> np.ndarray:
     return halves
 
 
-def _rest_lags(rest: np.ndarray, nodes: np.ndarray, reach: np.ndarray, lags: np.ndarray, halves):
-    """Write the halves of a dense rest's H and A into ``halves`` (2, 2, M+1, rows)."""
+def _rest_lags(rest: np.ndarray, nodes: np.ndarray, reach: np.ndarray, bands, halves):
+    """Write the halves of a dense rest's H and A into ``halves`` (2, 2, entries).
+
+    Lags past a row's reach are zero.
+    """
     n = len(rest)
     # g_j = R[i - j, i + j] sits at flat index f = i*(n+1) - j*(n-1), its mirror
-    # m_j = R[i + j, i - j] at 2*i*(n+1) - f, their real and imaginary parts at
-    # 2f and 2f + 1 of the float view. Past a row's reach j is held at the
-    # reach: zero-weighted, and exactly zero in A for a hermitian rest
+    # m_j = R[i + j, i - j] at i*(n+1) + j*(n-1), their real and imaginary parts
+    # at 2f and 2f + 1 of the float view. Past its row's reach a lag is held
+    # at the reach, which stays inside the array, and is zeroed below
     floats = rest.view(float).reshape(-1)
     h_lags, a_lags = halves  # even over odd lags of H, and of A
-    at = np.minimum(lags, reach)
-    at *= -2 * (n - 1)
-    at += 2 * (n + 1) * nodes
+    at, mirror_at = np.empty((2, halves.shape[-1]), int)
+    past = np.empty(halves.shape[-1], bool)
+    for rows, d, flat in bands:
+        lags = np.arange(d)[:, None]
+        held = np.minimum(lags, reach[rows]) * (2 * (n - 1))
+        np.subtract(2 * (n + 1) * nodes[rows], held, out=at[flat].reshape(d, -1))
+        np.add(2 * (n + 1) * nodes[rows], held, out=mirror_at[flat].reshape(d, -1))
+        np.greater(lags, reach[rows], out=past[flat].reshape(d, -1))
     np.take(floats, at, mode="clip", out=h_lags[0])  # Re g
     at += 1
     np.take(floats, at, mode="clip", out=a_lags[0])  # Im g
-    np.subtract(4 * (n + 1) * nodes + 2, at, out=at)
-    np.take(floats, at, mode="clip", out=h_lags[1])  # Im m
-    at -= 1
-    np.take(floats, at, mode="clip", out=a_lags[1])  # Re m
-    del at
+    np.take(floats, mirror_at, mode="clip", out=a_lags[1])  # Re m
+    mirror_at += 1
+    np.take(floats, mirror_at, mode="clip", out=h_lags[1])  # Im m
+    del at, mirror_at
     # H's lags are (g + conj m)/2 and A's (g - conj m)/2i: even = 2 Re, odd = -2 Im
     h_lags[0] += a_lags[1]  # Re g + Re m
     a_lags[1] *= -2.0
@@ -334,6 +389,7 @@ def _rest_lags(rest: np.ndarray, nodes: np.ndarray, reach: np.ndarray, lags: np.
     a_lags[0] += h_lags[1]  # Im g + Im m
     h_lags[1] *= 2.0
     h_lags[1] -= a_lags[0]  # Im m - Im g
+    halves[..., past] = 0.0
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:

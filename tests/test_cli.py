@@ -75,6 +75,25 @@ def test_default_scenarios_leave_scipy_and_numpy_ma_unloaded():
     assert [m for m in loaded if m.split(".")[0] == "scipy" or m == "numpy.ma"] == []
 
 
+def test_scenarios_that_draw_nothing_leave_numpy_random_unloaded():
+    # only pairing-equivalence and limit-positivity draw from the seed; the
+    # other four defaults run without importing numpy.random
+    code = (
+        "from phasedec.scenarios import run_named_scenario\n"
+        "for name in ('moyal-convergence', 'wigner-negativity', 'decoherence-lorentzian',\n"
+        "             'decoherence-polefree'):\n"
+        "    assert run_named_scenario(name, {}, 0).report['passed'], name\n"
+    )
+    assert "numpy.random" not in _modules_loaded_after(code)
+
+
+def test_negative_seed_is_validation_error(tmp_path, capsys):
+    # refused for every scenario, also those that never build a generator
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": "moyal-convergence", "seed": -1})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "option 'seed' must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_phase_space_symbols_run_without_scipy():
     # the singular symbols of an observable and a state on the harmonic map
     code = (

@@ -114,8 +114,19 @@ class TestWignerOfKernel:
     def test_rejects_wide_output_range(self, ground):
         k = _projector(ground)
         wide = Grid.rectangle((-8.0, 8.0, 193), AXIS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="output q-range must lie inside the kernel q-range"):
             wigner_of_kernel(k, 1.0, wide)
+
+    def test_output_q_one_ulp_past_the_range_is_the_last_node(self):
+        # nextafter(1e6, 2e6) lies exactly 2000.0 cells from -1e6: the range
+        # and node checks share one tolerance in cells, so it is node 2000
+        axis = Axis(-1e6, 1e6, 2001)
+        past = Axis(-1e6, float(np.nextafter(1e6, 2e6)), 2001)
+        assert past.hi > axis.hi
+        psi = gaussian_state(axis, sigma=2e5)
+        p_axis = (-1e-4, 1e-4, 9)
+        w = wigner_of_pure_state(psi, 1.0, Grid.rectangle(past, p_axis)).values
+        assert np.array_equal(w, wigner_of_pure_state(psi, 1.0, Grid.rectangle(axis, p_axis)).values)
 
     def test_nyquist_guard(self, ground):
         # huge momenta under-sample the oscillatory phase and must be refused
@@ -156,6 +167,17 @@ def _random_hermitian_kernel(axis, seed):
     return OperatorKernel(axis, (a + a.conj().T) / 2.0)
 
 
+def _real_factored_kernel(axis, seed):
+    """Two real factor terms u_k u_k^T: real lags, which fold against the cos table alone."""
+    return OperatorKernel(axis, u=np.random.default_rng(seed).normal(size=(2, axis[2])))
+
+
+def _complex_factored_kernel(axis, seed):
+    """Two complex factor terms u_k v_k^H with u_k != v_k: H and A both fold through the factors."""
+    u, v = np.random.default_rng(seed).normal(size=(2, 2, axis[2], 2)) @ [1.0, 1j]
+    return OperatorKernel(axis, u=u, v=v)
+
+
 def _complex_wavefunction(axis):
     """Unnormalized, with a momentum kick, so its lag products have imaginary parts."""
     q = np.linspace(*axis)
@@ -169,7 +191,7 @@ class TestGatherPath:
     @staticmethod
     def _assert_matches_oracle(kernel, grid):
         fast = wigner_of_kernel(kernel, 1.0, grid).values
-        oracle = _trapezoid_oracle(kernel, grid)
+        oracle = _trapezoid_oracle(OperatorKernel(kernel.axis, dense_kernel(kernel)), grid)
         scale = float(np.max(np.abs(oracle)))
         assert float(np.max(np.abs(fast - oracle))) <= 1e-13 * scale
         return fast
@@ -194,6 +216,19 @@ class TestGatherPath:
         k = _random_hermitian_kernel(axis, seed=4)
         self._assert_matches_oracle(k, Grid.rectangle(sub, (-4.0, 4.0, 97)))
 
+    @pytest.mark.parametrize(
+        "make",
+        [_random_kernel, _real_factored_kernel, _complex_factored_kernel],
+        ids=["dense", "real-factors", "complex-factors"],
+    )
+    def test_output_rows_on_every_third_node(self, make):
+        # nodes 7, 10, ..., 187: factor lags are read three nodes apart, and
+        # the bands of rows start off the window's centre
+        axis = (-6.0, 6.0, 193)
+        h = (axis[1] - axis[0]) / (axis[2] - 1)
+        sub = (axis[0] + 7 * h, axis[0] + 187 * h, 61)
+        self._assert_matches_oracle(make(axis, seed=4), Grid.rectangle(sub, (-4.0, 4.0, 96)))
+
     def test_non_hermitian_kernel(self):
         # even and odd lag parts are both complex here, so the symbol's
         # imaginary part is as large as its real part
@@ -201,6 +236,25 @@ class TestGatherPath:
         grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
         fast = self._assert_matches_oracle(_random_kernel(axis, seed=5), grid)
         assert float(np.max(np.abs(fast.imag))) > 0.1 * float(np.max(np.abs(fast.real)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [_random_hermitian_kernel, _random_kernel, _real_factored_kernel, _complex_factored_kernel],
+        ids=["hermitian", "non-hermitian", "real-factors", "complex-factors"],
+    )
+    @pytest.mark.parametrize(
+        "p_axis",
+        [(-6.0, 6.0, 193), (-4.0, 4.0, 97), (-4.0, 4.0, 96), (-5.5, 5.5, 385), (-0.5, 4.5, 97)],
+        ids=["exact-mirror", "odd-mirror", "even-mirror", "inexact-mirror-385", "one-sided"],
+    )
+    def test_p_axis(self, make, p_axis):
+        # a p axis with p[0] == -p[-1] folds its p >= 0 nodes and fills each
+        # p < 0 column from its mirror (even - odd fold); its other nodes
+        # need not be exactly antisymmetric. A one-sided axis folds every column
+        axis = (-6.0, 6.0, 193)
+        p = np.linspace(*p_axis)
+        assert np.array_equal(p, -p[::-1]) == (p_axis == (-6.0, 6.0, 193))
+        self._assert_matches_oracle(make(axis, seed=9), Grid.rectangle(axis, p_axis))
 
     @pytest.mark.parametrize(
         "make", [_random_hermitian_kernel, _random_kernel], ids=["hermitian", "non-hermitian"]
@@ -217,8 +271,12 @@ class TestGatherPath:
         ids=["hermitian", "non-hermitian"],
     )
     def test_fold_takes_real_columns(self, monkeypatch, make, columns_per_row):
-        # K = H + iA folds as real even and odd lags (2 x 97 per column):
-        # one column per output row for H, and as many again for A unless A = 0
+        # K = H + iA folds as real even and odd lags. The 193 rows fold in 8
+        # bands (7 of 24 rows, then 25), each to its deepest lag: depths 24,
+        # 48, 72, 96, 97, 73, 49 and 25 give 11641 (row, lag) entries, against
+        # 193 x 97 for the full window. Each entry is an even and an odd lag,
+        # for H, and as many again for A unless A = 0
+        assert weyl.BANDS == 8
         seen = []
         fold = weyl._fold
 
@@ -231,7 +289,7 @@ class TestGatherPath:
         grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
         w = wigner_of_kernel(make(axis, seed=7), 1.0, grid)
         assert seen and all(dtype == np.dtype(float) for dtype, _ in seen)
-        assert sum(size for _, size in seen) == columns_per_row * 193 * 2 * 97
+        assert sum(size for _, size in seen) == columns_per_row * 2 * 11641
         assert np.all(w.values.imag == 0.0) == (columns_per_row == 1)
 
     @pytest.mark.parametrize(
