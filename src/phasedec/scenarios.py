@@ -404,9 +404,11 @@ def _run_wigner_negativity(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     axis = _option("axis", Axis, **opts["axis"])
     grid = Grid.rectangle(axis, axis)
-    limit = ("hbar", "axis")  # the options of the phase-step limit max|p| dy / hbar < pi/4
-    ground = _option(limit, wigner_of_pure_state, gaussian_state(axis, sigma=np.sqrt(hbar)), hbar, grid)
-    excited = _option(limit, wigner_of_pure_state, oscillator_state(axis, 1, hbar), hbar, grid)
+    limit = ("hbar", "axis")  # they set the phase-step limit max|p| dy / hbar < pi/4 and the states' samples
+    psi = _option(limit, gaussian_state, axis, sigma=np.sqrt(hbar))
+    ground = _option(limit, wigner_of_pure_state, psi, hbar, grid)
+    psi = _option(limit, oscillator_state, axis, 1, hbar)
+    excited = _option(limit, wigner_of_pure_state, psi, hbar, grid)
     min_ground = float(ground.values.real.min())
     min_excited = float(excited.values.real.min())
     mass_ground = float(integrate(ground).real)
@@ -457,9 +459,12 @@ def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
     hbar = opts["hbar"]
     q_axis = _option("q_axis", Axis, **opts["q_axis"])
     p_axis = _option("p_axis", Axis, **opts["p_axis"])
-    for i, length in enumerate(opts["box_lengths"]):
+    lengths = opts["box_lengths"]
+    for i, length in enumerate(lengths):
         if length <= 0:
             raise ValueError(f"option 'box_lengths[{i}]' must be positive, got {length}")
+    if len(set(lengths)) < 2:  # the growth slope is a line fit over the lengths
+        raise ValueError(f"option 'box_lengths' needs at least two distinct lengths, got {lengths}")
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     p_lo, p_hi = 0.0, sgrid.omega_max
     box_p_axis = _option("box_momentum_count", Axis, p_lo, p_hi, opts["box_momentum_count"])
@@ -512,7 +517,7 @@ def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
     obs_diag = make_observable(sgrid, obs_profile)
     restricted = pair_singular_symbols(to_classical_density(rho_diag), obs_diag).real
     volumes, full_values, densities = [], [], []
-    for length in opts["box_lengths"]:
+    for length in lengths:
         box = Grid.rectangle((-length, length, 97), box_p_axis)
         tmap = MomentumMap.translation(box)
         product = singular_symbol(rho_diag, tmap, box) * symb_singular(obs_diag, tmap, box)

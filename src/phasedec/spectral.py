@@ -16,8 +16,10 @@ kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
 callables and dense arrays are not accepted. ``CoherenceTerms.dense()``
 builds the full array at O(k n^2). Outside test oracles it runs only in
 ``synthesize_kernel``, and only for terms whose offset symbol c is not 1
-everywhere; separable terms (c = 1) become the factors of the position
-kernel, synthesized from their profiles with no n_q^2 array.
+everywhere. In the position kernel, separable terms (c = 1) become one
+factor pair each, synthesized from their profiles, and the other terms
+become n factor pairs (E D)_k, E_k, with E the plane-wave table and D
+their dense spectral kernel: no n_q^2 array is formed.
 """
 
 from __future__ import annotations
@@ -421,10 +423,10 @@ def synthesize_kernel(
     exp(i (w q - w' q') / hbar) dw dw', with ``table`` the plane-wave matrix
     E = ``plane_wave_matrix(grid, axis, hbar)``. The k terms whose offset
     symbol c is 1 everywhere become the kernel's factors u = E A^T and
-    v = E B^T (v = u when B = A), at O(k n n_q), and no n_q^2 array is
-    formed for them. Only the other terms are summed into the dense rest,
-    through their dense (n, n) spectral kernel, as E dense E^H at
-    O(n^2 n_q + n n_q^2).
+    v = E B^T (v = u when B = A and no other term is present), at O(k n n_q).
+    The other terms become n more factor pairs u = (E D)^T and v = E^T, with
+    D their dense (n, n) spectral kernel, at O(n^2 n_q). No n_q^2 array is
+    formed.
     """
     axis = _table_axis(grid, axis, table)
     if regular.grid != grid:
@@ -433,9 +435,9 @@ def synthesize_kernel(
     a, b = regular.a[separable], regular.b[separable]
     u = (table @ a.T).T
     v = None if np.array_equal(a, b) else (table @ b.T).T
-    rest = None
     if not separable.all():
         others = ~separable
         dense = CoherenceTerms(grid, regular.a[others], regular.b[others], regular.c[others]).dense()
-        rest = table @ dense @ table.conj().T
-    return OperatorKernel(axis, rest, u, v)
+        v = np.concatenate([u if v is None else v, table.T])
+        u = np.concatenate([u, (table @ dense).T])
+    return OperatorKernel(axis, u=u, v=v)

@@ -16,9 +16,9 @@ a direct trapezoid sum with dy the axis spacing; callers must keep
 max|p| * dy / hbar below pi/4 so the phase is well sampled, and every
 output q must be an axis node (both checked on entry).
 
-A kernel is held factored, K(q, q') = sum_k u_k(q) conj(v_k(q')) + R(q, q'),
-with an optional dense rest R: rank-k operators such as pure states and
-separable observables cost O(k n), and only a rest is an n^2 array.
+A kernel is held as factors alone, K(q, q') = sum_k u_k(q) conj(v_k(q')):
+rank-k operators such as pure states and separable observables cost O(k n),
+and no transform reads an n^2 array.
 
 One fold serves every transform. K = H + iA with H = (K + K^H)/2 and
 A = (K - K^H)/2i hermitian. A hermitian operator's lag samples g_j
@@ -35,14 +35,13 @@ table holds the p >= 0 nodes alone: cos is even in p and sin odd, so a
 p < 0 column is its mirror's even fold minus its odd fold. Factor lags
 g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the cross-Wigner lag products of
 G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come straight
-from the factors, and a term with u_k = v_k adds to H alone; a rest is
-read off its anti-diagonals. A pure state is the factored projector
-psi psi^H, divided by 2 pi hbar.
+from the factors, and a term with u_k = v_k adds to H alone. A pure state
+is the factored projector psi psi^H, divided by 2 pi hbar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,16 +67,16 @@ BANDS = 8
 
 @dataclass(frozen=True, eq=False)
 class OperatorKernel:
-    """Position kernel K(q, q') = sum_k u_k(q) conj(v_k(q')) + R(q, q') on a q axis.
+    """Position kernel K(q, q') = sum_k u_k(q) conj(v_k(q')) on a q axis.
 
-    ``u`` and ``v`` have shape ``(k, n)`` over the n axis nodes, float64 when
-    real, else complex128; ``v`` None means v = u. ``values`` is the dense
-    complex ``(n, n)`` rest R, or None for none. With no factors and no rest
-    the kernel is zero. Any (min, max, count) ``axis`` becomes an :class:`Axis`.
+    ``u`` and ``v`` are keyword-only, of shape ``(k, n)`` over the n axis
+    nodes, float64 when real, else complex128; ``v`` None means v = u. With
+    no factors the kernel is zero. Any (min, max, count) ``axis`` becomes an
+    :class:`Axis`.
     """
 
     axis: Axis
-    values: np.ndarray | None = None
+    _: KW_ONLY
     u: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -85,9 +84,6 @@ class OperatorKernel:
         axis = Axis(*self.axis)
         object.__setattr__(self, "axis", axis)
         n = axis.count
-        if self.values is not None:
-            values = _frozen(self.values, complex, (n, n), "kernel values")
-            object.__setattr__(self, "values", values)
         u = np.zeros((0, n)) if self.u is None else self.u
         u = _frozen(u, None, (len(u), n), "kernel factors u")
         v = u if self.v is None else _frozen(self.v, None, u.shape, "kernel factors v")
@@ -178,15 +174,15 @@ def _output_nodes(axis: Axis, hbar: float, out_grid: Grid):
 
 
 def _half_window(n: int, nodes: np.ndarray):
-    """Row reaches, row bands and the lags of half weight on the bands' flat layout.
+    """Row bands and the lags of half weight on the bands' flat layout.
 
     Row i reaches min(i, n-1-i) lags. The output rows split into ``BANDS``
     runs of consecutive rows, and a run whose deepest reach is d - 1 takes
-    lags j = 0..d-1 as a (d, rows) block of one flat axis. Returns the
-    reaches, each run's (row slice, d, flat slice) and, per row, the flat
-    entries of lag 0, which the even half counts twice, and of the lag at
-    the reach, the window's end. Both take half weight; a row of reach 0
-    has both at one entry and is zero.
+    lags j = 0..d-1 as a (d, rows) block of one flat axis. Returns each
+    run's (row slice, d, flat slice) and, per row, the flat entries of
+    lag 0, which the even half counts twice, and of the lag at the reach,
+    the window's end. Both take half weight; a row of reach 0 has both at
+    one entry and is zero.
     """
     reach = np.minimum(nodes, n - 1 - nodes)
     starts = sorted({k * len(nodes) // BANDS for k in range(BANDS)})
@@ -199,7 +195,7 @@ def _half_window(n: int, nodes: np.ndarray):
     ]
     # lag j of a row sits j band widths past the row's lag 0
     first = np.arange(len(nodes)) + np.repeat(ends - widths * depths - starts, widths)
-    return reach, bands, first, first + reach * np.repeat(widths, widths)
+    return bands, first, first + reach * np.repeat(widths, widths)
 
 
 def _fold(halves: np.ndarray, bands, first: np.ndarray, last: np.ndarray, p_out: np.ndarray,
@@ -249,8 +245,8 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
     each q. Every output q must lie within 1e-9 cells of a kernel node, or
     ValueError is raised. K = H + iA, with H = (K + K^H)/2 and
     A = (K - K^H)/2i hermitian, maps to symbol(H) + i symbol(A), both by
-    one real fold; a kernel whose factor terms all have u_k = v_k and
-    whose rest, if any, is hermitian has A = 0 and an exactly real symbol.
+    one real fold; a kernel whose factor terms all have u_k = v_k has
+    A = 0 and an exactly real symbol.
     """
     nodes, p_out = _output_nodes(kernel.axis, hbar, out_grid)
     return PhaseFunction(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
@@ -264,8 +260,8 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     dropped once used, and this frame ends before ``PhaseFunction`` copies
     the rows.
     """
-    reach, bands, first, last = _half_window(kernel.axis.count, nodes)
-    halves = _lag_halves(kernel, nodes, reach, bands)
+    bands, first, last = _half_window(kernel.axis.count, nodes)
+    halves = _lag_halves(kernel, nodes, bands)
     symbol, *imag = _fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
     del halves
     if imag:
@@ -274,38 +270,37 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     return symbol
 
 
-def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, reach: np.ndarray, bands):
+def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, bands):
     """Real lags of H, then of A unless they are all zero: (1 or 2, 1 or 2, entries).
 
     The entries are the flat layout of ``bands`` for rows at kernel nodes
     ``nodes``. A factor term with u_k = v_k is hermitian: its mirror lag is the
     conjugate of g_j, so it adds g_j to H's lags and nothing to A's, and
-    a sum of real such terms has no odd half. Another term adds
+    a sum of real such terms has no odd half. The other terms add
     (g + conj m)/2 to H's lags and (g - conj m)/2i to A's, with
-    m_j = u_k[i + j] conj(v_k[i - j]). The rest is read off its anti-diagonals.
+    m_j = u_k[i + j] conj(v_k[i - j]), both from one difference
+    conj m - g: where their sums agree bit for bit, as for a hermitian
+    array held as n factor pairs, A's lags are exactly zero and its fold
+    is skipped.
     """
-    u, v, rest = kernel.u, kernel.v, kernel.values
+    u, v = kernel.u, kernel.v
     same = [v is u or np.array_equal(a, b) for a, b in zip(u, v)]  # v is u when built without v
     hermitian = [a for a, same_k in zip(u, same) if same_k]
     lags_h = _factor_lags(hermitian, hermitian, nodes, bands)
     others = [(a, b) for a, b, same_k in zip(u, v, same) if not same_k]
     shape = (bands[-1][2].stop,)
-    if rest is None and not others:
+    if not others:
         return np.zeros((1, 1) + shape) if lags_h is None else _halves(lags_h)[None]
-    if rest is None:
-        halves = np.zeros((2, 2) + shape)
-    else:
-        halves = np.empty((2, 2) + shape)
-        _rest_lags(rest, nodes, reach, bands, halves)
+    us, vs = zip(*others)
+    g = _factor_lags(us, vs, nodes, bands)
+    skew = _factor_lags(vs, us, nodes, bands) - g  # conj(m_j) - g_j
+    g += skew / 2.0  # H's lags (g + conj m)/2
+    skew = skew * 0.5j  # A's lags (g - conj m)/2i
+    halves = np.zeros((2, 2) + shape)
     terms = [] if lags_h is None else [(0, lags_h)]
-    if others:
-        us, vs = zip(*others)
-        g = _factor_lags(us, vs, nodes, bands)
-        mirror = _factor_lags(vs, us, nodes, bands)  # conj(m_j)
-        terms += [(0, (g + mirror) / 2.0), (1, (g - mirror) / 2j)]
-    for operator, term_lags in terms:
-        part = _halves(term_lags)
-        halves[operator, : len(part)] += part
+    for operator, term_lags in terms + [(0, g), (1, skew)]:
+        # real lags have no odd half; each term's halves die with this statement
+        halves[operator, : 1 + (term_lags.dtype == complex)] += _halves(term_lags)
     return halves if halves[1].any() else halves[:1]
 
 
@@ -355,43 +350,6 @@ def _halves(lags: np.ndarray) -> np.ndarray:
     return halves
 
 
-def _rest_lags(rest: np.ndarray, nodes: np.ndarray, reach: np.ndarray, bands, halves):
-    """Write the halves of a dense rest's H and A into ``halves`` (2, 2, entries).
-
-    Lags past a row's reach are zero.
-    """
-    n = len(rest)
-    # g_j = R[i - j, i + j] sits at flat index f = i*(n+1) - j*(n-1), its mirror
-    # m_j = R[i + j, i - j] at i*(n+1) + j*(n-1), their real and imaginary parts
-    # at 2f and 2f + 1 of the float view. Past its row's reach a lag is held
-    # at the reach, which stays inside the array, and is zeroed below
-    floats = rest.view(float).reshape(-1)
-    h_lags, a_lags = halves  # even over odd lags of H, and of A
-    at, mirror_at = np.empty((2, halves.shape[-1]), int)
-    past = np.empty(halves.shape[-1], bool)
-    for rows, d, flat in bands:
-        lags = np.arange(d)[:, None]
-        held = np.minimum(lags, reach[rows]) * (2 * (n - 1))
-        np.subtract(2 * (n + 1) * nodes[rows], held, out=at[flat].reshape(d, -1))
-        np.add(2 * (n + 1) * nodes[rows], held, out=mirror_at[flat].reshape(d, -1))
-        np.greater(lags, reach[rows], out=past[flat].reshape(d, -1))
-    np.take(floats, at, mode="clip", out=h_lags[0])  # Re g
-    at += 1
-    np.take(floats, at, mode="clip", out=a_lags[0])  # Im g
-    np.take(floats, mirror_at, mode="clip", out=a_lags[1])  # Re m
-    mirror_at += 1
-    np.take(floats, mirror_at, mode="clip", out=h_lags[1])  # Im m
-    del at, mirror_at
-    # H's lags are (g + conj m)/2 and A's (g - conj m)/2i: even = 2 Re, odd = -2 Im
-    h_lags[0] += a_lags[1]  # Re g + Re m
-    a_lags[1] *= -2.0
-    a_lags[1] += h_lags[0]  # Re g - Re m
-    a_lags[0] += h_lags[1]  # Im g + Im m
-    h_lags[1] *= 2.0
-    h_lags[1] -= a_lags[0]  # Im m - Im g
-    halves[..., past] = 0.0
-
-
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:
     """Unit-mass Wigner quasi-density of a pure state.
 
@@ -417,21 +375,11 @@ def q_marginal(w: PhaseFunction) -> np.ndarray:
 def trace_pair(a: OperatorKernel, b: OperatorKernel) -> complex:
     """Tr(A B) by double trapezoid: integral A(q, q') B(q', q) dq dq'.
 
-    With A = U V^H + R_A, B = X Y^H + R_B and W the trapezoid weights,
-    Tr(A W B W) = tr((V^H W X)(Y^H W U)) + tr(V^H W R_B W U)
-    + tr(Y^H W R_A W X) + tr(R_A W R_B W). Factors pair through weighted
-    inner products at O(k l n); each rest adds O(k n^2).
+    With A = U V^H, B = X Y^H and W the trapezoid weights,
+    Tr(A W B W) = tr((V^H W X)(Y^H W U)): weighted inner products of the
+    factors at O(k l n).
     """
     if a.axis != b.axis:
         raise ValueError("kernels live on different axes")
     w = _trapezoid_weights(a.axis.count, a.axis.spacing)
-    a_left = a.v.conj() * w  # rows v_k^H W
-    b_left = b.v.conj() * w
-    total = np.sum((a_left @ b.u.T) * (b_left @ a.u.T).T)
-    if b.values is not None:
-        total += np.einsum("kq,qr,kr->", a_left, b.values, a.u * w)
-    if a.values is not None:
-        total += np.einsum("lq,qr,lr->", b_left, a.values, b.u * w)
-        if b.values is not None:
-            total += np.einsum("i,j,ij->", w, w, a.values * b.values.T)
-    return complex(total)
+    return complex(np.sum(((a.v.conj() * w) @ b.u.T) * ((b.v.conj() * w) @ a.u.T).T))

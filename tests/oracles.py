@@ -1,6 +1,7 @@
 """Test-only reference constructions that the package does not need at run time.
 
 ``dense_kernel`` forms the full array of a factored ``OperatorKernel``,
+``dense_as_factors`` holds a full array K as n factor pairs u = K^T, v = I,
 ``harmonic_map`` realizes the energy label as the oscillator Hamiltonian,
 whose compact orbits give closed-form singular symbols, ``mesh`` gives
 full coordinate arrays for closed-form symbols on a grid, and
@@ -16,9 +17,20 @@ from phasedec.weyl import OperatorKernel
 
 
 def dense_kernel(kernel: OperatorKernel) -> np.ndarray:
-    """The full ``(n, n)`` array U V^H + R of a factored kernel: O(k n^2)."""
-    out = kernel.u.T @ kernel.v.conj()
-    return out if kernel.values is None else out + kernel.values
+    """The full ``(n, n)`` array U^T conj(V) of a factored kernel: O(k n^2)."""
+    return kernel.u.T @ kernel.v.conj()
+
+
+def dense_as_factors(axis, values) -> OperatorKernel:
+    """A full ``(n, n)`` kernel array K as n factor pairs u_k = K[:, k], v_k = e_k.
+
+    Each lag sum over k has one nonzero product, an entry of K times 1, so
+    the lags are K's entries bit for bit; u_k != v_k sends every pair down
+    the generic non-hermitian path. A transform costs n times that of one
+    factor pair.
+    """
+    values = np.asarray(values)
+    return OperatorKernel(axis, u=values.T, v=np.eye(len(values)))
 
 
 def harmonic_map(grid: Grid) -> MomentumMap:

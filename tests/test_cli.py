@@ -549,6 +549,10 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "must be positive"),
         ('{"scenario": "pairing-equivalence", "box_lengths": [4.0, 0]}', "box_lengths[1]",
          "must be positive"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": [4.0]}', "box_lengths",
+         "at least two distinct lengths"),
+        ('{"scenario": "pairing-equivalence", "box_lengths": [4.0, 4.0]}', "box_lengths",
+         "at least two distinct lengths"),
         ('{"scenario": "pairing-equivalence", "spectral_grid": {"omega_count": 5}}',
          "spectral_grid", "omega count must be >= 16"),
         ('{"scenario": "decoherence-polefree", "spectral_grid": {"omega_max": -1}}',
@@ -579,6 +583,8 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ('{"scenario": "pairing-equivalence", "hbar": 1e-300}', "hbar", "= 5.62e+299 exceeds pi/4"),
         ('{"scenario": "limit-positivity", "hbar": 1e-300}', "hbar",
          "'wigner_axis': cannot normalize the zero wavefunction"),
+        ('{"scenario": "wigner-negativity", "axis": {"lo": -1e-200, "hi": 1e-200}}', "hbar",
+         "'axis': cannot normalize the zero wavefunction"),
         pytest.param(
             '{"scenario": "decoherence-polefree", "hbar": 0.001, "times": {"stop": 1e308}}',
             "times", "'hbar', 'spectral_grid', 'times': phase step",
@@ -591,11 +597,12 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ),
     ],
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
-         "zero-box", "omega-count", "omega-max", "times-count", "times-spacing", "times-start",
-         "box-momentum-count", "truncation-order", "n-states", "kernel-without-family",
-         "two-hbar-values", "kernel-gamma", "kernel-gamma-underflow", "wigner-phase-step", "pairing-p-range-phase-step",
-         "pairing-hbar-phase-step", "positivity-phase-step", "pairing-tiny-hbar-phase-step",
-         "positivity-tiny-hbar-zero-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
+         "zero-box", "single-box", "repeated-box", "omega-count", "omega-max", "times-count",
+         "times-spacing", "times-start", "box-momentum-count", "truncation-order", "n-states",
+         "kernel-without-family", "two-hbar-values", "kernel-gamma", "kernel-gamma-underflow",
+         "wigner-phase-step", "pairing-p-range-phase-step", "pairing-hbar-phase-step",
+         "positivity-phase-step", "pairing-tiny-hbar-phase-step", "positivity-tiny-hbar-zero-state",
+         "negativity-tiny-axis-zero-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
@@ -608,7 +615,10 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # phase d_omega max|t| / hbar spans hbar, the spectral grid and the times,
     # and the Lorentzian times scale with hbar / gamma; its overflow named none.
     # A gamma whose square underflowed printed numpy's 0/0 warning and then
-    # "term offset symbols c must be finite", naming no option
+    # "term offset symbols c must be finite", naming no option. One box length,
+    # or one repeated, printed numpy's RankWarning and failed on a meaningless
+    # growth slope; the wigner-negativity states' zero-wavefunction refusal
+    # named no option
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

@@ -169,7 +169,8 @@ NO_ROW = {
     "pre_limit_symbol_negative": "the same first-excited-state dip as excited_is_negative, on a "
     "129-node axis; hbar 100 and wigner_axis +-1 keep it negative",
     "box_growth_linear": "with H = p the box integral is exactly 2L times the momentum pairing, and "
-    "the trapezoid rule is exact in q; box_lengths [0.05, 0.1] and [4.0, 4.1] pass",
+    "the trapezoid rule is exact in q; box_lengths [0.05, 0.1] and [4.0, 4.1] pass, and a single "
+    "or repeated length is refused before the fit",
     "non_exponential_model": "the scenario refuses the Lorentzian family, and no pole-free family "
     "tried (gaussian nu_width 0.25 and 1.0, a short time window) selects the exponential model",
     "infinite_decoherence_time": "t_dec is finite only when the exponential model is selected, "

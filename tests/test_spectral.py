@@ -220,8 +220,9 @@ class TestPlaneWaveSynthesis:
 
     @pytest.mark.parametrize("build", ["separable", "lorentzian", "mixed", "empty"])
     def test_kernel_synthesis_matches_dense_oracle(self, build):
-        # E dense E^H with E from the complex exponential: the rank-k sum of
-        # separable terms and the dense sum of the others must both match it
+        # E dense E^H with E from the complex exponential: the factors of the
+        # separable terms and the n factor pairs (E D)_k, E_k of the others
+        # must both match it
         sgrid = SpectralGrid(4.0, 121)
         w = sgrid.omega
         hbar = 0.7

@@ -28,8 +28,8 @@ from phasedec.states import (
     singular_symbol,
     to_classical_density,
 )
-from phasedec.weyl import OperatorKernel, trace_pair, wigner_of_kernel, wigner_of_pure_state
-from oracles import harmonic_map, mesh
+from phasedec.weyl import trace_pair, wigner_of_kernel, wigner_of_pure_state
+from oracles import dense_as_factors, harmonic_map, mesh
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ class TestRegularPairingEquivalence:
         table = plane_wave_matrix(sgrid, axis, hbar)
         psi = synthesize_wavefunction(sgrid, coeffs, axis, table)
         unit = psi.normalize().values
-        k_rho = OperatorKernel(axis, np.outer(unit, unit.conj()))
+        k_rho = dense_as_factors(axis, np.outer(unit, unit.conj()))
         k_obs = synthesize_kernel(sgrid, obs.regular, axis, table)
         v_trace = trace_pair(k_rho, k_obs)
 

@@ -43,10 +43,6 @@ CASES = [
         id="PhaseFunction.values",
     ),
     pytest.param(
-        lambda a: OperatorKernel(AXIS, a), "values", complex, _complex(8, 8), _complex(8, 9),
-        id="OperatorKernel.values",
-    ),
-    pytest.param(
         lambda a: OperatorKernel(AXIS, u=a), "u", complex, _complex(2, 8), _complex(2, 9),
         id="OperatorKernel.u",
     ),
@@ -152,7 +148,6 @@ def test_any_nonzero_imaginary_part_stays_complex128(build, attr, shape):
 
 # arrays whose dtype is declared, whatever the samples: (build from one array, attribute, dtype, shape)
 FIXED_DTYPE = [
-    pytest.param(lambda a: OperatorKernel(AXIS, a), "values", complex, (8, 8), id="OperatorKernel.values"),
     pytest.param(lambda a: State(SGRID, a), "diagonal", float, (16,), id="State.diagonal"),
     pytest.param(
         lambda a: State(SGRID, np.ones(16), CoherenceTerms(SGRID, a, a)), "regular.a", complex,
@@ -212,7 +207,7 @@ def test_one_hermitian_tolerance(defect, accepted):
 # every constructor that takes a (lo, hi, count) triple, fed one bad axis
 AXIS_USERS = {
     "Grid.rectangle": lambda axis: Grid.rectangle(axis, AXIS),
-    "OperatorKernel": lambda axis: OperatorKernel(axis, np.zeros((9, 9))),
+    "OperatorKernel": lambda axis: OperatorKernel(axis, u=np.zeros((1, 9))),
     "WaveFunction": lambda axis: WaveFunction(axis, np.zeros(9)),
     "oscillator_state": lambda axis: oscillator_state(axis, 1),
     "gaussian_state": lambda axis: gaussian_state(axis),

@@ -30,14 +30,14 @@ from phasedec.weyl import (
     wigner_of_kernel,
     wigner_of_pure_state,
 )
-from oracles import dense_kernel, mesh
+from oracles import dense_as_factors, dense_kernel, mesh
 
 AXIS = (-6.0, 6.0, 193)
 
 
 def _projector(psi):
-    """The dense projector kernel psi psi^H."""
-    return OperatorKernel(psi.axis, np.outer(psi.values, psi.values.conj()))
+    """The dense projector array psi psi^H, held as n factor pairs."""
+    return dense_as_factors(psi.axis, np.outer(psi.values, psi.values.conj()))
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +66,10 @@ def w_excited(excited, grid):
 
 
 class TestKernelTypes:
-    def test_kernel_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            OperatorKernel(AXIS, np.zeros((5, 5)))
+    def test_kernel_takes_factors_by_keyword_only(self):
+        # u and v are keyword-only: a positional dense array is refused, not read as u
+        with pytest.raises(TypeError):
+            OperatorKernel(AXIS, np.zeros((193, 193)))
 
     def test_wavefunction_normalize(self):
         psi = WaveFunction(AXIS, np.exp(-np.linspace(-6, 6, 193) ** 2 / 4) * 3.0)
@@ -88,7 +89,7 @@ class TestKernelTypes:
 
 class TestWignerOfKernel:
     def test_zero_kernel(self, grid):
-        k = OperatorKernel(AXIS, np.zeros((193, 193)))
+        k = OperatorKernel(AXIS)
         w = wigner_of_kernel(k, 1.0, grid)
         assert float(np.max(np.abs(w.values))) == 0.0
 
@@ -136,13 +137,15 @@ class TestWignerOfKernel:
             wigner_of_kernel(k, 1.0, fast)
 
 
-def _trapezoid_oracle(kernel, grid, hbar=1.0):
+def _trapezoid_oracle(axis, values, grid, hbar=1.0):
     """Row by row: 2 h sum_j w_j K[i - j, i + j] exp(2i p j h / hbar) over |j| <= reach.
 
-    w_j is 1/2 at j = +-reach and 1 inside; a row with reach 0 is zero.
+    K is the dense ``values`` array on ``axis``; w_j is 1/2 at j = +-reach
+    and 1 inside; a row with reach 0 is zero.
     """
-    n, h = kernel.axis[2], kernel.axis.spacing
-    nodes = np.rint((grid.coordinate(0) - kernel.axis[0]) / h).astype(int)
+    axis = Axis(*axis)
+    n, h = axis.count, axis.spacing
+    nodes = np.rint((grid.coordinate(0) - axis.lo) / h).astype(int)
     p = grid.coordinate(1)
     out = np.zeros(grid.shape, dtype=complex)
     for row, i in enumerate(nodes):
@@ -153,23 +156,32 @@ def _trapezoid_oracle(kernel, grid, hbar=1.0):
         weights = np.ones(2 * reach + 1)
         weights[0] = weights[-1] = 0.5
         phases = np.exp(2j * np.outer(p, j * h) / hbar)
-        out[row] = 2.0 * h * (phases @ (weights * kernel.values[i - j, i + j]))
+        out[row] = 2.0 * h * (phases @ (weights * values[i - j, i + j]))
     return out
 
 
+def _random_matrix(n, seed):
+    return np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j]
+
+
 def _random_kernel(axis, seed):
-    n = axis[2]
-    return OperatorKernel(axis, np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j])
+    return dense_as_factors(axis, _random_matrix(axis[2], seed))
 
 
 def _random_hermitian_kernel(axis, seed):
-    a = _random_kernel(axis, seed).values
-    return OperatorKernel(axis, (a + a.conj().T) / 2.0)
+    a = _random_matrix(axis[2], seed)
+    return dense_as_factors(axis, (a + a.conj().T) / 2.0)
 
 
 def _real_factored_kernel(axis, seed):
     """Two real factor terms u_k u_k^T: real lags, which fold against the cos table alone."""
     return OperatorKernel(axis, u=np.random.default_rng(seed).normal(size=(2, axis[2])))
+
+
+def _real_skew_factored_kernel(axis, seed):
+    """Two real factor terms u_k v_k^T with u_k != v_k: real lags, for A as well as H."""
+    u, v = np.random.default_rng(seed).normal(size=(2, 2, axis[2]))
+    return OperatorKernel(axis, u=u, v=v)
 
 
 def _complex_factored_kernel(axis, seed):
@@ -186,12 +198,12 @@ def _complex_wavefunction(axis):
 
 
 class TestGatherPath:
-    """The anti-diagonal gather must reproduce a direct trapezoid sum per row."""
+    """The factor-lag gather must reproduce a direct trapezoid sum per row."""
 
     @staticmethod
     def _assert_matches_oracle(kernel, grid):
         fast = wigner_of_kernel(kernel, 1.0, grid).values
-        oracle = _trapezoid_oracle(OperatorKernel(kernel.axis, dense_kernel(kernel)), grid)
+        oracle = _trapezoid_oracle(kernel.axis, dense_kernel(kernel), grid)
         scale = float(np.max(np.abs(oracle)))
         assert float(np.max(np.abs(fast - oracle))) <= 1e-13 * scale
         return fast
@@ -218,8 +230,8 @@ class TestGatherPath:
 
     @pytest.mark.parametrize(
         "make",
-        [_random_kernel, _real_factored_kernel, _complex_factored_kernel],
-        ids=["dense", "real-factors", "complex-factors"],
+        [_random_kernel, _real_factored_kernel, _real_skew_factored_kernel, _complex_factored_kernel],
+        ids=["dense", "real-factors", "real-skew-factors", "complex-factors"],
     )
     def test_output_rows_on_every_third_node(self, make):
         # nodes 7, 10, ..., 187: factor lags are read three nodes apart, and
@@ -307,7 +319,7 @@ class TestGatherPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= kernel.values.nbytes + 2.0 * 16 * grid.n_points  # complex-output bytes
+        assert peak <= kernel.u.nbytes + 2.0 * 16 * grid.n_points  # complex-output bytes
 
     def test_pure_state_matches_its_projector_kernel(self):
         psi = _complex_wavefunction(AXIS)
@@ -450,7 +462,7 @@ class TestTracePairing:
 
 
 def _synthesized(build, sgrid, axis, hbar):
-    """A factored kernel from spectral terms: which factors and rest it has depends on ``build``."""
+    """A factored kernel from spectral terms: which factors it has depends on ``build``."""
     w = sgrid.omega
     bump = kernels.gaussian_profile(2.0, 0.5)(w)
     skewed = kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w)
@@ -473,7 +485,7 @@ BUILDS = ["hermitian-term", "two-non-hermitian-terms", "separable-and-lorentzian
 
 
 class TestFactoredKernel:
-    """Factors u_k v_k^H plus a dense rest against the same kernel as one dense array."""
+    """Factors u_k v_k^H against the same kernel as one dense array, held as n factor pairs."""
 
     SGRID = SpectralGrid(4.0, 121)
     AXIS = (-12.0, 9.0, 193)
@@ -481,20 +493,24 @@ class TestFactoredKernel:
 
     def _pair(self, build):
         kernel = _synthesized(build, self.SGRID, self.AXIS, self.HBAR)
-        return kernel, OperatorKernel(kernel.axis, dense_kernel(kernel))
+        return kernel, dense_as_factors(kernel.axis, dense_kernel(kernel))
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_form_follows_the_terms(self, build):
+        # a term with a Lorentzian offset symbol becomes one factor pair
+        # (E D)_k, E_k per omega node, behind the separable term's pair
         kernel, _ = self._pair(build)
-        factors, rest = {
-            "hermitian-term": (1, False),
-            "two-non-hermitian-terms": (2, False),
-            "separable-and-lorentzian": (1, True),
-            "zero-terms": (0, False),
+        factors = {
+            "hermitian-term": 1,
+            "two-non-hermitian-terms": 2,
+            "separable-and-lorentzian": 1 + self.SGRID.omega_count,
+            "zero-terms": 0,
         }[build]
         assert kernel.u.shape == kernel.v.shape == (factors, 193)
-        assert (kernel.values is not None) == rest
         assert (kernel.u is kernel.v) == (build in ("hermitian-term", "zero-terms"))
+        if build == "separable-and-lorentzian":
+            table = plane_wave_matrix(self.SGRID, self.AXIS, self.HBAR)
+            assert np.array_equal(kernel.v[1:], table.T)
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_symbol_matches_dense(self, build):
@@ -508,7 +524,8 @@ class TestFactoredKernel:
         scale = float(np.max(np.abs(oracle)))
         assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * scale
         assert np.all(fast.imag == 0.0) == (build == "hermitian-term")
-        assert float(np.max(np.abs(fast - _trapezoid_oracle(dense, grid, self.HBAR)))) <= 1e-12 * scale
+        direct = _trapezoid_oracle(kernel.axis, dense_kernel(kernel), grid, self.HBAR)
+        assert float(np.max(np.abs(fast - direct))) <= 1e-12 * scale
 
     def test_equal_factors_in_two_arrays_fold_as_hermitian(self, monkeypatch):
         # u_k = v_k is read from the data, not from how the kernel was built:
@@ -542,18 +559,18 @@ class TestFactoredKernel:
         assert getattr(kernel, real_side).dtype == np.float64
         grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
         fast = wigner_of_kernel(kernel, self.HBAR, grid).values
-        dense = OperatorKernel(self.AXIS, dense_kernel(kernel))
+        dense = dense_as_factors(self.AXIS, dense_kernel(kernel))
         oracle = wigner_of_kernel(dense, self.HBAR, grid).values
         assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * float(np.max(np.abs(oracle)))
 
     @pytest.mark.parametrize("other", BUILDS)
     @pytest.mark.parametrize("build", BUILDS)
     def test_trace_matches_dense(self, build, other):
-        # every pair of forms: factor x factor, factor x rest, rest x factor, rest x rest
+        # every pair of the synthesized factors and the dense arrays held as n factor pairs
         a, a_dense = self._pair(build)
         b, b_dense = self._pair(other)
         oracle = trace_pair(a_dense, b_dense)
-        scale = float(np.sum(np.abs(a_dense.values) * np.abs(b_dense.values.T)))
+        scale = float(np.sum(np.abs(dense_kernel(a)) * np.abs(dense_kernel(b).T)))
         for left, right in [(a, b), (a, b_dense), (a_dense, b)]:
             value = trace_pair(left, right)
             if "zero-terms" in (build, other):
@@ -581,7 +598,7 @@ class TestFactoredKernel:
 
 def test_pairing_equivalence_forms_no_q_by_q_array(monkeypatch):
     # both kernels of the default run have rank one: no outer product of two
-    # q vectors, no dense rest and no way to densify a kernel in the package
+    # q vectors, one factor pair each and no way to densify a kernel in the package
     # (the dense oracle lives in the tests), and the peak stays below the
     # 9.4 MB that the dense kernels took
     n_q = scenario_defaults()["pairing-equivalence"]["q_axis"]["count"]
@@ -592,13 +609,13 @@ def test_pairing_equivalence_forms_no_q_by_q_array(monkeypatch):
             raise AssertionError("q x q outer product")
         return outer(a, b, *args, **kwargs)
 
-    def refuse_rest(self):
-        if self.values is not None:
-            raise AssertionError("dense kernel values")
+    def refuse_rank_above_one(self):
         post_init(self)
+        if len(self.u) > 1:
+            raise AssertionError(f"{len(self.u)} kernel factor pairs")
 
     monkeypatch.setattr(weyl.np, "outer", refuse_outer)
-    monkeypatch.setattr(OperatorKernel, "__post_init__", refuse_rest)
+    monkeypatch.setattr(OperatorKernel, "__post_init__", refuse_rank_above_one)
     assert not hasattr(OperatorKernel, "dense")
     run_named_scenario("pairing-equivalence", {}, seed=0)
     tracemalloc.start()
