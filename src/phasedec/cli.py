@@ -3,7 +3,7 @@
 Configs are JSON; every parameter has a default so a config only names
 what it changes. ``run`` writes report.json (deterministic: sorted keys,
 no timestamps), one RFC-4180 CSV per curve, and run_meta.json for the
-wall-clock metadata that must not perturb report bytes.
+wall-clock and memory metadata that must not perturb report bytes.
 
 Exit codes: 0 all assertions pass, 1 config parse error, 2 validation
 error, 3 assertion failure, 4 I/O error, 5 not enough memory for the run.
@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -90,7 +91,7 @@ def _strict_json(value):
     return value
 
 
-def _write_outputs(config: ScenarioConfig, report: dict, curves: dict, elapsed: float):
+def _write_outputs(config: ScenarioConfig, report: dict, curves: dict, run_meta: dict):
     out = config.output_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -101,8 +102,8 @@ def _write_outputs(config: ScenarioConfig, report: dict, curves: dict, elapsed: 
         )
         meta = {
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "elapsed_seconds": elapsed,
             "scenario": config.scenario,
+            **run_meta,
         }
         (out / "run_meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -118,10 +119,19 @@ def _write_outputs(config: ScenarioConfig, report: dict, curves: dict, elapsed: 
 
 def run_scenario(config: ScenarioConfig) -> int:
     """Execute one scenario, write its reports, and return the exit code."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = time.perf_counter()
     result = run_named_scenario(config.scenario, config.options, config.seed)
     elapsed = time.perf_counter() - started
-    _write_outputs(config, result.report, result.curves, elapsed)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    run_meta = {
+        "elapsed_seconds": elapsed,
+        # the process's peak so far (ru_maxrss is in KiB on Linux), and the
+        # minor page faults taken during the scenario alone
+        "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
+        "minor_page_faults": usage.ru_minflt - faults,
+    }
+    _write_outputs(config, result.report, result.curves, run_meta)
     for name, entry in result.report["assertions"].items():
         status = "pass" if entry["passed"] else "FAIL"
         print(f"[{status}] {config.scenario}: {name}")

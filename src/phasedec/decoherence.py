@@ -9,9 +9,11 @@ exp(i d d_omega t / hbar); it is evaluated from real cos/sin tables, the
 powers of one unit phasor per time from the package's one table builder
 in ``phase_space``, over half the in-block offsets and half the block
 centres of d; a time whose phase overflows is refused, naming ``times``.
-Residual decay is classified by competing closed-form exponential and
-power-law line fits; for a Lorentzian kernel of half-width gamma the
-fitted rate is gamma / hbar (inverse pole distance).
+The times go through in blocks of ``TIME_BLOCK`` that reuse one workspace,
+so a trajectory's memory beyond its own values does not grow with its
+number of times. Residual decay is classified by competing closed-form
+exponential and power-law line fits; for a Lorentzian kernel of
+half-width gamma the fitted rate is gamma / hbar (inverse pole distance).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _cos_sin, _frozen
+from .phase_space import _check_phases, _cos_sin, _frozen
 from .spectral import Observable, SpectralGrid, _coherence_weights
 from .states import State, pair, pair_singular_symbols, to_classical_density
 
@@ -48,6 +50,9 @@ POSITIVITY_TOL = 1e-12
 #: rows of the product array that evolve_pairing fills per block; chosen by timing
 #: 8..256 rows at 801 nodes: 16..64 tie, and the peak grows with the block
 EVOLVE_ROWS = 32
+#: times per block of _phase_sums; chosen by timing 512..2048 on 6000 times and
+#: 1601 weights: 1024 ran fastest both on a first call and on later ones
+TIME_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +196,20 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     factors are centred on d = 0: the heavy small-|d| terms meet low powers,
     a few ulps from exact, and the d = 0 weight meets only the exact row 0,
     cos 0 = 1 and sin 0 = 0.
+
+    The times go through in blocks of ``TIME_BLOCK`` (a shorter tail joins
+    the block before it, so no block is under half of ``TIME_BLOCK``, and a
+    call of at most ``TIME_BLOCK`` times is one block). A block's offset
+    table, partial product and centre table are written into one workspace
+    allocated once per call and sized for the widest block, the centre
+    table over the offset table once the matmul has read it, and the
+    block's sums go straight into its slice of the (T,) complex result, so
+    the memory beyond that result does not grow with the number of times
+    T. Each time's table column, matmul column and centre sum are the
+    operations of an unblocked call; only the BLAS kernel picked for a
+    block's width can move a last bit, as it does between unblocked calls
+    of different lengths. Both phase steps are checked against the whole
+    time grid before any block is built.
     """
     reach = (len(weights) - 1) // 2
     radius = int(round(math.sqrt(len(weights)) / 2.0))
@@ -206,12 +225,33 @@ def _phase_sums(weights: np.ndarray, times: np.ndarray, step: float) -> np.ndarr
     coeffs = _fold(_fold(padded.reshape(n_blocks, size), half).T, radius).T
     # real and imaginary parts as row pairs, so the offset sum is one real matmul
     parts = np.stack([coeffs.real, coeffs.imag], axis=1).reshape(2 * len(coeffs), -1)
-    partial = parts @ _cos_sin(step, radius + 1, times, 2, "times")
-    partial = partial.reshape(len(coeffs), 2, -1)
-    partial *= _cos_sin(size * step, half + 1, times, 2, "times")[:, None, :]
-    # the far, small centre terms are added first and the heavy k = 0 term last
-    sums = partial[::-1].sum(axis=0)
-    return sums[0] + 1j * sums[1]
+    for phase_step in (step, size * step):
+        _check_phases(phase_step, times, "times")
+    # a tail shorter than half a block joins the block before it: BLAS rounds a
+    # narrow block (one column is a matrix-vector product) unlike a wide one
+    time_blocks = max(1, round(len(times) / TIME_BLOCK))
+    starts = [k * TIME_BLOCK for k in range(time_blocks)] + [len(times)]
+    width = max(stop - start for start, stop in zip(starts, starts[1:]))
+    # the offset table, then the centre table in its rows once the matmul has read
+    # it, and the partial product after them, in one allocation: three separate
+    # ones were returned to the OS after each call and faulted in again on the next
+    table_rows = 2 * (max(radius, half) + 1)
+    workspace = np.empty((table_rows + len(parts)) * width)
+    values = np.empty(len(times), dtype=complex)
+    for start, stop in zip(starts, starts[1:]):
+        block = times[start:stop]
+        n = len(block)
+        offset_table = workspace[: 2 * (radius + 1) * n].reshape(-1, n)
+        _cos_sin(step, radius + 1, block, 2, "times", out=offset_table)
+        partial = workspace[table_rows * n : (table_rows + len(parts)) * n].reshape(-1, n)
+        product = np.matmul(parts, offset_table, out=partial).reshape(len(coeffs), 2, n)
+        centre_table = workspace[: 2 * (half + 1) * n].reshape(-1, n)
+        _cos_sin(size * step, half + 1, block, 2, "times", out=centre_table)
+        product *= centre_table[:, None, :]
+        # the far, small centre terms are added first and the heavy k = 0 term last
+        sums = product[::-1].sum(axis=0)
+        values[start:stop] = sums[0] + 1j * sums[1]
+    return values
 
 
 def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Trajectory:
@@ -223,10 +263,13 @@ def residual_trajectory(rho: State, obs: Observable, times, hbar: float) -> Traj
     the uniform frequency grid are factored into block centres and in-block
     offsets, each folded onto real cos/sin tables over its nonnegative
     half, so no T x (2n-1) table is built and each time costs 4 cos/sin
-    evaluations (``_phase_sums``). ``times`` must be finite, 1-D and strictly
-    increasing, checked before any arithmetic, and d_omega max|t| / hbar
-    must not overflow; a warning is logged when a time reaches half of
-    ``grid.recurrence_time(hbar)``.
+    evaluations (``_phase_sums``). The times go through in blocks of
+    ``TIME_BLOCK`` that reuse one workspace, so the memory of a call beyond
+    the trajectory's own times and values does not depend on their number.
+    ``times`` must be finite, 1-D and strictly increasing, checked before
+    any arithmetic, and d_omega max|t| / hbar must not overflow, checked on
+    the whole grid before any table is built; a warning is logged when a
+    time reaches half of ``grid.recurrence_time(hbar)``.
     """
     times = _checked_times(times)
     _check_pair_args(rho, obs, hbar)

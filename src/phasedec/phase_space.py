@@ -199,28 +199,39 @@ def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     return weights
 
 
-def _cos_sin(step: float, count: int, points: np.ndarray, parts: int, what: str) -> np.ndarray:
+def _check_phases(step: float, points: np.ndarray, what: str):
+    """Refuse a step * max|x| that is not finite, naming the points ``what``."""
+    reach = float(step) * float(np.max(np.abs(points)))
+    if not isfinite(reach):
+        raise ValueError(f"phase step {step:.3g} times max|{what}| is {reach}; the phases overflow")
+
+
+def _cos_sin(
+    step: float, count: int, points: np.ndarray, parts: int, what: str, out=None
+) -> np.ndarray:
     """(parts count x len(points)) real table: cos(k step x) rows for k < count, then sin rows.
 
     The sin rows are built only for ``parts`` 2. Row k is row k - 1 times
     the unit phasor exp(i step x) (Numerical Recipes, 3rd ed., 5.4): one
     cos and one sin per point whatever ``count``, and row 0 is exact. Every
     cos/sin table of the package comes from here. A step * max|x| that is
-    not finite is refused before any arithmetic, naming the points ``what``.
+    not finite is refused before any arithmetic, naming the points ``what``
+    (``_check_phases``). The table is written into ``out`` when given, a
+    float array of the table's shape, so a caller that builds one table per
+    block of points reuses one buffer; each entry holds the same bits
+    either way.
     """
-    reach = float(step) * float(np.max(np.abs(points)))
-    if not isfinite(reach):
-        raise ValueError(f"phase step {step:.3g} times max|{what}| is {reach}; the phases overflow")
+    _check_phases(step, points, what)
     phasor = np.empty(len(points), dtype=complex)
     np.cos(step * points, out=phasor.real)
     np.sin(step * points, out=phasor.imag)
     power = np.ones_like(phasor)
     cos_sin = power.view(float).reshape(-1, 2).T[:parts]  # the live real and imaginary parts
-    table = np.empty((parts, count, len(points)))
+    table = np.empty((parts * count, len(points))) if out is None else out
     for k in range(count):
-        table[:, k] = cos_sin
+        table[k::count] = cos_sin  # rows k and count + k
         power *= phasor
-    return table.reshape(parts * count, -1)
+    return table
 
 
 def integrate(f: PhaseFunction) -> complex:

@@ -241,9 +241,9 @@ def _coherence_from_options(kernel: dict):
         regular = kernels.lorentzian_kernel(kernel["gamma"], profile)
     elif family == "gaussian":
         profile = _gaussian_option(kernel, "kernel")
-        regular = kernels.gaussian_coherence_kernel(kernel["nu_width"], profile)
+        regular = _nu_width_option(kernel["nu_width"], profile)
     elif family == "polefree":
-        profile = kernels.spectral_edge_profile(decay=kernel["decay"], cutoff=kernel["cutoff"])
+        profile = _edge_option(kernel)
         regular = kernels.separable_kernel(profile)
     else:  # custom-polynomial
         profile = kernels.polynomial_profile(kernel["coefficients"], decay=kernel["decay"])
@@ -290,6 +290,55 @@ def _gaussian_option(block: dict, path: str):
                 "and a finite exponent (w - center)^2 / (2 width^2) on the omega nodes; "
                 f"got center {center!r}, width {width!r}"
             ) from None
+
+    return profile
+
+
+def _nu_width_option(nu_width: float, profile):
+    """``kernels.gaussian_coherence_kernel`` whose symbol names ``kernel.nu_width`` where it cannot sample.
+
+    The symbol exp(-nu^2 / (2 nu_width^2)) is sampled with float errors
+    raised: a nu_width whose square underflows divides by zero, as a
+    Gaussian profile's width would.
+    """
+    gaussian = kernels.gaussian_coherence_kernel(nu_width, profile).symbol
+
+    def symbol(nu):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return gaussian(nu)
+        except FloatingPointError:
+            raise ValueError(
+                "option 'kernel.nu_width': a Gaussian symbol needs a finite exponent "
+                f"nu^2 / (2 nu_width^2) on the omega offsets; got nu_width {nu_width!r}"
+            ) from None
+
+    return kernels.CoherenceKernel(profile, symbol)
+
+
+def _edge_option(block: dict):
+    """``kernels.spectral_edge_profile`` of a (decay, cutoff) block that names the one that empties it.
+
+    On the omega nodes (w >= 0) an exponent that overflows stands for a
+    factor of exactly 0, so the samples are taken with float errors
+    ignored. Samples that all square to zero (a state diagonal of no mass)
+    name the decay when sqrt(w) exp(-w / decay) alone squares to zero on
+    every node, else the cutoff.
+    """
+    decay, cutoff = block["decay"], block["cutoff"]
+    edge = kernels.spectral_edge_profile(decay=decay, cutoff=cutoff)
+
+    def profile(w):
+        with np.errstate(all="ignore"):
+            out = edge(w)
+            if np.any(out * out):
+                return out
+            uncut = kernels.spectral_edge_profile(decay=decay)(w)
+        name = "cutoff" if np.any(uncut * uncut) else "decay"
+        raise ValueError(
+            f"option 'kernel.{name}': the profile sqrt(w) exp(-w / decay) exp(-(w / cutoff)^6) "
+            f"squares to zero on every omega node; got decay {decay!r}, cutoff {cutoff!r}"
+        )
 
     return profile
 

@@ -212,6 +212,10 @@ def test_run_writes_report_and_curves(tmp_path, capsys):
     assert "assertions" in report and report["scenario"] == "moyal-convergence"
     meta = json.loads((out / "run_meta.json").read_text())
     assert "generated_at" in meta
+    # memory telemetry: the peak resident set and the scenario's minor page faults
+    assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 1.0
+    assert isinstance(meta["minor_page_faults"], int) and meta["minor_page_faults"] >= 0
+    assert not {"peak_rss_mb", "minor_page_faults"} & set(report)
     with (out / "convergence.csv").open(newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["hbar", "product_error", "bracket_error"]
@@ -585,6 +589,15 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "'wigner_axis': cannot normalize the zero wavefunction"),
         ('{"scenario": "wigner-negativity", "axis": {"lo": -1e-200, "hi": 1e-200}}', "hbar",
          "'axis': cannot normalize the zero wavefunction"),
+        ('{"scenario": "decoherence-polefree", '
+         '"kernel": {"family": "polefree", "decay": 1.2, "cutoff": 1e-300}}',
+         "kernel.cutoff", "squares to zero on every omega node"),
+        ('{"scenario": "decoherence-polefree", '
+         '"kernel": {"family": "gaussian", "nu_width": 1e-300, "center": 2.0, "width": 0.5}}',
+         "kernel.nu_width", "needs a finite exponent"),
+        ('{"scenario": "decoherence-polefree", '
+         '"kernel": {"family": "polefree", "decay": 1e-300, "cutoff": 7.5}}',
+         "kernel.decay", "squares to zero on every omega node"),
         pytest.param(
             '{"scenario": "decoherence-polefree", "hbar": 0.001, "times": {"stop": 1e308}}',
             "times", "'hbar', 'spectral_grid', 'times': phase step",
@@ -602,7 +615,8 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "kernel-without-family", "two-hbar-values", "kernel-gamma", "kernel-gamma-underflow",
          "wigner-phase-step", "pairing-p-range-phase-step", "pairing-hbar-phase-step",
          "positivity-phase-step", "pairing-tiny-hbar-phase-step", "positivity-tiny-hbar-zero-state",
-         "negativity-tiny-axis-zero-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
+         "negativity-tiny-axis-zero-state", "polefree-cutoff-overflow", "polefree-nu-width-underflow",
+         "polefree-decay-empties-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
@@ -618,7 +632,10 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # "term offset symbols c must be finite", naming no option. One box length,
     # or one repeated, printed numpy's RankWarning and failed on a meaningless
     # growth slope; the wigner-negativity states' zero-wavefunction refusal
-    # named no option
+    # named no option. A polefree cutoff whose power overflowed, or a Gaussian
+    # nu_width whose square underflowed, printed numpy warnings and then
+    # "diagonal has zero mass" or "term offset symbols c must be finite"; a
+    # decay that emptied the state printed the first of these, naming nothing
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION

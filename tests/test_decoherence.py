@@ -13,8 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from phasedec import kernels
+from phasedec import decoherence, kernels
 from phasedec.decoherence import (
+    TIME_BLOCK,
     Trajectory,
     _line_fit,
     _phase_sums,
@@ -303,6 +304,19 @@ class TestResidualTrajectory:
         with pytest.raises(ValueError, match="max.times. is inf"):
             residual_trajectory(rho, obs, [1.0, 1e308], 1e-3)
 
+    @pytest.mark.past_recurrence
+    def test_overflow_in_the_last_block_is_refused_before_any_table(self, monkeypatch):
+        # the phases are checked on the whole grid first: no block's table is built
+        # and then thrown away when a later block overflows
+        rho, obs = lorentzian_states(SpectralGrid(4.0, 101))
+        times = np.linspace(1.0, 2.0, 3 * TIME_BLOCK)
+        times[-1] = 1e308
+        built = []
+        monkeypatch.setattr(decoherence, "_cos_sin", lambda *args, **kw: built.append(args))
+        with pytest.raises(ValueError, match=r"phase step 40 times max\|times\| is inf"):
+            residual_trajectory(rho, obs, times, 1e-3)
+        assert built == []
+
     @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [[1.0, 2.0]]])
     def test_unordered_or_nested_times_rejected(self, lorentzian_pair, times):
         rho, obs = lorentzian_pair
@@ -355,8 +369,16 @@ class TestFactoredPhaseSum:
             (lambda: lorentzian_states(SpectralGrid(4.0, 50), 0.5), np.linspace(0.0, 19.0, 37), 0.5),
             (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([3.7]), 0.5),
             (lambda: lorentzian_states(SpectralGrid(4.0, 801)), np.array([0.0]), 1.0),
+            # time blocks: a boundary inside the grid, a tail merged into the block
+            # before it (one over, 7 over) and a half-block tail kept on its own
+            *[
+                (lambda: lorentzian_states(SpectralGrid(4.0, 201)), np.linspace(0.0, 80.0, count), 1.0)
+                for count in (TIME_BLOCK - 1, TIME_BLOCK, TIME_BLOCK + 1, 3 * TIME_BLOCK // 2,
+                              3 * TIME_BLOCK + 7)
+            ],
         ],
-        ids=["lorentzian-801", "polefree-1001", "n17", "n41", "n50", "single", "t0"],
+        ids=["lorentzian-801", "polefree-1001", "n17", "n41", "n50", "single", "t0", "block-less-1",
+             "one-block", "block-plus-1", "block-and-half", "three-blocks-plus-7"],
     )
     def test_matches_long_double_direct_sum(self, build, times, hbar):
         rho, obs = build()
@@ -378,6 +400,42 @@ class TestFactoredPhaseSum:
         values = residual_trajectory(rho, obs, times, hbar).values
         expected = long_double_phase_sum(weights, times, rho.grid.d_omega, hbar)
         assert float(np.max(np.abs(values - expected))) <= 2e-15 * float(np.sum(np.abs(weights)))
+
+    @pytest.mark.parametrize("count, widths", [
+        (TIME_BLOCK, [TIME_BLOCK]),
+        (TIME_BLOCK + 1, [TIME_BLOCK + 1]),
+        (3 * TIME_BLOCK // 2, [TIME_BLOCK, TIME_BLOCK // 2]),
+        (3 * TIME_BLOCK + 7, [TIME_BLOCK, TIME_BLOCK, TIME_BLOCK + 7]),
+    ], ids=["one-block", "one-over", "block-and-half", "three-blocks-and-7"])
+    def test_tables_are_built_per_block_in_one_workspace(self, monkeypatch, count, widths):
+        # both tables of a block share the rows of one buffer, reused by every block
+        built = []
+
+        def spy(step, rows, points, parts, what, out=None):
+            built.append((len(points), out))
+            return _cos_sin(step, rows, points, parts, what, out=out)
+
+        monkeypatch.setattr(decoherence, "_cos_sin", spy)
+        weights = np.random.default_rng(3).normal(size=1601) + 0j
+        _phase_sums(weights, np.linspace(0.0, 80.0, count), 0.005)
+        assert [n for n, _ in built] == [n for n in widths for _ in range(2)]
+        first = built[0][1]
+        assert all(out.flags.c_contiguous and np.shares_memory(out, first) for _, out in built)
+
+    @pytest.mark.parametrize("layout", ["column-view", "contiguous-head"])
+    def test_table_written_into_a_buffer_is_the_allocated_table(self, layout):
+        # a buffer narrower than the one it lives in gets only its own columns
+        step, rows = 0.0125, 21
+        times = np.linspace(0.0, 330.0 / (20 * step), 700)
+        table = _cos_sin(step, rows, times, 2, "times")
+        base = np.full((2 * rows, 1024), np.nan)
+        if layout == "column-view":
+            out = base[:, : len(times)]
+        else:
+            out = base.reshape(-1)[: table.size].reshape(table.shape)
+        assert _cos_sin(step, rows, times, 2, "times", out=out) is out
+        assert np.array_equal(out, table)
+        assert np.isnan(base).sum() == base.size - table.size
 
     def test_phasor_table_matches_long_double(self):
         # 21 rows, arguments k step t up to 330 rad
@@ -439,6 +497,28 @@ class TestFactoredPhaseSum:
         finally:
             tracemalloc.stop()
         assert peak < dense_table_bytes / 4
+
+
+    def test_peak_memory_does_not_grow_with_the_times(self, lorentzian_pair):
+        # past the trajectory's own arrays, a call at 60000 times peaks no higher
+        # than one at a single block: the unblocked tables and partial product
+        # peaked at 63.0 MB here. The times and values are held twice, by
+        # residual_trajectory and by the Trajectory that copies them
+        rho, obs = lorentzian_pair
+
+        def peak(count):
+            times = np.linspace(8.0, 80.0, count)
+            tracemalloc.start()
+            try:
+                traj = residual_trajectory(rho, obs, times, 1.0)
+                return tracemalloc.get_traced_memory()[1], traj
+            finally:
+                tracemalloc.stop()
+
+        one_block, _ = peak(TIME_BLOCK)
+        many, traj = peak(60000)
+        bytes_per_time = traj.times.itemsize + traj.values.itemsize
+        assert many <= 2 * bytes_per_time * len(traj.times) + one_block
 
 
 class TestStructuredKernels:
