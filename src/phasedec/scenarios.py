@@ -1,7 +1,13 @@
 """Named experiment scenarios behind the command-line runner.
 
-Each scenario runs one self-contained experiment, returns a scalar report
-with named pass/fail assertions, and emits plot-ready curves. Scenario
+Each scenario runs one self-contained experiment and returns three things:
+its report fields, its checks and its plot-ready curves. A check is one
+record ``(name, entry, key)``: the assertion's name, its verdict entry
+(``passed`` and the values it judged) and, where the report repeats the
+checked value, the report key that holds ``entry["value"]``.
+``run_named_scenario`` alone assembles the report from these: the scenario
+name, the seed, the fields, each keyed value, the ``assertions`` mapping
+and ``passed``. So a checked value is written once, in its check. Scenario
 parameters all have defaults; a config file only overrides what it names.
 """
 
@@ -10,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +69,7 @@ __all__ = ["SCENARIO_NAMES", "scenario_defaults", "run_named_scenario", "Scenari
 @dataclass
 class ScenarioResult:
     report: dict
-    curves: dict[str, tuple[list[str], list[list]]] = field(default_factory=dict)
+    curves: dict[str, tuple[list[str], list[list]]]
 
 
 _KERNEL_FAMILY_DEFAULTS = {
@@ -257,7 +263,9 @@ def _coherence_from_options(kernel: dict):
 
     def bounded_diagonal(w):
         # an FFT pairing of two regular terms sums up to 4n products of two sums
-        # of this diagonal; of the four profiles only a polynomial is unbounded
+        # of this diagonal; of the four profiles only a polynomial is unbounded.
+        # A diagonal of no mass names the decay, or the coefficients when the
+        # polynomial itself is zero on every node
         with np.errstate(over="ignore", invalid="ignore"):
             out = diagonal(w)
             mass = float(np.sum(out))
@@ -265,6 +273,14 @@ def _coherence_from_options(kernel: dict):
             raise ValueError(
                 f"option 'kernel.coefficients': the squared profile sums to {mass:.3g} on "
                 f"the {out.size}-node omega grid, too large for a pairing to stay finite"
+            )
+        if not mass:
+            with np.errstate(over="ignore", invalid="ignore"):
+                empty = "decay" if np.any(np.polyval(kernel["coefficients"], w)) else "coefficients"
+            raise ValueError(
+                f"option 'kernel.{empty}': the profile polyval(coefficients, w) exp(-w / decay) "
+                f"squares to zero on every omega node; got coefficients {kernel['coefficients']!r}, "
+                f"decay {kernel['decay']!r}"
             )
         return out
 
@@ -274,22 +290,28 @@ def _coherence_from_options(kernel: dict):
 def _gaussian_option(block: dict, path: str):
     """``kernels.gaussian_profile`` of a (center, width) block that names it where it cannot sample.
 
-    A sample that would overflow or be NaN, or a width <= 0, names the center when
-    its distance to a node squares past the float range, else the width.
+    A sample that would overflow or be NaN, a width <= 0, or samples that all
+    square to zero (a profile of no mass) are refused. The refusal names the
+    center when it lies outside the omega nodes' range and the width is
+    positive, else the width.
     """
     center, width = block["center"], block["width"]
 
     def profile(w):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return kernels.gaussian_profile(center, width)(w)
+                out = kernels.gaussian_profile(center, width)(w)
         except (FloatingPointError, OverflowError, ValueError):  # an overflow, 0/0 or width <= 0
-            far = np.max(np.abs(w - center)) > np.sqrt(np.finfo(float).max)
-            raise ValueError(
-                f"option '{path}.{'center' if far else 'width'}': a Gaussian profile needs width > 0 "
-                "and a finite exponent (w - center)^2 / (2 width^2) on the omega nodes; "
-                f"got center {center!r}, width {width!r}"
-            ) from None
+            pass
+        else:
+            if np.any(out * out):
+                return out
+        far = width > 0 and not np.min(w) <= center <= np.max(w)
+        raise ValueError(
+            f"option '{path}.{'center' if far else 'width'}': a Gaussian profile needs width > 0, "
+            "a finite exponent (w - center)^2 / (2 width^2) and samples that do not all square to "
+            f"zero on the omega nodes; got center {center!r}, width {width!r}"
+        )
 
     return profile
 
@@ -355,32 +377,35 @@ def _option(names: str | tuple[str, ...], build, *args, **kwargs):
         raise ValueError(f"option{'s' * (len(names) > 1)} {', '.join(map(repr, names))}: {exc}") from None
 
 
-def _assertion(name: str, passed: bool, **details) -> tuple[str, dict]:
-    return name, {"passed": bool(passed), **details}
+def _assertion(name: str, passed: bool, key: str | None = None, **details) -> tuple[str, dict, str | None]:
+    """One check record: the assertion's name, its verdict entry and the report key of ``details["value"]``.
+
+    ``key`` None leaves the value in the entry alone.
+    """
+    return name, {"passed": bool(passed), **details}, key
 
 
-def _near(name: str, value, target: float, tolerance: float, relative: bool = False):
+def _near(name: str, value, target: float, tolerance: float, relative: bool = False, key: str | None = None):
     """Passes when |value - target| <= tolerance, times |target| when ``relative``; None fails."""
     limit = tolerance * abs(target) if relative else tolerance
     passed = value is not None and abs(value - target) <= limit
-    return _assertion(name, passed, value=value, target=target, tolerance=tolerance)
+    return _assertion(name, passed, key, value=value, target=target, tolerance=tolerance)
 
 
-def _below(name: str, value, bound: float, **details):
+def _below(name: str, value, bound: float, key: str | None = None, **details):
     """Passes when value < bound; a probe time ``t`` in ``details`` must also be below ``t_max``."""
     inside = details.get("t", -math.inf) < details.get("t_max", math.inf)
-    return _assertion(name, value < bound and inside, value=value, bound=bound, **details)
+    return _assertion(name, value < bound and inside, key, value=value, bound=bound, **details)
 
 
-def _above(name: str, value, bound: float):
+def _above(name: str, value, bound: float, key: str | None = None):
     """Passes when value > bound."""
-    return _assertion(name, value > bound, value=value, bound=bound)
+    return _assertion(name, value > bound, key, value=value, bound=bound)
 
 
-def _finish(report: dict, assertions: list[tuple[str, dict]]) -> dict:
-    report["assertions"] = dict(assertions)
-    report["passed"] = all(entry["passed"] for _, entry in assertions)
-    return report
+def _table(header: list[str], *columns) -> tuple[list[str], list[list]]:
+    """A curve: its CSV header and one row per index of the equal-length columns, as Python numbers."""
+    return header, [list(row) for row in zip(*(np.asarray(column).tolist() for column in columns))]
 
 
 def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
@@ -402,7 +427,7 @@ def _time_grid(time_opts: dict, t_scale: float = 1.0) -> np.ndarray:
     raise ValueError(f"time grid spacing must be 'log' or 'linear', got {spacing!r}")
 
 
-def _run_moyal_convergence(opts: dict, seed: int) -> ScenarioResult:
+def _run_moyal_convergence(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbars = sorted(opts["hbar"], reverse=True)
     grid = Grid.square(*_option("grid", Axis, **opts["grid"]))
     order = opts["truncation_order"]
@@ -423,33 +448,18 @@ def _run_moyal_convergence(opts: dict, seed: int) -> ScenarioResult:
     shift = PhaseFunction.sample(grid, lambda q, p: (hq / 2) ** 2)
     star_err = interior_max_abs(star - ham * ham + shift)
 
-    assertions = [
-        _near("product_slope_first_order", rep.product_slope, 1.0, 0.15),
-        _near("bracket_slope_second_order", rep.bracket_slope, 2.0, 0.2),
-        _below("quadratic_bracket_exact", bracket_err, 1e-8),
-        _below("quadratic_star_exact", star_err, 1e-8),
+    checks = [
+        _near("product_slope_first_order", rep.product_slope, 1.0, 0.15, key="product_slope"),
+        _near("bracket_slope_second_order", rep.bracket_slope, 2.0, 0.2, key="bracket_slope"),
+        _below("quadratic_bracket_exact", bracket_err, 1e-8, key="quadratic_bracket_error"),
+        _below("quadratic_star_exact", star_err, 1e-8, key="quadratic_star_error"),
     ]
-    report = _finish(
-        {
-            "scenario": "moyal-convergence",
-            "hbar": hbars,
-            "product_slope": rep.product_slope,
-            "bracket_slope": rep.bracket_slope,
-            "product_errors": list(rep.product_errors),
-            "bracket_errors": list(rep.bracket_errors),
-            "quadratic_bracket_error": bracket_err,
-            "quadratic_star_error": star_err,
-        },
-        assertions,
-    )
-    curve = (
-        ["hbar", "product_error", "bracket_error"],
-        [[hb, pe, be] for hb, pe, be in zip(hbars, rep.product_errors, rep.bracket_errors)],
-    )
-    return ScenarioResult(report, {"convergence": curve})
+    errors = {"product_errors": list(rep.product_errors), "bracket_errors": list(rep.bracket_errors)}
+    curve = _table(["hbar", "product_error", "bracket_error"], hbars, rep.product_errors, rep.bracket_errors)
+    return {"hbar": hbars, **errors}, checks, {"convergence": curve}
 
 
-def _run_wigner_negativity(opts: dict, seed: int) -> ScenarioResult:
+def _run_wigner_negativity(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbar = opts["hbar"]
     axis = _option("axis", Axis, **opts["axis"])
     grid = Grid.rectangle(axis, axis)
@@ -458,53 +468,31 @@ def _run_wigner_negativity(opts: dict, seed: int) -> ScenarioResult:
     ground = _option(limit, wigner_of_pure_state, psi, hbar, grid)
     psi = _option(limit, oscillator_state, axis, 1, hbar)
     excited = _option(limit, wigner_of_pure_state, psi, hbar, grid)
-    min_ground = float(ground.values.real.min())
     min_excited = float(excited.values.real.min())
-    mass_ground = float(integrate(ground).real)
-    mass_excited = float(integrate(excited).real)
-    marginal = q_marginal(excited)
-    min_marginal = float(marginal.min())
     # dip of the first excited quasi-density at the origin is -1/(pi*hbar)
     target = -1.0 / (np.pi * hbar)
-    masses = {"ground_unit_mass": mass_ground, "excited_unit_mass": mass_excited}
-    mass_tol = 1e-5
+    masses = {"ground": float(integrate(ground).real), "excited": float(integrate(excited).real)}
+    tol = 1e-5  # of each unit mass
 
-    assertions = [
-        _near("excited_minimum_depth", min_excited, target, 0.02, relative=True),
+    checks = [
+        _near("excited_minimum_depth", min_excited, target, 0.02, relative=True, key="min_excited"),
         _assertion("excited_is_negative", min_excited < 0, value=min_excited),
-        _above("ground_nonnegative", min_ground, -1e-6),
+        _above("ground_nonnegative", float(ground.values.real.min()), -1e-6, key="min_ground"),
         *[
-            _assertion(name, abs(mass - 1.0) <= mass_tol, value=mass, tolerance=mass_tol)
-            for name, mass in masses.items()
+            _assertion(
+                f"{state}_unit_mass", abs(mass - 1.0) <= tol, key=f"mass_{state}", value=mass, tolerance=tol
+            )
+            for state, mass in masses.items()
         ],
-        _above("marginal_nonnegative", min_marginal, -1e-6),
+        _above("marginal_nonnegative", float(q_marginal(excited).min()), -1e-6, key="min_marginal"),
     ]
-    report = _finish(
-        {
-            "scenario": "wigner-negativity",
-            "hbar": hbar,
-            "min_ground": min_ground,
-            "min_excited": min_excited,
-            "target_minimum": target,
-            "mass_ground": mass_ground,
-            "mass_excited": mass_excited,
-            "min_marginal": min_marginal,
-        },
-        assertions,
-    )
-    q = grid.coordinate(0)
     mid = grid.shape[1] // 2
-    curve = (
-        ["q", "W_ground_p0", "W_excited_p0"],
-        [
-            [float(q[i]), float(ground.values[i, mid].real), float(excited.values[i, mid].real)]
-            for i in range(len(q))
-        ],
-    )
-    return ScenarioResult(report, {"wigner_slice": curve})
+    columns = grid.coordinate(0), ground.values[:, mid].real, excited.values[:, mid].real
+    curve = _table(["q", "W_ground_p0", "W_excited_p0"], *columns)
+    return {"hbar": hbar, "target_minimum": target}, checks, {"wigner_slice": curve}
 
 
-def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
+def _run_pairing_equivalence(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbar = opts["hbar"]
     q_axis = _option("q_axis", Axis, **opts["q_axis"])
     p_axis = _option("p_axis", Axis, **opts["p_axis"])
@@ -576,11 +564,12 @@ def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
     growth_slope = float(np.polyfit(np.log(volumes), np.log(full_values), 1)[0])
     density_error = float(np.max(np.abs(np.array(densities) - restricted)) / abs(restricted))
 
-    assertions = [
-        _below("three_way_agreement", spread, 1e-4),
+    checks = [
+        _below("three_way_agreement", spread, 1e-4, key="relative_spread"),
         _assertion(
             "duality_singular_delta",
             abs(dual_same - dual_expected) <= exact * dual_expected and dual_diff == 0.0,
+            key="duality_singular",
             value=dual_same,
             expected=dual_expected,
             off_node=dual_diff,
@@ -588,44 +577,35 @@ def _run_pairing_equivalence(opts: dict, seed: int) -> ScenarioResult:
         _assertion(
             "duality_regular_delta",
             abs(dual_reg - dual_reg_expected) <= exact * dual_reg_expected,
+            key="duality_regular",
             value=dual_reg,
             expected=dual_reg_expected,
         ),
         _assertion(
             "duality_cross_zero", cross_a == 0.0 and cross_b == 0.0, sing_reg=cross_a, reg_sing=cross_b
         ),
-        _near("box_growth_linear", growth_slope, 1.0, 0.1),
-        _below("restricted_pairing_is_conjugate_density", density_error, 1e-3),
+        _near("box_growth_linear", growth_slope, 1.0, 0.1, key="box_growth_slope"),
+        _below(
+            "restricted_pairing_is_conjugate_density", density_error, 1e-3, key="restricted_density_error"
+        ),
     ]
-    report = _finish(
-        {
-            "scenario": "pairing-equivalence",
-            "hbar": hbar,
-            "value_spectral": v_spectral.real,
-            "value_trace": v_trace.real,
-            "value_phase_space": v_phase.real,
-            "relative_spread": spread,
-            "duality_singular": dual_same,
-            "duality_regular": dual_reg,
-            "box_growth_slope": growth_slope,
-            "restricted_pairing": restricted,
-            "restricted_density_error": density_error,
-        },
-        assertions,
-    )
-    curve = (
-        ["box_volume", "full_phase_space_integral", "conjugate_density"],
-        [[v, f, d] for v, f, d in zip(volumes, full_values, densities)],
-    )
-    return ScenarioResult(report, {"box_growth": curve})
+    fields = {
+        "hbar": hbar,
+        "value_spectral": v_spectral.real,
+        "value_trace": v_trace.real,
+        "value_phase_space": v_phase.real,
+        "restricted_pairing": restricted,
+    }
+    header = ["box_volume", "full_phase_space_integral", "conjugate_density"]
+    return fields, checks, {"box_growth": _table(header, volumes, full_values, densities)}
 
 
-def _run_decoherence_lorentzian(opts: dict, seed: int) -> ScenarioResult:
+def _run_decoherence_lorentzian(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbars = opts["hbar"]
     kernel = opts["kernel"]
     if kernel["family"] != "lorentzian":
         raise ValueError(
-            "the inverse-pole-distance assertions need a 'lorentzian' kernel; "
+            "option 'kernel.family': the inverse-pole-distance assertions need a 'lorentzian' kernel; "
             f"got family {kernel['family']!r} (use decoherence-polefree for the others)"
         )
     diagonal, regular = _option("kernel.gamma", _coherence_from_options, kernel)
@@ -636,7 +616,7 @@ def _run_decoherence_lorentzian(opts: dict, seed: int) -> ScenarioResult:
     obs = make_observable(sgrid, lambda w: 1.0, kernels.separable_kernel(prof_obs))
     limit = limit_pairing(rho, obs)
 
-    assertions = []
+    checks = []
     per_hbar = []
     curves = {}
     for hbar in hbars:
@@ -674,37 +654,25 @@ def _run_decoherence_lorentzian(opts: dict, seed: int) -> ScenarioResult:
                 "half_recurrence_time": half_recurrence,
             }
         )
-        assertions += [
+        checks += [
             _assertion(f"{tag}_exponential_selected", fit.model == "exponential", model=fit.model),
             _above(f"{tag}_fit_quality", fit.fit_quality, 0.99),
             _near(f"{tag}_inverse_pole_distance", fit.rate, rate_expected, 0.05, relative=True),
             _below(f"{tag}_weak_limit_reached", late, 1e-3),
             _below(f"{tag}_weak_limit_tail", very_late, 1e-6, t=t_tail, t_max=half_recurrence),
         ]
-        curves[f"residual_{tag}"] = (
-            ["t", "abs_residual"],
-            [[float(t), float(abs(v))] for t, v in zip(traj.times, traj.values)],
-        )
-    report = _finish(
-        {
-            "scenario": "decoherence-lorentzian",
-            "kernel": kernel,
-            "gamma": gamma,
-            "limit_value": limit,
-            "results": per_hbar,
-        },
-        assertions,
-    )
-    return ScenarioResult(report, curves)
+        curves[f"residual_{tag}"] = _table(["t", "abs_residual"], traj.times, np.abs(traj.values))
+    fields = {"kernel": kernel, "gamma": gamma, "limit_value": limit, "results": per_hbar}
+    return fields, checks, curves
 
 
-def _run_decoherence_polefree(opts: dict, seed: int) -> ScenarioResult:
+def _run_decoherence_polefree(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbar = opts["hbar"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     kernel = opts["kernel"]
     if kernel["family"] == "lorentzian":
         raise ValueError(
-            "this scenario checks the absence of exponential decay; "
+            "option 'kernel.family': this scenario checks the absence of exponential decay; "
             "run the lorentzian family through decoherence-lorentzian"
         )
     diagonal, regular = _option("kernel", _coherence_from_options, kernel)
@@ -717,11 +685,10 @@ def _run_decoherence_polefree(opts: dict, seed: int) -> ScenarioResult:
     fit = fit_decay(traj)
 
     # the exponential fit must lose outright for a pole-free kernel
-    r2_exp = fit.r2_exponential
-    assertions = [
+    checks = [
         _assertion("non_exponential_model", fit.model in ("power_law", "none"), model=fit.model),
-        _below("exponential_fit_poor", r2_exp, 0.9),
-        _assertion("infinite_decoherence_time", np.isinf(fit.t_dec), value=fit.t_dec),
+        _below("exponential_fit_poor", fit.r2_exponential, 0.9, key="r_squared_exponential"),
+        _assertion("infinite_decoherence_time", np.isinf(fit.t_dec), key="t_dec", value=fit.t_dec),
         _assertion(
             "within_recurrence_window",
             times[-1] < half_recurrence,
@@ -729,28 +696,18 @@ def _run_decoherence_polefree(opts: dict, seed: int) -> ScenarioResult:
             t_max=half_recurrence,
         ),
     ]
-    report = _finish(
-        {
-            "scenario": "decoherence-polefree",
-            "hbar": hbar,
-            "kernel": kernel,
-            "model": fit.model,
-            "power_law_exponent": fit.rate,
-            "r_squared_selected": fit.fit_quality,
-            "r_squared_exponential": r2_exp,
-            "t_dec": fit.t_dec,
-            "half_recurrence_time": half_recurrence,
-        },
-        assertions,
-    )
-    curve = (
-        ["t", "abs_residual"],
-        [[float(t), float(abs(v))] for t, v in zip(traj.times, traj.values)],
-    )
-    return ScenarioResult(report, {"residual": curve})
+    fields = {
+        "hbar": hbar,
+        "kernel": kernel,
+        "model": fit.model,
+        "power_law_exponent": fit.rate,
+        "r_squared_selected": fit.fit_quality,
+        "half_recurrence_time": half_recurrence,
+    }
+    return fields, checks, {"residual": _table(["t", "abs_residual"], traj.times, np.abs(traj.values))}
 
 
-def _run_limit_positivity(opts: dict, seed: int) -> ScenarioResult:
+def _run_limit_positivity(opts: dict, seed: int) -> tuple[dict, list, dict]:
     hbar = opts["hbar"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     n_states = opts["n_states"]
@@ -773,27 +730,16 @@ def _run_limit_positivity(opts: dict, seed: int) -> ScenarioResult:
     excited = _option(limit, wigner_of_pure_state, psi, hbar, grid)
     wigner_min = float(excited.values.real.min())
 
-    assertions = [
+    worst = float(min(minima))
+    checks = [
+        _assertion("all_final_densities_nonnegative", all_passed, n_states=n_states, worst_minimum=worst),
         _assertion(
-            "all_final_densities_nonnegative",
-            all_passed,
-            n_states=n_states,
-            worst_minimum=float(min(minima)),
+            "pre_limit_symbol_negative", wigner_min < 0, key="wigner_contrast_minimum", value=wigner_min
         ),
-        _assertion("pre_limit_symbol_negative", wigner_min < 0, value=wigner_min),
     ]
-    report = _finish(
-        {
-            "scenario": "limit-positivity",
-            "hbar": hbar,
-            "n_states": n_states,
-            "worst_minimum": float(min(minima)),
-            "wigner_contrast_minimum": wigner_min,
-        },
-        assertions,
-    )
-    curve = (["state_index", "min_value"], [[i, float(m)] for i, m in enumerate(minima)])
-    return ScenarioResult(report, {"final_density_minima": curve})
+    curve = _table(["state_index", "min_value"], range(n_states), minima)
+    fields = {"hbar": hbar, "n_states": n_states, "worst_minimum": worst}
+    return fields, checks, {"final_density_minima": curve}
 
 
 _RUNNERS = {
@@ -807,9 +753,13 @@ _RUNNERS = {
 
 
 def run_named_scenario(name: str, overrides: dict, seed: int) -> ScenarioResult:
-    """Run one scenario with defaults merged under the given overrides.
+    """Run one scenario with defaults merged under the given overrides, and assemble its report.
 
-    Only the scenarios that draw (``pairing-equivalence`` and
+    The runner returns its fields, its check records and its curves. The
+    report is ``scenario``, ``seed``, the fields, ``entry["value"]`` under
+    the key of each check that names one, ``assertions`` (each check's
+    entry by name, in the runner's order) and ``passed`` (every entry
+    passed). Only the scenarios that draw (``pairing-equivalence`` and
     ``limit-positivity``) build a generator from ``seed``, so the others
     never import ``numpy.random``.
     """
@@ -817,7 +767,9 @@ def run_named_scenario(name: str, overrides: dict, seed: int) -> ScenarioResult:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     if seed < 0:
         raise ValueError(f"option 'seed' must be >= 0, got {seed}")
-    opts = _merge(_DEFAULTS[name], overrides)
-    result = _RUNNERS[name](opts, seed)
-    result.report["seed"] = seed
-    return result
+    fields, checks, curves = _RUNNERS[name](_merge(_DEFAULTS[name], overrides), seed)
+    report = {"scenario": name, "seed": seed, **fields}
+    report.update((key, entry["value"]) for _, entry, key in checks if key is not None)
+    report["assertions"] = {check: entry for check, entry, _ in checks}
+    report["passed"] = all(entry["passed"] for _, entry, _ in checks)
+    return ScenarioResult(report, curves)

@@ -598,6 +598,14 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ('{"scenario": "decoherence-polefree", '
          '"kernel": {"family": "polefree", "decay": 1e-300, "cutoff": 7.5}}',
          "kernel.decay", "squares to zero on every omega node"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "custom-polynomial", '
+         '"coefficients": [1, 0], "decay": 1e-300}}', "kernel.decay", "squares to zero on every omega node"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "custom-polynomial", '
+         '"coefficients": [0]}}', "kernel.coefficients", "squares to zero on every omega node"),
+        ('{"scenario": "decoherence-lorentzian", "kernel": {"family": "polefree"}}', "kernel.family",
+         "need a 'lorentzian' kernel"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "lorentzian"}}', "kernel.family",
+         "run the lorentzian family through decoherence-lorentzian"),
         pytest.param(
             '{"scenario": "decoherence-polefree", "hbar": 0.001, "times": {"stop": 1e308}}',
             "times", "'hbar', 'spectral_grid', 'times': phase step",
@@ -616,7 +624,9 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "wigner-phase-step", "pairing-p-range-phase-step", "pairing-hbar-phase-step",
          "positivity-phase-step", "pairing-tiny-hbar-phase-step", "positivity-tiny-hbar-zero-state",
          "negativity-tiny-axis-zero-state", "polefree-cutoff-overflow", "polefree-nu-width-underflow",
-         "polefree-decay-empties-state", "polefree-phase-overflow", "lorentzian-phase-overflow"],
+         "polefree-decay-empties-state", "polynomial-decay-empties-state", "polynomial-zero-on-every-node",
+         "lorentzian-other-family", "polefree-lorentzian-family", "polefree-phase-overflow",
+         "lorentzian-phase-overflow"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
     # Axis refused these triples with "got [-6.0, -7.0]" or "got [4.0, -4.0]" and
@@ -635,7 +645,9 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # named no option. A polefree cutoff whose power overflowed, or a Gaussian
     # nu_width whose square underflowed, printed numpy warnings and then
     # "diagonal has zero mass" or "term offset symbols c must be finite"; a
-    # decay that emptied the state printed the first of these, naming nothing
+    # decay that emptied the state printed the first of these, naming nothing,
+    # and so did a polynomial profile whose decay or coefficients empty it. The
+    # family refusals of the two decoherence scenarios named no option either
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -718,13 +730,28 @@ def test_overflowing_polynomial_profile_names_coefficients(tmp_path, scale):
         ({"scenario": "pairing-equivalence", "state_profile": {"width": 1e-300}}, "state_profile.width"),
         ({"scenario": "decoherence-lorentzian", "observable_profile": {"center": 1e300}},
          "observable_profile.center"),
+        ({"scenario": "decoherence-lorentzian", "kernel": {"family": "lorentzian", "center": 1e3}},
+         "kernel.center"),
+        ({"scenario": "pairing-equivalence", "state_profile": {"center": 1e3}}, "state_profile.center"),
+        ({"scenario": "pairing-equivalence", "observable_profile": {"center": 1e3}},
+         "observable_profile.center"),
+        ({"scenario": "decoherence-lorentzian", "observable_profile": {"center": 1e3}},
+         "observable_profile.center"),
+        ({"scenario": "decoherence-lorentzian",
+          "kernel": {"family": "lorentzian", "center": 2.0025, "width": 5e-5}}, "kernel.width"),
     ],
-    ids=["kernel-width", "kernel-center", "state-profile-width", "observable-profile-center"],
+    ids=["kernel-width", "kernel-center", "state-profile-width", "observable-profile-center",
+         "kernel-center-empties-state", "state-profile-center-empties-state",
+         "pairing-observable-center-empties-profile", "lorentzian-observable-center-empties-profile",
+         "kernel-width-between-nodes"],
 )
 def test_gaussian_profile_out_of_float_range_names_its_option(tmp_path, config, path):
     # a width whose square underflows gave 0/0 at the node on the center, and a far
     # center overflowed (w - center)^2: numpy RuntimeWarnings, then an error naming no
-    # option or an assertion failure. A fresh interpreter shows the warnings.
+    # option or an assertion failure. A center outside the omega nodes' range, or a
+    # width far below the node spacing, let every sample underflow to 0: "diagonal has
+    # zero mass", numpy warnings and "term profiles a must be finite", or an exit 3
+    # with no word. A fresh interpreter shows the warnings.
     cfg = write_config(tmp_path / "cfg.json", config)
     env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
     done = subprocess.run(

@@ -220,19 +220,19 @@ def test_every_assertion_kind_has_a_failing_row_or_a_reason():
 
 
 def test_a_value_at_its_bound_fails():
-    assert _below("b", 1e-3, 1e-3) == ("b", {"passed": False, "value": 1e-3, "bound": 1e-3})
-    assert _above("a", -1e-6, -1e-6) == ("a", {"passed": False, "value": -1e-6, "bound": -1e-6})
+    assert _below("b", 1e-3, 1e-3) == ("b", {"passed": False, "value": 1e-3, "bound": 1e-3}, None)
+    assert _above("a", -1e-6, -1e-6) == ("a", {"passed": False, "value": -1e-6, "bound": -1e-6}, None)
     assert _below("b", 0.5e-3, 1e-3)[1]["passed"] and _above("a", 0.0, -1e-6)[1]["passed"]
 
 
 def test_a_probe_time_outside_its_window_fails_a_bound():
     inside = _below("tail", 0.0, 1e-6, t=1.0, t_max=2.0)
-    assert inside == ("tail", {"passed": True, "value": 0.0, "bound": 1e-6, "t": 1.0, "t_max": 2.0})
+    assert inside == ("tail", {"passed": True, "value": 0.0, "bound": 1e-6, "t": 1.0, "t_max": 2.0}, None)
     assert not _below("tail", 0.0, 1e-6, t=2.0, t_max=2.0)[1]["passed"]
 
 
 def test_near_fails_a_missing_value():
-    name, entry = _near("slope", None, 1.0, 0.15)
+    name, entry, key = _near("slope", None, 1.0, 0.15)
     assert entry == {"passed": False, "value": None, "target": 1.0, "tolerance": 0.15}
 
 
@@ -248,7 +248,7 @@ def test_near_fails_a_missing_value():
     ],
 )
 def test_near_reads_its_tolerance_as_absolute_or_relative_to_the_target(value, relative, passed):
-    name, entry = _near("depth", value, -4.0, 0.25, relative=relative)
+    name, entry, key = _near("depth", value, -4.0, 0.25, relative=relative)
     assert entry == {"passed": passed, "value": value, "target": -4.0, "tolerance": 0.25}
 
 
