@@ -76,6 +76,8 @@ def spectral_edge_profile(decay: float = 1.2, cutoff: float | None = None):
     """
     if decay <= 0:
         raise ValueError("decay must be positive")
+    if cutoff is not None and cutoff <= 0:
+        raise ValueError("cutoff must be positive")
 
     def profile(w):
         out = np.sqrt(np.maximum(w, 0.0)) * np.exp(-w / decay)

@@ -9,11 +9,19 @@ checked value, the report key that holds ``entry["value"]``.
 name, the seed, the fields, each keyed value, the ``assertions`` mapping
 and ``passed``. So a checked value is written once, in its check. Scenario
 parameters all have defaults; a config file only overrides what it names.
+
+A value a run refuses is a ValueError naming its option. Every kernel
+profile, kernel symbol and Gaussian profile block samples through one
+check, ``_checked``: samples that are not finite, that all square to zero,
+or (for a profile) that an FFT pairing cannot keep finite are refused,
+naming the one parameter that the block's family blames. A parameter that
+a ``kernels`` factory refuses when it is built is named through ``_option``.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -237,132 +245,97 @@ def _kernel_option(value) -> dict:
 def _coherence_from_options(kernel: dict):
     """Diagonal callable and regular kernel term of a typed ``kernel`` block.
 
-    Returns (diagonal_fn, regular_kernel), the kernel a ``kernels``
-    factory result. The diagonal is the squared profile, so every family
-    yields an admissible state.
+    Returns (diagonal_fn, regular_kernel), the kernel a
+    ``kernels.CoherenceKernel``. The diagonal is the squared profile, so
+    every family yields an admissible state. The profile and the symbol
+    sample through ``_checked``; a parameter that a factory refuses when it
+    is built is named through ``_option``.
     """
     family = kernel["family"]
-    if family == "lorentzian":
-        profile = _gaussian_option(kernel, "kernel")
-        regular = kernels.lorentzian_kernel(kernel["gamma"], profile)
-    elif family == "gaussian":
-        profile = _gaussian_option(kernel, "kernel")
-        regular = _nu_width_option(kernel["nu_width"], profile)
-    elif family == "polefree":
-        profile = _edge_option(kernel)
-        regular = kernels.separable_kernel(profile)
-    else:  # custom-polynomial
-        profile = kernels.polynomial_profile(kernel["coefficients"], decay=kernel["decay"])
-        regular = kernels.separable_kernel(profile)
+    symbol = None
+    if family in ("lorentzian", "gaussian"):
+        profile = _gaussian_block(kernel, "kernel")
+        name = "gamma" if family == "lorentzian" else "nu_width"
+        factory = kernels.lorentzian_kernel if family == "lorentzian" else kernels.gaussian_coherence_kernel
+        symbol = _option(f"kernel.{name}", factory, kernel[name], profile).symbol
+        symbol = _checked(symbol, "kernel", kernel, lambda x: name, "symbol")
+    elif family == "polefree":  # the uncut factor sqrt(w) exp(-w / decay) is the decay's
+        uncut = _option("kernel.decay", kernels.spectral_edge_profile, kernel["decay"])
+        edge = _option("kernel.cutoff", kernels.spectral_edge_profile, kernel["decay"], kernel["cutoff"])
+        profile = _checked(edge, "kernel", kernel, lambda x: "decay" if _fault(uncut, x)[0] else "cutoff")
+    else:  # custom-polynomial: the polynomial factor is the coefficients'
+        coefficients = kernel["coefficients"]
+        decaying = _option("kernel.decay", kernels.polynomial_profile, coefficients, kernel["decay"])
+        poly = functools.partial(np.polyval, coefficients)
+        profile = _checked(
+            decaying, "kernel", kernel, lambda x: "coefficients" if _fault(poly, x)[0] else "decay"
+        )
 
     def diagonal(w):
         return np.abs(profile(w)) ** 2
 
-    if family != "custom-polynomial":
-        return diagonal, regular
-
-    def bounded_diagonal(w):
-        # an FFT pairing of two regular terms sums up to 4n products of two sums
-        # of this diagonal; of the four profiles only a polynomial is unbounded.
-        # A diagonal of no mass names the decay, or the coefficients when the
-        # polynomial itself is zero on every node
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = diagonal(w)
-            mass = float(np.sum(out))
-        if not math.isfinite(4.0 * out.size * mass * mass):
-            raise ValueError(
-                f"option 'kernel.coefficients': the squared profile sums to {mass:.3g} on "
-                f"the {out.size}-node omega grid, too large for a pairing to stay finite"
-            )
-        if not mass:
-            with np.errstate(over="ignore", invalid="ignore"):
-                empty = "decay" if np.any(np.polyval(kernel["coefficients"], w)) else "coefficients"
-            raise ValueError(
-                f"option 'kernel.{empty}': the profile polyval(coefficients, w) exp(-w / decay) "
-                f"squares to zero on every omega node; got coefficients {kernel['coefficients']!r}, "
-                f"decay {kernel['decay']!r}"
-            )
-        return out
-
-    return bounded_diagonal, regular
+    return diagonal, kernels.CoherenceKernel(profile, symbol)
 
 
-def _gaussian_option(block: dict, path: str):
-    """``kernels.gaussian_profile`` of a (center, width) block that names it where it cannot sample.
+def _gaussian_block(block: dict, path: str):
+    """``kernels.gaussian_profile`` of a (center, width) block, sampled through ``_checked``.
 
-    A sample that would overflow or be NaN, a width <= 0, or samples that all
-    square to zero (a profile of no mass) are refused. The refusal names the
-    center when it lies outside the omega nodes' range and the width is
-    positive, else the width.
+    A refusal names the center when it lies outside the nodes' range, else
+    the width; a width <= 0 is refused, by name, when the profile is built.
     """
-    center, width = block["center"], block["width"]
+    center = block["center"]
+    profile = _option(f"{path}.width", kernels.gaussian_profile, center, block["width"])
+    return _checked(profile, path, block, lambda x: "width" if np.min(x) <= center <= np.max(x) else "center")
 
-    def profile(w):
+
+def _fault(function, x, kind: str = "profile") -> tuple[str | None, np.ndarray]:
+    """Why the samples ``function(x)`` cannot be used (None if they can), and the samples.
+
+    They are taken with float errors ignored: on the omega nodes an
+    exponent that overflows is a factor of exactly 0, and a 0/0 is a NaN.
+    Samples that are not finite, or that all square to zero, are refused.
+    So is a profile whose squared sum s over m nodes of step h leaves
+    4 m s^2 max(1, h^2) not finite: an FFT pairing of two profile factors
+    sums up to 4 m products of two such sums, and ``_coherence_weights``
+    scales them by d_omega^2. A symbol (on the offsets) multiplies the
+    pairing after the FFT, so its sum is not bounded.
+    """
+    x = np.asarray(x)
+    with np.errstate(all="ignore"):
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                out = kernels.gaussian_profile(center, width)(w)
-        except (FloatingPointError, OverflowError, ValueError):  # an overflow, 0/0 or width <= 0
-            pass
-        else:
-            if np.any(out * out):
-                return out
-        far = width > 0 and not np.min(w) <= center <= np.max(w)
-        raise ValueError(
-            f"option '{path}.{'center' if far else 'width'}': a Gaussian profile needs width > 0, "
-            "a finite exponent (w - center)^2 / (2 width^2) and samples that do not all square to "
-            f"zero on the omega nodes; got center {center!r}, width {width!r}"
-        )
+            out = function(x)
+        except OverflowError:  # a Python float power, as width**2 at width 1e200
+            out = np.full(x.shape, math.inf)
+        squares = float(np.sum(np.abs(out) ** 2))
+    step = float(np.ptp(x)) / max(x.size - 1, 1)
+    where = "node" if kind == "profile" else "offset"
+    if not np.all(np.isfinite(out)):
+        return f"needs a finite exponent and a finite sample at every omega {where}", out
+    if not squares:
+        return f"squares to zero on every omega {where}", out
+    if kind == "profile" and not math.isfinite(4.0 * x.size * squares * squares * max(1.0, step * step)):
+        return (
+            f"squares to a sum of {squares:.3g} over {x.size} omega nodes of step {step:.3g}, "
+            "too large for a pairing to stay finite"
+        ), out
+    return None, out
 
-    return profile
 
+def _checked(function, path: str, block: dict, blame, kind: str = "profile"):
+    """``function``, sampling through ``_fault``: the one check of every kernel and profile block.
 
-def _nu_width_option(nu_width: float, profile):
-    """``kernels.gaussian_coherence_kernel`` whose symbol names ``kernel.nu_width`` where it cannot sample.
-
-    The symbol exp(-nu^2 / (2 nu_width^2)) is sampled with float errors
-    raised: a nu_width whose square underflows divides by zero, as a
-    Gaussian profile's width would.
+    A refusal is one ValueError naming ``path.blame(x)``: the one parameter
+    of ``block`` that its family blames when the samples on ``x`` fail.
     """
-    gaussian = kernels.gaussian_coherence_kernel(nu_width, profile).symbol
 
-    def symbol(nu):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return gaussian(nu)
-        except FloatingPointError:
-            raise ValueError(
-                "option 'kernel.nu_width': a Gaussian symbol needs a finite exponent "
-                f"nu^2 / (2 nu_width^2) on the omega offsets; got nu_width {nu_width!r}"
-            ) from None
+    def sample(x):
+        fault, out = _fault(function, x, kind)
+        if fault is None:
+            return out
+        params = ", ".join(f"{key} {value!r}" for key, value in block.items() if key != "family")
+        raise ValueError(f"option '{path}.{blame(x)}': the {kind} {fault}; got {params}")
 
-    return kernels.CoherenceKernel(profile, symbol)
-
-
-def _edge_option(block: dict):
-    """``kernels.spectral_edge_profile`` of a (decay, cutoff) block that names the one that empties it.
-
-    On the omega nodes (w >= 0) an exponent that overflows stands for a
-    factor of exactly 0, so the samples are taken with float errors
-    ignored. Samples that all square to zero (a state diagonal of no mass)
-    name the decay when sqrt(w) exp(-w / decay) alone squares to zero on
-    every node, else the cutoff.
-    """
-    decay, cutoff = block["decay"], block["cutoff"]
-    edge = kernels.spectral_edge_profile(decay=decay, cutoff=cutoff)
-
-    def profile(w):
-        with np.errstate(all="ignore"):
-            out = edge(w)
-            if np.any(out * out):
-                return out
-            uncut = kernels.spectral_edge_profile(decay=decay)(w)
-        name = "cutoff" if np.any(uncut * uncut) else "decay"
-        raise ValueError(
-            f"option 'kernel.{name}': the profile sqrt(w) exp(-w / decay) exp(-(w / cutoff)^6) "
-            f"squares to zero on every omega node; got decay {decay!r}, cutoff {cutoff!r}"
-        )
-
-    return profile
+    return sample
 
 
 def _option(names: str | tuple[str, ...], build, *args, **kwargs):
@@ -505,8 +478,8 @@ def _run_pairing_equivalence(opts: dict, seed: int) -> tuple[dict, list, dict]:
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     p_lo, p_hi = 0.0, sgrid.omega_max
     box_p_axis = _option("box_momentum_count", Axis, p_lo, p_hi, opts["box_momentum_count"])
-    coeff_profile = _gaussian_option(opts["state_profile"], "state_profile")
-    obs_profile = _gaussian_option(opts["observable_profile"], "observable_profile")
+    coeff_profile = _gaussian_block(opts["state_profile"], "state_profile")
+    obs_profile = _gaussian_block(opts["observable_profile"], "observable_profile")
 
     coeffs = coeff_profile(sgrid.omega).astype(complex)
     coeffs = coeffs / np.sqrt(np.sum(np.abs(coeffs) ** 2) * sgrid.d_omega)
@@ -608,10 +581,10 @@ def _run_decoherence_lorentzian(opts: dict, seed: int) -> tuple[dict, list, dict
             "option 'kernel.family': the inverse-pole-distance assertions need a 'lorentzian' kernel; "
             f"got family {kernel['family']!r} (use decoherence-polefree for the others)"
         )
-    diagonal, regular = _option("kernel.gamma", _coherence_from_options, kernel)
+    diagonal, regular = _coherence_from_options(kernel)
     gamma = kernel["gamma"]
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
-    prof_obs = _gaussian_option(opts["observable_profile"], "observable_profile")
+    prof_obs = _gaussian_block(opts["observable_profile"], "observable_profile")
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0, kernels.separable_kernel(prof_obs))
     limit = limit_pairing(rho, obs)
@@ -675,7 +648,7 @@ def _run_decoherence_polefree(opts: dict, seed: int) -> tuple[dict, list, dict]:
             "option 'kernel.family': this scenario checks the absence of exponential decay; "
             "run the lorentzian family through decoherence-lorentzian"
         )
-    diagonal, regular = _option("kernel", _coherence_from_options, kernel)
+    diagonal, regular = _coherence_from_options(kernel)
     rho = make_state(sgrid, diagonal, regular)
     obs = make_observable(sgrid, lambda w: 1.0, regular)
     times = _option("times", _time_grid, opts["times"])

@@ -606,6 +606,18 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "need a 'lorentzian' kernel"),
         ('{"scenario": "decoherence-polefree", "kernel": {"family": "lorentzian"}}', "kernel.family",
          "run the lorentzian family through decoherence-lorentzian"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "polefree", "decay": -1}}',
+         "kernel.decay", "decay must be positive"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "gaussian", "nu_width": -1}}',
+         "kernel.nu_width", "nu_width must be positive"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "custom-polynomial", "decay": 0}}',
+         "kernel.decay", "decay must be positive"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "polefree", "cutoff": -1}}',
+         "kernel.cutoff", "cutoff must be positive"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "polefree", "cutoff": 0}}',
+         "kernel.cutoff", "cutoff must be positive"),
+        ('{"scenario": "decoherence-polefree", "kernel": {"family": "gaussian", "nu_width": 1e200}}',
+         "kernel.nu_width", "needs a finite exponent"),
         pytest.param(
             '{"scenario": "decoherence-polefree", "hbar": 0.001, "times": {"stop": 1e308}}',
             "times", "'hbar', 'spectral_grid', 'times': phase step",
@@ -625,7 +637,9 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "positivity-phase-step", "pairing-tiny-hbar-phase-step", "positivity-tiny-hbar-zero-state",
          "negativity-tiny-axis-zero-state", "polefree-cutoff-overflow", "polefree-nu-width-underflow",
          "polefree-decay-empties-state", "polynomial-decay-empties-state", "polynomial-zero-on-every-node",
-         "lorentzian-other-family", "polefree-lorentzian-family", "polefree-phase-overflow",
+         "lorentzian-other-family", "polefree-lorentzian-family", "polefree-decay-not-positive",
+         "gaussian-nu-width-not-positive", "polynomial-decay-not-positive", "polefree-negative-cutoff",
+         "polefree-zero-cutoff", "gaussian-nu-width-overflow", "polefree-phase-overflow",
          "lorentzian-phase-overflow"],
 )
 def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, message):
@@ -647,7 +661,11 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # "diagonal has zero mass" or "term offset symbols c must be finite"; a
     # decay that emptied the state printed the first of these, naming nothing,
     # and so did a polynomial profile whose decay or coefficients empty it. The
-    # family refusals of the two decoherence scenarios named no option either
+    # family refusals of the two decoherence scenarios named no option either,
+    # nor did a decay or nu_width that its kernels factory refused, named only
+    # 'kernel'. A polefree cutoff of -1 ran as a cutoff of 1 ((w / cutoff)^6),
+    # and one of 0 ended in "term profiles a must be finite" with no option; a
+    # nu_width of 1e200, whose square overflows a Python float, was a traceback
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -718,6 +736,31 @@ def test_overflowing_polynomial_profile_names_coefficients(tmp_path, scale):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and "'kernel.coefficients'" in lines[0]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_profile_too_large_for_the_pairing_names_its_option(tmp_path, scale):
+    # sqrt(w) exp(-w / decay) on nodes up to 1e100 squares to a sum near 1e102, and the
+    # FFT pairing's d_omega^2 factor then overflows: 1e100 printed five numpy
+    # RuntimeWarnings and then "trajectory values must be finite", naming 'hbar',
+    # 'spectral_grid' and 'times'; 1e150 under PYTHONWARNINGS=error was a traceback
+    # with exit 1. A fresh interpreter shows the warnings as a user would see them.
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"scenario": "decoherence-polefree", "spectral_grid": {"omega_max": scale},
+         "kernel": {"family": "polefree", "decay": scale, "cutoff": scale},
+         "times": {"start": 1e-10 / scale, "stop": 1.0 / scale}},
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(phasedec.__file__).resolve().parents[1])}
+    for warnings in ("default", "error"):
+        done = subprocess.run(
+            [sys.executable, "-m", "phasedec.cli", "run", "--config", cfg, "--out", str(tmp_path / "o")],
+            env={**env, "PYTHONWARNINGS": warnings}, capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_VALIDATION
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and "'kernel.decay'" in lines[0] and "pairing" in lines[0]
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

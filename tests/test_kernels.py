@@ -30,6 +30,8 @@ def test_profile_width_validation():
         kernels.gaussian_coherence_kernel(0.0, kernels.gaussian_profile(1.0, 0.3))
     with pytest.raises(ValueError):
         kernels.spectral_edge_profile(decay=0.0)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        kernels.spectral_edge_profile(decay=1.2, cutoff=0.0)
     with pytest.raises(ValueError):
         kernels.polynomial_profile([1.0], decay=-1.0)
 
