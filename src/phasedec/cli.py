@@ -6,7 +6,10 @@ no timestamps), one RFC-4180 CSV per curve, and run_meta.json for the
 wall-clock and memory metadata that must not perturb report bytes.
 
 Exit codes: 0 all assertions pass, 1 config parse error, 2 validation
-error, 3 assertion failure, 4 I/O error, 5 not enough memory for the run.
+error, 3 assertion failure, 4 I/O error, 5 not enough memory for the run,
+6 internal error: any other exception, a fault of the program rather than
+of the config, reported as one stderr line naming its type (``-v`` adds
+the traceback).
 
 ``run -v`` prints the package's INFO log lines (what the run is doing,
 such as state renormalization) on stderr; without it only warnings show.
@@ -36,6 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_ASSERTION = 3
 EXIT_IO = 4
 EXIT_RESOURCES = 5
+EXIT_INTERNAL = 6
 
 
 class ConfigError(ValueError):
@@ -192,29 +196,33 @@ def main(argv=None) -> int:
         print(json.dumps(scenario_defaults(), sort_keys=True, indent=2))
         return EXIT_OK
 
-    try:
-        config = load_config(args.config)
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.hbar is not None:
-            config.options["hbar"] = args.hbar
-        with _package_logging(args.verbose):
+    # the handler stays installed while the errors are reported, so -v can log a traceback
+    with _package_logging(args.verbose):
+        try:
+            config = load_config(args.config)
+            if args.out is not None:
+                config.output_dir = args.out
+            if args.seed is not None:
+                config.seed = args.seed
+            if args.hbar is not None:
+                config.options["hbar"] = args.hbar
             return run_scenario(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, TypeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:
-        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
-
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (ValueError, TypeError, KeyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except MemoryError as exc:
+            print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
+            return EXIT_RESOURCES
+        except Exception as exc:
+            print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            logging.getLogger("phasedec").info("traceback of the internal error", exc_info=True)
+            return EXIT_INTERNAL
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,14 +4,15 @@
 ``dense_as_factors`` holds a full array K as n factor pairs u = K^T, v = I,
 ``harmonic_map`` realizes the energy label as the oscillator Hamiltonian,
 whose compact orbits give closed-form singular symbols, ``mesh`` gives
-full coordinate arrays for closed-form symbols on a grid, and
+full coordinate arrays for closed-form symbols on a grid,
 ``per_row_difference_matrix`` builds each differentiation-matrix row with
-its own Fornberg call on the physical nodes.
+its own Fornberg call on the physical nodes, and ``placed_tiles`` places
+the derivative's tiles into the full matrix they apply.
 """
 
 import numpy as np
 
-from phasedec.phase_space import Grid, PhaseFunction, _fornberg_weights
+from phasedec.phase_space import Grid, PhaseFunction, _fornberg_weights, _tiles
 from phasedec.spectral import MomentumMap
 from phasedec.weyl import OperatorKernel
 
@@ -45,8 +46,21 @@ def mesh(grid: Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(*(axis.nodes() for axis in grid.axes), indexing="ij"))
 
 
+def placed_tiles(count: int, spacing: float, order: int, parts: int = 1) -> np.ndarray:
+    """The ``(parts count, parts count)`` matrix that the tiles of ``phase_space._tiles`` apply.
+
+    Each tile's weights are written into its rows and columns; the tiles'
+    rows do not overlap. Built uncached, so no test shares the package's
+    tiles or fills its cache.
+    """
+    d = np.zeros((parts * count, parts * count))
+    for rows, cols, weights in _tiles.__wrapped__(count, spacing, order, parts, "C"):
+        d[rows, cols] = weights
+    return d
+
+
 def per_row_difference_matrix(count: int, spacing: float, order: int) -> np.ndarray:
-    """``phase_space._difference_matrix`` built row by row: one Fornberg call per row.
+    """The matrix of ``placed_tiles`` built row by row: one Fornberg call per row.
 
     Each row's weights come from the nodes ``k * spacing`` around it: the
     centred window of ``2 half + 1`` nodes in the interior, the first or

@@ -14,6 +14,7 @@ import phasedec
 from phasedec.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCES,
@@ -169,6 +170,25 @@ def test_oversized_grid_is_resource_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["quiet", "verbose"])
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, verbose):
+    # an exception no other code claims is a fault of the program: exit 6 and one
+    # stderr line naming its type, not a traceback under exit 1 (a parse error's code)
+    def fault(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("phasedec.cli.run_named_scenario", fault)
+    cfg = write_config(tmp_path / "cfg.json", {"scenario": "moyal-convergence"})
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out")] + ["-v"] * verbose
+    assert main(argv) == EXIT_INTERNAL == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: ZeroDivisionError: division by zero\n")
+    if verbose:
+        assert "Traceback (most recent call last)" in err and err.rstrip().endswith("division by zero")
+    else:
+        assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory write bits")

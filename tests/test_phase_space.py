@@ -13,14 +13,14 @@ from phasedec.phase_space import (
     Grid,
     PhaseFunction,
     _derivative_values,
-    _difference_matrix,
+    _tiles,
     integrate,
     interior_max_abs,
     interior_slices,
     partial_derivative,
     poisson_bracket,
 )
-from oracles import per_row_difference_matrix
+from oracles import per_row_difference_matrix, placed_tiles
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ class TestPartialDerivative:
         g = Grid(((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)))
         v = random_samples(g.shape, dtype, seed=7)
         for axis in range(4):
-            d = _difference_matrix(g.shape[axis], g.spacing(axis), order)
+            d = placed_tiles(g.shape[axis], g.spacing(axis), order)
             expected = np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis)
             out = _derivative_values(v, g, axis, order)
             assert out.dtype == v.dtype
@@ -231,13 +231,17 @@ class TestPartialDerivative:
 
 
 class TestDifferenceMatrix:
-    # axis lengths and non-dyadic spacings; the weights are placed, not recomputed per row
-    AXES = [(count, 2.7 / (count - 1)) for count in range(9, 22)] + [(161, 0.4 / np.pi), (1281, 0.011)]
+    # axis lengths and non-dyadic spacings; the weights are placed, not recomputed
+    # per row. 9..21 nodes are one tile, 25..40 two tiles of one dense block, and
+    # 161 and 1281 span 7 and 54 tiles whose interior ones share one block
+    AXES = [(count, 2.7 / (count - 1)) for count in range(9, 22)] + [
+        (25, 0.1), (40, 0.1), (161, 0.4 / np.pi), (1281, 0.011)
+    ]
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_per_row_fornberg_oracle(self, order):
         for count, spacing in self.AXES:
-            d = _difference_matrix.__wrapped__(count, spacing, order)
+            d = placed_tiles(count, spacing, order)
             expected = per_row_difference_matrix(count, spacing, order)
             assert not d[expected == 0].any()  # no weight outside the oracle's windows
             row_max = np.max(np.abs(expected), axis=1, keepdims=True)
@@ -247,9 +251,15 @@ class TestDifferenceMatrix:
     def test_mirror_identity_is_exact(self, order):
         # the last rows are the first ones reversed times (-1)^order, so
         # reflecting the axis maps the matrix onto itself bit for bit
-        for count, spacing in [(9, 0.3), (21, 2.7 / 20), (161, 0.4 / np.pi)]:
-            d = _difference_matrix.__wrapped__(count, spacing, order)
-            assert np.array_equal(d[::-1, ::-1], (-1) ** order * d), count
+        for count, spacing in [(9, 0.3), (21, 2.7 / 20), (40, 0.1), (161, 0.4 / np.pi)]:
+            for parts in (1, 2):
+                d = placed_tiles(count, spacing, order, parts)
+                assert np.array_equal(d[::-1, ::-1], (-1) ** order * d), (count, parts)
+
+    def test_interleaved_tiles_are_kron_with_the_identity(self):
+        for count in (9, 40, 161):
+            d = placed_tiles(count, 0.1, 3)
+            assert np.array_equal(placed_tiles(count, 0.1, 3, parts=2), np.kron(d, np.eye(2))), count
 
     def test_fornberg_runs_once_per_stencil_row_whatever_the_axes(self, monkeypatch):
         calls = collections.Counter()
@@ -264,13 +274,61 @@ class TestDifferenceMatrix:
         for order in (1, 2, 3, 4):
             for count in (21, 161, 1281):
                 for spacing in (0.1, 0.4 / np.pi):
-                    _difference_matrix.__wrapped__(count, spacing, order)
+                    placed_tiles(count, spacing, order)
             half = (order + 1) // 2 + 1
             assert 0 < calls[order] <= 1 + half
 
     def test_short_axis_refused(self):
         with pytest.raises(ValueError, match="too small for order-4 stencils"):
-            _difference_matrix.__wrapped__(7, 0.1, 4)
+            placed_tiles(7, 0.1, 4)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_cached_tiles_do_not_grow_with_the_axis(self, order):
+        # one dense 5121-node matrix took 210 MB; every tile is a view of one
+        # block of at most TILE + 2 (order + 4) nodes squared, whatever the axis,
+        # and the tiles' heights differ by at most one row (no short tail tile)
+        def cached_bytes(count, parts, layout):
+            owners = {}
+            for _, _, weights in _tiles(count, 0.01, order, parts, layout):
+                owner = weights if weights.base is None else weights.base
+                owners[id(owner)] = owner.nbytes
+            return sum(owners.values())
+
+        side = phase_space.TILE + 2 * (order + 4)
+        for parts, layout in ((1, "C"), (1, "F"), (2, "F")):
+            sizes = [cached_bytes(count, parts, layout) for count in (641, 1281, 5121)]
+            assert sizes[0] == sizes[1] == sizes[2] <= 8 * (parts * side) ** 2, (parts, sizes)
+            heights = [rows.stop - rows.start for rows, _, _ in _tiles(5121, 0.01, order, parts, layout)]
+            assert len(heights) == -(-5121 // phase_space.TILE) and max(heights) - min(heights) <= parts
+
+
+# the exact derivatives of sin(k x + 1/2) and exp(i k x), each times a factor
+# that varies along the other axis
+WAVES = {
+    float: lambda x, k, order: (np.sin(k * x + 0.5), k**order * np.sin(k * x + 0.5 + order * np.pi / 2)),
+    complex: lambda x, k, order: (np.exp(1j * k * x), (1j * k) ** order * np.exp(1j * k * x)),
+}
+
+
+@pytest.mark.parametrize("order, dtype", complex_and_real(1, 2, 3, 4))
+def test_multi_tile_axes_hold_the_oracle_error(order, dtype):
+    # 641 and 1281 nodes are 27 and 54 tiles on axis 0 and on the last axis;
+    # against the closed form, the tiled error is at most twice that of the
+    # per-row oracle matrix applied by tensordot (measured: at most 1.24 times,
+    # at order 4, where round-off dominates)
+    for count in (641, 1281):
+        for axis in (0, 1):
+            axes = [(-2.0, 2.0, 9), (-2.0, 2.0, 9)]
+            axes[axis] = (-2.0, 2.0, count)
+            g = Grid(tuple(axes))
+            shape, across = ((count, 1), (1, 9)) if axis == 0 else ((1, count), (9, 1))
+            other = np.linspace(1.0, 2.0, 9).reshape(across)
+            wave, exact = (w.reshape(shape) * other for w in WAVES[dtype](g.coordinate(axis), 3.0, order))
+            v = np.ascontiguousarray(wave)
+            tiled = np.max(np.abs(_derivative_values(v, g, axis, order) - exact))
+            d = per_row_difference_matrix(count, g.spacing(axis), order)
+            oracle = np.max(np.abs(np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis) - exact))
+            assert tiled <= 2.0 * oracle, (count, axis, tiled, oracle)
 
 
 class TestPoissonBracket:
@@ -330,16 +388,16 @@ class TestPoissonBracket:
     ids=["partial_derivative", "poisson_bracket"],
 )
 def test_real_operands_take_the_real_last_axis_stencil(monkeypatch, apply):
-    # real samples are float64, so the last axis multiplies by d.T (parts == 1),
-    # not by the half-zero kron(d.T, I_2) of interleaved complex samples
+    # real samples are float64, so every axis takes the real tiles (parts == 1),
+    # not the half-zero kron(w, I_2) tiles of interleaved complex samples
     parts = []
-    stencil = phase_space._interleaved_difference_matrix
+    tiles = phase_space._tiles
 
-    def spy(count, spacing, order, n_parts):
+    def spy(count, spacing, order, n_parts, layout):
         parts.append(n_parts)
-        return stencil(count, spacing, order, n_parts)
+        return tiles(count, spacing, order, n_parts, layout)
 
-    monkeypatch.setattr(phase_space, "_interleaved_difference_matrix", spy)
+    monkeypatch.setattr(phase_space, "_tiles", spy)
     g = Grid.rectangle((-2.0, 2.0, 33), (-1.0, 3.0, 41))
     f = sample(g, lambda q, p: np.sin(q) * p**2)
     h = sample(g, lambda q, p: np.cos(q + p) + 0j)  # complex-typed, imaginary part exactly zero
