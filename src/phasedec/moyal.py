@@ -11,22 +11,25 @@ weights or bracket scale overflow before any B_m is built.
 A term of B_m is weight * D^alpha f * D^beta g, where beta is alpha with
 the counts of q_i and p_i swapped for each i. Both operands reach a
 derivative along one shared rule, ``_chain``, and each holds only the chain
-of the current term, in buffers recycled within the call. The rule commutes
-with the swap except where the two counts tie, and the terms are sorted so
-that the chains of both operands run in preorder: for the star product on
-two degrees of freedom at orders 2, 4 and 6, each operand takes one
-derivative per distinct multi-index. Because the rule does not depend on
-which operand it serves, D^alpha of a function comes out the same on either
-side of a product, and B_m(g, f) = (-1)^m B_m(f, g) holds term by term on
-the grid too; the bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd
-part of one series.
+of the current term. The rule commutes with the swap except where the two
+counts tie, and the terms are sorted so that the chains of both operands
+run in preorder: for the star product on two degrees of freedom at orders
+2, 4 and 6, each operand takes one derivative per distinct multi-index.
+Because the rule does not depend on which operand it serves, D^alpha of a
+function comes out the same on either side of a product, and
+B_m(g, f) = (-1)^m B_m(f, g) holds term by term on the grid too; the
+bracket (f*g - g*f)/(i*hbar) is 2/(i*hbar) times the odd part of one series.
 The sign convention is fixed so that the bracket of the canonical pair is
 +1, i.e. {q, p}_mb = {q, p}_pb; a dedicated test pins this constant.
 
 Each term adds into its B_m in flat blocks of ``BLOCK`` samples through one
 block-sized scratch product, which stays in cache. Every element sees the
 same multiply, multiply and add as in a whole-array pass, so the blocks
-change no bit of B_m.
+change no bit of B_m. The derivative buffers of both operands, one per link
+of each one's longest chain, are views into one workspace per call:
+grid-sized buffers allocated one at a time would go back to the OS after
+each call, under glibc's mmap threshold and trim rule, and fault in again
+on the next (``_bidifferentials`` gives the counts).
 
 A float64 operand is differentiated and multiplied in real arithmetic, and B_m
 is real when both operands are. The series sums in complex, as c_m is; a result
@@ -101,14 +104,18 @@ class _DerivativeCache:
     The derivatives take the samples' dtype, so real samples are
     differentiated in real arithmetic. A request keeps the links it shares
     with the previous chain and computes the rest into the buffers of the
-    links it drops, so one chain of arrays is live at a time.
+    links it drops, so one chain of arrays is live at a time. ``buffers``
+    are all the arrays it writes into, one per link of the longest chain
+    it will be asked for, each of the grid's shape and the samples' dtype,
+    so it allocates nothing: ``_bidifferentials`` cuts them from one
+    workspace per call.
     """
 
-    def __init__(self, values: np.ndarray, grid: Grid):
-        self.grid, self.dtype = grid, values.dtype
+    def __init__(self, values: np.ndarray, grid: Grid, buffers: list[np.ndarray]):
+        self.grid = grid
         self._links: tuple[tuple[int, int], ...] = ()
         self._arrays = [values]  # the samples, then one derivative per link
-        self._free: list[np.ndarray] = []
+        self._free = buffers
 
     def get(self, links: tuple[tuple[int, int], ...]) -> np.ndarray:
         """The derivative at the end of the chain ``links``, valid until the next request."""
@@ -118,7 +125,7 @@ class _DerivativeCache:
         self._free += self._arrays[keep + 1 :]
         del self._arrays[keep + 1 :]
         for axis, step in links[keep:]:
-            out = self._free.pop() if self._free else np.empty(self.grid.shape, self.dtype)
+            out = self._free.pop()
             self._arrays.append(_derivative_values(self._arrays[-1], self.grid, axis, step, out=out))
         self._links = links
         return self._arrays[-1]
@@ -151,16 +158,34 @@ def _bidifferential_terms(n_dof: int, orders) -> list[tuple[float, int, tuple, t
 def _bidifferentials(f: PhaseFunction, g: PhaseFunction, orders) -> dict[int, np.ndarray]:
     """B_m(f, g) for each m in ``orders``; none of them depends on hbar.
 
+    Both operands' derivative buffers are cut from one float64 workspace,
+    allocated before the first term: one buffer per link of the longest
+    chain each operand's terms reach, a view of that operand's dtype.
+    Grid-sized buffers allocated one at a time, as first needed, would only
+    raise glibc's mmap threshold to their size, and glibc trims the heap top
+    above twice the threshold, so they would go back to the OS after every
+    call and fault in again on the next: about 3000, 6700 and 2600 pages
+    per star product of orders 2 and 4 and bracket of order 4 on real 21^4
+    samples, run in turn. The one block faults none. The B_m are their own
+    arrays: in the workspace they would keep it alive until the series is
+    summed.
+
     Each term adds into its B_m in flat blocks of ``BLOCK`` samples through
     one scratch product. The B_m are real when f and g are.
     """
-    grid = f.grid
-    fd, gd = _DerivativeCache(f.values, grid), _DerivativeCache(g.values, grid)
-    dtype = np.result_type(fd.dtype, gd.dtype)
+    grid, terms = f.grid, _bidifferential_terms(f.grid.n_dof, orders)
+    depths = [max((len(term[i]) for term in terms), default=0) for i in (2, 3)]
+    workspace = np.empty(sum(depth * x.values.nbytes // 8 for x, depth in zip((f, g), depths)))
+    split = depths[0] * f.values.nbytes // 8
+    fd, gd = (
+        _DerivativeCache(x.values, grid, list(part.view(x.values.dtype).reshape(depth, *grid.shape)))
+        for x, depth, part in zip((f, g), depths, (workspace[:split], workspace[split:]))
+    )
+    dtype = np.result_type(f.values.dtype, g.values.dtype)
     sums = {m: np.zeros(grid.shape, dtype=dtype) for m in orders}
     flat_sums = {m: total.reshape(-1) for m, total in sums.items()}
     scratch = np.empty(min(BLOCK, grid.n_points), dtype=dtype)
-    for weight, m, chain_f, chain_g in _bidifferential_terms(grid.n_dof, orders):
+    for weight, m, chain_f, chain_g in terms:
         df, dg, total = fd.get(chain_f).reshape(-1), gd.get(chain_g).reshape(-1), flat_sums[m]
         for start in range(0, total.size, BLOCK):
             block = slice(start, start + BLOCK)

@@ -409,12 +409,15 @@ class TestPlaneWaves:
 
 @pytest.fixture
 def derivative_calls(monkeypatch):
-    """Count the derivatives that moyal takes, wrapped in its namespace as a tracer would."""
+    """The (axis, order, out) of each derivative that moyal takes.
+
+    The derivative is wrapped in moyal's namespace, as a tracer would.
+    """
     calls = []
     derivative = moyal._derivative_values
 
     def counted(*args, **kwargs):
-        calls.append(args[2:4])
+        calls.append((*args[2:4], kwargs.get("out")))
         return derivative(*args, **kwargs)
 
     monkeypatch.setattr(moyal, "_derivative_values", counted)
@@ -436,33 +439,103 @@ class TestDerivativeSchedule:
     def test_bracket_calls(self, derivative_calls):
         f, g = (sample(Grid.square(-1.5, 1.5, 9, n_dof=2), fn) for fn in REAL_PAIRS[2, "smooth"])
         moyal_bracket(f, g, 0.5, order=4)
-        assert len(derivative_calls) <= 62
+        assert len(derivative_calls) == 62
 
     def test_limit_check_calls(self, derivative_calls):
         f, g = (sample(Grid.square(-2.0, 2.0, 33), fn) for fn in REAL_PAIRS[1, "smooth"])
         classical_limit_check(f, g, [0.4, 0.2, 0.1], order=3)
-        assert len(derivative_calls) <= 18
+        assert len(derivative_calls) == 18
 
 
 def whole_array_bidifferentials(f, g, orders):
-    """Oracle: B_m from whole-array passes over the same terms in the same order."""
-    fd, gd = _DerivativeCache(f.values, f.grid), _DerivativeCache(g.values, g.grid)
-    sums = {m: np.zeros(f.grid.shape, np.result_type(fd.dtype, gd.dtype)) for m in orders}
-    for weight, m, chain_f, chain_g in _bidifferential_terms(f.grid.n_dof, orders):
+    """Oracle: B_m from whole-array passes over the same terms in the same order.
+
+    Each operand's derivatives go into arrays of their own, one per link of
+    its longest chain, not into views of one workspace.
+    """
+
+    def cache(x, chains):
+        depth = max(map(len, chains), default=0)
+        return _DerivativeCache(x.values, x.grid, [np.empty_like(x.values) for _ in range(depth)])
+
+    terms = _bidifferential_terms(f.grid.n_dof, orders)
+    fd, gd = cache(f, [t[2] for t in terms]), cache(g, [t[3] for t in terms])
+    sums = {m: np.zeros(f.grid.shape, np.result_type(f.values, g.values)) for m in orders}
+    for weight, m, chain_f, chain_g in terms:
         sums[m] += weight * fd.get(chain_f) * gd.get(chain_g)
     return sums
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_blocked_accumulation_is_bit_identical(kind):
-    # 15^4 samples are one full block and a tail
+BLOCKED_CASES = [(kind, order) for order in (4, 0, 6) for kind in ("real", "complex", "mixed")]
+# order 4 keeps the plain kind as its id
+BLOCKED_IDS = [kind if order == 4 else f"{kind}-order-{order}" for kind, order in BLOCKED_CASES]
+
+
+@pytest.mark.parametrize("kind, order", BLOCKED_CASES, ids=BLOCKED_IDS)
+def test_blocked_accumulation_is_bit_identical(kind, order):
+    # 15^4 samples are one full block and a tail; order 0 has no term and an
+    # empty workspace, and "mixed" puts a real f and a complex g in one workspace
     grid = Grid.square(-1.5, 1.5, 15, n_dof=2)
     assert BLOCK < grid.n_points < 2 * BLOCK
     f, g = (sample(grid, fn) for fn in REAL_PAIRS[2, "smooth"])
     if kind == "complex":
         f, g = f * np.exp(0.3j * g.values), g + 0.5j * f
-    orders = range(1, 5)
+    if kind == "mixed":
+        g = g + 0.5j * f
+    orders = range(1, order + 1)
     out, oracle = _bidifferentials(f, g, orders), whole_array_bidifferentials(f, g, orders)
+    assert list(out) == list(oracle) == list(orders)
     for m in orders:
         assert out[m].dtype == oracle[m].dtype == (float if kind == "real" else complex)
         assert np.array_equal(out[m], oracle[m])
+
+
+def owner(array):
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+#: series, truncation order, and the links of the longest chains of f and g together
+WORKSPACE_CASES = [
+    (star_product, 2, 2 + 2),
+    (star_product, 4, 4 + 4),
+    (star_product, 6, 4 + 4),
+    (moyal_bracket, 4, 3 + 3),
+]
+WORKSPACE_IDS = ["star-2", "star-4", "star-6", "bracket-4"]
+
+
+class TestWorkspace:
+    """Both operands' derivatives live in one block per call, sized before the first term."""
+
+    @pytest.mark.parametrize("count", [9, 21])
+    @pytest.mark.parametrize("series, order, depth", WORKSPACE_CASES, ids=WORKSPACE_IDS)
+    def test_every_derivative_goes_into_one_block(self, derivative_calls, series, order, depth, count):
+        f, g = (sample(Grid.square(-1.5, 1.5, count, n_dof=2), fn) for fn in REAL_PAIRS[2, "smooth"])
+        series(f, g, 0.5, order)
+        outs = [out for _, _, out in derivative_calls]
+        assert outs and all(out is not None for out in outs)
+        blocks = {id(owner(out)): owner(out) for out in outs}
+        assert len(blocks) == 1
+        (block,) = blocks.values()
+        assert block.nbytes == depth * f.values.nbytes
+        assert all(np.shares_memory(out, block) for out in outs)
+
+    @pytest.mark.parametrize("series, order, depth", WORKSPACE_CASES, ids=WORKSPACE_IDS)
+    def test_peak_memory(self, series, order, depth):
+        # the block, one B_m per order in the series and one grid for the rest
+        # (the scratch product and the stencil tiles); measured 6.18, 12.20,
+        # 14.20 and 8.17 grids, the same as when each derivative buffer was
+        # allocated on first use
+        f, g = real_pair("21^4", "smooth")
+        n_orders = len(range(1, order + 1, 2 if series is moyal_bracket else 1))
+        series(f, g, 0.5, order)  # fill the stencil caches first
+        tracemalloc.start()
+        try:
+            series(f, g, 0.5, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (depth + n_orders + 1) * f.values.nbytes
