@@ -34,18 +34,19 @@ INTERIOR_FRACTION = 0.8
 TILE = 24
 
 
-def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+def _frozen(values, dtype, shape, what: str, copy=True) -> np.ndarray:
     """One owned, read-only, C-contiguous ``dtype`` copy of ``values``.
 
     Every value type stores its arrays through this; a wrong shape or a
     non-finite entry raises ValueError naming ``what``. ``dtype`` None is
     the one real-or-complex rule: complex128 when some imaginary part is
-    nonzero, else float64.
+    nonzero, else float64. ``copy`` None keeps ``values`` itself when it
+    already has that dtype and layout, for an array no one else holds.
     """
     if dtype is None:
         nonzero_imag = np.iscomplexobj(values) and np.imag(values).any()
         values, dtype = (values, complex) if nonzero_imag else (np.real(values), float)
-    values = np.array(values, dtype=dtype, order="C")
+    values = np.array(values, dtype=dtype, order="C", copy=copy)
     if values.shape != tuple(shape):
         raise ValueError(f"{what} shape {values.shape} does not match {tuple(shape)}")
     if not np.all(np.isfinite(values)):
@@ -151,6 +152,19 @@ class PhaseFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "PhaseFunction":
+        """Samples ``values`` checked and frozen as the constructor does, but kept, not copied.
+
+        For a fresh array that the caller drops, such as a Wigner
+        transform's rows: a copy would hold them twice while it is made.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", _frozen(values, None, grid.shape, "phase function samples", None))
+        object.__setattr__(f, "label", "")
+        return f
+
+    @classmethod
     def sample(cls, grid: Grid, fn, label: str = "") -> "PhaseFunction":
         """Sample ``fn`` on the grid, broadcast once to the grid shape.
 
@@ -219,20 +233,28 @@ def _cos_sin(
     cos and one sin per point whatever ``count``, and row 0 is exact. Every
     cos/sin table of the package comes from here. A step * max|x| that is
     not finite is refused before any arithmetic, naming the points ``what``
-    (``_check_phases``). The table is written into ``out`` when given, a
-    float array of the table's shape, so a caller that builds one table per
-    block of points reuses one buffer; each entry holds the same bits
-    either way.
+    (``_check_phases``). The table is written into ``out`` when given, and
+    ``out`` is returned. It may be a float array or view of the table's
+    shape, so a caller that builds one table per block of points reuses one
+    buffer, or of shape (parts, count, len(points)). With ``parts`` 2 it
+    may also be a complex (count, len(points)) array or view, such as the
+    transpose of a (points, count) array: each row k then goes in as the
+    complex powers, cos in the real parts and sin in the imaginary parts,
+    one strided copy per row. Each entry holds the same bits every way.
     """
     _check_phases(step, points, what)
     phasor = np.empty(len(points), dtype=complex)
     np.cos(step * points, out=phasor.real)
     np.sin(step * points, out=phasor.imag)
     power = np.ones_like(phasor)
-    cos_sin = power.view(float).reshape(-1, 2).T[:parts]  # the live real and imaginary parts
     table = np.empty((parts * count, len(points))) if out is None else out
+    if table.dtype == complex:
+        rows, row = table, power
+    else:
+        rows = table.reshape(parts, count, len(points))  # a view: it splits the first axis at most
+        row = power.view(float).reshape(-1, 2).T[:parts]  # the live real and imaginary parts
     for k in range(count):
-        table[k::count] = cos_sin  # rows k and count + k
+        rows[..., k, :] = row
         power *= phasor
     return table
 

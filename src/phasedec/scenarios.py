@@ -439,18 +439,25 @@ def _run_wigner_negativity(opts: dict, seed: int) -> tuple[dict, list, dict]:
     limit = ("hbar", "axis")  # they set the phase-step limit max|p| dy / hbar < pi/4 and the states' samples
     psi = _option(limit, gaussian_state, axis, sigma=np.sqrt(hbar))
     ground = _option(limit, wigner_of_pure_state, psi, hbar, grid)
+    # the checks read three things of the ground symbol: taken here, it is
+    # dropped before the excited one is built, so one n x n symbol is held
+    # at a time (two would outgrow what glibc keeps of the heap between runs)
+    mid = grid.shape[1] // 2
+    min_ground, ground_p0 = float(ground.values.real.min()), ground.values[:, mid].copy()
+    masses = {"ground": float(integrate(ground).real)}
+    del ground
     psi = _option(limit, oscillator_state, axis, 1, hbar)
     excited = _option(limit, wigner_of_pure_state, psi, hbar, grid)
     min_excited = float(excited.values.real.min())
     # dip of the first excited quasi-density at the origin is -1/(pi*hbar)
     target = -1.0 / (np.pi * hbar)
-    masses = {"ground": float(integrate(ground).real), "excited": float(integrate(excited).real)}
+    masses["excited"] = float(integrate(excited).real)
     tol = 1e-5  # of each unit mass
 
     checks = [
         _near("excited_minimum_depth", min_excited, target, 0.02, relative=True, key="min_excited"),
         _assertion("excited_is_negative", min_excited < 0, value=min_excited),
-        _above("ground_nonnegative", float(ground.values.real.min()), -1e-6, key="min_ground"),
+        _above("ground_nonnegative", min_ground, -1e-6, key="min_ground"),
         *[
             _assertion(
                 f"{state}_unit_mass", abs(mass - 1.0) <= tol, key=f"mass_{state}", value=mass, tolerance=tol
@@ -459,8 +466,7 @@ def _run_wigner_negativity(opts: dict, seed: int) -> tuple[dict, list, dict]:
         ],
         _above("marginal_nonnegative", float(q_marginal(excited).min()), -1e-6, key="min_marginal"),
     ]
-    mid = grid.shape[1] // 2
-    columns = grid.coordinate(0), ground.values[:, mid].real, excited.values[:, mid].real
+    columns = grid.coordinate(0), ground_p0, excited.values[:, mid].real
     curve = _table(["q", "W_ground_p0", "W_excited_p0"], *columns)
     return {"hbar": hbar, "target_minimum": target}, checks, {"wigner_slice": curve}
 

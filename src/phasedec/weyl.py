@@ -37,10 +37,19 @@ g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the cross-Wigner lag products of
 G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come straight
 from the factors, and a term with u_k = v_k adds to H alone. A pure state
 is the factored projector psi psi^H, divided by 2 pi hbar.
+
+A transform allocates twice: its symbol rows, which the returned
+``PhaseFunction`` keeps without a copy, and one float64 workspace sized
+before the first lag, from which every other buffer it writes is cut: the
+lag layouts and halves, the padded factor rows, the cos/sin table and the
+odd sums. Allocated one at a time, those buffers went back to the OS after
+each call under glibc's mmap-threshold and trim rules and faulted in again
+on the next (``_kernel_rows`` gives the counts).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -199,7 +208,7 @@ def _half_window(n: int, nodes: np.ndarray):
 
 
 def _fold(halves: np.ndarray, bands, first: np.ndarray, last: np.ndarray, p_out: np.ndarray,
-          h: float, hbar: float):
+          h: float, hbar: float, rows: np.ndarray, table: np.ndarray, odd_rows: np.ndarray):
     """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
 
     ``halves`` holds the real lags of one or two hermitian operators on the
@@ -211,30 +220,32 @@ def _fold(halves: np.ndarray, bands, first: np.ndarray, last: np.ndarray, p_out:
     sin) table, which the operators share. On a p axis symmetric about 0
     (p_out[0] == -p_out[-1]) the table holds the p >= 0 nodes only: cos is
     even in p and sin odd, so each p < 0 column is its mirror's even fold
-    minus its odd fold. The result is one (rows, n_p) array per operator.
+    minus its odd fold. The caller's arrays take every value the fold
+    writes: ``rows`` (operators, rows, n_p) the symbol rows of each
+    operator, ``table`` (parts, depth, columns) the cos/sin table and
+    ``odd_rows`` (at least the widest band's rows, columns) each band's
+    odd sum.
     """
     operators, parts, _ = halves.shape
     halves[..., first] *= 0.5
     halves[..., last] *= np.where(first < last, 0.5, 0.0)
-    mirrored = len(p_out) // 2 if p_out[0] == -p_out[-1] else 0
-    depth = max(d for _, d, _ in bands)
-    table = _cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p").reshape(parts, depth, -1)
+    depth, columns = table.shape[1:]
+    mirrored = len(p_out) - columns
+    _cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p", out=table)
     table *= 2.0 * h
-    symbols = np.empty((operators, len(first), len(p_out)))
-    for rows, d, flat in bands:
+    for band, d, flat in bands:
         lag_rows = halves[..., flat].reshape(operators, parts, d, -1)
-        for (even, *odd), symbol in zip(lag_rows, symbols[:, rows]):
+        for (even, *odd), symbol in zip(lag_rows, rows[:, band]):
             folded = symbol[:, mirrored:]
             np.matmul(even.T, table[0, :d], out=folded)
+            flipped = symbol[:, mirrored - 1::-1] if mirrored else None
             if odd:
-                odd_sum = odd[0].T @ table[1, :d]
+                odd_sum = np.matmul(odd[0].T, table[1, :d], out=odd_rows[: len(folded)])
                 if mirrored:
-                    flipped = symbol[:, mirrored - 1::-1]
                     np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
                 folded += odd_sum
-    if mirrored and parts == 1:
-        symbols[..., mirrored - 1::-1] = symbols[..., -mirrored:]
-    return list(symbols)
+            elif mirrored:
+                flipped[...] = folded[:, -mirrored:]  # per band: numpy's copy of the columns stays small
 
 
 def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> PhaseFunction:
@@ -249,105 +260,182 @@ def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> Pha
     A = 0 and an exactly real symbol.
     """
     nodes, p_out = _output_nodes(kernel.axis, hbar, out_grid)
-    return PhaseFunction(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
+    return PhaseFunction._adopt(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
 
 
 def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
     """Symbol rows at node indices ``nodes``, float64 when A = 0.
 
     One gather lays every band's lags out on one flat axis, zero past each
-    row's reach, and ``_fold`` folds them band by band. Each buffer is
-    dropped once used, and this frame ends before ``PhaseFunction`` copies
-    the rows.
+    row's reach, and ``_fold`` folds them band by band into the rows. The
+    rows are allocated first and returned for the caller to keep; every
+    other array the two write is a view of one float64 workspace, sized
+    here from the bands before the first lag is formed. The halves come
+    first in it. After them go the lag layouts and the padded factor rows,
+    and, once the halves are built, the cos/sin table and one band's odd
+    sum over the same space.
+
+    Buffers allocated one at a time would only raise glibc's dynamic mmap
+    threshold to the largest of them, and glibc trims the heap top above
+    twice that threshold. A transform's buffers sum to more, so their pages
+    went back to the OS after each call and faulted in again on the next:
+    711 minor faults per 385 x 385 pure-state transform, run alone in a
+    loop. With the workspace it faults none. The rows come before the
+    workspace so that the workspace, freed on return, rejoins the heap top
+    rather than leaving a hole below the rows. A kernel with non-hermitian
+    terms gets its rows once A's lags are known: whether A is folded is
+    known only then, and its lag stage is the largest, so its rows must not
+    be alive during it.
     """
-    bands, first, last = _half_window(kernel.axis.count, nodes)
-    halves = _lag_halves(kernel, nodes, bands)
-    symbol, *imag = _fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
-    del halves
-    if imag:
-        symbol = symbol.astype(complex)
-        symbol.imag = imag[0]
+    n = kernel.axis.count
+    bands, first, last = _half_window(n, nodes)
+    same = [kernel.v is kernel.u or np.array_equal(a, b) for a, b in zip(kernel.u, kernel.v)]
+    hermitian = [(a, a) for a, same_k in zip(kernel.u, same) if same_k]
+    others = [(a, b) for a, b, same_k in zip(kernel.u, kernel.v, same) if not same_k]
+    dtype_h, dtype_o = _lag_dtype(hermitian), _lag_dtype(others)
+    entries, depth = bands[-1][2].stop, max(d for _, d, _ in bands)
+    operators, parts = (2, 2) if others else (1, 1 + (dtype_h is complex))
+    columns = len(p_out) - (len(p_out) // 2 if p_out[0] == -p_out[-1] else 0)
+    widest = max(band.stop - band.start for band, _, _ in bands)
+    widest_dtype = complex if complex in (dtype_h, dtype_o) else dtype_h or dtype_o
+    lag_shapes = [
+        ((entries,), dtype_h if others or dtype_h is complex else None),  # else H's lags are the halves
+        ((entries,), dtype_o),  # g
+        ((entries,), dtype_o),  # the skew, then A's lags when complex
+        ((entries,), complex if dtype_o is float else None),  # A's lags of a real skew
+        ((_floats((2, n + 2 * depth), widest_dtype),), None if widest_dtype is None else float),
+    ]
+    fold_shapes = [((parts, depth, columns), float), ((widest * (parts - 1), columns), float)]
+    at = operators * parts * entries
+    rows = None if others else np.empty((1, len(nodes), len(p_out)))
+    room = max(sum(_floats(*shape) for shape in shapes) for shapes in (lag_shapes, fold_shapes))
+    workspace = np.empty(at + room)
+    halves = workspace[:at].reshape(operators, parts, entries)
+    halves = _lag_halves(hermitian, others, nodes, bands, halves, *_cut(workspace, at, lag_shapes))
+    if rows is None:
+        rows = np.empty((len(halves), len(nodes), len(p_out)))
+    h = kernel.axis.spacing
+    _fold(halves, bands, first, last, p_out, h, hbar, rows, *_cut(workspace, at, fold_shapes))
+    if len(rows) == 1:
+        return rows[0]
+    del workspace, halves  # freed before the complex rows are allocated
+    symbol = np.empty(rows.shape[1:], dtype=complex)
+    symbol.real, symbol.imag = rows
     return symbol
 
 
-def _lag_halves(kernel: OperatorKernel, nodes: np.ndarray, bands):
-    """Real lags of H, then of A unless they are all zero: (1 or 2, 1 or 2, entries).
+def _floats(shape, dtype) -> int:
+    """float64 slots that an array of ``shape`` and ``dtype`` takes; none for dtype None."""
+    return 0 if dtype is None else math.prod(shape) * np.dtype(dtype).itemsize // 8
 
-    The entries are the flat layout of ``bands`` for rows at kernel nodes
-    ``nodes``. A factor term with u_k = v_k is hermitian: its mirror lag is the
-    conjugate of g_j, so it adds g_j to H's lags and nothing to A's, and
-    a sum of real such terms has no odd half. The other terms add
+
+def _cut(workspace: np.ndarray, at: int, shapes) -> list:
+    """Consecutive views of ``workspace`` from float ``at``, one per (shape, dtype); None for dtype None."""
+    views = []
+    for shape, dtype in shapes:
+        size = _floats(shape, dtype)
+        views.append(None if dtype is None else workspace[at : at + size].view(dtype).reshape(shape))
+        at += size
+    return views
+
+
+def _lag_dtype(pairs):
+    """The dtype of a lag sum over factor ``pairs``: None for no pair, complex when some factor is."""
+    if not pairs:
+        return None
+    return complex if any(a.dtype == complex or b.dtype == complex for a, b in pairs) else float
+
+
+def _lag_halves(hermitian, others, nodes: np.ndarray, bands, halves: np.ndarray, lags_h, g, skew, a_lags,
+                padded):
+    """Real lags of H, then of A unless they are all zero: ``halves`` or its first operator.
+
+    ``hermitian`` and ``others`` are the (u_k, v_k) factor pairs with
+    u_k = v_k and the rest, for rows at kernel nodes ``nodes`` on the flat
+    layout of ``bands``. A factor term with u_k = v_k is hermitian: its mirror
+    lag is the conjugate of g_j, so it adds g_j to H's lags and nothing to
+    A's, and a sum of real such terms has no odd half. The other terms add
     (g + conj m)/2 to H's lags and (g - conj m)/2i to A's, with
     m_j = u_k[i + j] conj(v_k[i - j]), both from one difference
     conj m - g: where their sums agree bit for bit, as for a hermitian
     array held as n factor pairs, A's lags are exactly zero and its fold
     is skipped.
+
+    Every value goes into the caller's arrays: ``halves``
+    (1 or 2, 1 or 2, entries), the lag layouts ``lags_h`` (None when H's
+    lags are real and ``halves`` holds them), ``g``, ``skew`` and
+    ``a_lags`` (None unless the skew is real), and ``padded``, the float64
+    room of ``_factor_lags``. A's halves are spare until A's lags are
+    added: they hold the skew's half and the halves of each complex term
+    of H in turn.
     """
-    u, v = kernel.u, kernel.v
-    same = [v is u or np.array_equal(a, b) for a, b in zip(u, v)]  # v is u when built without v
-    hermitian = [a for a, same_k in zip(u, same) if same_k]
-    lags_h = _factor_lags(hermitian, hermitian, nodes, bands)
-    others = [(a, b) for a, b, same_k in zip(u, v, same) if not same_k]
-    shape = (bands[-1][2].stop,)
+    if hermitian:
+        lags_h = halves.reshape(-1) if lags_h is None else lags_h
+        _factor_lags(*zip(*hermitian), nodes, bands, lags_h, padded)
     if not others:
-        return np.zeros((1, 1) + shape) if lags_h is None else _halves(lags_h)[None]
+        if not hermitian:
+            halves[:] = 0.0
+            return halves
+        return _halves(lags_h, halves[0])[None]
     us, vs = zip(*others)
-    g = _factor_lags(us, vs, nodes, bands)
-    skew = _factor_lags(vs, us, nodes, bands) - g  # conj(m_j) - g_j
-    g += skew / 2.0  # H's lags (g + conj m)/2
-    skew = skew * 0.5j  # A's lags (g - conj m)/2i
-    halves = np.zeros((2, 2) + shape)
-    terms = [] if lags_h is None else [(0, lags_h)]
-    for operator, term_lags in terms + [(0, g), (1, skew)]:
-        # real lags have no odd half; each term's halves die with this statement
-        halves[operator, : 1 + (term_lags.dtype == complex)] += _halves(term_lags)
+    _factor_lags(us, vs, nodes, bands, g, padded)
+    _factor_lags(vs, us, nodes, bands, skew, padded)
+    skew -= g  # conj(m_j) - g_j
+    spare = halves[1]
+    g += np.divide(skew, 2.0, out=spare.reshape(-1)[: skew.nbytes // 8].view(skew.dtype))  # (g + conj m)/2
+    halves[0] = 0.0
+    for term_lags in [g] if lags_h is None else [lags_h, g]:
+        # real lags have no odd half
+        halves[0, : 1 + (term_lags.dtype == complex)] += _halves(term_lags, spare)
+    a_lags = np.multiply(skew, 0.5j, out=skew if a_lags is None else a_lags)  # (g - conj m)/2i
+    _halves(a_lags, halves[1])
     return halves if halves[1].any() else halves[:1]
 
 
-def _factor_lags(u, v, nodes: np.ndarray, bands):
-    """sum_k u_k[i - j] conj(v_k[i + j]) on the flat layout of ``bands``, rows i = ``nodes``.
+def _factor_lags(u, v, nodes: np.ndarray, bands, out: np.ndarray, padded: np.ndarray):
+    """sum_k u_k[i - j] conj(v_k[i + j]) into ``out``, on the flat layout of ``bands``, rows i = ``nodes``.
 
-    ``u`` and ``v`` are sequences of k factor rows. Each is padded with
-    zeros to the deepest lag on both sides, so a lag past its row's reach is
-    zero, and read through one sliding-window view: the output nodes are
-    evenly spaced, so a band's (lag, row) block of u_k[i - j] or
-    v_k[i + j] is a slice of it, with no index array. The sum is real
-    when every row's dtype is, and None for k = 0.
+    ``u`` and ``v`` are sequences of k >= 1 factor rows, and ``out`` of the
+    lags' dtype, complex when some row is. Each row is padded with zeros to
+    the deepest lag on both sides, in a (2, n + 2 pad) view of the float64
+    ``padded``, so a lag past its row's reach is zero, and read through one
+    sliding-window view: the output nodes are evenly spaced, so a band's
+    (lag, row) block of u_k[i - j] or v_k[i + j] is a slice of it, with no
+    index array.
     """
-    if not len(u):
-        return None
-    dtype = complex if any(a.dtype == complex or b.dtype == complex for a, b in zip(u, v)) else float
+    dtype = out.dtype
     pad = max(d for _, d, _ in bands)
     step = int(nodes[1] - nodes[0])
     at = int(nodes[0]) + pad  # window t holds padded[t + step * row], so row's node i at t = at
-    padded = np.zeros((2, len(u[0]) + 2 * pad), dtype)
+    width = len(u[0]) + 2 * pad
+    padded = padded[: _floats((2, width), dtype)].view(dtype).reshape(2, width)
+    padded[:] = 0.0
     left, right = sliding_window_view(padded, step * (len(nodes) - 1) + 1, axis=1)[:, :, ::step]
-    total = np.empty(bands[-1][2].stop, dtype)
     for k, (a, b) in enumerate(zip(u, v)):
         padded[0, pad:-pad] = a
-        padded[1, pad:-pad] = b.conj() if dtype is complex else b
+        padded[1, pad:-pad] = b.conj() if dtype == complex else b
         for rows, d, flat in bands:
-            block = total[flat].reshape(d, -1)
+            block = out[flat].reshape(d, -1)
             u_lags, v_lags = left[at - d + 1 : at + 1][::-1, rows], right[at : at + d, rows]
             if k == 0:
                 np.multiply(u_lags, v_lags, out=block)
             else:
                 block += u_lags * v_lags
-    return total
+    return out
 
 
-def _halves(lags: np.ndarray) -> np.ndarray:
-    """One hermitian operator's lags g_j as (2, entries) 2 Re g_j over -2 Im g_j.
+def _halves(lags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One hermitian operator's lags g_j as (2, entries) 2 Re g_j over -2 Im g_j, written into ``out``.
 
-    Real lags have no odd half: they become (1, entries) 2 g_j in place.
+    Real lags have no odd half: they become (1, entries) 2 g_j in place,
+    and ``out`` is left as it is.
     """
     if lags.dtype == float:
         lags *= 2.0
         return lags[None]
-    halves = np.empty((2,) + lags.shape)
-    np.multiply(lags.real, 2.0, out=halves[0])
-    np.multiply(lags.imag, -2.0, out=halves[1])
-    return halves
+    np.multiply(lags.real, 2.0, out=out[0])
+    np.multiply(lags.imag, -2.0, out=out[1])
+    return out
 
 
 def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> PhaseFunction:
@@ -362,7 +450,7 @@ def wigner_of_pure_state(psi: WaveFunction, hbar: float, out_grid: Grid) -> Phas
     projector = OperatorKernel(psi.axis, u=psi.normalize().values[None])
     rows = _kernel_rows(projector, nodes, p_out, hbar)
     rows /= 2.0 * np.pi * hbar
-    return PhaseFunction(out_grid, rows)
+    return PhaseFunction._adopt(out_grid, rows)
 
 
 def q_marginal(w: PhaseFunction) -> np.ndarray:

@@ -8,13 +8,29 @@ full coordinate arrays for closed-form symbols on a grid,
 ``per_row_difference_matrix`` builds each differentiation-matrix row with
 its own Fornberg call on the physical nodes, and ``placed_tiles`` places
 the derivative's tiles into the full matrix they apply.
+
+``reference_kernel_rows``, ``reference_cos_sin`` and
+``reference_plane_wave_matrix`` compute the Wigner fold, the cos/sin table
+and the plane-wave table with every intermediate in its own fresh array
+and the table built apart from E and copied in transposed. The package
+writes the same terms in the same order into one workspace (or straight
+into E), so its results must match these bit for bit.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from phasedec.phase_space import Grid, PhaseFunction, _fornberg_weights, _tiles
+from phasedec.phase_space import (
+    Axis,
+    Grid,
+    PhaseFunction,
+    _check_phases,
+    _fornberg_weights,
+    _tiles,
+    _trapezoid_weights,
+)
 from phasedec.spectral import MomentumMap
-from phasedec.weyl import OperatorKernel
+from phasedec.weyl import OperatorKernel, _half_window
 
 
 def dense_kernel(kernel: OperatorKernel) -> np.ndarray:
@@ -78,3 +94,118 @@ def per_row_difference_matrix(count: int, spacing: float, order: int) -> np.ndar
             lo, size = min(max(i - sided // 2, 0), count - sided), sided
         d[i, lo : lo + size] = _fornberg_weights(x[i], x[lo : lo + size], order)
     return d
+
+
+def reference_cos_sin(step, count, points, parts, what):
+    """(parts count x len(points)) table of ``phase_space._cos_sin``, row by row into a fresh array."""
+    _check_phases(step, points, what)
+    phasor = np.empty(len(points), dtype=complex)
+    np.cos(step * points, out=phasor.real)
+    np.sin(step * points, out=phasor.imag)
+    power = np.ones_like(phasor)
+    cos_sin = power.view(float).reshape(-1, 2).T[:parts]
+    table = np.empty((parts * count, len(points)))
+    for k in range(count):
+        table[k::count] = cos_sin
+        power *= phasor
+    return table
+
+
+def reference_plane_wave_matrix(grid, axis, hbar):
+    """``spectral.plane_wave_matrix`` from a separate (2n, n_q) table, copied into E transposed."""
+    axis, n = Axis(*axis), grid.omega_count
+    cos, sin = reference_cos_sin(grid.d_omega / hbar, n, axis.nodes(), 2, "q").reshape(2, n, -1)
+    table = np.empty((axis.count, n), dtype=complex)
+    table.real, table.imag = cos.T, sin.T
+    table *= _trapezoid_weights(grid.omega_count, grid.d_omega) / np.sqrt(2.0 * np.pi * hbar)
+    return table
+
+
+def reference_kernel_rows(kernel: OperatorKernel, nodes, p_out, hbar):
+    """``weyl._kernel_rows`` with a fresh array for every lag layout, half, table and fold."""
+    bands, first, last = _half_window(kernel.axis.count, nodes)
+    halves = _reference_lag_halves(kernel, nodes, bands)
+    symbol, *imag = _reference_fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
+    if imag:
+        symbol = symbol.astype(complex)
+        symbol.imag = imag[0]
+    return symbol
+
+
+def _reference_lag_halves(kernel, nodes, bands):
+    u, v = kernel.u, kernel.v
+    same = [v is u or np.array_equal(a, b) for a, b in zip(u, v)]
+    hermitian = [a for a, same_k in zip(u, same) if same_k]
+    lags_h = _reference_factor_lags(hermitian, hermitian, nodes, bands)
+    others = [(a, b) for a, b, same_k in zip(u, v, same) if not same_k]
+    shape = (bands[-1][2].stop,)
+    if not others:
+        return np.zeros((1, 1) + shape) if lags_h is None else _reference_halves(lags_h)[None]
+    us, vs = zip(*others)
+    g = _reference_factor_lags(us, vs, nodes, bands)
+    skew = _reference_factor_lags(vs, us, nodes, bands) - g
+    g += skew / 2.0
+    skew = skew * 0.5j
+    halves = np.zeros((2, 2) + shape)
+    terms = [] if lags_h is None else [(0, lags_h)]
+    for operator, term_lags in terms + [(0, g), (1, skew)]:
+        halves[operator, : 1 + (term_lags.dtype == complex)] += _reference_halves(term_lags)
+    return halves if halves[1].any() else halves[:1]
+
+
+def _reference_factor_lags(u, v, nodes, bands):
+    if not len(u):
+        return None
+    dtype = complex if any(a.dtype == complex or b.dtype == complex for a, b in zip(u, v)) else float
+    pad = max(d for _, d, _ in bands)
+    step = int(nodes[1] - nodes[0])
+    at = int(nodes[0]) + pad
+    padded = np.zeros((2, len(u[0]) + 2 * pad), dtype)
+    left, right = sliding_window_view(padded, step * (len(nodes) - 1) + 1, axis=1)[:, :, ::step]
+    total = np.empty(bands[-1][2].stop, dtype)
+    for k, (a, b) in enumerate(zip(u, v)):
+        padded[0, pad:-pad] = a
+        padded[1, pad:-pad] = b.conj() if dtype is complex else b
+        for rows, d, flat in bands:
+            block = total[flat].reshape(d, -1)
+            u_lags, v_lags = left[at - d + 1 : at + 1][::-1, rows], right[at : at + d, rows]
+            if k == 0:
+                np.multiply(u_lags, v_lags, out=block)
+            else:
+                block += u_lags * v_lags
+    return total
+
+
+def _reference_halves(lags):
+    if lags.dtype == float:
+        lags *= 2.0
+        return lags[None]
+    halves = np.empty((2,) + lags.shape)
+    np.multiply(lags.real, 2.0, out=halves[0])
+    np.multiply(lags.imag, -2.0, out=halves[1])
+    return halves
+
+
+def _reference_fold(halves, bands, first, last, p_out, h, hbar):
+    operators, parts, _ = halves.shape
+    halves[..., first] *= 0.5
+    halves[..., last] *= np.where(first < last, 0.5, 0.0)
+    mirrored = len(p_out) // 2 if p_out[0] == -p_out[-1] else 0
+    depth = max(d for _, d, _ in bands)
+    table = reference_cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p").reshape(parts, depth, -1)
+    table *= 2.0 * h
+    symbols = np.empty((operators, len(first), len(p_out)))
+    for rows, d, flat in bands:
+        lag_rows = halves[..., flat].reshape(operators, parts, d, -1)
+        for (even, *odd), symbol in zip(lag_rows, symbols[:, rows]):
+            folded = symbol[:, mirrored:]
+            np.matmul(even.T, table[0, :d], out=folded)
+            if odd:
+                odd_sum = odd[0].T @ table[1, :d]
+                if mirrored:
+                    flipped = symbol[:, mirrored - 1 :: -1]
+                    np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
+                folded += odd_sum
+    if mirrored and parts == 1:
+        symbols[..., mirrored - 1 :: -1] = symbols[..., -mirrored:]
+    return list(symbols)

@@ -43,6 +43,7 @@ from phasedec.states import (
     regular_basis_functional,
 )
 from phasedec.weyl import oscillator_state, wigner_of_pure_state
+from oracles import reference_cos_sin
 
 GAMMA = 0.1
 
@@ -436,6 +437,28 @@ class TestFactoredPhaseSum:
         assert _cos_sin(step, rows, times, 2, "times", out=out) is out
         assert np.array_equal(out, table)
         assert np.isnan(base).sum() == base.size - table.size
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_table_bits_match_the_row_by_row_reference(self, parts):
+        # the table alone, in the 2-D buffer that _phase_sums passes, in a
+        # (parts, rows, points) buffer and, for cos and sin, in both views of
+        # one complex (points, rows) array: the reference's bits every way
+        step, rows = 0.0125, 21
+        times = np.linspace(0.0, 330.0 / (20 * step), 700)
+        reference = reference_cos_sin(step, rows, times, parts, "times")
+        flat, stacked = np.empty_like(reference), np.empty((parts, rows, len(times)))
+        tables = [_cos_sin(step, rows, times, parts, "times"), flat, stacked]
+        assert _cos_sin(step, rows, times, parts, "times", out=flat) is flat
+        assert _cos_sin(step, rows, times, parts, "times", out=stacked) is stacked
+        if parts == 2:
+            for as_float in (True, False):
+                table = np.empty((len(times), rows), dtype=complex)
+                out = table.view(float).reshape(len(times), rows, 2).T if as_float else table.T
+                assert _cos_sin(step, rows, times, 2, "times", out=out) is out
+                tables.append(np.concatenate([table.real.T, table.imag.T]))
+        for table in tables:
+            table = table.reshape(reference.shape)
+            assert np.array_equal(table, reference) and table.tobytes() == reference.tobytes()
 
     def test_phasor_table_matches_long_double(self):
         # 21 rows, arguments k step t up to 330 rad

@@ -8,6 +8,7 @@ whose origin value -1/pi is the canonical negativity witness.
 import tracemalloc
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 import pytest
 
 from phasedec import kernels, weyl
@@ -30,7 +31,13 @@ from phasedec.weyl import (
     wigner_of_kernel,
     wigner_of_pure_state,
 )
-from oracles import dense_as_factors, dense_kernel, mesh
+from oracles import (
+    dense_as_factors,
+    dense_kernel,
+    mesh,
+    reference_kernel_rows,
+    reference_plane_wave_matrix,
+)
 
 AXIS = (-6.0, 6.0, 193)
 
@@ -195,6 +202,150 @@ def _complex_wavefunction(axis):
     q = np.linspace(*axis)
     values = 3.0 * np.exp(-((q - 0.5) ** 2) / 2.0 + 1.3j * q) + 0.4j * np.exp(-((q + 1.0) ** 2))
     return WaveFunction(axis, values)
+
+
+def _mixed_kernel(axis, seed, hermitian=float, other=complex):
+    """One term u_0 u_0^H and one u_1 v_1^H: H's own lags meet g and the skew in one transform."""
+    rng = np.random.default_rng(seed)
+
+    def row(dtype):
+        values = rng.normal(size=(axis[2], 2)) @ [1.0, 1j]
+        return values if dtype is complex else values.real
+
+    shared, u, v = row(hermitian), row(other), row(other)
+    return OperatorKernel(axis, u=np.array([shared, u]), v=np.array([shared, v]))
+
+
+def _zero_kernel(axis, seed):
+    return OperatorKernel(axis)
+
+
+def _real_projector(axis, seed):
+    return OperatorKernel(axis, u=oscillator_state(axis, 1).values[None])
+
+
+def _complex_projector(axis, seed):
+    return OperatorKernel(axis, u=_complex_wavefunction(axis).normalize().values[None])
+
+
+ALL_KERNELS = {
+    "dense-hermitian": _random_hermitian_kernel,
+    "dense": _random_kernel,
+    "real-factors": _real_factored_kernel,
+    "real-skew-factors": _real_skew_factored_kernel,
+    "complex-factors": _complex_factored_kernel,
+    "real-h-real-skew": lambda axis, seed: _mixed_kernel(axis, seed, float, float),
+    "real-h-complex-skew": lambda axis, seed: _mixed_kernel(axis, seed, float, complex),
+    "complex-h-real-skew": lambda axis, seed: _mixed_kernel(axis, seed, complex, float),
+    "complex-h-complex-skew": lambda axis, seed: _mixed_kernel(axis, seed, complex, complex),
+    "zero": _zero_kernel,
+    "real-projector": _real_projector,
+    "complex-projector": _complex_projector,
+}
+_EVERY_THIRD = (AXIS[0] + 7 * 0.0625, AXIS[0] + 187 * 0.0625, 61)  # nodes 7, 10, ..., 187 of AXIS
+OUT_GRIDS = {
+    "every-node-exact-mirror": Grid.rectangle(AXIS, AXIS),
+    "every-node-even-mirror": Grid.rectangle(AXIS, (-4.0, 4.0, 96)),
+    "every-third-node-odd-mirror": Grid.rectangle(_EVERY_THIRD, (-4.0, 4.0, 97)),
+    "every-third-node-one-sided": Grid.rectangle(_EVERY_THIRD, (-0.5, 4.5, 97)),
+}
+
+
+class TestReferenceFold:
+    """Each transform matches the fold with a fresh array per buffer bit for bit."""
+
+    @pytest.mark.parametrize("grid", OUT_GRIDS.values(), ids=OUT_GRIDS.keys())
+    @pytest.mark.parametrize("make", ALL_KERNELS.values(), ids=ALL_KERNELS.keys())
+    def test_kernel_symbol(self, make, grid):
+        kernel, hbar = make(AXIS, 11), 0.9
+        nodes, p_out = weyl._output_nodes(kernel.axis, hbar, grid)
+        expected = PhaseFunction(grid, reference_kernel_rows(kernel, nodes, p_out, hbar)).values
+        values = wigner_of_kernel(kernel, hbar, grid).values
+        assert values.dtype == expected.dtype
+        assert np.array_equal(values, expected) and values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("grid", OUT_GRIDS.values(), ids=OUT_GRIDS.keys())
+    @pytest.mark.parametrize("complex_psi", [False, True], ids=["real-psi", "complex-psi"])
+    def test_pure_state(self, complex_psi, grid):
+        psi = _complex_wavefunction(AXIS) if complex_psi else oscillator_state(AXIS, 1, 0.9)
+        nodes, p_out = weyl._output_nodes(psi.axis, 0.9, grid)
+        projector = OperatorKernel(psi.axis, u=psi.normalize().values[None])
+        expected = reference_kernel_rows(projector, nodes, p_out, 0.9) / (2.0 * np.pi * 0.9)
+        values = wigner_of_pure_state(psi, 0.9, grid).values
+        assert values.dtype == np.float64
+        assert np.array_equal(values, expected) and values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("omega_count, q_count", [(121, 193), (241, 385), (64, 1537)])
+    def test_plane_wave_table(self, omega_count, q_count):
+        sgrid, axis = SpectralGrid(4.0, omega_count), (-24.0, 24.0, q_count)
+        table = plane_wave_matrix(sgrid, axis, 0.8)
+        expected = reference_plane_wave_matrix(sgrid, axis, 0.8)
+        assert np.array_equal(table, expected) and table.tobytes() == expected.tobytes()
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestWorkspace:
+    """Every buffer a transform writes but its rows is a view of one float64 block."""
+
+    @pytest.mark.parametrize("grid", OUT_GRIDS.values(), ids=OUT_GRIDS.keys())
+    @pytest.mark.parametrize("make", ALL_KERNELS.values(), ids=ALL_KERNELS.keys())
+    def test_every_buffer_is_cut_from_one_block(self, monkeypatch, make, grid):
+        # the lag layouts and padded rows of every _factor_lags call, the
+        # halves, the cos/sin table and the odd sums of _fold: one block per
+        # transform, used to its last float; the rows are apart from it. The
+        # table is also taken from what _cos_sin returns, wherever it is held
+        written, folds = [], []
+        factor_lags, fold, cos_sin = weyl._factor_lags, weyl._fold, weyl._cos_sin
+
+        def lags_spy(u, v, *args):
+            out = factor_lags(u, v, *args)
+            written.extend([out, *args[3:]])
+            return out
+
+        def fold_spy(halves, *args):
+            folds.append(halves)
+            written.extend([halves, *args[7:]])
+            return fold(halves, *args)
+
+        def cos_sin_spy(*args, **kwargs):
+            table = cos_sin(*args, **kwargs)
+            written.append(table)
+            return table
+
+        monkeypatch.setattr(weyl, "_factor_lags", lags_spy)
+        monkeypatch.setattr(weyl, "_fold", fold_spy)
+        monkeypatch.setattr(weyl, "_cos_sin", cos_sin_spy)
+        for hbar in (0.9, 1.1):
+            written.clear()
+            folds.clear()
+            values = wigner_of_kernel(make(AXIS, 12), hbar, grid).values
+            transform = [a for a in written if a.size]  # no odd sums without an odd half
+            assert len(folds) == 1 and len({id(_owner(a)) for a in transform}) == 1
+            block = _owner(transform[0])
+            assert block.dtype == np.float64 and block.ndim == 1
+            assert all(np.shares_memory(a, block) for a in transform)
+            assert max(byte_bounds(a)[1] for a in transform) == byte_bounds(block)[1]
+            assert not np.shares_memory(values, block)
+            assert _owner(values).nbytes == values.nbytes
+
+    @pytest.mark.parametrize("omega_count, q_count", [(241, 385), (64, 1537)])
+    def test_plane_wave_table_is_built_in_place(self, omega_count, q_count):
+        # cos and sin go straight into E: the call holds E and nothing of its size
+        sgrid, axis = SpectralGrid(4.0, omega_count), (-24.0, 24.0, q_count)
+        tracemalloc.start()
+        try:
+            table = plane_wave_matrix(sgrid, axis, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = q_count * omega_count * 16
+        assert table.flags.owndata and table.base is None and table.nbytes == size
+        assert peak <= 1.1 * size
 
 
 class TestGatherPath:
