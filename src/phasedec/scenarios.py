@@ -80,6 +80,11 @@ class ScenarioResult:
     curves: dict[str, tuple[list[str], list[list]]]
 
 
+#: the most states ``limit-positivity`` draws: each takes about 0.26 ms on
+#: one core, so this many take about 3 s, and a larger count is refused
+#: before the first state is drawn
+MAX_STATES = 10_000
+
 _KERNEL_FAMILY_DEFAULTS = {
     "lorentzian": {"gamma": 0.1, "center": 2.0, "width": 0.35},
     "gaussian": {"nu_width": 0.25, "center": 2.0, "width": 0.5},
@@ -692,6 +697,8 @@ def _run_limit_positivity(opts: dict, seed: int) -> tuple[dict, list, dict]:
     n_states = opts["n_states"]
     if n_states < 1:
         raise ValueError(f"option 'n_states' must be >= 1, got {n_states}")
+    if n_states > MAX_STATES:
+        raise ValueError(f"option 'n_states' must be <= MAX_STATES = {MAX_STATES}, got {n_states}")
     axis = _option("wigner_axis", Axis, **opts["wigner_axis"])
 
     minima = []

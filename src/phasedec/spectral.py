@@ -13,13 +13,11 @@ live on the n grid nodes and ``c`` on the 2n - 1 node offsets, so
 building and checking a kernel costs O(k n), and pairing k state terms
 with l observable terms O(k l n log n), instead of O(n^2). Any hermitian
 kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
-callables and dense arrays are not accepted. ``CoherenceTerms.dense()``
-builds the full array at O(k n^2). Outside test oracles it runs only in
-``synthesize_kernel``, and only for terms whose offset symbol c is not 1
-everywhere. In the position kernel, separable terms (c = 1) become one
-factor pair each, synthesized from their profiles, and the other terms
-become n factor pairs (E D)_k, E_k, with E the plane-wave table and D
-their dense spectral kernel: no n_q^2 array is formed.
+callables and dense arrays are not accepted, and the package forms no
+(n, n) array of a kernel outside ``decoherence.evolve_pairing``'s blocks.
+In the position kernel, ``synthesize_kernel`` takes separable hermitian
+terms alone (b = a, c = 1), each one factor of unit weight synthesized
+from its profile: no n_q^2 array is formed.
 """
 
 from __future__ import annotations
@@ -138,8 +136,9 @@ class CoherenceTerms:
         """The kernel entries K[rows, cols] as a dense array: O(k rows cols).
 
         Built as zeros plus each term a[rows] conj(b[cols]) c[rows - cols],
-        in term order, so a block holds the same bits as that part of
-        ``dense()``. Every dense array of kernel entries is built here.
+        in term order, so a block holds the same bits as that part of the
+        full array (``tests/oracles.py``'s ``dense_terms``). Every dense array
+        of kernel entries is built here.
         """
         n = self.grid.omega_count
         nodes = np.arange(n)
@@ -149,16 +148,8 @@ class CoherenceTerms:
             out += a[rows, None] * b[cols].conj()[None, :] * c[offset]
         return out
 
-    def dense(self) -> np.ndarray:
-        """The full ``(n, n)`` kernel array, one block of every row and column: O(k n^2).
-
-        Test oracles use it; ``synthesize_kernel`` uses it only for terms
-        whose offset symbol c is not 1 everywhere.
-        """
-        return self._block(slice(None), slice(None))
-
     def hermitian_defect_bound(self) -> float:
-        """An upper bound on max|K - K^H| of ``dense()``, in O(k n).
+        """An upper bound on max|K - K^H| over the kernel's (n, n) entries, in O(k n).
 
         Per term, with real lam = Re<b, a> / <b, b> and e = a - lam b, and
         c~(d) = conj(c(-d)), the term minus its adjoint is
@@ -422,27 +413,22 @@ def synthesize_wavefunction(grid: SpectralGrid, coeffs, axis, table: np.ndarray)
 def synthesize_kernel(
     grid: SpectralGrid, regular: CoherenceTerms, axis, table: np.ndarray
 ) -> OperatorKernel:
-    """Position-space kernel of regular spectral kernel terms in the translation realization.
+    """Position-space kernel of separable hermitian spectral terms in the translation realization.
 
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
     exp(i (w q - w' q') / hbar) dw dw', with ``table`` the plane-wave matrix
-    E = ``plane_wave_matrix(grid, axis, hbar)``. The k terms whose offset
-    symbol c is 1 everywhere become the kernel's factors u = E A^T and
-    v = E B^T (v = u when B = A and no other term is present), at O(k n n_q).
-    The other terms become n more factor pairs u = (E D)^T and v = E^T, with
-    D their dense (n, n) spectral kernel, at O(n^2 n_q). No n_q^2 array is
-    formed.
+    E = ``plane_wave_matrix(grid, axis, hbar)``. Each term must be
+    a_k(w) conj(a_k(w')): b = a and offset symbol c = 1, as
+    ``make_observable`` builds from ``kernels.separable_kernel``. Its
+    factor is u_k = E a_k, of unit weight, at O(k n n_q), and no n^2 or
+    n_q^2 array is formed. Any other term is refused with ValueError.
     """
     axis = _table_axis(grid, axis, table)
     if regular.grid != grid:
         raise ValueError("regular kernel terms must live on the given spectral grid")
-    separable = np.all(regular.c == 1.0, axis=1)
-    a, b = regular.a[separable], regular.b[separable]
-    u = (table @ a.T).T
-    v = None if np.array_equal(a, b) else (table @ b.T).T
-    if not separable.all():
-        others = ~separable
-        dense = CoherenceTerms(grid, regular.a[others], regular.b[others], regular.c[others]).dense()
-        v = np.concatenate([u if v is None else v, table.T])
-        u = np.concatenate([u, (table @ dense).T])
-    return OperatorKernel(axis, u=u, v=v)
+    for k, (a, b, c) in enumerate(zip(regular.a, regular.b, regular.c)):
+        if not np.all(c == 1.0):
+            raise ValueError(f"synthesize_kernel needs separable terms: term {k}'s offset symbol c is not 1")
+        if not np.array_equal(a, b):
+            raise ValueError(f"synthesize_kernel needs terms with b = a: term {k}'s profiles a and b differ")
+    return OperatorKernel(axis, u=(table @ regular.a.T).T)

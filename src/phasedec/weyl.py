@@ -1,4 +1,4 @@
-"""Wigner transforms of operator kernels and the position marginal.
+"""Wigner transforms of hermitian operator kernels and the position marginal.
 
 Conventions, applied everywhere and asserted by tests:
 
@@ -16,32 +16,32 @@ a direct trapezoid sum with dy the axis spacing; callers must keep
 max|p| * dy / hbar below pi/4 so the phase is well sampled, and every
 output q must be an axis node (both checked on entry).
 
-A kernel is held as factors alone, K(q, q') = sum_k u_k(q) conj(v_k(q')):
-rank-k operators such as pure states and separable observables cost O(k n),
-and no transform reads an n^2 array.
+A kernel is hermitian by construction and held as factors alone,
+K(q, q') = sum_k s_k u_k(q) conj(u_k(q')) with real weights s_k: rank-k
+operators such as pure states and separable observables cost O(k n), no
+transform reads an n^2 array, and every symbol is real.
 
-One fold serves every transform. K = H + iA with H = (K + K^H)/2 and
-A = (K - K^H)/2i hermitian. A hermitian operator's lag samples g_j
+One real fold serves every transform. A hermitian kernel's lag samples g_j
 (y = j*dy) have mirrors g_-j = conj(g_j), so the sum over j = -M..M folds
-onto j = 0..M as real halves: even_j = 2 Re g_j against cos(2 j dy p / hbar)
-and odd_j = -2 Im g_j against sin, and H and A share one table. The table
-is the package's one cos/sin table, the powers of exp(2i dy p / hbar) from
-``phase_space``, and its sin rows are built only when some odd half is
-nonzero. The fold computes only terms that reach an output: row i's
-window holds min(i, n-1-i) lags, so the output rows fold in a few bands
-of consecutive rows, each gathered and multiplied only to its own deepest
-lag, straight into its output rows. On a p axis symmetric about 0 the
-table holds the p >= 0 nodes alone: cos is even in p and sin odd, so a
-p < 0 column is its mirror's even fold minus its odd fold. Factor lags
-g_j = sum_k u_k(q-y) conj(v_k(q+y)) (the cross-Wigner lag products of
-G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come straight
-from the factors, and a term with u_k = v_k adds to H alone. A pure state
-is the factored projector psi psi^H, divided by 2 pi hbar.
+onto j = 0..M as real halves: even_j = 2 Re g_j against
+cos(2 j dy p / hbar) and odd_j = -2 Im g_j against sin. The table is the
+package's one cos/sin table, the powers of exp(2i dy p / hbar) from
+``phase_space``, and its sin rows are built only for complex factors: real
+factors have real lags and no odd half. The fold computes only terms that
+reach an output: row i's window holds min(i, n-1-i) lags, so the output
+rows fold in a few bands of consecutive rows, each gathered and multiplied
+only to its own deepest lag, straight into its output rows. On a p axis
+symmetric about 0 the table holds the p >= 0 nodes alone: cos is even in p
+and sin odd, so a p < 0 column is its mirror's even fold minus its odd
+fold. Factor lags g_j = sum_k s_k u_k(q-y) conj(u_k(q+y)) (the Wigner lag
+products of G. B. Folland, *Harmonic Analysis in Phase Space*, ch. 1) come
+straight from the factors. A pure state is the projector psi psi^H,
+divided by 2 pi hbar.
 
-A transform allocates twice: its symbol rows, which the returned
+A transform allocates twice: its float64 symbol rows, which the returned
 ``PhaseFunction`` keeps without a copy, and one float64 workspace sized
 before the first lag, from which every other buffer it writes is cut: the
-lag layouts and halves, the padded factor rows, the cos/sin table and the
+lag layout and halves, the padded factor rows, the cos/sin table and the
 odd sums. Allocated one at a time, those buffers went back to the OS after
 each call under glibc's mmap-threshold and trim rules and faulted in again
 on the next (``_kernel_rows`` gives the counts).
@@ -76,18 +76,18 @@ BANDS = 8
 
 @dataclass(frozen=True, eq=False)
 class OperatorKernel:
-    """Position kernel K(q, q') = sum_k u_k(q) conj(v_k(q')) on a q axis.
+    """Hermitian position kernel K(q, q') = sum_k s_k u_k(q) conj(u_k(q')) on a q axis.
 
-    ``u`` and ``v`` are keyword-only, of shape ``(k, n)`` over the n axis
-    nodes, float64 when real, else complex128; ``v`` None means v = u. With
-    no factors the kernel is zero. Any (min, max, count) ``axis`` becomes an
-    :class:`Axis`.
+    ``u`` and ``s`` are keyword-only: ``u`` of shape ``(k, n)`` over the n
+    axis nodes, float64 when real, else complex128, and ``s`` the k real
+    weights, None meaning ones. With no factors the kernel is zero. Any
+    (min, max, count) ``axis`` becomes an :class:`Axis`.
     """
 
     axis: Axis
     _: KW_ONLY
     u: np.ndarray | None = None
-    v: np.ndarray | None = None
+    s: np.ndarray | None = None
 
     def __post_init__(self):
         axis = Axis(*self.axis)
@@ -95,9 +95,11 @@ class OperatorKernel:
         n = axis.count
         u = np.zeros((0, n)) if self.u is None else self.u
         u = _frozen(u, None, (len(u), n), "kernel factors u")
-        v = u if self.v is None else _frozen(self.v, None, u.shape, "kernel factors v")
+        s = _frozen(np.ones(len(u)) if self.s is None else self.s, None, (len(u),), "kernel weights s")
+        if s.dtype != float:
+            raise ValueError("kernel weights s must be real: K = sum_k s_k u_k u_k^H is hermitian")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "s", s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,69 +213,66 @@ def _fold(halves: np.ndarray, bands, first: np.ndarray, last: np.ndarray, p_out:
           h: float, hbar: float, rows: np.ndarray, table: np.ndarray, odd_rows: np.ndarray):
     """2h * sum_j (even_j cos(j theta) + odd_j sin(j theta)), theta = 2 h p / hbar.
 
-    ``halves`` holds the real lags of one or two hermitian operators on the
-    flat layout of ``_half_window``, zero past each row's reach:
-    (operators, 2, entries) even over odd, or (operators, 1, entries) when
-    every odd lag is zero. Each row's lags ``first`` and ``last`` take half
-    weight in place (a row whose two are one entry is zero). Each band folds
-    straight into its output rows against the first d rows of the cos (and
-    sin) table, which the operators share. On a p axis symmetric about 0
-    (p_out[0] == -p_out[-1]) the table holds the p >= 0 nodes only: cos is
-    even in p and sin odd, so each p < 0 column is its mirror's even fold
-    minus its odd fold. The caller's arrays take every value the fold
-    writes: ``rows`` (operators, rows, n_p) the symbol rows of each
-    operator, ``table`` (parts, depth, columns) the cos/sin table and
-    ``odd_rows`` (at least the widest band's rows, columns) each band's
-    odd sum.
+    ``halves`` holds a hermitian kernel's real lags on the flat layout of
+    ``_half_window``, zero past each row's reach: (2, entries) even over
+    odd, or (1, entries) when every odd lag is zero. Each row's lags
+    ``first`` and ``last`` take half weight in place (a row whose two are
+    one entry is zero). Each band folds straight into its output rows
+    against the first d rows of the cos (and sin) table. On a p axis
+    symmetric about 0 (p_out[0] == -p_out[-1]) the table holds the p >= 0
+    nodes only: cos is even in p and sin odd, so each p < 0 column is its
+    mirror's even fold minus its odd fold. The caller's arrays take every
+    value the fold writes: ``rows`` (rows, n_p) the float64 symbol rows,
+    ``table`` (parts, depth, columns) the cos/sin table and ``odd_rows``
+    (at least the widest band's rows, columns) each band's odd sum.
     """
-    operators, parts, _ = halves.shape
-    halves[..., first] *= 0.5
-    halves[..., last] *= np.where(first < last, 0.5, 0.0)
+    parts = len(halves)
+    halves[:, first] *= 0.5
+    halves[:, last] *= np.where(first < last, 0.5, 0.0)
     depth, columns = table.shape[1:]
     mirrored = len(p_out) - columns
     _cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p", out=table)
     table *= 2.0 * h
     for band, d, flat in bands:
-        lag_rows = halves[..., flat].reshape(operators, parts, d, -1)
-        for (even, *odd), symbol in zip(lag_rows, rows[:, band]):
-            folded = symbol[:, mirrored:]
-            np.matmul(even.T, table[0, :d], out=folded)
-            flipped = symbol[:, mirrored - 1::-1] if mirrored else None
-            if odd:
-                odd_sum = np.matmul(odd[0].T, table[1, :d], out=odd_rows[: len(folded)])
-                if mirrored:
-                    np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
-                folded += odd_sum
-            elif mirrored:
-                flipped[...] = folded[:, -mirrored:]  # per band: numpy's copy of the columns stays small
+        even, *odd = halves[:, flat].reshape(parts, d, -1)
+        symbol = rows[band]
+        folded = symbol[:, mirrored:]
+        np.matmul(even.T, table[0, :d], out=folded)
+        flipped = symbol[:, mirrored - 1::-1] if mirrored else None
+        if odd:
+            odd_sum = np.matmul(odd[0].T, table[1, :d], out=odd_rows[: len(folded)])
+            if mirrored:
+                np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
+            folded += odd_sum
+        elif mirrored:
+            flipped[...] = folded[:, -mirrored:]  # per band: numpy's copy of the columns stays small
 
 
 def wigner_of_kernel(kernel: OperatorKernel, hbar: float, out_grid: Grid) -> PhaseFunction:
-    """Phase-space symbol of an operator kernel.
+    """Phase-space symbol of a hermitian operator kernel, a float64 ``PhaseFunction``.
 
     f(q, p) = 2 * integral over y of K(q-y, q+y) exp(2i p y / hbar), with
     y spanning the largest symmetric window the kernel support allows at
     each q. Every output q must lie within 1e-9 cells of a kernel node, or
-    ValueError is raised. K = H + iA, with H = (K + K^H)/2 and
-    A = (K - K^H)/2i hermitian, maps to symbol(H) + i symbol(A), both by
-    one real fold; a kernel whose factor terms all have u_k = v_k has
-    A = 0 and an exactly real symbol.
+    ValueError is raised. K = K^H, so the symbol is real and comes from one
+    real fold; real factors have no odd lags and meet the cos table alone.
     """
     nodes, p_out = _output_nodes(kernel.axis, hbar, out_grid)
     return PhaseFunction._adopt(out_grid, _kernel_rows(kernel, nodes, p_out, hbar))
 
 
 def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, hbar: float):
-    """Symbol rows at node indices ``nodes``, float64 when A = 0.
+    """float64 symbol rows at node indices ``nodes``.
 
     One gather lays every band's lags out on one flat axis, zero past each
     row's reach, and ``_fold`` folds them band by band into the rows. The
     rows are allocated first and returned for the caller to keep; every
     other array the two write is a view of one float64 workspace, sized
     here from the bands before the first lag is formed. The halves come
-    first in it. After them go the lag layouts and the padded factor rows,
-    and, once the halves are built, the cos/sin table and one band's odd
-    sum over the same space.
+    first in it. After them go the complex lag layout of complex factors
+    (real lags are their own even half) and the padded factor rows, and,
+    once the halves are built, the cos/sin table and one band's odd sum
+    over the same space.
 
     Buffers allocated one at a time would only raise glibc's dynamic mmap
     threshold to the largest of them, and glibc trims the heap top above
@@ -282,46 +281,30 @@ def _kernel_rows(kernel: OperatorKernel, nodes: np.ndarray, p_out: np.ndarray, h
     711 minor faults per 385 x 385 pure-state transform, run alone in a
     loop. With the workspace it faults none. The rows come before the
     workspace so that the workspace, freed on return, rejoins the heap top
-    rather than leaving a hole below the rows. A kernel with non-hermitian
-    terms gets its rows once A's lags are known: whether A is folded is
-    known only then, and its lag stage is the largest, so its rows must not
-    be alive during it.
+    rather than leaving a hole below the rows.
     """
-    n = kernel.axis.count
+    n, dtype = kernel.axis.count, kernel.u.dtype
     bands, first, last = _half_window(n, nodes)
-    same = [kernel.v is kernel.u or np.array_equal(a, b) for a, b in zip(kernel.u, kernel.v)]
-    hermitian = [(a, a) for a, same_k in zip(kernel.u, same) if same_k]
-    others = [(a, b) for a, b, same_k in zip(kernel.u, kernel.v, same) if not same_k]
-    dtype_h, dtype_o = _lag_dtype(hermitian), _lag_dtype(others)
     entries, depth = bands[-1][2].stop, max(d for _, d, _ in bands)
-    operators, parts = (2, 2) if others else (1, 1 + (dtype_h is complex))
+    parts = 1 + (dtype == complex)
     columns = len(p_out) - (len(p_out) // 2 if p_out[0] == -p_out[-1] else 0)
     widest = max(band.stop - band.start for band, _, _ in bands)
-    widest_dtype = complex if complex in (dtype_h, dtype_o) else dtype_h or dtype_o
-    lag_shapes = [
-        ((entries,), dtype_h if others or dtype_h is complex else None),  # else H's lags are the halves
-        ((entries,), dtype_o),  # g
-        ((entries,), dtype_o),  # the skew, then A's lags when complex
-        ((entries,), complex if dtype_o is float else None),  # A's lags of a real skew
-        ((_floats((2, n + 2 * depth), widest_dtype),), None if widest_dtype is None else float),
-    ]
+    lag_shapes = [((entries,), dtype if parts == 2 else None), ((2, n + 2 * depth), dtype)]
     fold_shapes = [((parts, depth, columns), float), ((widest * (parts - 1), columns), float)]
-    at = operators * parts * entries
-    rows = None if others else np.empty((1, len(nodes), len(p_out)))
+    at = parts * entries
+    rows = np.empty((len(nodes), len(p_out)))
     room = max(sum(_floats(*shape) for shape in shapes) for shapes in (lag_shapes, fold_shapes))
     workspace = np.empty(at + room)
-    halves = workspace[:at].reshape(operators, parts, entries)
-    halves = _lag_halves(hermitian, others, nodes, bands, halves, *_cut(workspace, at, lag_shapes))
-    if rows is None:
-        rows = np.empty((len(halves), len(nodes), len(p_out)))
+    halves = workspace[:at].reshape(parts, entries)
+    if len(kernel.u):
+        lags, padded = _cut(workspace, at, lag_shapes)
+        lags = _factor_lags(kernel, nodes, bands, halves[0] if lags is None else lags, padded)
+        halves = _halves(lags, halves)
+    else:
+        halves[:] = 0.0
     h = kernel.axis.spacing
     _fold(halves, bands, first, last, p_out, h, hbar, rows, *_cut(workspace, at, fold_shapes))
-    if len(rows) == 1:
-        return rows[0]
-    del workspace, halves  # freed before the complex rows are allocated
-    symbol = np.empty(rows.shape[1:], dtype=complex)
-    symbol.real, symbol.imag = rows
-    return symbol
+    return rows
 
 
 def _floats(shape, dtype) -> int:
@@ -339,81 +322,26 @@ def _cut(workspace: np.ndarray, at: int, shapes) -> list:
     return views
 
 
-def _lag_dtype(pairs):
-    """The dtype of a lag sum over factor ``pairs``: None for no pair, complex when some factor is."""
-    if not pairs:
-        return None
-    return complex if any(a.dtype == complex or b.dtype == complex for a, b in pairs) else float
+def _factor_lags(kernel: OperatorKernel, nodes: np.ndarray, bands, out: np.ndarray,
+                 padded: np.ndarray):
+    """sum_k s_k u_k[i - j] conj(u_k[i + j]) into ``out``, on the flat layout of ``bands``, rows i = ``nodes``.
 
-
-def _lag_halves(hermitian, others, nodes: np.ndarray, bands, halves: np.ndarray, lags_h, g, skew, a_lags,
-                padded):
-    """Real lags of H, then of A unless they are all zero: ``halves`` or its first operator.
-
-    ``hermitian`` and ``others`` are the (u_k, v_k) factor pairs with
-    u_k = v_k and the rest, for rows at kernel nodes ``nodes`` on the flat
-    layout of ``bands``. A factor term with u_k = v_k is hermitian: its mirror
-    lag is the conjugate of g_j, so it adds g_j to H's lags and nothing to
-    A's, and a sum of real such terms has no odd half. The other terms add
-    (g + conj m)/2 to H's lags and (g - conj m)/2i to A's, with
-    m_j = u_k[i + j] conj(v_k[i - j]), both from one difference
-    conj m - g: where their sums agree bit for bit, as for a hermitian
-    array held as n factor pairs, A's lags are exactly zero and its fold
-    is skipped.
-
-    Every value goes into the caller's arrays: ``halves``
-    (1 or 2, 1 or 2, entries), the lag layouts ``lags_h`` (None when H's
-    lags are real and ``halves`` holds them), ``g``, ``skew`` and
-    ``a_lags`` (None unless the skew is real), and ``padded``, the float64
-    room of ``_factor_lags``. A's halves are spare until A's lags are
-    added: they hold the skew's half and the halves of each complex term
-    of H in turn.
+    ``kernel`` has k >= 1 factor rows, and ``out`` and ``padded``, a
+    (2, n + 2 pad) array, have their dtype. Each row times its weight, and
+    its conjugate, are padded with zeros to the deepest lag on both sides
+    in ``padded``, so a lag past its row's reach is zero, and read through
+    one sliding-window view: the output nodes are evenly spaced, so a
+    band's (lag, row) block of s_k u_k[i - j] or conj(u_k[i + j]) is a
+    slice of it, with no index array.
     """
-    if hermitian:
-        lags_h = halves.reshape(-1) if lags_h is None else lags_h
-        _factor_lags(*zip(*hermitian), nodes, bands, lags_h, padded)
-    if not others:
-        if not hermitian:
-            halves[:] = 0.0
-            return halves
-        return _halves(lags_h, halves[0])[None]
-    us, vs = zip(*others)
-    _factor_lags(us, vs, nodes, bands, g, padded)
-    _factor_lags(vs, us, nodes, bands, skew, padded)
-    skew -= g  # conj(m_j) - g_j
-    spare = halves[1]
-    g += np.divide(skew, 2.0, out=spare.reshape(-1)[: skew.nbytes // 8].view(skew.dtype))  # (g + conj m)/2
-    halves[0] = 0.0
-    for term_lags in [g] if lags_h is None else [lags_h, g]:
-        # real lags have no odd half
-        halves[0, : 1 + (term_lags.dtype == complex)] += _halves(term_lags, spare)
-    a_lags = np.multiply(skew, 0.5j, out=skew if a_lags is None else a_lags)  # (g - conj m)/2i
-    _halves(a_lags, halves[1])
-    return halves if halves[1].any() else halves[:1]
-
-
-def _factor_lags(u, v, nodes: np.ndarray, bands, out: np.ndarray, padded: np.ndarray):
-    """sum_k u_k[i - j] conj(v_k[i + j]) into ``out``, on the flat layout of ``bands``, rows i = ``nodes``.
-
-    ``u`` and ``v`` are sequences of k >= 1 factor rows, and ``out`` of the
-    lags' dtype, complex when some row is. Each row is padded with zeros to
-    the deepest lag on both sides, in a (2, n + 2 pad) view of the float64
-    ``padded``, so a lag past its row's reach is zero, and read through one
-    sliding-window view: the output nodes are evenly spaced, so a band's
-    (lag, row) block of u_k[i - j] or v_k[i + j] is a slice of it, with no
-    index array.
-    """
-    dtype = out.dtype
     pad = max(d for _, d, _ in bands)
     step = int(nodes[1] - nodes[0])
     at = int(nodes[0]) + pad  # window t holds padded[t + step * row], so row's node i at t = at
-    width = len(u[0]) + 2 * pad
-    padded = padded[: _floats((2, width), dtype)].view(dtype).reshape(2, width)
     padded[:] = 0.0
     left, right = sliding_window_view(padded, step * (len(nodes) - 1) + 1, axis=1)[:, :, ::step]
-    for k, (a, b) in enumerate(zip(u, v)):
-        padded[0, pad:-pad] = a
-        padded[1, pad:-pad] = b.conj() if dtype == complex else b
+    for k, (row, weight) in enumerate(zip(kernel.u, kernel.s)):
+        np.multiply(row, weight, out=padded[0, pad:-pad])
+        np.conj(row, out=padded[1, pad:-pad])
         for rows, d, flat in bands:
             block = out[flat].reshape(d, -1)
             u_lags, v_lags = left[at - d + 1 : at + 1][::-1, rows], right[at : at + d, rows]
@@ -425,7 +353,7 @@ def _factor_lags(u, v, nodes: np.ndarray, bands, out: np.ndarray, padded: np.nda
 
 
 def _halves(lags: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One hermitian operator's lags g_j as (2, entries) 2 Re g_j over -2 Im g_j, written into ``out``.
+    """A hermitian kernel's lags g_j as (2, entries) 2 Re g_j over -2 Im g_j, written into ``out``.
 
     Real lags have no odd half: they become (1, entries) 2 g_j in place,
     and ``out`` is left as it is.
@@ -460,14 +388,16 @@ def q_marginal(w: PhaseFunction) -> np.ndarray:
     return w.values.real @ _trapezoid_weights(p_axis.count, p_axis.spacing)
 
 
-def trace_pair(a: OperatorKernel, b: OperatorKernel) -> complex:
+def trace_pair(a: OperatorKernel, b: OperatorKernel) -> float:
     """Tr(A B) by double trapezoid: integral A(q, q') B(q', q) dq dq'.
 
-    With A = U V^H, B = X Y^H and W the trapezoid weights,
-    Tr(A W B W) = tr((V^H W X)(Y^H W U)): weighted inner products of the
-    factors at O(k l n).
+    With A = sum_k s_k u_k u_k^H, B = sum_l t_l x_l x_l^H and W the
+    trapezoid weights, Tr(A W B W) = sum_kl s_k t_l |u_k^H W x_l|^2:
+    weighted inner products of the factors at O(k l n), real because both
+    kernels are hermitian.
     """
     if a.axis != b.axis:
         raise ValueError("kernels live on different axes")
     w = _trapezoid_weights(a.axis.count, a.axis.spacing)
-    return complex(np.sum(((a.v.conj() * w) @ b.u.T) * ((b.v.conj() * w) @ a.u.T).T))
+    overlaps = (a.u.conj() * w) @ b.u.T
+    return float(a.s @ (overlaps.real**2 + overlaps.imag**2) @ b.s)

@@ -1,7 +1,9 @@
 """Test-only reference constructions that the package does not need at run time.
 
 ``dense_kernel`` forms the full array of a factored ``OperatorKernel``,
-``dense_as_factors`` holds a full array K as n factor pairs u = K^T, v = I,
+``dense_as_factors`` holds a full hermitian array K as its n eigenvectors
+u = V^T with weights s = lambda, ``dense_terms`` forms the full (n, n)
+array of a ``CoherenceTerms`` kernel,
 ``harmonic_map`` realizes the energy label as the oscillator Hamiltonian,
 whose compact orbits give closed-form singular symbols, ``mesh`` gives
 full coordinate arrays for closed-form symbols on a grid,
@@ -29,25 +31,29 @@ from phasedec.phase_space import (
     _tiles,
     _trapezoid_weights,
 )
-from phasedec.spectral import MomentumMap
+from phasedec.spectral import CoherenceTerms, MomentumMap
 from phasedec.weyl import OperatorKernel, _half_window
 
 
 def dense_kernel(kernel: OperatorKernel) -> np.ndarray:
-    """The full ``(n, n)`` array U^T conj(V) of a factored kernel: O(k n^2)."""
-    return kernel.u.T @ kernel.v.conj()
+    """The full ``(n, n)`` array U^T S conj(U) of a factored kernel: O(k n^2)."""
+    return (kernel.u.T * kernel.s) @ kernel.u.conj()
 
 
 def dense_as_factors(axis, values) -> OperatorKernel:
-    """A full ``(n, n)`` kernel array K as n factor pairs u_k = K[:, k], v_k = e_k.
+    """A full hermitian ``(n, n)`` kernel array K as n factors: K = V diag(lambda) V^H from ``eigh``.
 
-    Each lag sum over k has one nonzero product, an entry of K times 1, so
-    the lags are K's entries bit for bit; u_k != v_k sends every pair down
-    the generic non-hermitian path. A transform costs n times that of one
-    factor pair.
+    The factors are the eigenvectors u_k = V[:, k], real for a real
+    symmetric K, with the real eigenvalues as weights s_k, so the kernel
+    matches K to round-off. A transform costs n times that of one factor.
     """
-    values = np.asarray(values)
-    return OperatorKernel(axis, u=values.T, v=np.eye(len(values)))
+    eigenvalues, vectors = np.linalg.eigh(np.asarray(values))
+    return OperatorKernel(axis, u=vectors.T, s=eigenvalues)
+
+
+def dense_terms(terms: CoherenceTerms) -> np.ndarray:
+    """The full ``(n, n)`` array of regular kernel terms, one block of every row and column: O(k n^2)."""
+    return terms._block(slice(None), slice(None))
 
 
 def harmonic_map(grid: Grid) -> MomentumMap:
@@ -124,48 +130,23 @@ def reference_plane_wave_matrix(grid, axis, hbar):
 def reference_kernel_rows(kernel: OperatorKernel, nodes, p_out, hbar):
     """``weyl._kernel_rows`` with a fresh array for every lag layout, half, table and fold."""
     bands, first, last = _half_window(kernel.axis.count, nodes)
-    halves = _reference_lag_halves(kernel, nodes, bands)
-    symbol, *imag = _reference_fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
-    if imag:
-        symbol = symbol.astype(complex)
-        symbol.imag = imag[0]
-    return symbol
+    if len(kernel.u):
+        halves = _reference_halves(_reference_factor_lags(kernel, nodes, bands))
+    else:
+        halves = np.zeros((1, bands[-1][2].stop))
+    return _reference_fold(halves, bands, first, last, p_out, kernel.axis.spacing, hbar)
 
 
-def _reference_lag_halves(kernel, nodes, bands):
-    u, v = kernel.u, kernel.v
-    same = [v is u or np.array_equal(a, b) for a, b in zip(u, v)]
-    hermitian = [a for a, same_k in zip(u, same) if same_k]
-    lags_h = _reference_factor_lags(hermitian, hermitian, nodes, bands)
-    others = [(a, b) for a, b, same_k in zip(u, v, same) if not same_k]
-    shape = (bands[-1][2].stop,)
-    if not others:
-        return np.zeros((1, 1) + shape) if lags_h is None else _reference_halves(lags_h)[None]
-    us, vs = zip(*others)
-    g = _reference_factor_lags(us, vs, nodes, bands)
-    skew = _reference_factor_lags(vs, us, nodes, bands) - g
-    g += skew / 2.0
-    skew = skew * 0.5j
-    halves = np.zeros((2, 2) + shape)
-    terms = [] if lags_h is None else [(0, lags_h)]
-    for operator, term_lags in terms + [(0, g), (1, skew)]:
-        halves[operator, : 1 + (term_lags.dtype == complex)] += _reference_halves(term_lags)
-    return halves if halves[1].any() else halves[:1]
-
-
-def _reference_factor_lags(u, v, nodes, bands):
-    if not len(u):
-        return None
-    dtype = complex if any(a.dtype == complex or b.dtype == complex for a, b in zip(u, v)) else float
+def _reference_factor_lags(kernel, nodes, bands):
     pad = max(d for _, d, _ in bands)
     step = int(nodes[1] - nodes[0])
     at = int(nodes[0]) + pad
-    padded = np.zeros((2, len(u[0]) + 2 * pad), dtype)
+    padded = np.zeros((2, kernel.axis.count + 2 * pad), kernel.u.dtype)
     left, right = sliding_window_view(padded, step * (len(nodes) - 1) + 1, axis=1)[:, :, ::step]
-    total = np.empty(bands[-1][2].stop, dtype)
-    for k, (a, b) in enumerate(zip(u, v)):
-        padded[0, pad:-pad] = a
-        padded[1, pad:-pad] = b.conj() if dtype is complex else b
+    total = np.empty(bands[-1][2].stop, kernel.u.dtype)
+    for k, (row, weight) in enumerate(zip(kernel.u, kernel.s)):
+        padded[0, pad:-pad] = row * weight
+        padded[1, pad:-pad] = row.conj()
         for rows, d, flat in bands:
             block = total[flat].reshape(d, -1)
             u_lags, v_lags = left[at - d + 1 : at + 1][::-1, rows], right[at : at + d, rows]
@@ -187,25 +168,24 @@ def _reference_halves(lags):
 
 
 def _reference_fold(halves, bands, first, last, p_out, h, hbar):
-    operators, parts, _ = halves.shape
-    halves[..., first] *= 0.5
-    halves[..., last] *= np.where(first < last, 0.5, 0.0)
+    parts = len(halves)
+    halves[:, first] *= 0.5
+    halves[:, last] *= np.where(first < last, 0.5, 0.0)
     mirrored = len(p_out) // 2 if p_out[0] == -p_out[-1] else 0
     depth = max(d for _, d, _ in bands)
     table = reference_cos_sin(2.0 * h / hbar, depth, p_out[mirrored:], parts, "p").reshape(parts, depth, -1)
     table *= 2.0 * h
-    symbols = np.empty((operators, len(first), len(p_out)))
+    symbol = np.empty((len(first), len(p_out)))
     for rows, d, flat in bands:
-        lag_rows = halves[..., flat].reshape(operators, parts, d, -1)
-        for (even, *odd), symbol in zip(lag_rows, symbols[:, rows]):
-            folded = symbol[:, mirrored:]
-            np.matmul(even.T, table[0, :d], out=folded)
-            if odd:
-                odd_sum = odd[0].T @ table[1, :d]
-                if mirrored:
-                    flipped = symbol[:, mirrored - 1 :: -1]
-                    np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
-                folded += odd_sum
+        even, *odd = halves[:, flat].reshape(parts, d, -1)
+        folded = symbol[rows, mirrored:]
+        np.matmul(even.T, table[0, :d], out=folded)
+        if odd:
+            odd_sum = odd[0].T @ table[1, :d]
+            if mirrored:
+                flipped = symbol[rows, mirrored - 1 :: -1]
+                np.subtract(folded[:, -mirrored:], odd_sum[:, -mirrored:], out=flipped)
+            folded += odd_sum
     if mirrored and parts == 1:
-        symbols[..., mirrored - 1 :: -1] = symbols[..., -mirrored:]
-    return list(symbols)
+        symbol[:, mirrored - 1 :: -1] = symbol[:, -mirrored:]
+    return symbol

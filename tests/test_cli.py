@@ -21,7 +21,8 @@ from phasedec.cli import (
     EXIT_VALIDATION,
     main,
 )
-from phasedec.scenarios import SCENARIO_NAMES, _merge, scenario_defaults
+from phasedec import scenarios
+from phasedec.scenarios import MAX_STATES, SCENARIO_NAMES, _merge, scenario_defaults
 
 
 def write_config(path, payload):
@@ -592,6 +593,10 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
         ('{"scenario": "moyal-convergence", "truncation_order": 9}', "truncation_order",
          "must be in 0..6"),
         ('{"scenario": "limit-positivity", "n_states": 0}', "n_states", "must be >= 1"),
+        ('{"scenario": "limit-positivity", "n_states": 1e300}', "n_states",
+         f"must be <= MAX_STATES = {MAX_STATES}, got 1000000000000000052504760255204420248704468581108"),
+        (f'{{"scenario": "limit-positivity", "n_states": {MAX_STATES + 1}}}', "n_states",
+         f"must be <= MAX_STATES = {MAX_STATES}, got {MAX_STATES + 1}"),
         ('{"scenario": "decoherence-lorentzian", "kernel": {"gamma": 0.2}}', "kernel.family",
          "is missing"),
         ('{"scenario": "moyal-convergence", "hbar": [0.4, 0.2]}', "hbar", "at least 3 hbar"),
@@ -652,6 +657,7 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
     ids=["axis-range", "wigner-axis-count", "p-axis-range", "grid-range", "negative-box",
          "zero-box", "single-box", "repeated-box", "omega-count", "omega-max", "times-count",
          "times-spacing", "times-start", "box-momentum-count", "truncation-order", "n-states",
+         "n-states-1e300", "n-states-above-max",
          "kernel-without-family", "two-hbar-values", "kernel-gamma", "kernel-gamma-underflow",
          "wigner-phase-step", "pairing-p-range-phase-step", "pairing-hbar-phase-step",
          "positivity-phase-step", "pairing-tiny-hbar-phase-step", "positivity-tiny-hbar-zero-state",
@@ -685,7 +691,8 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     # nor did a decay or nu_width that its kernels factory refused, named only
     # 'kernel'. A polefree cutoff of -1 ran as a cutoff of 1 ((w / cutoff)^6),
     # and one of 0 ended in "term profiles a must be finite" with no option; a
-    # nu_width of 1e200, whose square overflows a Python float, was a traceback
+    # nu_width of 1e200, whose square overflows a Python float, was a traceback.
+    # An n_states of 1e300 was read as an integer and drew states until killed
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
@@ -693,6 +700,19 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     assert f"'{path}'" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_states", [MAX_STATES + 1, 10**300], ids=["above-max", "1e300"])
+def test_too_many_states_are_refused_before_any_is_drawn(monkeypatch, n_states):
+    # about 0.26 ms a state: MAX_STATES take about 3 s, and 1e300 never ended
+    def refuse(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(scenarios, "random_admissible_state", refuse)
+    with pytest.raises(ValueError, match=f"'n_states' must be <= MAX_STATES = {MAX_STATES}"):
+        scenarios.run_named_scenario("limit-positivity", {"n_states": n_states}, seed=0)
+    with pytest.raises(AssertionError, match="a state was drawn"):
+        scenarios.run_named_scenario("limit-positivity", {"n_states": MAX_STATES}, seed=0)
 
 
 @pytest.mark.parametrize("omega_max", [1e-300, 1e300], ids=["underflow", "overflow"])

@@ -43,7 +43,7 @@ from phasedec.states import (
     regular_basis_functional,
 )
 from phasedec.weyl import oscillator_state, wigner_of_pure_state
-from oracles import reference_cos_sin
+from oracles import dense_terms, reference_cos_sin
 
 GAMMA = 0.1
 
@@ -113,7 +113,7 @@ def hermitian_defect(matrix):
 def dense_direct_pairing(rho, obs):
     """The static pairing as a direct sum over the dense kernels."""
     # rho(w, w') obs(w', w): obs is read transposed
-    regular = np.sum(rho.regular.dense() * obs.regular.dense().T)
+    regular = np.sum(dense_terms(rho.regular) * dense_terms(obs.regular).T)
     singular = np.sum(rho.diagonal * obs.singular) * rho.grid.d_omega
     return complex(singular + regular * rho.grid.d_omega**2)
 
@@ -122,7 +122,7 @@ def bincount_spectrum(rho, obs):
     # the coherence spectrum as an n^2 offset table and two bincounts
     grid = rho.grid
     n = grid.omega_count
-    cross = rho.regular.dense() * obs.regular.dense().T * grid.d_omega**2
+    cross = dense_terms(rho.regular) * dense_terms(obs.regular).T * grid.d_omega**2
     i = np.arange(n)
     offsets = (i[:, None] - i[None, :]).ravel() + (n - 1)
     weights = np.bincount(offsets, weights=cross.real.ravel(), minlength=2 * n - 1)
@@ -218,7 +218,7 @@ class TestEvolvePairing:
             (slice(0, 1), slice(n - 1, n)),
             (slice(n - 7, n), slice(n - 7, n)),
         ]
-        assert np.array_equal(terms.dense(), expected)
+        assert np.array_equal(dense_terms(terms), expected)
         for rows, cols in blocks:
             assert np.array_equal(terms._block(rows, cols), expected[rows, cols])
 
@@ -556,7 +556,7 @@ class TestStructuredKernels:
     @pytest.mark.parametrize("build", ORACLE_PAIRS)
     def test_hermitian_bound_covers_dense_defect(self, build):
         for terms in (part.regular for part in build()):
-            dense = terms.dense()
+            dense = dense_terms(terms)
             assert terms.hermitian_defect_bound() >= hermitian_defect(dense)
             assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
 
@@ -569,7 +569,7 @@ class TestStructuredKernels:
             # nearly hermitian: a = (1 + 1e-9 i) b with c(-d) = conj(c(d))
             c = terms.c + terms.c[:, ::-1].conj()
             terms = CoherenceTerms(sgrid, (1.0 + 1e-9j) * terms.b, terms.b, c)
-        dense = terms.dense()
+        dense = dense_terms(terms)
         defect = hermitian_defect(dense)
         assert terms.hermitian_defect_bound() >= defect > 0.0
         assert terms.max_abs_floor() <= float(np.max(np.abs(dense)))
@@ -577,7 +577,7 @@ class TestStructuredKernels:
     def test_pure_state_is_one_term(self):
         sgrid = SpectralGrid(4.0, 161)
         rho = pure_state(sgrid, kernels.gaussian_profile(2.0, 0.3)(sgrid.omega))
-        dense = rho.regular.dense()
+        dense = dense_terms(rho.regular)
         assert len(rho.regular.a) == 1
         assert np.array_equal(np.diag(dense).real, rho.diagonal)
         assert rho.regular.hermitian_defect_bound() == 0.0 == hermitian_defect(dense)

@@ -7,12 +7,13 @@ from phasedec import kernels
 from phasedec.scenarios import _KERNEL_FAMILY_DEFAULTS, _coherence_from_options, _kernel_option
 from phasedec.spectral import SpectralGrid, make_observable
 from phasedec.states import HERMITIAN_TOL, make_state
+from oracles import dense_terms
 
 GRID = SpectralGrid(4.0, 41)
 
 
 def dense(kernel):
-    return make_observable(GRID, None, kernel).regular.dense()
+    return dense_terms(make_observable(GRID, None, kernel).regular)
 
 
 def test_gaussian_profile_peaks_at_center():
@@ -139,8 +140,8 @@ def test_open_mesh_sampling_is_bit_identical_to_full_mesh(family):
     grid = SpectralGrid(10.0, 1201)
     diagonal, regular = _coherence_from_options(_kernel_option({"family": family}))
     expected = _full_mesh_samples(grid, regular)
-    assert np.array_equal(make_state(grid, diagonal, regular).regular.dense(), expected)
-    assert np.array_equal(make_observable(grid, None, regular).regular.dense(), expected)
+    assert np.array_equal(dense_terms(make_state(grid, diagonal, regular).regular), expected)
+    assert np.array_equal(dense_terms(make_observable(grid, None, regular).regular), expected)
 
 
 @pytest.mark.parametrize("family", sorted(_KERNEL_FAMILY_DEFAULTS))
@@ -152,4 +153,4 @@ def test_dense_matches_closed_form_full_mesh(family):
     state, observable = make_state(grid, diagonal, regular), make_observable(grid, None, regular)
     for terms in (state.regular, observable.regular):
         assert len(terms.a) == 1
-        assert float(np.max(np.abs(terms.dense() - expected))) <= 1e-14 * scale
+        assert float(np.max(np.abs(dense_terms(terms) - expected))) <= 1e-14 * scale

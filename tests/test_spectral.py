@@ -19,7 +19,7 @@ from phasedec.spectral import (
     synthesize_wavefunction,
     _fast_len,
 )
-from oracles import dense_kernel, harmonic_map, mesh
+from oracles import dense_kernel, dense_terms, harmonic_map, mesh
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ class TestMakeObservable:
         )
         assert np.all(obs.singular == 0.0)
         assert obs.regular.hermitian_defect_bound() == 0.0
-        dense = obs.regular.dense()
+        dense = dense_terms(obs.regular)
         assert np.array_equal(dense, dense.conj().T)
 
     def test_non_hermitian_terms_are_not_self_adjoint(self, sgrid):
@@ -77,7 +77,7 @@ class TestMakeObservable:
         asymmetric = CoherenceTerms(sgrid, a, a, np.exp(-np.linspace(-3.0, 1.0, 161))[None])
         for regular in (skewed, asymmetric):
             obs = Observable(sgrid, np.zeros(sgrid.shape), regular)
-            dense = obs.regular.dense()
+            dense = dense_terms(obs.regular)
             defect = float(np.max(np.abs(dense - dense.conj().T)))
             assert defect > 1e-3 * float(np.max(np.abs(dense)))
             assert obs.regular.hermitian_defect_bound() >= defect
@@ -180,8 +180,8 @@ class TestSelfAdjointnessAlgebra:
         combined = Observable(sgrid, 2.0 * o1.singular + 0.5 * o2.singular, regular)
         assert np.all(combined.singular.imag == 0.0)
         assert combined.regular.hermitian_defect_bound() == 0.0
-        expected = 2.0 * r1.dense() + 0.5 * r2.dense()
-        assert np.allclose(regular.dense(), expected, rtol=0, atol=1e-15)
+        expected = 2.0 * dense_terms(r1) + 0.5 * dense_terms(r2)
+        assert np.allclose(dense_terms(regular), expected, rtol=0, atol=1e-15)
 
 
 class TestMomentumMap:
@@ -218,27 +218,17 @@ class TestPlaneWaveSynthesis:
         scale = float(np.max(np.abs(kernel)))
         assert float(np.max(np.abs(kernel - kernel.conj().T))) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("build", ["separable", "lorentzian", "mixed", "empty"])
+    @pytest.mark.parametrize("build", ["separable", "two-separable", "empty"])
     def test_kernel_synthesis_matches_dense_oracle(self, build):
-        # E dense E^H with E from the complex exponential: the factors of the
-        # separable terms and the n factor pairs (E D)_k, E_k of the others
-        # must both match it
+        # E dense E^H with E from the complex exponential: the factors E a_k
+        # of the separable hermitian terms must match it
         sgrid = SpectralGrid(4.0, 121)
         w = sgrid.omega
         hbar = 0.7
         skewed = kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w)
-        lorentzian = kernels.lorentzian_kernel(0.3, lambda x: np.exp(-x))
-        lorentz = make_observable(sgrid, None, lorentzian).regular
-        separable = CoherenceTerms(sgrid, [skewed], [np.exp(-((w - 2.0) ** 2))])
         terms = {
-            "separable": separable,
-            "lorentzian": lorentz,
-            "mixed": CoherenceTerms(
-                sgrid,
-                np.concatenate([separable.a, lorentz.a, [np.exp(-w)]]),
-                np.concatenate([separable.b, lorentz.b, [w]]),
-                np.concatenate([separable.c, lorentz.c, np.ones((1, 2 * sgrid.omega_count - 1))]),
-            ),
+            "separable": CoherenceTerms(sgrid, [skewed], [skewed]),
+            "two-separable": CoherenceTerms(sgrid, [skewed, np.exp(-w)], [skewed, np.exp(-w)]),
             "empty": make_observable(sgrid, None, None).regular,
         }[build]
         axis = (-12.0, 9.0, 97)
@@ -246,11 +236,44 @@ class TestPlaneWaveSynthesis:
         weights[0] = weights[-1] = 0.5 * sgrid.d_omega
         e = np.exp(1j * np.outer(np.linspace(*axis), w) / hbar) * weights
         e /= np.sqrt(2.0 * np.pi * hbar)
-        expected = e @ terms.dense() @ e.conj().T
+        expected = e @ dense_terms(terms) @ e.conj().T
         table = plane_wave_matrix(sgrid, axis, hbar)
-        kernel = dense_kernel(synthesize_kernel(sgrid, terms, axis, table))
+        kernel = synthesize_kernel(sgrid, terms, axis, table)
+        assert np.array_equal(kernel.s, np.ones(len(terms.a)))
+        kernel = dense_kernel(kernel)
         assert float(np.max(np.abs(kernel - expected))) <= 1e-12 * float(np.max(np.abs(expected)))
         assert (build == "empty") == (not kernel.any())
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            ("lorentzian", "term 0's offset symbol c is not 1"),
+            ("non-hermitian", "term 1's profiles a and b differ"),
+            ("mixed", "term 1's offset symbol c is not 1"),
+        ],
+        ids=["lorentzian", "non-hermitian", "mixed"],
+    )
+    def test_kernel_synthesis_refuses_other_terms(self, build, message):
+        # a Lorentzian offset symbol or a term a conj(b) with b != a has no
+        # factor of the form E a_k; it is refused, not densified
+        sgrid = SpectralGrid(4.0, 121)
+        w = sgrid.omega
+        bump = np.exp(-((w - 2.0) ** 2))
+        lorentz = make_observable(sgrid, None, kernels.lorentzian_kernel(0.3, lambda x: np.exp(-x))).regular
+        terms = {
+            "lorentzian": lorentz,
+            "non-hermitian": CoherenceTerms(sgrid, [bump, bump], [bump, w]),
+            "mixed": CoherenceTerms(
+                sgrid,
+                np.concatenate([[bump], lorentz.a]),
+                np.concatenate([[bump], lorentz.b]),
+                np.concatenate([np.ones((1, 2 * sgrid.omega_count - 1)), lorentz.c]),
+            ),
+        }[build]
+        axis = (-12.0, 9.0, 97)
+        table = plane_wave_matrix(sgrid, axis, 0.7)
+        with pytest.raises(ValueError, match=message):
+            synthesize_kernel(sgrid, terms, axis, table)
 
     @pytest.mark.parametrize(
         "shape", [(97, 120), (96, 121), (121, 97)], ids=["omega", "axis", "transposed"]
@@ -268,9 +291,11 @@ class TestPlaneWaveSynthesis:
 
 
 def test_pairing_equivalence_builds_no_dense_spectral_kernel(monkeypatch):
-    # its observable is one separable term, synthesized from the profile alone
-    def refuse(self):
-        raise AssertionError("CoherenceTerms.dense() called")
+    # its observable is one separable term, synthesized from the profile
+    # alone; every dense array of kernel entries would be built by _block
+    def refuse(self, rows, cols):
+        raise AssertionError("CoherenceTerms._block called")
 
-    monkeypatch.setattr(CoherenceTerms, "dense", refuse)
+    assert not hasattr(CoherenceTerms, "dense")
+    monkeypatch.setattr(CoherenceTerms, "_block", refuse)
     assert run_named_scenario("pairing-equivalence", {}, seed=0).report["passed"]

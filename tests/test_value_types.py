@@ -24,6 +24,7 @@ from phasedec.weyl import (
     oscillator_state,
     wigner_of_pure_state,
 )
+from oracles import dense_terms
 
 GRID = Grid.square(-1.0, 1.0, 8)
 SGRID = SpectralGrid(1.0, 16)
@@ -47,8 +48,8 @@ CASES = [
         id="OperatorKernel.u",
     ),
     pytest.param(
-        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), v=a), "v", complex, _complex(2, 8),
-        _complex(3, 8), id="OperatorKernel.v",
+        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), s=a), "s", float, np.array([0.5, -2.0]),
+        np.ones(3), id="OperatorKernel.s",
     ),
     pytest.param(
         lambda a: WaveFunction(AXIS, a), "values", complex, _complex(8), _complex(7),
@@ -121,9 +122,6 @@ REAL_OR_COMPLEX = [
     pytest.param(lambda a: PhaseFunction(GRID, a), "values", (8, 8), id="PhaseFunction.values"),
     pytest.param(lambda a: WaveFunction(AXIS, a), "values", (8,), id="WaveFunction.values"),
     pytest.param(lambda a: OperatorKernel(AXIS, u=a), "u", (2, 8), id="OperatorKernel.u"),
-    pytest.param(
-        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), v=a), "v", (2, 8), id="OperatorKernel.v"
-    ),
 ]
 
 
@@ -148,6 +146,9 @@ def test_any_nonzero_imaginary_part_stays_complex128(build, attr, shape):
 
 # arrays whose dtype is declared, whatever the samples: (build from one array, attribute, dtype, shape)
 FIXED_DTYPE = [
+    pytest.param(
+        lambda a: OperatorKernel(AXIS, u=np.ones((2, 8)), s=a), "s", float, (2,), id="OperatorKernel.s"
+    ),
     pytest.param(lambda a: State(SGRID, a), "diagonal", float, (16,), id="State.diagonal"),
     pytest.param(
         lambda a: State(SGRID, np.ones(16), CoherenceTerms(SGRID, a, a)), "regular.a", complex,
@@ -194,7 +195,7 @@ def test_one_hermitian_tolerance(defect, accepted):
     # defect^2, so the relative defect is `defect`, and the terms bound is exact
     b = np.exp(-np.linspace(0.0, 1.0, 16) ** 2)[None]
     terms = CoherenceTerms(SGRID, (1.0 + 0.5j * defect) * b, b)
-    matrix = terms.dense()
+    matrix = dense_terms(terms)
     assert np.max(np.abs(matrix)) == pytest.approx(1.0)
     assert np.max(np.abs(matrix - matrix.conj().T)) == pytest.approx(defect, rel=1e-3)
     if accepted:

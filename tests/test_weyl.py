@@ -17,7 +17,6 @@ from phasedec.scenarios import run_named_scenario, scenario_defaults
 from phasedec.spectral import (
     CoherenceTerms,
     SpectralGrid,
-    make_observable,
     plane_wave_matrix,
     synthesize_kernel,
 )
@@ -43,7 +42,7 @@ AXIS = (-6.0, 6.0, 193)
 
 
 def _projector(psi):
-    """The dense projector array psi psi^H, held as n factor pairs."""
+    """The dense projector array psi psi^H, held as its n eigenvectors and eigenvalues."""
     return dense_as_factors(psi.axis, np.outer(psi.values, psi.values.conj()))
 
 
@@ -74,7 +73,7 @@ def w_excited(excited, grid):
 
 class TestKernelTypes:
     def test_kernel_takes_factors_by_keyword_only(self):
-        # u and v are keyword-only: a positional dense array is refused, not read as u
+        # u and s are keyword-only: a positional dense array is refused, not read as u
         with pytest.raises(TypeError):
             OperatorKernel(AXIS, np.zeros((193, 193)))
 
@@ -110,9 +109,9 @@ class TestWignerOfKernel:
 
     def test_hermitian_kernel_gives_real_symbol(self, excited, grid):
         k = _projector(excited)
+        assert k.u.dtype == np.float64  # real eigenvectors of a real projector
         w = wigner_of_kernel(k, 1.0, grid)
-        scale = float(np.max(np.abs(w.values)))
-        assert float(np.max(np.abs(w.values.imag))) < 1e-8 * scale
+        assert w.values.dtype == np.float64
 
     def test_rejects_bad_hbar(self, ground, grid):
         k = _projector(ground)
@@ -171,13 +170,15 @@ def _random_matrix(n, seed):
     return np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j]
 
 
-def _random_kernel(axis, seed):
-    return dense_as_factors(axis, _random_matrix(axis[2], seed))
-
-
 def _random_hermitian_kernel(axis, seed):
     a = _random_matrix(axis[2], seed)
     return dense_as_factors(axis, (a + a.conj().T) / 2.0)
+
+
+def _random_symmetric_kernel(axis, seed):
+    """A dense real symmetric array: n real eigenvectors with weights of both signs."""
+    a = _random_matrix(axis[2], seed).real
+    return dense_as_factors(axis, (a + a.T) / 2.0)
 
 
 def _real_factored_kernel(axis, seed):
@@ -185,16 +186,21 @@ def _real_factored_kernel(axis, seed):
     return OperatorKernel(axis, u=np.random.default_rng(seed).normal(size=(2, axis[2])))
 
 
-def _real_skew_factored_kernel(axis, seed):
-    """Two real factor terms u_k v_k^T with u_k != v_k: real lags, for A as well as H."""
-    u, v = np.random.default_rng(seed).normal(size=(2, 2, axis[2]))
-    return OperatorKernel(axis, u=u, v=v)
-
-
 def _complex_factored_kernel(axis, seed):
-    """Two complex factor terms u_k v_k^H with u_k != v_k: H and A both fold through the factors."""
-    u, v = np.random.default_rng(seed).normal(size=(2, 2, axis[2], 2)) @ [1.0, 1j]
-    return OperatorKernel(axis, u=u, v=v)
+    """Two complex factor terms u_k u_k^H: complex lags, with odd halves against the sin table."""
+    u = np.random.default_rng(seed).normal(size=(2, axis[2], 2)) @ [1.0, 1j]
+    return OperatorKernel(axis, u=u)
+
+
+def _signed_kernel(dtype):
+    """Three factor terms s_k u_k u_k^H of ``dtype`` with weights of both signs and sizes."""
+
+    def make(axis, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(3, axis[2], 2)) @ [1.0, 1j]
+        return OperatorKernel(axis, u=u if dtype is complex else u.real, s=[1.5, -0.25, -3.0])
+
+    return make
 
 
 def _complex_wavefunction(axis):
@@ -202,18 +208,6 @@ def _complex_wavefunction(axis):
     q = np.linspace(*axis)
     values = 3.0 * np.exp(-((q - 0.5) ** 2) / 2.0 + 1.3j * q) + 0.4j * np.exp(-((q + 1.0) ** 2))
     return WaveFunction(axis, values)
-
-
-def _mixed_kernel(axis, seed, hermitian=float, other=complex):
-    """One term u_0 u_0^H and one u_1 v_1^H: H's own lags meet g and the skew in one transform."""
-    rng = np.random.default_rng(seed)
-
-    def row(dtype):
-        values = rng.normal(size=(axis[2], 2)) @ [1.0, 1j]
-        return values if dtype is complex else values.real
-
-    shared, u, v = row(hermitian), row(other), row(other)
-    return OperatorKernel(axis, u=np.array([shared, u]), v=np.array([shared, v]))
 
 
 def _zero_kernel(axis, seed):
@@ -230,14 +224,11 @@ def _complex_projector(axis, seed):
 
 ALL_KERNELS = {
     "dense-hermitian": _random_hermitian_kernel,
-    "dense": _random_kernel,
+    "dense-real-symmetric": _random_symmetric_kernel,
     "real-factors": _real_factored_kernel,
-    "real-skew-factors": _real_skew_factored_kernel,
     "complex-factors": _complex_factored_kernel,
-    "real-h-real-skew": lambda axis, seed: _mixed_kernel(axis, seed, float, float),
-    "real-h-complex-skew": lambda axis, seed: _mixed_kernel(axis, seed, float, complex),
-    "complex-h-real-skew": lambda axis, seed: _mixed_kernel(axis, seed, complex, float),
-    "complex-h-complex-skew": lambda axis, seed: _mixed_kernel(axis, seed, complex, complex),
+    "signed-real-factors": _signed_kernel(float),
+    "signed-complex-factors": _signed_kernel(complex),
     "zero": _zero_kernel,
     "real-projector": _real_projector,
     "complex-projector": _complex_projector,
@@ -261,7 +252,7 @@ class TestReferenceFold:
         nodes, p_out = weyl._output_nodes(kernel.axis, hbar, grid)
         expected = PhaseFunction(grid, reference_kernel_rows(kernel, nodes, p_out, hbar)).values
         values = wigner_of_kernel(kernel, hbar, grid).values
-        assert values.dtype == expected.dtype
+        assert values.dtype == expected.dtype == np.float64
         assert np.array_equal(values, expected) and values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("grid", OUT_GRIDS.values(), ids=OUT_GRIDS.keys())
@@ -302,9 +293,9 @@ class TestWorkspace:
         written, folds = [], []
         factor_lags, fold, cos_sin = weyl._factor_lags, weyl._fold, weyl._cos_sin
 
-        def lags_spy(u, v, *args):
-            out = factor_lags(u, v, *args)
-            written.extend([out, *args[3:]])
+        def lags_spy(kernel, *args):
+            out = factor_lags(kernel, *args)
+            written.extend([out, *args[2:]])
             return out
 
         def fold_spy(halves, *args):
@@ -381,8 +372,8 @@ class TestGatherPath:
 
     @pytest.mark.parametrize(
         "make",
-        [_random_kernel, _real_factored_kernel, _real_skew_factored_kernel, _complex_factored_kernel],
-        ids=["dense", "real-factors", "real-skew-factors", "complex-factors"],
+        [_real_factored_kernel, _complex_factored_kernel, _signed_kernel(float), _signed_kernel(complex)],
+        ids=["real-factors", "complex-factors", "signed-real-factors", "signed-complex-factors"],
     )
     def test_output_rows_on_every_third_node(self, make):
         # nodes 7, 10, ..., 187: factor lags are read three nodes apart, and
@@ -392,18 +383,10 @@ class TestGatherPath:
         sub = (axis[0] + 7 * h, axis[0] + 187 * h, 61)
         self._assert_matches_oracle(make(axis, seed=4), Grid.rectangle(sub, (-4.0, 4.0, 96)))
 
-    def test_non_hermitian_kernel(self):
-        # even and odd lag parts are both complex here, so the symbol's
-        # imaginary part is as large as its real part
-        axis = (-6.0, 6.0, 193)
-        grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
-        fast = self._assert_matches_oracle(_random_kernel(axis, seed=5), grid)
-        assert float(np.max(np.abs(fast.imag))) > 0.1 * float(np.max(np.abs(fast.real)))
-
     @pytest.mark.parametrize(
         "make",
-        [_random_hermitian_kernel, _random_kernel, _real_factored_kernel, _complex_factored_kernel],
-        ids=["hermitian", "non-hermitian", "real-factors", "complex-factors"],
+        [_random_hermitian_kernel, _real_factored_kernel, _complex_factored_kernel, _signed_kernel(complex)],
+        ids=["hermitian", "real-factors", "complex-factors", "signed-complex-factors"],
     )
     @pytest.mark.parametrize(
         "p_axis",
@@ -419,9 +402,7 @@ class TestGatherPath:
         assert np.array_equal(p, -p[::-1]) == (p_axis == (-6.0, 6.0, 193))
         self._assert_matches_oracle(make(axis, seed=9), Grid.rectangle(axis, p_axis))
 
-    @pytest.mark.parametrize(
-        "make", [_random_hermitian_kernel, _random_kernel], ids=["hermitian", "non-hermitian"]
-    )
+    @pytest.mark.parametrize("make", [_random_hermitian_kernel], ids=["hermitian"])
     def test_long_axis(self, make):
         # 1537 nodes, every 32nd as an output row: reaches up to 768 lags
         axis = (-24.0, 24.0, 1537)
@@ -429,16 +410,16 @@ class TestGatherPath:
         self._assert_matches_oracle(make(axis, seed=6), grid)
 
     @pytest.mark.parametrize(
-        "make, columns_per_row",
-        [(_random_hermitian_kernel, 1), (_random_kernel, 2)],
-        ids=["hermitian", "non-hermitian"],
+        "make, parts",
+        [(_random_hermitian_kernel, 2), (_real_factored_kernel, 1)],
+        ids=["hermitian", "real-factors"],
     )
-    def test_fold_takes_real_columns(self, monkeypatch, make, columns_per_row):
-        # K = H + iA folds as real even and odd lags. The 193 rows fold in 8
-        # bands (7 of 24 rows, then 25), each to its deepest lag: depths 24,
+    def test_fold_takes_real_columns(self, monkeypatch, make, parts):
+        # a hermitian K folds as real even and odd lags. The 193 rows fold in
+        # 8 bands (7 of 24 rows, then 25), each to its deepest lag: depths 24,
         # 48, 72, 96, 97, 73, 49 and 25 give 11641 (row, lag) entries, against
-        # 193 x 97 for the full window. Each entry is an even and an odd lag,
-        # for H, and as many again for A unless A = 0
+        # 193 x 97 for the full window. Each entry is an even and an odd lag
+        # for complex factors, and an even lag alone for real ones
         assert weyl.BANDS == 8
         seen = []
         fold = weyl._fold
@@ -452,15 +433,13 @@ class TestGatherPath:
         grid = Grid.rectangle(axis, (-4.0, 4.0, 97))
         w = wigner_of_kernel(make(axis, seed=7), 1.0, grid)
         assert seen and all(dtype == np.dtype(float) for dtype, _ in seen)
-        assert sum(size for _, size in seen) == columns_per_row * 2 * 11641
-        assert np.all(w.values.imag == 0.0) == (columns_per_row == 1)
+        assert sum(size for _, size in seen) == parts * 11641
+        assert w.values.dtype == np.float64
 
-    @pytest.mark.parametrize(
-        "make", [_random_hermitian_kernel, _random_kernel], ids=["hermitian", "non-hermitian"]
-    )
+    @pytest.mark.parametrize("make", [_random_hermitian_kernel], ids=["hermitian"])
     def test_peak_memory_stays_near_kernel_size(self, make):
-        # the real lags of both parts take the kernel's bytes; the phase
-        # table and the folded rows stay below twice the output's bytes
+        # the real lags take the kernel's bytes; the phase table and the
+        # folded rows stay below twice the output's bytes
         axis = (-24.0, 24.0, 385)
         kernel = make(axis, seed=8)
         grid = Grid.rectangle(axis, (-0.5, 4.5, 161))
@@ -470,7 +449,7 @@ class TestGatherPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= kernel.u.nbytes + 2.0 * 16 * grid.n_points  # complex-output bytes
+        assert peak <= kernel.u.nbytes + 2.0 * 16 * grid.n_points  # twice the complex-output bytes
 
     def test_pure_state_matches_its_projector_kernel(self):
         psi = _complex_wavefunction(AXIS)
@@ -480,7 +459,7 @@ class TestGatherPath:
         kernel = _projector(psi.normalize())
         expected = wigner_of_kernel(kernel, hbar, grid).values / (2.0 * np.pi * hbar)
         assert float(np.max(np.abs(w - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
-        assert np.all(w.imag == 0.0)
+        assert w.dtype == np.float64
 
     @pytest.mark.parametrize(
         "out_grid, hbar",
@@ -613,30 +592,23 @@ class TestTracePairing:
 
 
 def _synthesized(build, sgrid, axis, hbar):
-    """A factored kernel from spectral terms: which factors it has depends on ``build``."""
+    """A factored kernel from separable hermitian spectral terms: one factor per term."""
     w = sgrid.omega
     bump = kernels.gaussian_profile(2.0, 0.5)(w)
     skewed = kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w)
-    lorentz = make_observable(sgrid, None, kernels.lorentzian_kernel(0.3, lambda x: np.exp(-x)))
     terms = {
         "hermitian-term": CoherenceTerms(sgrid, [bump], [bump]),
-        "two-non-hermitian-terms": CoherenceTerms(sgrid, [skewed, np.exp(-w)], [bump, w]),
-        "separable-and-lorentzian": CoherenceTerms(
-            sgrid,
-            np.concatenate([[bump], lorentz.regular.a]),
-            np.concatenate([[skewed], lorentz.regular.b]),
-            np.concatenate([np.ones((1, 2 * sgrid.omega_count - 1)), lorentz.regular.c]),
-        ),
+        "two-hermitian-terms": CoherenceTerms(sgrid, [skewed, np.exp(-w)], [skewed, np.exp(-w)]),
         "zero-terms": CoherenceTerms(sgrid, *np.zeros((2, 0, sgrid.omega_count))),
     }[build]
     return synthesize_kernel(sgrid, terms, axis, plane_wave_matrix(sgrid, axis, hbar))
 
 
-BUILDS = ["hermitian-term", "two-non-hermitian-terms", "separable-and-lorentzian", "zero-terms"]
+BUILDS = ["hermitian-term", "two-hermitian-terms", "zero-terms"]
 
 
 class TestFactoredKernel:
-    """Factors u_k v_k^H against the same kernel as one dense array, held as n factor pairs."""
+    """Factors s_k u_k u_k^H against the same kernel as one dense array, held as its eigenvectors."""
 
     SGRID = SpectralGrid(4.0, 121)
     AXIS = (-12.0, 9.0, 193)
@@ -648,20 +620,11 @@ class TestFactoredKernel:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_form_follows_the_terms(self, build):
-        # a term with a Lorentzian offset symbol becomes one factor pair
-        # (E D)_k, E_k per omega node, behind the separable term's pair
+        # each separable hermitian term becomes one factor of unit weight, E a_k
         kernel, _ = self._pair(build)
-        factors = {
-            "hermitian-term": 1,
-            "two-non-hermitian-terms": 2,
-            "separable-and-lorentzian": 1 + self.SGRID.omega_count,
-            "zero-terms": 0,
-        }[build]
-        assert kernel.u.shape == kernel.v.shape == (factors, 193)
-        assert (kernel.u is kernel.v) == (build in ("hermitian-term", "zero-terms"))
-        if build == "separable-and-lorentzian":
-            table = plane_wave_matrix(self.SGRID, self.AXIS, self.HBAR)
-            assert np.array_equal(kernel.v[1:], table.T)
+        factors = {"hermitian-term": 1, "two-hermitian-terms": 2, "zero-terms": 0}[build]
+        assert kernel.u.shape == (factors, 193)
+        assert np.array_equal(kernel.s, np.ones(factors))
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_symbol_matches_dense(self, build):
@@ -669,45 +632,29 @@ class TestFactoredKernel:
         grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
         fast = wigner_of_kernel(kernel, self.HBAR, grid).values
         oracle = wigner_of_kernel(dense, self.HBAR, grid).values
+        assert fast.dtype == oracle.dtype == np.float64
         if build == "zero-terms":
             assert not fast.any()
             return
         scale = float(np.max(np.abs(oracle)))
         assert float(np.max(np.abs(fast - oracle))) <= 1e-12 * scale
-        assert np.all(fast.imag == 0.0) == (build == "hermitian-term")
         direct = _trapezoid_oracle(kernel.axis, dense_kernel(kernel), grid, self.HBAR)
         assert float(np.max(np.abs(fast - direct))) <= 1e-12 * scale
 
-    def test_equal_factors_in_two_arrays_fold_as_hermitian(self, monkeypatch):
-        # u_k = v_k is read from the data, not from how the kernel was built:
-        # one lag-product gather, and no mirror gather for A
+    def test_a_second_factor_array_is_refused(self):
+        # K = sum_k s_k u_k u_k^H has one factor array: no v, so no non-hermitian kernel
         kernel, _ = self._pair("hermitian-term")
-        twin = OperatorKernel(kernel.axis, u=kernel.u, v=kernel.u.copy())
-        assert twin.v is not twin.u
-        gathers = []
-        factor_lags = weyl._factor_lags
+        with pytest.raises(TypeError, match="'v'"):
+            OperatorKernel(kernel.axis, u=kernel.u, v=kernel.u)
 
-        def spy(u, v, *args):
-            gathers.append(len(u))
-            return factor_lags(u, v, *args)
-
-        monkeypatch.setattr(weyl, "_factor_lags", spy)
-        grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
-        symbol = wigner_of_kernel(twin, self.HBAR, grid).values
-        assert gathers == [1]
-        assert np.array_equal(symbol, wigner_of_kernel(kernel, self.HBAR, grid).values)
-        assert not symbol.imag.any()
-
-    @pytest.mark.parametrize("real_side", ["u", "v"])
-    def test_real_factor_meets_complex_factor(self, real_side):
-        # real samples are stored as float64 and complex ones as complex128; a lag
-        # product of the two is formed in complex, as the dense kernel is
+    def test_real_and_complex_factor_rows(self):
+        # one real row among complex ones is stored as complex128, and its
+        # lags are formed in complex, as the dense kernel is
         x = Axis(*self.AXIS).nodes()
-        real = np.exp(-((x + 1.0) ** 2) / 3.0)[None]
-        skewed = (np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.6j * x))[None]
-        u, v = (real, skewed) if real_side == "u" else (skewed, real)
-        kernel = OperatorKernel(self.AXIS, u=u, v=v)
-        assert getattr(kernel, real_side).dtype == np.float64
+        real = np.exp(-((x + 1.0) ** 2) / 3.0)
+        skewed = np.exp(-((x - 1.0) ** 2) / 2.0) * np.exp(0.6j * x)
+        kernel = OperatorKernel(self.AXIS, u=[real, skewed], s=[2.0, -1.0])
+        assert kernel.u.dtype == np.complex128
         grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
         fast = wigner_of_kernel(kernel, self.HBAR, grid).values
         dense = dense_as_factors(self.AXIS, dense_kernel(kernel))
@@ -717,13 +664,14 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("other", BUILDS)
     @pytest.mark.parametrize("build", BUILDS)
     def test_trace_matches_dense(self, build, other):
-        # every pair of the synthesized factors and the dense arrays held as n factor pairs
+        # every pair of the synthesized factors and the dense arrays held as eigenvectors
         a, a_dense = self._pair(build)
         b, b_dense = self._pair(other)
         oracle = trace_pair(a_dense, b_dense)
         scale = float(np.sum(np.abs(dense_kernel(a)) * np.abs(dense_kernel(b).T)))
         for left, right in [(a, b), (a, b_dense), (a_dense, b)]:
             value = trace_pair(left, right)
+            assert isinstance(value, float)
             if "zero-terms" in (build, other):
                 assert value == 0.0
             else:
@@ -736,15 +684,66 @@ class TestFactoredKernel:
         w = wigner_of_pure_state(psi, 0.7, grid).values
         unit = psi.normalize().values
         projector = OperatorKernel(AXIS, u=[unit])
-        assert projector.v is projector.u
-        expected = wigner_of_kernel(projector, 0.7, grid).values.real / (2.0 * np.pi * 0.7)
-        assert np.array_equal(w.real, expected) and not w.imag.any()
+        assert np.array_equal(projector.s, [1.0])
+        expected = wigner_of_kernel(projector, 0.7, grid).values / (2.0 * np.pi * 0.7)
+        assert np.array_equal(w, expected) and w.dtype == np.float64
 
     def test_factor_shapes_are_checked(self):
         with pytest.raises(ValueError, match="kernel factors u shape"):
             OperatorKernel(AXIS, u=np.ones((2, 192)))
-        with pytest.raises(ValueError, match="kernel factors v shape"):
-            OperatorKernel(AXIS, u=np.ones((2, 193)), v=np.ones((1, 193)))
+        with pytest.raises(ValueError, match=r"kernel weights s shape \(1,\) does not match \(2,\)"):
+            OperatorKernel(AXIS, u=np.ones((2, 193)), s=np.ones(1))
+
+
+class TestSignedWeights:
+    """Weights s_k of either sign: K = sum_k s_k u_k u_k^H."""
+
+    H = 0.0625  # the spacing of AXIS, a power of two: 2h * s_k / (2h) is exact
+
+    @pytest.mark.parametrize("p_axis", [AXIS, (-0.5, 4.5, 97)], ids=["mirrored", "one-sided"])
+    @pytest.mark.parametrize("operator", ["identity", "position"])
+    def test_multiplication_operators_transform_exactly(self, operator, p_axis):
+        # f(q) delta(q - q') for f = 1 and f = q, held as the n unit factors
+        # e_k with s_k = f(q_k) / 2h: each row's lags are zero but lag 0, s_k,
+        # whose even half 2 s_k takes half weight and meets cos(0) = 1 times
+        # 2h, so the symbol is f(q) exactly on every row of reach >= 1, and
+        # rows of reach 0 are zero
+        axis = Axis(*AXIS)
+        assert axis.spacing == self.H
+        q = axis.nodes()
+        f = np.ones_like(q) if operator == "identity" else q
+        kernel = OperatorKernel(AXIS, u=np.eye(axis.count), s=f / (2.0 * self.H))
+        symbol = wigner_of_kernel(kernel, 1.0, Grid.rectangle(AXIS, p_axis)).values
+        assert symbol.dtype == np.float64
+        assert np.array_equal(symbol[1:-1], np.broadcast_to(f[1:-1, None], symbol[1:-1].shape))
+        assert not symbol[0].any() and not symbol[-1].any()
+
+    def test_trace_of_signed_kernels_matches_the_dense_trace(self):
+        # integral A(q, q') B(q', q) dq dq' as a double trapezoid sum of the dense arrays
+        a = _signed_kernel(complex)(AXIS, 13)
+        b = OperatorKernel(AXIS, u=_signed_kernel(float)(AXIS, 14).u, s=[-0.5, 2.0, 0.75])
+        w = np.full(AXIS[2], self.H)
+        w[0] = w[-1] = 0.5 * self.H
+        oracle = np.sum(dense_kernel(a) * w * (dense_kernel(b) * w).T)
+        assert abs(oracle.imag) <= 1e-12 * abs(oracle)
+        value = trace_pair(a, b)
+        assert abs(value - oracle.real) <= 1e-12 * abs(oracle)
+        assert abs(value - trace_pair(b, a)) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ([1.0, 0.5j], "kernel weights s must be real"),
+            ([1.0, np.nan], "kernel weights s must be finite"),
+            ([1.0, np.inf], "kernel weights s must be finite"),
+            ([1.0], r"kernel weights s shape \(1,\) does not match \(2,\)"),
+            ([1.0, 2.0, 3.0], r"kernel weights s shape \(3,\) does not match \(2,\)"),
+        ],
+        ids=["complex", "nan", "inf", "short", "long"],
+    )
+    def test_weights_are_checked(self, s, message):
+        with pytest.raises(ValueError, match=message):
+            OperatorKernel(AXIS, u=np.ones((2, 193)), s=s)
 
 
 def test_pairing_equivalence_forms_no_q_by_q_array(monkeypatch):
