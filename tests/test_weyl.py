@@ -203,6 +203,25 @@ def _signed_kernel(dtype):
     return make
 
 
+def _real_and_complex_rows(axis, seed):
+    """A real row and a complex row in one complex factor array, with weights of both signs."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(2, axis[2], 2)) @ [1.0, 1j]
+    u[0] = u[0].real
+    return OperatorKernel(axis, u=u, s=[-0.75, 2.0])
+
+
+def _cancelling_weights(axis, seed):
+    """One complex factor twice, with weights 1 and -1: K = 0 from factors that are not."""
+    u = np.random.default_rng(seed).normal(size=(axis[2], 2)) @ [1.0, 1j]
+    return OperatorKernel(axis, u=np.array([u, u]), s=[1.0, -1.0])
+
+
+def _negative_projector(axis, seed):
+    """A complex projector of weight -2: one factor, one negative weight."""
+    return OperatorKernel(axis, u=_complex_wavefunction(axis).normalize().values[None], s=[-2.0])
+
+
 def _complex_wavefunction(axis):
     """Unnormalized, with a momentum kick, so its lag products have imaginary parts."""
     q = np.linspace(*axis)
@@ -229,6 +248,9 @@ ALL_KERNELS = {
     "complex-factors": _complex_factored_kernel,
     "signed-real-factors": _signed_kernel(float),
     "signed-complex-factors": _signed_kernel(complex),
+    "real-and-complex-rows": _real_and_complex_rows,
+    "cancelling-weights": _cancelling_weights,
+    "negative-projector": _negative_projector,
     "zero": _zero_kernel,
     "real-projector": _real_projector,
     "complex-projector": _complex_projector,
@@ -402,7 +424,11 @@ class TestGatherPath:
         assert np.array_equal(p, -p[::-1]) == (p_axis == (-6.0, 6.0, 193))
         self._assert_matches_oracle(make(axis, seed=9), Grid.rectangle(axis, p_axis))
 
-    @pytest.mark.parametrize("make", [_random_hermitian_kernel], ids=["hermitian"])
+    @pytest.mark.parametrize(
+        "make",
+        [_random_hermitian_kernel, _signed_kernel(complex)],
+        ids=["hermitian", "signed-complex-factors"],
+    )
     def test_long_axis(self, make):
         # 1537 nodes, every 32nd as an output row: reaches up to 768 lags
         axis = (-24.0, 24.0, 1537)
@@ -411,8 +437,8 @@ class TestGatherPath:
 
     @pytest.mark.parametrize(
         "make, parts",
-        [(_random_hermitian_kernel, 2), (_real_factored_kernel, 1)],
-        ids=["hermitian", "real-factors"],
+        [(_random_hermitian_kernel, 2), (_real_factored_kernel, 1), (_complex_factored_kernel, 2)],
+        ids=["hermitian", "real-factors", "complex-factors"],
     )
     def test_fold_takes_real_columns(self, monkeypatch, make, parts):
         # a hermitian K folds as real even and odd lags. The 193 rows fold in
