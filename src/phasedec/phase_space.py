@@ -32,6 +32,15 @@ INTERIOR_FRACTION = 0.8
 #: most rows per derivative tile: within 10% of the fastest of the heights
 #: 21..160 timed at 161 and 641 nodes, and an axis of 21 nodes stays one tile
 TILE = 24
+#: most bytes per derivative slab on axis 0 and the last axis, timed from 96
+#: to 384 kB on 21^4 grids: 256 kB slabs took 0.59-0.70 of one pass's time
+#: (0.9-1.0 on the complex last axis), 384 kB ones 0.87-1.09; and 161^2 real
+#: samples (207 kB) stay one slab
+SLAB = 2**18
+#: fewest lines per derivative slab, timed from 64 to 1536 at 641 to 2561
+#: nodes: 512 made axis 0 up to 18% slower through extra matmul calls, and
+#: 1024 gave back part of the last axis's gain at 1281 nodes
+MIN_SLAB_LINES = 768
 
 
 def _frozen(values, dtype, shape, what: str, copy=True) -> np.ndarray:
@@ -55,6 +64,18 @@ def _frozen(values, dtype, shape, what: str, copy=True) -> np.ndarray:
     return values
 
 
+def _shown(count: int) -> str:
+    """An integer for an error message: in full up to 15 digits, else its leading digits and digit count.
+
+    A count taken from a JSON float such as 1e300 has hundreds of digits;
+    float formatting would raise OverflowError above 1e308.
+    """
+    digits = str(abs(count))
+    if len(digits) <= 15:
+        return str(count)
+    return f"{'-' * (count < 0)}{digits[:6]}... ({len(digits)} digits)"
+
+
 class _AxisFields(NamedTuple):
     lo: float
     hi: float
@@ -76,7 +97,7 @@ class Axis(_AxisFields):
         if not hi > lo:
             raise ValueError(f"axis range must satisfy max > min, got [{lo}, {hi}]")
         if count < MIN_AXIS_COUNT:
-            raise ValueError(f"axis count must be >= {MIN_AXIS_COUNT}, got {count}")
+            raise ValueError(f"axis count must be >= {MIN_AXIS_COUNT}, got {_shown(count)}")
         return super().__new__(cls, lo, hi, count)
 
     @property
@@ -337,7 +358,8 @@ def _tiles(count: int, spacing: float, order: int, parts: int, layout: str) -> t
     ``parts`` 2, d is ``kron(d, I_2)``, which acts on samples whose real
     and imaginary parts interleave, and rows and columns count floats.
     ``layout`` is d's memory order. The cached bytes depend on ``TILE``,
-    not on ``count``.
+    not on ``count``. ``_derivative_values`` applies every tile to one
+    slab of the samples before it moves to the next.
     """
     centred, edge = (weights / spacing**order for weights in _integer_stencils(order))
     half, sided = edge.shape
@@ -361,18 +383,28 @@ def _tiles(count: int, spacing: float, order: int, parts: int, layout: str) -> t
 def _derivative_values(
     values: np.ndarray, grid: Grid, axis: int, order: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``partial_derivative`` on C-contiguous float64 or complex128 samples: one real matmul per tile.
+    """``partial_derivative`` on C-contiguous float64 or complex128 samples: a real matmul per tile and slab.
 
     Each tile of ``_tiles`` multiplies its weights into its rows, so the
     cost is linear in the axis length; an axis of at most ``TILE`` nodes
-    is one matmul with the whole matrix. Real samples are differentiated
-    in real arithmetic into a real result. On the last axis the tiles act
-    on the transposed float view, as ``kron(w, I_2)`` on complex samples,
-    whose real and imaginary parts interleave. numpy hands BLAS that
-    product transposed, so those tiles are kept in Fortran order: BLAS
-    then reads C-ordered weights, which it packs fastest. The result goes
-    into ``out``, a C-contiguous array of the grid's shape and the
-    samples' dtype, when given.
+    is one tile, the whole matrix. Real samples are differentiated in real
+    arithmetic into a real result. On the last axis the tiles act on the
+    transposed float view, as ``kron(w, I_2)`` on complex samples, whose
+    real and imaginary parts interleave. numpy hands BLAS that product
+    transposed, so those tiles are kept in Fortran order: BLAS then reads
+    C-ordered weights, which it packs fastest.
+
+    On axis 0 the samples are one (n, columns) block, and on the last
+    axis one (parts n, rows) block of the flat view. Either goes in slabs
+    of ``SLAB`` bytes, but of at least ``MIN_SLAB_LINES`` columns or rows,
+    and every tile is applied to a slab before the next slab, so the slab
+    stays in cache (Golub & Van Loan, Matrix Computations, 4th ed., 1.5).
+    One pass over a whole 21^4 array streams 1.5 MB per matmul, and at
+    2561 nodes every last-axis tile read all rows a grid row apart. An
+    array within one slab makes one matmul per tile. A middle axis is
+    already a batch of (n, trailing) blocks, one per BLAS call, and is not
+    slabbed. The result goes into ``out``, a C-contiguous array of the
+    grid's shape and the samples' dtype, when given.
     """
     out = np.empty(grid.shape, dtype=values.dtype) if out is None else out
     n, last = grid.shape[axis], axis == len(grid.axes) - 1
@@ -381,8 +413,13 @@ def _derivative_values(
         source, target = (a.view(float).reshape(1, -1, parts * n).transpose(0, 2, 1) for a in (values, out))
     else:
         source, target = (a.reshape(prod(grid.shape[:axis]), n, -1).view(float) for a in (values, out))
-    for rows, cols, weights in _tiles(n, grid.spacing(axis), order, parts, "F" if last else "C"):
-        np.matmul(weights, source[:, cols], out=target[:, rows])
+    batch, depth, width = source.shape
+    step = width if batch > 1 else max(SLAB // (8 * depth), MIN_SLAB_LINES)
+    tiles = _tiles(n, grid.spacing(axis), order, parts, "F" if last else "C")
+    for start in range(0, width, step):
+        lines = slice(start, start + step)
+        for rows, cols, weights in tiles:
+            np.matmul(weights, source[:, cols, lines], out=target[:, rows, lines])
     return out
 
 

@@ -37,7 +37,7 @@ from .decoherence import (
     verify_final_positivity,
 )
 from .moyal import MAX_ORDER, classical_limit_check, moyal_bracket, star_product
-from .phase_space import Axis, Grid, PhaseFunction, integrate, interior_max_abs
+from .phase_space import Axis, Grid, PhaseFunction, _shown, integrate, interior_max_abs
 from .spectral import (
     MomentumMap,
     SpectralGrid,
@@ -410,7 +410,7 @@ def _run_moyal_convergence(opts: dict, seed: int) -> tuple[dict, list, dict]:
     grid = Grid.square(*_option("grid", Axis, **opts["grid"]))
     order = opts["truncation_order"]
     if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"option 'truncation_order' must be in 0..{MAX_ORDER}, got {order}")
+        raise ValueError(f"option 'truncation_order' must be in 0..{MAX_ORDER}, got {_shown(order)}")
     f = PhaseFunction.sample(grid, lambda q, p: q**3, "q^3")
     h = PhaseFunction.sample(grid, lambda q, p: p**3, "p^3")
     rep = _option("hbar", classical_limit_check, f, h, hbars, order=order)
@@ -696,9 +696,9 @@ def _run_limit_positivity(opts: dict, seed: int) -> tuple[dict, list, dict]:
     sgrid = _option("spectral_grid", SpectralGrid, **opts["spectral_grid"])
     n_states = opts["n_states"]
     if n_states < 1:
-        raise ValueError(f"option 'n_states' must be >= 1, got {n_states}")
+        raise ValueError(f"option 'n_states' must be >= 1, got {_shown(n_states)}")
     if n_states > MAX_STATES:
-        raise ValueError(f"option 'n_states' must be <= MAX_STATES = {MAX_STATES}, got {n_states}")
+        raise ValueError(f"option 'n_states' must be <= MAX_STATES = {MAX_STATES}, got {_shown(n_states)}")
     axis = _option("wigner_axis", Axis, **opts["wigner_axis"])
 
     minima = []
@@ -752,7 +752,7 @@ def run_named_scenario(name: str, overrides: dict, seed: int) -> ScenarioResult:
     if name not in _RUNNERS:
         raise ValueError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     if seed < 0:
-        raise ValueError(f"option 'seed' must be >= 0, got {seed}")
+        raise ValueError(f"option 'seed' must be >= 0, got {_shown(seed)}")
     fields, checks, curves = _RUNNERS[name](_merge(_DEFAULTS[name], overrides), seed)
     report = {"scenario": name, "seed": seed, **fields}
     report.update((key, entry["value"]) for _, entry, key in checks if key is not None)

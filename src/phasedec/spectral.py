@@ -15,9 +15,10 @@ with l observable terms O(k l n log n), instead of O(n^2). Any hermitian
 kernel is such a sum (its eigenvectors with c = 1); opaque (w, w')
 callables and dense arrays are not accepted, and the package forms no
 (n, n) array of a kernel outside ``decoherence.evolve_pairing``'s blocks.
-In the position kernel, ``synthesize_kernel`` takes separable hermitian
-terms alone (b = a, c = 1), each one factor of unit weight synthesized
-from its profile: no n_q^2 array is formed.
+In the position kernel, ``synthesize_kernel`` takes real multiples of
+separable hermitian terms alone (a = lam b with real lam, c = 1), each one
+factor of weight lam synthesized from its profile b: no n_q^2 array is
+formed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .phase_space import Axis, Grid, PhaseFunction, _cos_sin, _frozen, _trapezoid_weights
+from .phase_space import Axis, Grid, PhaseFunction, _cos_sin, _frozen, _shown, _trapezoid_weights
 from .weyl import OperatorKernel, WaveFunction
 
 __all__ = [
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 MIN_SPECTRAL_COUNT = 16
+#: largest max|a - lam b| / max|a| at which ``synthesize_kernel`` takes a term
+#: a conj(b) as lam b conj(b): the relative bound of ``states.HERMITIAN_TOL``
+MULTIPLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class SpectralGrid:
         square = self.d_omega * self.d_omega
         if not (0.0 < square < math.inf and 1.0 / square < math.inf):
             raise ValueError(
-                f"omega_max {self.omega_max!r} over {self.omega_count - 1} steps gives "
+                f"omega_max {self.omega_max!r} over {_shown(self.omega_count - 1)} steps gives "
                 f"d_omega = {self.d_omega!r}, whose square or inverse square is not a finite "
                 "positive float"
             )
@@ -161,8 +165,7 @@ class CoherenceTerms:
         """
         bound = 0.0
         for a, b, c in zip(self.a, self.b, self.c):
-            norm = float(np.vdot(b, b).real)
-            lam = float(np.vdot(b, a).real) / norm if norm > 0.0 else 0.0
+            lam = _real_multiple(a, b)
             peak_b = float(np.max(np.abs(b)))
             skew = float(np.max(np.abs(c - c[::-1].conj())))
             spread = float(np.max(np.abs(a - lam * b)))
@@ -181,6 +184,12 @@ class CoherenceTerms:
             entry = np.sum(self.a[:, w] * self.b[:, wp].conj() * self.c[:, w - wp + n - 1])
             floor = max(floor, float(abs(entry)))
         return floor
+
+
+def _real_multiple(a: np.ndarray, b: np.ndarray) -> float:
+    """The real lam nearest a / b in the mean square, Re<b, a> / <b, b>; 0 for b = 0."""
+    norm = float(np.vdot(b, b).real)
+    return float(np.vdot(b, a).real) / norm if norm > 0.0 else 0.0
 
 
 def _regular_terms(grid: SpectralGrid, kernel) -> CoherenceTerms:
@@ -418,17 +427,26 @@ def synthesize_kernel(
     K(q, q') = (1 / 2 pi hbar) * double integral of O(w, w')
     exp(i (w q - w' q') / hbar) dw dw', with ``table`` the plane-wave matrix
     E = ``plane_wave_matrix(grid, axis, hbar)``. Each term must be
-    a_k(w) conj(a_k(w')): b = a and offset symbol c = 1, as
-    ``make_observable`` builds from ``kernels.separable_kernel``. Its
-    factor is u_k = E a_k, of unit weight, at O(k n n_q), and no n^2 or
-    n_q^2 array is formed. Any other term is refused with ValueError.
+    lam_k b_k(w) conj(b_k(w')) with real lam_k: offset symbol c = 1 and
+    a = lam b, as ``make_observable`` builds from
+    ``kernels.separable_kernel`` (lam = 1) and a real combination of such
+    observables holds. Its factor is u_k = E b_k with weight s_k = lam_k =
+    Re<b_k, a_k> / <b_k, b_k>, at O(k n n_q), and no n^2 or n_q^2 array is
+    formed. A term with another c, or whose a is farther than
+    ``MULTIPLE_TOL`` max|a| from lam b (a complex multiple, or another
+    profile), is refused with ValueError.
     """
     axis = _table_axis(grid, axis, table)
     if regular.grid != grid:
         raise ValueError("regular kernel terms must live on the given spectral grid")
+    weights = []
     for k, (a, b, c) in enumerate(zip(regular.a, regular.b, regular.c)):
         if not np.all(c == 1.0):
             raise ValueError(f"synthesize_kernel needs separable terms: term {k}'s offset symbol c is not 1")
-        if not np.array_equal(a, b):
-            raise ValueError(f"synthesize_kernel needs terms with b = a: term {k}'s profiles a and b differ")
-    return OperatorKernel(axis, u=(table @ regular.a.T).T)
+        weights.append(_real_multiple(a, b))
+        if b.any() and np.max(np.abs(a - weights[-1] * b)) > MULTIPLE_TOL * np.max(np.abs(a)):
+            raise ValueError(
+                f"synthesize_kernel needs terms with a = lam b, lam real: term {k}'s profile a is not "
+                "a real multiple of b"
+            )
+    return OperatorKernel(axis, u=(table @ regular.b.T).T, s=weights)

@@ -594,7 +594,7 @@ def test_empty_list_option_is_validation_error(tmp_path, capsys, text, path):
          "must be in 0..6"),
         ('{"scenario": "limit-positivity", "n_states": 0}', "n_states", "must be >= 1"),
         ('{"scenario": "limit-positivity", "n_states": 1e300}', "n_states",
-         f"must be <= MAX_STATES = {MAX_STATES}, got 1000000000000000052504760255204420248704468581108"),
+         f"must be <= MAX_STATES = {MAX_STATES}, got 100000... (301 digits)"),
         (f'{{"scenario": "limit-positivity", "n_states": {MAX_STATES + 1}}}', "n_states",
          f"must be <= MAX_STATES = {MAX_STATES}, got {MAX_STATES + 1}"),
         ('{"scenario": "decoherence-lorentzian", "kernel": {"gamma": 0.2}}', "kernel.family",
@@ -700,6 +700,31 @@ def test_invalid_axis_option_names_its_path(tmp_path, capsys, text, path, messag
     assert f"'{path}'" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"scenario": "limit-positivity", "n_states": 1e300}', "n_states"),
+        ('{"scenario": "limit-positivity", "n_states": -1e300}', "n_states"),
+        ('{"scenario": "moyal-convergence", "grid": {"count": -1e300}}', "grid"),
+        ('{"scenario": "pairing-equivalence", "box_momentum_count": -1e300}', "box_momentum_count"),
+        ('{"scenario": "moyal-convergence", "truncation_order": 1e300}', "truncation_order"),
+        ('{"scenario": "moyal-convergence", "seed": -1e300}', "seed"),
+        ('{"scenario": "decoherence-lorentzian", "spectral_grid": {"omega_count": 1e300}}', "spectral_grid"),
+    ],
+    ids=["n-states-above-max", "n-states-below-1", "grid-count", "box-momentum-count",
+         "truncation-order", "seed", "omega-count"],
+)
+def test_huge_integer_refusal_is_one_short_line(tmp_path, capsys, text, path):
+    # each printed the whole 301-digit integer that 1e300 reads as; the value
+    # is now its leading digits and its digit count, and the path stays
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "... (301 digits)" in err
+    assert len(err.splitlines()) == 1 and len(err) <= 200, err
 
 
 @pytest.mark.parametrize("n_states", [MAX_STATES + 1, 10**300], ids=["above-max", "1e300"])

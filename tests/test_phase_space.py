@@ -331,6 +331,91 @@ def test_multi_tile_axes_hold_the_oracle_error(order, dtype):
             assert tiled <= 2.0 * oracle, (count, axis, tiled, oracle)
 
 
+# two- and four-axis grids of one-tile axes (at most TILE nodes) and of
+# multi-tile ones, with distinct counts so a mixed-up slab cannot pass by symmetry
+SLAB_GRIDS = {
+    "2-axis-one-tile": ((-1.0, 1.0, 9), (-2.0, 1.0, 13)),
+    "2-axis-multi-tile": ((-1.0, 1.0, 41), (-2.0, 1.0, 57)),
+    "4-axis-one-tile": ((-1.0, 1.0, 9), (-2.0, 1.0, 10), (0.0, 3.0, 11), (-1.5, 2.5, 12)),
+    "4-axis-multi-tile": ((-1.0, 1.0, 30), (-2.0, 1.0, 9), (0.0, 3.0, 10), (-1.5, 2.5, 26)),
+}
+
+
+def thin_slabs(monkeypatch, lines):
+    """Slabs of ``lines`` columns on axis 0 and rows on the last axis, whatever the array's size."""
+    monkeypatch.setattr(phase_space, "SLAB", 0)
+    monkeypatch.setattr(phase_space, "MIN_SLAB_LINES", lines)
+
+
+def counted_matmuls(monkeypatch) -> list:
+    """A list that gets one entry per ``np.matmul`` call from here on."""
+    calls, matmul = [], np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("order, dtype", complex_and_real(1, 2, 3, 4))
+    @pytest.mark.parametrize("name", list(SLAB_GRIDS))
+    def test_thin_slabs_match_one_slab_and_the_oracle(self, monkeypatch, name, order, dtype):
+        # slabs of 1 and 7 lines, the last one short, against one slab of the
+        # whole array (the unslabbed matmuls) and against the per-row Fornberg
+        # matrix; BLAS may pick another kernel for a thinner matmul, so a slab
+        # can move the last bits, on axis 0 and on the last axis alike
+        g = Grid(SLAB_GRIDS[name])
+        v = random_samples(g.shape, dtype, seed=11)
+        monkeypatch.setattr(phase_space, "SLAB", 2**62)
+        whole = [_derivative_values(v, g, axis, order) for axis in range(len(g.axes))]
+        for lines in (1, 7):
+            thin_slabs(monkeypatch, lines)
+            for axis, expected in enumerate(whole):
+                out = _derivative_values(v, g, axis, order)
+                assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected)), (lines, axis)
+                d = per_row_difference_matrix(g.shape[axis], g.spacing(axis), order)
+                oracle = np.moveaxis(np.tensordot(d, v, (1, axis)), 0, axis)
+                assert np.max(np.abs(out - oracle)) <= 1e-12 * np.max(np.abs(oracle)), (lines, axis)
+
+    def test_one_matmul_per_tile_within_one_slab(self, monkeypatch):
+        # the six defaults' path: moyal-convergence differentiates 161^2 real
+        # samples, 207 kB and so one slab; a middle axis is never slabbed,
+        # however large the array
+        cases = [
+            (Grid.square(-2.0, 2.0, 161), float, (0, 1)),
+            (Grid(SLAB_GRIDS["2-axis-multi-tile"]), complex, (0, 1)),
+            (Grid(SLAB_GRIDS["4-axis-one-tile"]), complex, (0, 1, 2, 3)),
+            (Grid.square(-2.0, 2.0, 21, n_dof=2), float, (1, 2)),  # 1.5 MB
+        ]
+        calls = counted_matmuls(monkeypatch)
+        for g, dtype, axes in cases:
+            v = random_samples(g.shape, dtype, seed=5)
+            for axis in axes:
+                for order in (1, 2, 3, 4):
+                    calls.clear()
+                    _derivative_values(v, g, axis, order)
+                    assert len(calls) == -(-g.shape[axis] // phase_space.TILE), (g.shape, axis, order)
+
+    @pytest.mark.parametrize("lines", [1, 7])
+    def test_thin_slabs_split_only_axis_0_and_the_last_axis(self, monkeypatch, lines):
+        # axis 0 goes in slabs of its trailing floats, the last axis in slabs
+        # of the flat view's rows; every tile runs once per slab
+        thin_slabs(monkeypatch, lines)
+        calls = counted_matmuls(monkeypatch)
+        g = Grid(SLAB_GRIDS["4-axis-multi-tile"])
+        for dtype in (float, complex):
+            v = random_samples(g.shape, dtype, seed=5)
+            widths = {0: v.nbytes // 8 // g.shape[0], 3: v.size // g.shape[3]}
+            for axis in range(4):
+                calls.clear()
+                _derivative_values(v, g, axis, 3)
+                slabs = -(-widths[axis] // lines) if axis in widths else 1
+                assert len(calls) == slabs * -(-g.shape[axis] // phase_space.TILE), (dtype, axis)
+
+
 class TestPoissonBracket:
     def test_canonical_pair(self, grid):
         q = sample(grid, lambda q, p: q)

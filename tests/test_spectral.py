@@ -19,7 +19,8 @@ from phasedec.spectral import (
     synthesize_wavefunction,
     _fast_len,
 )
-from oracles import dense_kernel, dense_terms, harmonic_map, mesh
+from phasedec.weyl import OperatorKernel, gaussian_state, trace_pair, wigner_of_kernel
+from oracles import dense_as_factors, dense_kernel, dense_terms, harmonic_map, mesh
 
 
 @pytest.fixture(scope="module")
@@ -248,14 +249,16 @@ class TestPlaneWaveSynthesis:
         "build, message",
         [
             ("lorentzian", "term 0's offset symbol c is not 1"),
-            ("non-hermitian", "term 1's profiles a and b differ"),
+            ("non-hermitian", "term 1's profile a is not a real multiple of b"),
+            ("complex-multiple", "term 0's profile a is not a real multiple of b"),
             ("mixed", "term 1's offset symbol c is not 1"),
         ],
-        ids=["lorentzian", "non-hermitian", "mixed"],
+        ids=["lorentzian", "non-hermitian", "complex-multiple", "mixed"],
     )
     def test_kernel_synthesis_refuses_other_terms(self, build, message):
-        # a Lorentzian offset symbol or a term a conj(b) with b != a has no
-        # factor of the form E a_k; it is refused, not densified
+        # a Lorentzian offset symbol or a term a conj(b) with a not a real
+        # multiple of b has no factor of the form E b_k with a real weight;
+        # it is refused, not densified
         sgrid = SpectralGrid(4.0, 121)
         w = sgrid.omega
         bump = np.exp(-((w - 2.0) ** 2))
@@ -263,6 +266,7 @@ class TestPlaneWaveSynthesis:
         terms = {
             "lorentzian": lorentz,
             "non-hermitian": CoherenceTerms(sgrid, [bump, bump], [bump, w]),
+            "complex-multiple": CoherenceTerms(sgrid, [(2.0 + 1e-6j) * bump], [bump]),
             "mixed": CoherenceTerms(
                 sgrid,
                 np.concatenate([[bump], lorentz.a]),
@@ -274,6 +278,37 @@ class TestPlaneWaveSynthesis:
         table = plane_wave_matrix(sgrid, axis, 0.7)
         with pytest.raises(ValueError, match=message):
             synthesize_kernel(sgrid, terms, axis, table)
+
+    def test_real_multiples_are_weighted_factors(self):
+        # a real combination of separable observables holds terms a = lam b:
+        # each is one factor E b of weight lam, and the kernel, its symbol and
+        # its trace pairing match the dense array E dense_terms E^H
+        sgrid, axis, hbar = SpectralGrid(4.0, 121), (-12.0, 9.0, 193), 0.7
+        profiles = [
+            kernels.gaussian_profile(2.0, 0.5),
+            lambda w: kernels.gaussian_profile(1.5, 0.4)(w) * np.exp(0.8j * w),
+            lambda w: np.exp(-w),
+        ]
+        regular = [make_observable(sgrid, None, kernels.separable_kernel(p)).regular for p in profiles]
+        lams = [2.0, 3.0, -0.7]  # 3 and -0.7 times b round, so a is lam b only to round-off
+        a = np.concatenate([lam * r.a for lam, r in zip(lams, regular)])
+        terms = CoherenceTerms(sgrid, a, np.concatenate([r.b for r in regular]))
+        kernel = synthesize_kernel(sgrid, terms, axis, plane_wave_matrix(sgrid, axis, hbar))
+        assert kernel.s[0] == 2.0 and np.allclose(kernel.s, lams, rtol=1e-15, atol=0)
+        weights = np.full(sgrid.omega_count, sgrid.d_omega)
+        weights[0] = weights[-1] = 0.5 * sgrid.d_omega
+        e = np.exp(1j * np.outer(np.linspace(*axis), sgrid.omega) / hbar) * weights
+        e /= np.sqrt(2.0 * np.pi * hbar)
+        expected = e @ dense_terms(terms) @ e.conj().T
+        scale = float(np.max(np.abs(expected)))
+        assert float(np.max(np.abs(dense_kernel(kernel) - expected))) <= 1e-12 * scale
+        dense = dense_as_factors(axis, expected)
+        grid = Grid.rectangle((-10.25, 7.25, 161), (-0.5, 4.5, 81))
+        symbol, oracle = (wigner_of_kernel(k, hbar, grid).values for k in (kernel, dense))
+        assert float(np.max(np.abs(symbol - oracle))) <= 1e-12 * float(np.max(np.abs(oracle)))
+        state = OperatorKernel(axis, u=[gaussian_state(axis, center=-1.0, sigma=0.8).normalize().values])
+        traced, oracle = trace_pair(kernel, state), trace_pair(dense, state)
+        assert abs(traced - oracle) <= 1e-12 * abs(oracle) and abs(oracle) > 1e-3
 
     @pytest.mark.parametrize(
         "shape", [(97, 120), (96, 121), (121, 97)], ids=["omega", "axis", "transposed"]
